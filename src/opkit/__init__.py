@@ -29,6 +29,7 @@ from .certify import (
     alpha_to_dual_system,
     dual_certificate,
     dual_to_alpha,
+    plan_dual_certificate,
     true_decomposition_certificate,
     univariate_certificate,
     univariate_factors,

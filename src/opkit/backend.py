@@ -78,11 +78,6 @@ class Matrix:
         return cls._wrap([[vals[i] if i == j else zero for j in range(len(vals))]
                           for i in range(len(vals))])
 
-    @classmethod
-    def from_strings(cls, grid: Sequence[Sequence[str]]) -> "Matrix":
-        """Rational-string grid, the JSON wire format for matrices."""
-        return cls([[Fraction(v) for v in row] for row in grid])
-
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self._entries]
 

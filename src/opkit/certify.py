@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (InputError, MembershipError, ResourceLimitError,
                      VerificationError)
-from .groebner import contains_one, resolve_term_cap
-from .planner import IndexSet, SetSystem, max_elements
+from .groebner import BezoutCertificate, contains_one, resolve_term_cap
+from .planner import DecompositionPlan, IndexSet, SetSystem, max_elements
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, product
 
 
@@ -156,6 +155,22 @@ def dual_certificate(factors: Sequence[Polynomial], beta: SetSystem,
     Raises MembershipError naming the first J whose factor ideal does not
     contain 1.
     """
+    return _dual_from_bezout(
+        factors, beta,
+        lambda indices: contains_one([factors[j] for j in indices], order))
+
+
+def plan_dual_certificate(plan: DecompositionPlan) -> DualCertificate:
+    """The dual certificate over ``plan.beta_min``, built from the Bezout
+    certificates the planner kept, so no membership search runs again."""
+    return _dual_from_bezout(
+        plan.atoms, plan.beta_min,
+        lambda indices: plan.certificates.get(frozenset(indices)))
+
+
+def _dual_from_bezout(factors: Sequence[Polynomial], beta: SetSystem,
+                      bezout: Callable[[list[int]], Optional[BezoutCertificate]]
+                      ) -> DualCertificate:
     _check_factors(factors)
     if beta.ground != len(factors) - 1:
         raise InputError(
@@ -165,7 +180,7 @@ def dual_certificate(factors: Sequence[Polynomial], beta: SetSystem,
         indices = sorted(J)
         if not indices:
             raise InputError("the empty set cannot appear in a dual family")
-        bez = contains_one([factors[j] for j in indices], order)
+        bez = bezout(indices)
         if bez is None:
             raise MembershipError(
                 f"1 is not in the ideal of factors {indices}")
@@ -181,9 +196,16 @@ def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
     Expanding the product over all choice functions c (one index per J)
     gives terms carrying prod_J P_{c(J)}; the factor product of S = image(c)
     divides it, the excess powers fold into the cofactor, and the term lands
-    on the index set L \\ S.  Equal index sets are summed, then each
-    non-maximal set is absorbed into the first maximal superset (which keeps
-    the identity exact and matches working with the Max of the family).
+    on the index set L \\ S.  The expansion runs over the subset lattice,
+    not over the prod |J| choice functions: the identities are multiplied
+    in one at a time, keeping one running cofactor per used-index set S
+    (at most 2^(l+1) states).  Choosing j from the next J moves S to
+    S | {j} with the cofactor times Q_{J,j}, times P_j as well when j is
+    already in S.  This regroups the same sum, so each set's cofactor is
+    the same polynomial as the choice-function expansion gives.  Then each
+    non-maximal set is absorbed into the first maximal superset (which
+    keeps the identity exact and matches working with the Max of the
+    family).
     """
     nvars = _check_factors(factors)
     cap = resolve_term_cap(term_cap)
@@ -201,22 +223,21 @@ def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
                 f"cofactor expansion exceeded the term cap ({cap})")
         return out
 
-    grouped: dict[IndexSet, Polynomial] = {}
-    for choice in iter_product(*members):
-        q = Polynomial.one(nvars)
-        counts: dict[int, int] = {}
-        for J, j in zip(members, choice):
-            q = capped_mul(q, dual.cofactors[frozenset(J)][j])
-            counts[j] = counts.get(j, 0) + 1
-        for j, m in counts.items():
-            for _ in range(m - 1):
-                q = capped_mul(q, factors[j])
-        K = frozenset(range(ell + 1)) - frozenset(counts)
-        if K in grouped:
-            grouped[K] = grouped[K] + q
-        else:
-            grouped[K] = q
-    grouped = {K: q for K, q in grouped.items() if not q.is_zero()}
+    states: dict[IndexSet, Polynomial] = {frozenset(): Polynomial.one(nvars)}
+    for J in sorted(members):
+        row = dual.cofactors[frozenset(J)]
+        repeat = {j: capped_mul(row[j], factors[j]) for j in J}
+        step: dict[IndexSet, Polynomial] = {}
+        for S, q in states.items():
+            for j in J:
+                if j in S:
+                    target, term = S, capped_mul(q, repeat[j])
+                else:
+                    target, term = S | {j}, capped_mul(q, row[j])
+                step[target] = step[target] + term if target in step else term
+        states = {S: q for S, q in step.items() if not q.is_zero()}
+    L = frozenset(range(ell + 1))
+    grouped = {L - S: q for S, q in states.items()}
 
     maximal = sorted(
         max_elements(SetSystem(ell, frozenset(grouped))).sets,

@@ -37,13 +37,13 @@ from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
                       instantiate, kernel_basis,
                       make_truncated_derivative_instance, solve_affine)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
-                      dual_certificate, dual_to_alpha,
+                      dual_to_alpha, plan_dual_certificate,
                       univariate_certificate, univariate_factors,
                       verify_certificate)
 from .errors import (InputError, IntegrabilityError, MembershipError,
                      OpkitError, ParseError, ResourceLimitError,
                      VerificationError)
-from .planner import SetSystem, plan_decomposition
+from .planner import DecompositionPlan, SetSystem, plan_decomposition
 from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
                    format_polynomial, parse_polynomial, product)
 from .reducer import (find_system_certificate, integrability_violations,
@@ -93,10 +93,20 @@ class JobSpec:
 
     @staticmethod
     def _rational(value, where: str) -> Fraction:
+        """An exact rational from an integer or an "a/b" string; floats and
+        bools are refused, since they are not exact rationals."""
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise InputError(f"bad rational {value!r} in {where!r}: "
+                             f"expected an integer or an 'a/b' string")
         try:
-            return Fraction(str(value))
+            return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad rational {value!r} in {where!r}") from None
+
+    def _matrix(self, grid, where: str) -> Matrix:
+        if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
+            raise InputError(f"{where!r} must be a matrix grid: a list of rows")
+        return Matrix([[self._rational(v, where) for v in row] for row in grid])
 
     def require_factors(self) -> list[Polynomial]:
         if self.factors is None:
@@ -112,7 +122,7 @@ class JobSpec:
         kind = desc["kind"]
         if kind == "truncated_derivative":
             max_degree = desc.get("max_degree")
-            if not isinstance(max_degree, int) or max_degree < 1:
+            if not _is_positive_int(max_degree):
                 raise InputError("'max_degree' must be a positive integer")
             return make_truncated_derivative_instance(
                 len(self.variables), max_degree)
@@ -121,7 +131,7 @@ class JobSpec:
             if not isinstance(grids, list) or len(grids) != len(self.variables):
                 raise InputError(
                     "'generators' must list one matrix per variable")
-            mats = [Matrix.from_strings(g) for g in grids]
+            mats = [self._matrix(g, "generators") for g in grids]
             return OperatorInstance.of(mats)
         raise InputError(f"unknown instance kind {kind!r}")
 
@@ -150,6 +160,11 @@ class JobSpec:
         return SetSystem.of(len(factors) - 1, sets)
 
 
+def _is_positive_int(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
+
+
 def load_job(path: str, order: MonomialOrder, seed: int) -> JobSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -170,14 +185,16 @@ def _fmt(job: JobSpec, p: Polynomial) -> str:
 
 
 def cmd_plan(job: JobSpec) -> dict:
-    factors = job.require_factors()
-    plan = plan_decomposition(factors, job.order)
+    return _plan_json(job, plan_decomposition(job.require_factors(), job.order))
+
+
+def _plan_json(job: JobSpec, plan: DecompositionPlan) -> dict:
     return {
         "mode": "plan",
         "ok": True,
         "order": job.order.value,
         "variables": list(job.variables),
-        "factors": [_fmt(job, p) for p in factors],
+        "factors": [_fmt(job, p) for p in plan.atoms],
         "coincidence_edges": plan.graph.canonical_edges(),
         "components": [list(c) for c in plan.components],
         "grouped_factors": [_fmt(job, p) for p in plan.grouped_factors],
@@ -190,7 +207,8 @@ def cmd_plan(job: JobSpec) -> dict:
 def _certificates(job: JobSpec) -> tuple[dict, list, Certificate]:
     """Shared by certify/reduce/symmetry: plan, dual certs, alpha cert."""
     factors = job.require_factors()
-    out = cmd_plan(job)
+    plan = plan_decomposition(factors, job.order)
+    out = _plan_json(job, plan)
     if job.lambdas is not None:
         cert = univariate_certificate(job.lambdas)
         ok, _ = verify_certificate(cert, factors)
@@ -198,12 +216,11 @@ def _certificates(job: JobSpec) -> tuple[dict, list, Certificate]:
         out["dual_certificates"] = []
         out["alpha_certificate"] = _alpha_cert_json(job, cert, ok)
         return out, factors, cert
-    if not out["decomposition_available"]:
+    if plan.alpha_opt is None:
         raise VerificationError(
             "no decomposition is available for these factors "
             "(no factor subset generates the unit ideal)")
-    plan_beta = job.index_family(out["beta_min"], "beta_min")
-    dual = dual_certificate(factors, plan_beta, job.order)
+    dual = plan_dual_certificate(plan)
     duals_json = []
     for J, items in dual.sorted_items():
         duals_json.append({
@@ -284,6 +301,9 @@ def cmd_verify(job: JobSpec) -> dict:
     all_ok = True
     raw_cert = job.raw.get("certificate")
     if raw_cert is not None:
+        if not isinstance(raw_cert, dict):
+            raise InputError("'certificate' must be an object with 'alpha' "
+                             "and 'cofactors'")
         alpha = job.index_family(raw_cert.get("alpha"), "certificate.alpha")
         exprs = raw_cert.get("cofactors")
         members = sorted(alpha.sets, key=sorted)
@@ -299,6 +319,9 @@ def cmd_verify(job: JobSpec) -> dict:
         all_ok &= ok
     raw_dual = job.raw.get("dual_certificate")
     if raw_dual is not None:
+        if not isinstance(raw_dual, dict):
+            raise InputError("'dual_certificate' must be an object with "
+                             "'beta' and 'cofactors'")
         beta = job.index_family(raw_dual.get("beta"), "dual_certificate.beta")
         exprs = raw_dual.get("cofactors")
         members = sorted(beta.sets, key=sorted)
@@ -344,12 +367,12 @@ def cmd_symmetry(job: JobSpec) -> dict:
 
     raw_s = job.raw.get("symmetry")
     if raw_s is not None:
-        basis = [Matrix.from_strings(raw_s)]
+        basis = [job._matrix(raw_s, "symmetry")]
         explicit = True
     else:
         from .symmetry import SYMMETRY_DIMENSION_CAP
         cap = job.raw.get("symmetry_cap", SYMMETRY_DIMENSION_CAP)
-        if not isinstance(cap, int) or cap < 1:
+        if not _is_positive_int(cap):
             raise InputError("'symmetry_cap' must be a positive integer")
         basis = enumerate_formal_symmetries(p_full, dimension_cap=cap)
         explicit = False

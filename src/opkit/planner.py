@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .groebner import contains_one
+from .groebner import BezoutCertificate, contains_one
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, product
 
 IndexSet = frozenset[int]
@@ -179,15 +180,37 @@ def _check_atoms(atoms: Sequence[Polynomial]) -> int:
     return nvars
 
 
+MembershipTest = Callable[[tuple[int, ...]], Optional[BezoutCertificate]]
+
+
+def _membership_tests(atoms: Sequence[Polynomial],
+                      order: MonomialOrder) -> MembershipTest:
+    """A membership test on index tuples that runs each search only once.
+
+    The results live as long as the returned function, so one planning call
+    never searches the same ideal twice and nothing outlives it.
+    """
+    known: dict[tuple[int, ...], Optional[BezoutCertificate]] = {}
+
+    def test(combo: tuple[int, ...]) -> Optional[BezoutCertificate]:
+        if combo not in known:
+            known[combo] = contains_one([atoms[i] for i in combo], order)
+        return known[combo]
+
+    return test
+
+
+def _coincidence_graph(count: int, test: MembershipTest) -> Graph:
+    edges = frozenset(frozenset(pair) for pair in combinations(range(count), 2)
+                      if test(pair) is None)
+    return Graph(count, edges)
+
+
 def coincidence_graph(atoms: Sequence[Polynomial],
                       order: MonomialOrder = DEFAULT_ORDER) -> Graph:
     """Edge {p, q} exactly when 1 is not in the ideal <atoms[p], atoms[q]>."""
     _check_atoms(atoms)
-    edges = set()
-    for p, q in combinations(range(len(atoms)), 2):
-        if contains_one([atoms[p], atoms[q]], order) is None:
-            edges.add(frozenset((p, q)))
-    return Graph(len(atoms), frozenset(edges))
+    return _coincidence_graph(len(atoms), _membership_tests(atoms, order))
 
 
 def regroup(atoms: Sequence[Polynomial],
@@ -204,6 +227,25 @@ def regroup(atoms: Sequence[Polynomial],
     return factors, components
 
 
+def _unit_sets(count: int,
+               test: MembershipTest) -> dict[IndexSet, BezoutCertificate]:
+    """The Bezout certificate of every inclusion-minimal unit index set."""
+    ell = count - 1
+    if ell > MEMBERSHIP_GROUND_CAP:
+        raise ResourceLimitError(
+            f"membership search capped at l <= {MEMBERSHIP_GROUND_CAP}, got {ell}")
+    hits: dict[IndexSet, BezoutCertificate] = {}
+    for size in range(1, count + 1):
+        for combo in combinations(range(count), size):
+            J = frozenset(combo)
+            if any(h <= J for h in hits):
+                continue
+            bez = test(combo)
+            if bez is not None:
+                hits[J] = bez
+    return hits
+
+
 def beta_min(factors: Sequence[Polynomial],
              order: MonomialOrder = DEFAULT_ORDER) -> SetSystem:
     """Inclusion-minimal nonempty J with 1 in <factors[j] : j in J>.
@@ -213,19 +255,8 @@ def beta_min(factors: Sequence[Polynomial],
     of this antichain.
     """
     _check_atoms(factors)
-    ell = len(factors) - 1
-    if ell > MEMBERSHIP_GROUND_CAP:
-        raise ResourceLimitError(
-            f"membership search capped at l <= {MEMBERSHIP_GROUND_CAP}, got {ell}")
-    hits: list[IndexSet] = []
-    for size in range(1, ell + 2):
-        for combo in combinations(range(ell + 1), size):
-            J = frozenset(combo)
-            if any(h <= J for h in hits):
-                continue
-            if contains_one([factors[j] for j in combo], order) is not None:
-                hits.append(J)
-    return SetSystem(ell, frozenset(hits))
+    hits = _unit_sets(len(factors), _membership_tests(factors, order))
+    return SetSystem(len(factors) - 1, frozenset(hits))
 
 
 def optimal_alpha(beta: SetSystem) -> SetSystem:
@@ -241,7 +272,12 @@ def optimal_alpha(beta: SetSystem) -> SetSystem:
 
 @dataclass(frozen=True)
 class DecompositionPlan:
-    """Full planning result for a list of factor atoms."""
+    """Full planning result for a list of factor atoms.
+
+    ``certificates`` holds the Bezout certificate found for each member of
+    ``beta_min``, with cofactors in increasing index order, so the dual
+    certificate over ``beta_min`` needs no further membership search.
+    """
 
     atoms: tuple[Polynomial, ...]
     graph: Graph
@@ -249,15 +285,24 @@ class DecompositionPlan:
     grouped_factors: tuple[Polynomial, ...]
     beta_min: SetSystem
     alpha_opt: Optional[SetSystem]  # None when no membership hit exists
+    certificates: Mapping[IndexSet, BezoutCertificate]
 
 
 def plan_decomposition(atoms: Sequence[Polynomial],
                        order: MonomialOrder = DEFAULT_ORDER) -> DecompositionPlan:
-    """Run the whole planning pipeline on the given atoms."""
+    """Run the whole planning pipeline on the given atoms.
+
+    Each index set's membership search runs once: the pairs the coincidence
+    graph tests are not searched again for ``beta_min``, and the plan keeps
+    the Bezout certificate of every ``beta_min`` member.
+    """
     nvars = _check_atoms(atoms)
-    graph = coincidence_graph(atoms, order)
+    test = _membership_tests(atoms, order)
+    graph = _coincidence_graph(len(atoms), test)
     components = tuple(graph.connected_components())
     grouped = tuple(product([atoms[i] for i in comp], nvars) for comp in components)
-    beta = beta_min(atoms, order)
+    certificates = _unit_sets(len(atoms), test)
+    beta = SetSystem(len(atoms) - 1, frozenset(certificates))
     alpha = optimal_alpha(beta) if beta.sets else None
-    return DecompositionPlan(tuple(atoms), graph, components, grouped, beta, alpha)
+    return DecompositionPlan(tuple(atoms), graph, components, grouped, beta,
+                             alpha, MappingProxyType(certificates))

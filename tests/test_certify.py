@@ -1,5 +1,6 @@
 """Certificate construction, verification and the two-way conversions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ import pytest
 from opkit.errors import InputError, MembershipError
 from opkit.certify import (Certificate, DualCertificate, UnivariateSpec,
                            alpha_to_dual, alpha_to_dual_system,
-                           dual_certificate, dual_to_alpha,
-                           factor_product_complement,
+                           dual_certificate, dual_to_alpha, factor_product,
+                           factor_product_complement, plan_dual_certificate,
                            true_decomposition_certificate,
                            univariate_certificate, univariate_factors,
                            verify_certificate)
-from opkit.planner import SetSystem, alpha_u, min_elements
+from opkit.planner import (SetSystem, alpha_u, max_elements, min_elements,
+                           plan_decomposition)
 from opkit.poly import Polynomial, parse_polynomial
 
 V = ["x", "y"]
@@ -129,6 +131,12 @@ class TestDualCertificate:
         assert got[2] == P("1/2*(x+1)")
         assert got[3] == P("-1/2")
 
+    def test_from_plan_matches_a_fresh_search(self):
+        factors = demo_factors()
+        plan = plan_decomposition(factors)
+        fresh = dual_certificate(factors, plan.beta_min)
+        assert plan_dual_certificate(plan).cofactors == fresh.cofactors
+
     def test_membership_failure_names_the_set(self):
         factors = demo_factors()
         with pytest.raises(MembershipError, match=r"\[1, 2\]"):
@@ -173,6 +181,97 @@ class TestDualToAlpha:
         cert = dual_to_alpha(dual, factors)
         for J in cert.alpha:
             assert all(I - J for I in dual.beta.sets)
+
+
+def reference_dual_to_alpha(dual, factors):
+    """The choice-function expansion: one product per choice of an index
+    from every J, excess factor powers folded in, equal sets summed, then
+    non-maximal sets absorbed into the first maximal superset.  Returns the
+    final cofactors and the number of sets absorbed."""
+    nvars = factors[0].variable_count
+    ell = len(factors) - 1
+    members = [sorted(J) for J in dual.beta]
+    grouped = {}
+    for choice in itertools.product(*members):
+        q = Polynomial.one(nvars)
+        counts = {}
+        for J, j in zip(members, choice):
+            q = q * dual.cofactors[frozenset(J)][j]
+            counts[j] = counts.get(j, 0) + 1
+        for j, m in counts.items():
+            for _ in range(m - 1):
+                q = q * factors[j]
+        K = frozenset(range(ell + 1)) - frozenset(counts)
+        grouped[K] = grouped.get(K, Polynomial.zero(nvars)) + q
+    grouped = {K: q for K, q in grouped.items() if not q.is_zero()}
+    maximal = sorted(max_elements(SetSystem(ell, frozenset(grouped))).sets,
+                     key=sorted)
+    final = {}
+    for K in sorted(grouped, key=sorted):
+        target = K if K in maximal else next(M for M in maximal if K <= M)
+        q = grouped[K] * factor_product(factors, target - K)
+        final[target] = final.get(target, Polynomial.zero(nvars)) + q
+    absorbed = len(grouped) - len(maximal)
+    return {K: q for K, q in final.items() if not q.is_zero()}, absorbed
+
+
+def random_dual(rng, factors, beta):
+    """Valid identities 1 = sum Q_{J,j} P_j for pairwise coprime linear
+    factors x + l_j: the constant Bezout pair of two members of J plus
+    random syzygies Q_a += r P_b, Q_b -= r P_a inside J."""
+    lambdas = [f.terms.get((0,), Fraction(0)) for f in factors]
+    cofactors = {}
+    for J in beta:
+        indices = sorted(J)
+        row = {j: Polynomial.zero(1) for j in indices}
+        a, b = rng.sample(indices, 2)
+        row[a] = Polynomial.constant(1 / (lambdas[a] - lambdas[b]), 1)
+        row[b] = Polynomial.constant(-1 / (lambdas[a] - lambdas[b]), 1)
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(indices, 2)
+            r = Polynomial({(rng.randint(0, 1),): rng.randint(-3, 3)}, 1)
+            row[a] = row[a] + r * factors[b]
+            row[b] = row[b] - r * factors[a]
+        cofactors[J] = row
+    return DualCertificate(beta, cofactors)
+
+
+class TestSubsetExpansion:
+    def test_matches_choice_function_expansion(self):
+        rng = random.Random(41)
+        absorbed = repeated = 0
+        for _ in range(40):
+            ell = rng.randint(1, 4)
+            factors = univariate_factors(UnivariateSpec.of(
+                rng.sample(range(-6, 7), ell + 1)))
+            sets = [rng.sample(range(ell + 1), rng.randint(2, ell + 1))
+                    for _ in range(rng.randint(1, 4))]
+            beta = SetSystem.of(ell, sets)
+            dual = random_dual(rng, factors, beta)
+            expected, count = reference_dual_to_alpha(dual, factors)
+            assert dict(dual_to_alpha(dual, factors).cofactors) == expected
+            absorbed += count > 0
+            repeated += sum(len(J) for J in beta) > len(
+                set().union(*beta.sets))
+        assert absorbed and repeated
+
+    def test_pairwise_lines_stay_cheap(self, monkeypatch):
+        import opkit.kernels
+        factors = [P(f"x+2*y+({a})") for a in (-2, -1, 1, 2, 3)]
+        beta = SetSystem.of(4, [list(c) for c in
+                                itertools.combinations(range(5), 2)])
+        dual = dual_certificate(factors, beta)
+        calls = []
+        poly_mul = opkit.kernels.poly_mul
+
+        def counted(a, b):
+            calls.append(None)
+            return poly_mul(a, b)
+
+        monkeypatch.setattr(opkit.kernels, "poly_mul", counted)
+        cert = dual_to_alpha(dual, factors)
+        assert cert.alpha.canonical() == [[i] for i in range(5)]
+        assert len(calls) < 1000   # 15,705 over the 1,024 choice functions
 
 
 class TestAlphaToDual:

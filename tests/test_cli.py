@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from opkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,26 @@ class TestGolden:
         assert report["components"] == [[0], [1, 2, 3]]
 
 
+class TestMembershipReuse:
+    def test_demo_certify_searches_each_ideal_once(self, capsys, monkeypatch):
+        import opkit.certify
+        import opkit.planner
+        import opkit.reducer
+        from opkit.groebner import contains_one
+        calls = []
+
+        def counted(generators, *args, **kwargs):
+            calls.append(tuple(generators))
+            return contains_one(generators, *args, **kwargs)
+
+        for module in (opkit.planner, opkit.certify, opkit.reducer):
+            monkeypatch.setattr(module, "contains_one", counted)
+        code, _, _ = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
+        assert code == 0
+        assert len(calls) == 11
+        assert len(set(calls)) == len(calls)
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys, tmp_path):
         path = write_job(tmp_path, {"variables": ["x"], "factors": ["x +"]})
@@ -92,6 +114,31 @@ class TestExitCodes:
         assert code == 4
         report = json.loads(out)
         assert report["ok"] is False
+
+    @pytest.mark.parametrize("mode, fields", [
+        ("verify", {"certificate": [1]}),
+        ("verify", {"dual_certificate": [1]}),
+        ("reduce", {"instance": {"kind": "matrices", "generators": [
+            [["1/0", "0"], ["0", "1"]]]}, "f": ["1", "0"]}),
+        ("reduce", {"instance": {"kind": "matrices", "generators": [
+            [[1.5, "0"], ["0", "1"]]]}, "f": ["1", "0"]}),
+        ("reduce", {"instance": {"kind": "matrices", "generators": [5]},
+                    "f": ["1", "0"]}),
+        ("symmetry", {"instance": {"kind": "matrices", "generators": [
+            [["1/0", "0"], ["0", "1"]]]}}),
+        ("symmetry", {"instance": {"kind": "matrices", "generators": [
+            [["0", "0"], ["0", "-1"]]]}, "symmetry": [[0.5, "0"], ["0", "1"]]}),
+        ("symmetry", {"instance": {"kind": "matrices", "generators": [
+            [["0", "0"], ["0", "-1"]]]}, "symmetry_cap": True}),
+        ("reduce", {"instance": {"kind": "truncated_derivative",
+                                 "max_degree": True}, "f": "random-in-range"}),
+    ])
+    def test_malformed_field_is_2(self, capsys, tmp_path, mode, fields):
+        path = write_job(tmp_path, {"variables": ["x"],
+                                    "factors": ["x", "x+1"], **fields})
+        code, _, err = run_cli(capsys, mode, "--job", path)
+        assert code == 2
+        assert "input error" in err
 
     def test_no_decomposition_is_4(self, capsys, tmp_path):
         path = write_job(tmp_path, {"variables": ["x"], "factors": ["x"]})

@@ -190,6 +190,13 @@ class TestPlan:
         assert plan.beta_min.canonical() == [[0, 1], [0, 2], [0, 3], [1, 2, 3]]
         assert plan.alpha_opt.canonical() == [[0], [1, 2], [1, 3], [2, 3]]
 
+    def test_keeps_a_certificate_per_beta_min_member(self):
+        atoms = demo_atoms()
+        plan = plan_decomposition(atoms)
+        assert set(plan.certificates) == set(plan.beta_min.sets)
+        for J, bez in plan.certificates.items():
+            assert bez.verify([atoms[j] for j in sorted(J)])
+
     def test_single_factor_no_decomposition(self):
         plan = plan_decomposition([P("x", U)])
         assert not plan.beta_min.sets
