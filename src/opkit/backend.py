@@ -12,7 +12,7 @@ Everything is exact; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Optional, Sequence
@@ -24,6 +24,14 @@ from .poly import Polynomial
 Vector = tuple[Fraction, ...]
 
 DIMENSION_CAP = 2000
+
+# Outputs of this module store every zero entry as this one object, so a
+# matrix or vector that is kept (in an instance's memo, or by a caller) costs
+# memory only for its nonzero entries.  The unit entries that elimination
+# creates (pivots, kernel-basis ones) share _ONE the same way.  Values and
+# reprs are unaffected.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(value) -> Fraction:
@@ -151,10 +159,18 @@ def commutator_is_zero(a: Matrix, b: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class OperatorInstance:
-    """A commuting family of square matrices realizing the variables."""
+    """A commuting family of square matrices realizing the variables.
+
+    Each instance memoizes its instantiated polynomials: ``instantiate``
+    keeps the matrix of every polynomial it evaluates here, keyed by the
+    polynomial's value, for as long as the instance lives.  The memo takes
+    no part in equality, hashing or the repr.
+    """
 
     dimension: int
     generators: tuple[Matrix, ...]
+    _instantiated: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -183,11 +199,26 @@ class OperatorInstance:
 
 
 def instantiate(p: Polynomial, inst: OperatorInstance) -> Matrix:
-    """Evaluate a polynomial at the generator matrices (1 maps to identity)."""
+    """Evaluate a polynomial at the generator matrices (1 maps to identity).
+
+    The result is memoized on ``inst``, keyed by the value of ``p``: a later
+    call with an equal polynomial on the same instance returns the same
+    (immutable) matrix without evaluating again.  The memo lives exactly as
+    long as the instance.  Zero entries of the result are one shared
+    ``Fraction(0)``.
+    """
     if p.variable_count != inst.variable_count:
         raise InputError(
             f"polynomial has {p.variable_count} variables, instance has "
             f"{inst.variable_count} generators")
+    memo = inst._instantiated
+    cached = memo.get(p)
+    if cached is None:
+        cached = memo[p] = _evaluate(p, inst)
+    return cached
+
+
+def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
     n = inst.dimension
     max_exp = [0] * inst.variable_count
     for exp in p.terms:
@@ -206,7 +237,7 @@ def instantiate(p: Polynomial, inst: OperatorInstance) -> Matrix:
             if e:
                 term = term * powers[v][e]
         acc = acc + term.scale(coeff)
-    return acc
+    return Matrix._wrap([[v or _ZERO for v in row] for row in acc._entries])
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +290,40 @@ def _rref(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
         col = pivots[idx]
         piv = frows[idx][col]
         frows[idx] = [v / piv for v in frows[idx]]
+        frows[idx][col] = _ONE
         for i in range(idx):
             f = frows[i][col]
             if f:
                 frows[i] = [a - f * b for a, b in zip(frows[i], frows[idx])]
-    return frows, pivots
+    return [[v or _ZERO for v in row] for row in frows], pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(_rref(m._entries)[1])
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Deterministic exact nullspace basis (reduced-echelon convention).
+def _kernel_from_rref(rref: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+                      cols: int) -> list[Vector]:
+    """Nullspace basis of the first ``cols`` columns of a reduced echelon form.
 
     One basis vector per free column, with a 1 in the free position and the
     negated reduced-echelon entries in the pivot positions.
     """
-    rref, pivots = _rref(m._entries)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis: list[Vector] = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
+    for j in range(cols):
+        if j in pivot_set:
+            continue
+        v = [_ZERO] * cols
+        v[j] = _ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][j]
+            x = rref[r][j]
+            if x:
+                v[pc] = -x
         basis.append(tuple(v))
     return basis
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Deterministic exact nullspace basis (reduced-echelon convention)."""
+    rref, pivots = _rref(m._entries)
+    return _kernel_from_rref(rref, pivots, m.cols)
 
 
 @dataclass(frozen=True)
@@ -314,21 +351,13 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
     rref, pivots = _rref(augmented)
     if pivots and pivots[-1] == m.cols:
         return AffineSolutionSet(None, ())
-    particular = [Fraction(0)] * m.cols
+    particular = [_ZERO] * m.cols
     for r, pc in enumerate(pivots):
         particular[pc] = rref[r][m.cols]
     # Kernel from the same elimination: the rref of m is the rref of the
     # augmented matrix without its last column.
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][j]
-        basis.append(tuple(v))
-    return AffineSolutionSet(tuple(particular), tuple(basis))
+    return AffineSolutionSet(tuple(particular),
+                             tuple(_kernel_from_rref(rref, pivots, m.cols)))
 
 
 def range_member(m: Matrix, f: Sequence) -> bool:

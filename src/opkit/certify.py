@@ -115,6 +115,13 @@ def verify_certificate(cert, factors: Sequence[Polynomial]
     raise InputError(f"unsupported certificate type {type(cert).__name__}")
 
 
+def _require_verified(cert, factors: Sequence[Polynomial]) -> None:
+    """Raise unless a certificate from outside passes its exact check."""
+    ok, _ = verify_certificate(cert, factors)
+    if not ok:
+        raise VerificationError("certificate failed its exact verification")
+
+
 def _verified(cert, factors, what: str):
     ok, residual = verify_certificate(cert, factors)
     if not ok:

@@ -222,16 +222,6 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self, names)!r}, {self._nvars})"
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Term-wise sum with zero terms removed."""
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Distributed product in canonical form."""
-    return p * q
-
-
 def product(polys: Iterable[Polynomial], variable_count: int) -> Polynomial:
     """Product of a (possibly empty) collection; the empty product is 1."""
     result = Polynomial.one(variable_count)

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .backend import (AffineSolutionSet, Matrix, OperatorInstance, Vector,
-                      _rank_of_vectors, as_vector, instantiate, kernel_basis,
-                      solve_affine, span_basis)
-from .certify import (Certificate, factor_product, factor_product_complement,
-                      verify_certificate)
+from .backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
+                      Vector, _rank_of_vectors, as_vector, instantiate,
+                      kernel_basis, solve_affine, span_basis)
+from .certify import (Certificate, _require_verified, factor_product,
+                      factor_product_complement)
 from .errors import (InputError, IntegrabilityError, VerificationError)
 from .groebner import contains_one
 from .planner import IndexSet, SetSystem
@@ -72,12 +72,6 @@ class ReductionReport:
             "disjoint": self.disjoint,
             "verified": self.verified,
         }
-
-
-def _require_verified(cert: Certificate, factors: Sequence[Polynomial]) -> None:
-    ok, _ = verify_certificate(cert, factors)
-    if not ok:
-        raise VerificationError("certificate failed its exact verification")
 
 
 def build_report(cert: Certificate, factors: Sequence[Polynomial],
@@ -142,7 +136,7 @@ def map_B(cert: Certificate, factors: Sequence[Polynomial],
     keys = set(frozenset(k) for k in parts)
     if keys != set(cert.alpha.sets):
         raise InputError("recombination inputs must cover alpha exactly")
-    acc = as_vector([0] * inst.dimension)
+    acc = (_ZERO,) * inst.dimension
     for J in cert.alpha:
         u_j = as_vector(parts[J])
         if f is not None:
@@ -152,7 +146,7 @@ def map_B(cert: Certificate, factors: Sequence[Polynomial],
                     f"input for J = {sorted(J)} does not solve its subproblem")
         q = instantiate(cert.cofactors[J], inst)
         qu = q.apply(u_j)
-        acc = tuple(a + b for a, b in zip(acc, qu))
+        acc = tuple((a + b) or _ZERO for a, b in zip(acc, qu))
     return acc
 
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backend import (Matrix, OperatorInstance, instantiate, kernel_basis,
-                      solve_affine)
-from .certify import Certificate, factor_product_complement
+from .backend import (_ZERO, Matrix, OperatorInstance, _rref, instantiate,
+                      kernel_basis, solve_affine)
+from .certify import (Certificate, _require_verified,
+                      factor_product_complement)
 from .errors import InputError, ResourceLimitError, VerificationError
 from .poly import Polynomial
 
@@ -52,18 +53,22 @@ class GeneralizedSymmetry:
 def _solve_right_factor(P: Matrix, C: Matrix) -> Optional[Matrix]:
     """Deterministic X with X P = C, or None; free parameters set to zero.
 
-    Solved column-wise on the transposed system P^T X^T = C^T.
+    Row r of X solves P^T x = (row r of C).  One elimination of the
+    augmented matrix [P^T | C^T] serves every row: the system is unsolvable
+    exactly when a pivot lands in the right-hand block, and otherwise each
+    right-hand column of the reduced echelon form holds that row's
+    particular solution, the one a separate solve would give.
     """
     n = P.rows
-    pt = Matrix([[P.entry(j, i) for j in range(n)] for i in range(n)])
-    cols: list[list[Fraction]] = []
-    for r in range(n):
-        rhs = [C.entry(r, j) for j in range(n)]
-        sol = solve_affine(pt, rhs)
-        if sol.is_empty():
-            return None
-        cols.append(list(sol.particular))
-    return Matrix(cols)
+    columns = zip(zip(*P._entries), zip(*C._entries))
+    rref, pivots = _rref([p_col + c_col for p_col, c_col in columns])
+    if pivots and pivots[-1] >= n:
+        return None
+    rows = [[_ZERO] * n for _ in range(n)]
+    for k, pc in enumerate(pivots):
+        for r in range(n):
+            rows[r][pc] = rref[k][n + r]
+    return Matrix._wrap(rows)
 
 
 def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
@@ -95,12 +100,15 @@ def projector(cert: Certificate, i: int, factors: Sequence[Polynomial],
     """Instantiate Pr_i = Q_i * P^i; a projection onto the kernel of P_i
     once restricted to the kernel of the product."""
     cofactors = _singleton_cofactors(cert, factors)
-    from .certify import verify_certificate
-    ok, _ = verify_certificate(cert, factors)
-    if not ok:
-        raise VerificationError("certificate failed its exact verification")
-    q = cofactors[i]
-    return instantiate(q * factor_product_complement(factors, frozenset((i,))), inst)
+    _require_verified(cert, factors)
+    return _projector(cofactors, i, factors, inst)
+
+
+def _projector(cofactors: Sequence[Polynomial], i: int,
+               factors: Sequence[Polynomial], inst: OperatorInstance) -> Matrix:
+    """Pr_i from cofactors whose certificate the caller has verified."""
+    return instantiate(
+        cofactors[i] * factor_product_complement(factors, frozenset((i,))), inst)
 
 
 def generalized_from_formal(sym: FormalSymmetry, cert: Certificate,
@@ -117,8 +125,9 @@ def generalized_from_formal(sym: FormalSymmetry, cert: Certificate,
         factor_product_complement(factors, frozenset()), inst)
     if not sym.holds_for(p_full):
         raise InputError("S is not a formal symmetry of the instantiated product")
-    pr_i = projector(cert, i, factors, inst)
-    pr_j = projector(cert, j, factors, inst)
+    _require_verified(cert, factors)
+    pr_i = _projector(cofactors, i, factors, inst)
+    pr_j = _projector(cofactors, j, factors, inst)
     s_ij = pr_i * sym.S * pr_j
     q_i = instantiate(cofactors[i], inst)
     pj_comp = instantiate(factor_product_complement(factors, frozenset((j,))), inst)

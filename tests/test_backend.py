@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from opkit.errors import InputError, ResourceLimitError
-from opkit.backend import (AffineSolutionSet, Matrix, OperatorInstance,
-                           affine_sets_equal, graded_monomials, in_span,
+from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
+                           _rref, affine_sets_equal, graded_monomials, in_span,
                            instantiate, kernel_basis,
                            make_truncated_derivative_instance, range_member,
-                           rank, solve_affine, span_basis, spans_equal)
+                           solve_affine, span_basis, spans_equal)
 from opkit.poly import Polynomial, parse_polynomial, product
 
 from conftest import random_polynomial, random_vector
@@ -18,6 +18,10 @@ from conftest import random_polynomial, random_vector
 
 def P(text, variables=("x",)):
     return parse_polynomial(text, list(variables))
+
+
+def rank(m):
+    return len(_rref(m._entries)[1])
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -66,6 +70,78 @@ class TestInstantiate:
         b = Matrix([[0, 0], [1, 0]])
         with pytest.raises(InputError, match="commute"):
             OperatorInstance.of([a, b])
+
+
+def naive_evaluate(p, generators):
+    """p at the generators with plain Fraction lists, no opkit kernels."""
+    n = generators[0].rows
+    grids = [g.row_list() for g in generators]
+
+    def times(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for exp, coeff in p.terms.items():
+        term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for grid, e in zip(grids, exp):
+            for _ in range(e):
+                term = times(term, grid)
+        total = [[t + coeff * x for t, x in zip(trow, xrow)]
+                 for trow, xrow in zip(total, term)]
+    return Matrix(total)
+
+
+class TestInstanceContext:
+    def test_equal_polynomial_hits_the_memo(self, monkeypatch):
+        import opkit.kernels
+        inst = make_truncated_derivative_instance(2, 4)
+        first = instantiate(P("x^2 + 3*x*y + 1", "xy"), inst)
+        calls = []
+        mat_mul = opkit.kernels.mat_mul
+
+        def counted(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(opkit.kernels, "mat_mul", counted)
+        again = P("1 + y*x*3 + x*x", "xy")
+        assert again == P("x^2 + 3*x*y + 1", "xy")
+        assert instantiate(again, inst) is first
+        assert calls == []
+        instantiate(P("x + y", "xy"), inst)
+        assert calls
+
+    def test_fresh_instances_never_see_a_stale_matrix(self, rng):
+        p = P("x^2*y - 2*x + y^3 + 1/2", "xy")
+        for _ in range(30):
+            m = random_matrix(rng, 3, 3, bound=3)
+            generators = [m, m * m + Matrix.identity(3).scale(2)]
+            inst = OperatorInstance.of(generators)
+            assert instantiate(p, inst) == naive_evaluate(p, generators)
+            del inst
+
+    def test_memo_is_not_part_of_the_value(self):
+        d = Matrix.diagonal([-1, 2])
+        used = OperatorInstance.of([d])
+        fresh = OperatorInstance.of([d])
+        instantiate(P("x^2 + 1"), used)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == (
+            f"OperatorInstance(dimension=2, generators=({d!r},))")
+
+    def test_zero_entries_are_the_shared_zero(self):
+        inst = make_truncated_derivative_instance(2, 4)
+        m = instantiate(P("x*y + x^2", "xy"), inst)
+        f = m.apply([Fraction(k) for k in range(inst.dimension)])
+        sol = solve_affine(m, f)
+        vectors = ([sol.particular] + list(sol.kernel_vectors)
+                   + kernel_basis(m) + span_basis(m.row_list()))
+        entries = [v for row in m.row_list() for v in row]
+        entries += [v for vec in vectors for v in vec]
+        zeros = [v for v in entries if v == 0]
+        assert zeros and all(v is _ZERO for v in zeros)
 
 
 class TestKernelAndSolve:

@@ -84,6 +84,32 @@ class TestMembershipReuse:
         assert len(set(calls)) == len(calls)
 
 
+class TestVerifyOnce:
+    @pytest.mark.parametrize("job, checks", [
+        (demo_job_dict(), 2),   # the dual certificate, then the alpha one
+        ({"variables": ["x"], "lambdas": ["1", "2", "5"]}, 1),
+    ], ids=["demo", "lambdas"])
+    def test_certify_checks_each_certificate_once(self, capsys, tmp_path,
+                                                  monkeypatch, job, checks):
+        import opkit.certify
+        import opkit.cli
+        calls = []
+        verify = opkit.certify.verify_certificate
+
+        def counted(cert, factors):
+            calls.append(type(cert).__name__)
+            return verify(cert, factors)
+
+        for module in (opkit.certify, opkit.cli):
+            monkeypatch.setattr(module, "verify_certificate", counted)
+        code, out, _ = run_cli(capsys, "certify", "--job",
+                               write_job(tmp_path, job))
+        assert code == 0
+        assert json.loads(out)["alpha_certificate"]["verified"] is True
+        assert len(calls) == checks
+        assert calls[-1] == "Certificate"
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys, tmp_path):
         path = write_job(tmp_path, {"variables": ["x"], "factors": ["x +"]})
@@ -139,6 +165,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, mode, "--job", path)
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("field, family", [
+        ("dual_certificate", [[0, 1.7]]),
+        ("dual_certificate", [[0, True]]),
+        ("dual_certificate", [[0, "1"]]),
+        ("dual_certificate", ["01"]),
+        ("certificate", [[0], [1.0]]),
+        ("certificate", [[False], [1]]),
+        ("certificate", [[0], ["1"]]),
+    ])
+    def test_non_integer_index_is_2(self, capsys, tmp_path, field, family):
+        key = "beta" if field == "dual_certificate" else "alpha"
+        cofactors = ([["1", "-1"]] if field == "dual_certificate"
+                     else ["1", "-1"])
+        path = write_job(tmp_path, {
+            "variables": ["x"], "factors": ["x", "x+1"],
+            field: {key: family, "cofactors": cofactors}})
+        code, _, err = run_cli(capsys, "verify", "--job", path)
+        assert code == 2
+        assert "integer indices" in err or "index lists" in err
 
     def test_no_decomposition_is_4(self, capsys, tmp_path):
         path = write_job(tmp_path, {"variables": ["x"], "factors": ["x"]})

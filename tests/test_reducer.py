@@ -100,6 +100,15 @@ class TestMaps:
             parts = map_F(cert, factors, inst, u)
             assert map_B(cert, factors, inst, parts) == tuple(u)
 
+    def test_recombined_zeros_are_the_shared_zero(self):
+        from opkit.backend import _ZERO
+        cert, factors = univariate_setup((0, 1))
+        inst = OperatorInstance.of([Matrix.diagonal([0, -1, 5, 2])])
+        u = (Fraction(3), Fraction(0), Fraction(-2), Fraction(0))
+        out = map_B(cert, factors, inst, map_F(cert, factors, inst, u))
+        assert out == u
+        assert out[1] is _ZERO and out[3] is _ZERO
+
     def test_FB_identity_on_disjoint_solution_tuples(self, rng):
         cert, factors = univariate_setup((0, 1))
         d = conjugated_diagonal(rng, [Fraction(0), Fraction(0), Fraction(-1), Fraction(2)])

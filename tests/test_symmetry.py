@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from opkit.backend import (Matrix, OperatorInstance, instantiate, kernel_basis,
-                           spans_equal, _rank_of_vectors)
+                           solve_affine, spans_equal, _rank_of_vectors)
 from opkit.certify import UnivariateSpec, univariate_certificate, univariate_factors
 from opkit.errors import InputError, ResourceLimitError
 from opkit.poly import product
@@ -14,7 +14,7 @@ from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                             formal_from_generalized,
                             formal_from_generalized_simple,
                             generalized_from_formal, induced_kernel_map,
-                            is_formal_symmetry, projector)
+                            is_formal_symmetry, projector, _solve_right_factor)
 
 from conftest import conjugated_diagonal, distinct_fractions
 
@@ -28,7 +28,43 @@ def diag_setup(lambdas=(1, 2)):
     return cert, factors, inst, p_full
 
 
+def solve_right_factor_by_columns(P, C):
+    """Reference: X with X P = C from one solve of P^T x = c per row of C."""
+    n = P.rows
+    pt = Matrix([[P.entry(j, i) for j in range(n)] for i in range(n)])
+    rows = []
+    for r in range(n):
+        sol = solve_affine(pt, [C.entry(r, j) for j in range(n)])
+        if sol.is_empty():
+            return None
+        rows.append(list(sol.particular))
+    return Matrix(rows)
+
+
+def random_grid(rng, rows, cols, bound=3):
+    return Matrix([[Fraction(rng.randint(-bound, bound), rng.randint(1, 2))
+                    for _ in range(cols)] for _ in range(rows)])
+
+
 class TestIsFormalSymmetry:
+    def test_one_elimination_matches_column_solves(self, rng):
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rank = rng.choice([n, rng.randint(0, n)])
+            P = (random_grid(rng, n, rank) * random_grid(rng, rank, n)
+                 if rank else Matrix.zeros(n, n))
+            C = (random_grid(rng, n, n) * P if rng.random() < 0.5
+                 else random_grid(rng, n, n))
+            expected = solve_right_factor_by_columns(P, C)
+            got = _solve_right_factor(P, C)
+            assert got == expected
+            if got is not None:
+                assert got * P == C
+            outcomes.add((kernel_basis(P) == [], got is None))
+        assert {(True, False), (False, False), (False, True)} <= outcomes
+
+
     def test_identity_always_works(self):
         for p in (Matrix.identity(2), Matrix.diagonal([0, 1]), Matrix.zeros(2, 2)):
             w = is_formal_symmetry(Matrix.identity(2), p)
@@ -157,6 +193,24 @@ class TestGeneralized:
                 gen = generalized_from_formal(sym, cert, i, j, factors, inst)
                 assert gen.holds_for(instantiate(factors[i], inst),
                                      instantiate(factors[j], inst))
+
+    def test_certificate_checked_once_per_call(self, monkeypatch):
+        import opkit.certify
+        cert, factors, inst, p_full = diag_setup()
+        sym = FormalSymmetry(Matrix.identity(2),
+                             is_formal_symmetry(Matrix.identity(2), p_full))
+        calls = []
+        verify = opkit.certify.verify_certificate
+
+        def counted(*args):
+            calls.append(1)
+            return verify(*args)
+
+        monkeypatch.setattr(opkit.certify, "verify_certificate", counted)
+        generalized_from_formal(sym, cert, 0, 1, factors, inst)
+        assert len(calls) == 1
+        projector(cert, 0, factors, inst)
+        assert len(calls) == 2
 
     def test_requires_formal_symmetry(self):
         cert, factors, inst, p_full = diag_setup((0, 1))
