@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
@@ -25,12 +25,13 @@ Vector = tuple[Fraction, ...]
 
 DIMENSION_CAP = 2000
 
-# Outputs of this module store every zero entry as this one object, so a
-# matrix or vector that is kept (in an instance's memo, or by a caller) costs
-# memory only for its nonzero entries.  The unit entries that elimination
-# creates (pivots, kernel-basis ones) share _ONE the same way.  Values and
-# reprs are unaffected.
-_ZERO = Fraction(0)
+# Outputs of this module store every zero entry as this one object, which is
+# also the zero of the matrix kernels' outputs, so a matrix or vector that is
+# kept (in an instance's memo, or by a caller) costs memory only for its
+# nonzero entries.  The unit entries that elimination creates (pivots,
+# kernel-basis ones) share _ONE the same way.  Values and reprs are
+# unaffected.
+_ZERO = kernels._ZERO
 _ONE = Fraction(1)
 
 
@@ -246,11 +247,7 @@ def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
 
 def _int_rows(entries: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Clear denominators row by row (row scaling preserves row space)."""
-    out = []
-    for row in entries:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
-    return out
+    return [kernels._over_common_denominator(row)[0] for row in entries]
 
 
 def _rref(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (InputError, MembershipError, ResourceLimitError,
                      VerificationError)
 from .groebner import BezoutCertificate, contains_one, resolve_term_cap
-from .planner import DecompositionPlan, IndexSet, SetSystem, max_elements
+from .planner import (DecompositionPlan, IndexSet, SetSystem, _check_atoms,
+                      max_elements)
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, product
 
 
@@ -64,18 +65,6 @@ class UnivariateSpec:
         return cls(tuple(Fraction(v) for v in values))
 
 
-def _check_factors(factors: Sequence[Polynomial]) -> int:
-    if not factors:
-        raise InputError("need at least one factor")
-    nvars = factors[0].variable_count
-    for i, f in enumerate(factors):
-        if f.is_zero():
-            raise InputError(f"factor {i} is the zero polynomial")
-        if f.variable_count != nvars:
-            raise InputError("factors must share a variable count")
-    return nvars
-
-
 def factor_product_complement(factors: Sequence[Polynomial], J: IndexSet) -> Polynomial:
     """P^J: the product of the factors whose index is NOT in J."""
     nvars = factors[0].variable_count
@@ -95,7 +84,7 @@ def verify_certificate(cert, factors: Sequence[Polynomial]
     Accepts either certificate kind.  For a dual certificate the residual
     reported is the first nonzero per-J residual (zero when all hold).
     """
-    nvars = _check_factors(factors)
+    nvars = _check_atoms(factors)
     one = Polynomial.one(nvars)
     if isinstance(cert, Certificate):
         acc = Polynomial.zero(nvars)
@@ -178,7 +167,7 @@ def plan_dual_certificate(plan: DecompositionPlan) -> DualCertificate:
 def _dual_from_bezout(factors: Sequence[Polynomial], beta: SetSystem,
                       bezout: Callable[[list[int]], Optional[BezoutCertificate]]
                       ) -> DualCertificate:
-    _check_factors(factors)
+    _check_atoms(factors)
     if beta.ground != len(factors) - 1:
         raise InputError(
             f"beta ground {beta.ground} does not match {len(factors)} factors")
@@ -214,7 +203,7 @@ def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
     keeps the identity exact and matches working with the Max of the
     family).
     """
-    nvars = _check_factors(factors)
+    nvars = _check_atoms(factors)
     cap = resolve_term_cap(term_cap)
     ell = len(factors) - 1
     if dual.beta.ground != ell:
@@ -270,7 +259,7 @@ def alpha_to_dual(cert: Certificate, I: Iterable[int],
     rewritten through the factor indexed by min(I \\ J) and the terms are
     grouped by that index.
     """
-    nvars = _check_factors(factors)
+    nvars = _check_atoms(factors)
     I = frozenset(I)
     ell = len(factors) - 1
     if not all(0 <= i <= ell for i in I):
@@ -315,7 +304,7 @@ def true_decomposition_certificate(
     singletons (cancelled cofactors) are padded with explicit zeros so the
     family is exactly the singletons.
     """
-    nvars = _check_factors(factors)
+    nvars = _check_atoms(factors)
     ell = len(factors) - 1
     if ell == 0:
         cert = Certificate(

@@ -295,41 +295,3 @@ def reduce_certified(p: Polynomial, basis: CertifiedBasis,
     cofactors = tuple(
         Polynomial._wrap(kernels.poly_neg(c), nvars) for c in cofs)
     return Reduction(Polynomial._wrap(remainder, nvars), cofactors)
-
-
-def inter_reduced(basis: CertifiedBasis) -> tuple[Polynomial, ...]:
-    """Reduced Groebner basis of the same ideal, without cofactors.
-
-    Optional post-step; certificates always refer to the tracked basis.
-    """
-    from .poly import divide_multi
-
-    order = basis.order
-    polys = [cp.value for cp in basis.basis]
-    leads = [p.leading_term(order)[0] for p in polys]
-    # Minimalize: drop elements whose leading monomial is divisible by the
-    # leading monomial of another kept element (earlier index wins ties).
-    minimal: list[Polynomial] = []
-    for i, p in enumerate(polys):
-        redundant = False
-        for j, other in enumerate(leads):
-            if j == i:
-                continue
-            if all(a >= b for a, b in zip(leads[i], other)):
-                if leads[i] != other or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            minimal.append(p)
-    reduced: list[Polynomial] = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            _, r = divide_multi(p, others, order)
-        else:
-            r = p
-        if not r.is_zero():
-            lc = r.leading_term(order)[1]
-            reduced.append(r.scale(Fraction(1) / lc))
-    reduced.sort(key=lambda q: order.sort_key(q.leading_term(order)[0]))
-    return tuple(reduced)

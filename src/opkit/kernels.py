@@ -1,32 +1,146 @@
-"""Kernel selection: compiled accelerator if built, pure Python otherwise.
+"""Exact kernels: the hot inner loops of the package, in pure Python.
 
-Set ``OPKIT_PURE_PYTHON=1`` to force the pure-Python kernels even when the
-compiled extension is available (used by the benchmark and by CI to test
-both paths).  Both implementations are exact and produce identical results;
-``IMPLEMENTATION`` names the active one.
+Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
+Fractions), dense Fraction matrix products, and the integer row operation
+used by fraction-free elimination.  Callers reach the kernels by attribute
+(``kernels.mat_mul``), so a test or a tracer can substitute one.
+
+All polynomial kernels keep the canonical-form invariant: no zero
+coefficient is ever stored.  Every zero entry of a matrix-kernel output is
+the one shared ``_ZERO``.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
-if os.environ.get("OPKIT_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _accel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
+IMPLEMENTATION = "pure-python"
 
-IMPLEMENTATION: str = _impl.IMPLEMENTATION
+_ZERO = Fraction(0)
 
-poly_add = _impl.poly_add
-poly_sub = _impl.poly_sub
-poly_neg = _impl.poly_neg
-poly_scale = _impl.poly_scale
-poly_mul = _impl.poly_mul
-poly_term_mul = _impl.poly_term_mul
-poly_isubmul = _impl.poly_isubmul
-mat_mul = _impl.mat_mul
-mat_apply = _impl.mat_apply
-row_combine_int = _impl.row_combine_int
+
+def poly_add(a: dict, b: dict) -> dict:
+    """Return the term-map sum a + b."""
+    out = dict(a)
+    for exp, coeff in b.items():
+        new = out.get(exp, _ZERO) + coeff
+        if new:
+            out[exp] = new
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def poly_sub(a: dict, b: dict) -> dict:
+    """Return the term-map difference a - b."""
+    out = dict(a)
+    for exp, coeff in b.items():
+        new = out.get(exp, _ZERO) - coeff
+        if new:
+            out[exp] = new
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def poly_neg(a: dict) -> dict:
+    """Return -a."""
+    return {exp: -coeff for exp, coeff in a.items()}
+
+
+def poly_scale(a: dict, coeff: Fraction) -> dict:
+    """Return coeff * a."""
+    if not coeff:
+        return {}
+    return {exp: c * coeff for exp, c in a.items()}
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    """Return the distributed product a * b."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            new = out.get(exp, _ZERO) + ca * cb
+            if new:
+                out[exp] = new
+            else:
+                out.pop(exp, None)
+    return out
+
+
+def poly_term_mul(a: dict, coeff: Fraction, shift: tuple) -> dict:
+    """Return (coeff * x^shift) * a, the single-term product."""
+    if not coeff:
+        return {}
+    return {tuple(x + y for x, y in zip(exp, shift)): c * coeff
+            for exp, c in a.items()}
+
+
+def poly_isubmul(acc: dict, coeff: Fraction, shift: tuple, q: dict) -> None:
+    """In place: acc -= (coeff * x^shift) * q.
+
+    This is the single reduction step of multivariate division and of
+    Buchberger's algorithm.
+    """
+    for exp, c in q.items():
+        key = tuple(x + y for x, y in zip(exp, shift))
+        new = acc.get(key, _ZERO) - coeff * c
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+
+def _over_common_denominator(v) -> tuple[list[int], int]:
+    """Integers ``nums`` and ``d`` with v[i] == nums[i] / d for every i.
+
+    ``d`` is the lcm of the denominators of the Fractions in v.
+    """
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def mat_mul(a: list, b: list) -> list:
+    """Multiply two dense Fraction matrices given as lists of row lists.
+
+    Delayed normalization: every row of a and column of b is put over one
+    common denominator, so each output entry is an integer dot product that
+    becomes one Fraction.
+    """
+    cols = [_over_common_denominator(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        nums, d = _over_common_denominator(row)
+        out_row = []
+        for col_nums, col_d in cols:
+            s = sum(map(mul, nums, col_nums))
+            out_row.append(Fraction(s, d * col_d) if s else _ZERO)
+        out.append(out_row)
+    return out
+
+
+def mat_apply(a: list, v: list) -> list:
+    """Apply a dense Fraction matrix to a vector (delayed normalization)."""
+    v_nums, v_d = _over_common_denominator(v)
+    out = []
+    for row in a:
+        nums, d = _over_common_denominator(row)
+        s = sum(map(mul, nums, v_nums))
+        out.append(Fraction(s, d * v_d) if s else _ZERO)
+    return out
+
+
+def row_combine_int(row: list, a: int, prow: list, b: int,
+                    divisor: int, start: int) -> list:
+    """Return the fraction-free elimination update of an integer row.
+
+    out[j] = row[j] for j < start, else (a*row[j] - b*prow[j]) // divisor.
+    The division is exact by construction of the elimination.
+    """
+    out = list(row)
+    for j in range(start, len(row)):
+        out[j] = (a * row[j] - b * prow[j]) // divisor
+    return out

@@ -163,23 +163,6 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
     return out
 
 
-def formal_from_generalized_simple(gen: GeneralizedSymmetry,
-                                   factors: Sequence[Polynomial],
-                                   inst: OperatorInstance) -> FormalSymmetry:
-    """The shorter correspondence S = S_ij P^j, witness P^i S'_ij."""
-    p_i = instantiate(factors[gen.i], inst)
-    p_j = instantiate(factors[gen.j], inst)
-    if not gen.holds_for(p_i, p_j):
-        raise InputError("the generalized symmetry identity does not hold")
-    pj_comp = instantiate(factor_product_complement(factors, frozenset((gen.j,))), inst)
-    pi_comp = instantiate(factor_product_complement(factors, frozenset((gen.i,))), inst)
-    out = FormalSymmetry(gen.S_ij * pj_comp, pi_comp * gen.S_prime_ij)
-    p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
-    if not out.holds_for(p_full):
-        raise VerificationError("internal error: reconstructed symmetry failed")
-    return out
-
-
 def enumerate_formal_symmetries(P: Matrix,
                                 dimension_cap: int = SYMMETRY_DIMENSION_CAP
                                 ) -> list[Matrix]:

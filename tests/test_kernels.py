@@ -1,0 +1,212 @@
+"""The kernels give exact values: each is checked against a plain-Fraction loop."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from opkit import backend, kernels
+
+# Denominators large enough that a common denominator of a row is a big
+# integer, mixed with small ones.
+BIG_DENOMINATORS = (1, 2, 3, 2**61 - 1, 10**20 + 39, 3**40)
+
+
+# -- plain-Fraction reference loops -----------------------------------------
+
+def ref_combine(a, b, sign):
+    out = {}
+    for exp in set(a) | set(b):
+        c = a.get(exp, Fraction(0)) + sign * b.get(exp, Fraction(0))
+        if c != 0:
+            out[exp] = c
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_term_mul(a, coeff, shift):
+    return ref_mul(a, {shift: coeff} if coeff else {})
+
+
+def ref_mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_mat_apply(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+# -- inputs -----------------------------------------------------------------
+
+def random_terms(rng, nvars, nterms, denominators=(1, 2, 3, 5, 7)):
+    out = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randint(0, 4) for _ in range(nvars))
+        c = Fraction(rng.randint(-20, 20), rng.choice(denominators))
+        if c:
+            out[exp] = c
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def random_matrix(rng, rows, cols, denominators=(1, 2, 3, 4), density=0.7):
+    return [[Fraction(rng.randint(-8, 8), rng.choice(denominators))
+             if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_canonical(terms):
+    assert all(type(c) is Fraction and c != 0 for c in terms.values())
+
+
+def assert_shared_zeros(rows):
+    for row in rows:
+        for x in row:
+            assert x != 0 or x is kernels._ZERO
+
+
+# -- polynomial kernels -----------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_poly_kernels_exact(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    denominators = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 5, 7)
+    a = random_terms(rng, nvars, 12, denominators)
+    b = random_terms(rng, nvars, 12, denominators)
+    coeff = Fraction(rng.randint(1, 9), rng.choice(denominators))
+    shift = tuple(rng.randint(0, 3) for _ in range(nvars))
+
+    results = {
+        "add": (kernels.poly_add(a, b), ref_combine(a, b, 1)),
+        "sub": (kernels.poly_sub(a, b), ref_combine(a, b, -1)),
+        "neg": (kernels.poly_neg(a), ref_combine({}, a, -1)),
+        "scale": (kernels.poly_scale(a, coeff), ref_term_mul(a, coeff, (0,) * nvars)),
+        "mul": (kernels.poly_mul(a, b), ref_mul(a, b)),
+        "term_mul": (kernels.poly_term_mul(a, coeff, shift),
+                     ref_term_mul(a, coeff, shift)),
+    }
+    acc = dict(a)
+    kernels.poly_isubmul(acc, coeff, shift, b)
+    results["isubmul"] = (acc, ref_combine(a, ref_term_mul(b, coeff, shift), -1))
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert_canonical(got)
+
+
+def test_poly_kernels_leave_inputs_alone():
+    a = {(1,): Fraction(1, 2), (0,): Fraction(3)}
+    b = {(1,): Fraction(-1, 2)}
+    before = (dict(a), dict(b))
+    kernels.poly_add(a, b)
+    kernels.poly_sub(a, b)
+    kernels.poly_mul(a, b)
+    kernels.poly_term_mul(a, Fraction(2), (1,))
+    assert (a, b) == before
+
+
+def test_cancellation_stores_no_zero():
+    a = {(1, 0): Fraction(1, 3), (0, 1): Fraction(2)}
+    neg = kernels.poly_neg(a)
+    assert kernels.poly_add(a, neg) == {}
+    assert kernels.poly_sub(a, a) == {}
+    # (x + 1)(x - 1) = x^2 - 1: the x terms cancel.
+    assert (kernels.poly_mul({(1,): Fraction(1), (0,): Fraction(1)},
+                             {(1,): Fraction(1), (0,): Fraction(-1)})
+            == {(2,): Fraction(1), (0,): Fraction(-1)})
+    assert kernels.poly_mul({(0, 0): Fraction(3)}, {(0, 0): Fraction(1, 3)}) \
+        == {(0, 0): Fraction(1)}
+    acc = dict(a)
+    kernels.poly_isubmul(acc, Fraction(1, 3), (1, 0), {(0, 0): Fraction(1)})
+    assert acc == {(0, 1): Fraction(2)}
+    kernels.poly_isubmul(acc, Fraction(2), (0, 1), {(0, 0): Fraction(1)})
+    assert acc == {}
+
+
+def test_empty_and_zero_operands():
+    a = {(2,): Fraction(5, 7)}
+    assert kernels.poly_add({}, {}) == {}
+    assert kernels.poly_add(a, {}) == a
+    assert kernels.poly_sub({}, a) == {(2,): Fraction(-5, 7)}
+    assert kernels.poly_neg({}) == {}
+    assert kernels.poly_mul(a, {}) == {} and kernels.poly_mul({}, a) == {}
+    assert kernels.poly_scale(a, Fraction(0)) == {}
+    assert kernels.poly_term_mul(a, Fraction(0), (1,)) == {}
+    acc = dict(a)
+    kernels.poly_isubmul(acc, Fraction(3), (1,), {})
+    assert acc == a
+
+
+# -- matrix kernels ---------------------------------------------------------
+
+SHAPES = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (4, 4, 4),
+          (3, 7, 2)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_matrix_kernels_exact(shape, seed):
+    rng = random.Random(100 * seed + sum(shape))
+    n, m, p = shape
+    denominators = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
+    a = random_matrix(rng, n, m, denominators)
+    b = random_matrix(rng, m, p, denominators)
+    v = [row[0] for row in b]
+    got = kernels.mat_mul(a, b)
+    assert got == ref_mat_mul(a, b)
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert_shared_zeros(got)
+    applied = kernels.mat_apply(a, v)
+    assert applied == ref_mat_apply(a, v)
+    assert_shared_zeros([applied])
+
+
+def test_matrix_zero_outputs_are_the_shared_zero():
+    assert backend._ZERO is kernels._ZERO
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # Row 0 cancels to zero, row 1 is all zeros, row 2 is not zero.
+    a = [[half, -third], [Fraction(0), Fraction(0)], [half, third]]
+    b = [[Fraction(2, 3), Fraction(0)], [Fraction(1), Fraction(0)]]
+    prod = kernels.mat_mul(a, b)
+    assert prod == [[0, 0], [0, 0], [Fraction(2, 3), 0]]
+    zeros = [x for row in prod for x in row if x == 0]
+    assert len(zeros) == 5 and all(x is kernels._ZERO for x in zeros)
+    out = kernels.mat_apply(a, [Fraction(2, 3), Fraction(1)])
+    assert out == [0, 0, Fraction(2, 3)]
+    assert out[0] is kernels._ZERO and out[1] is kernels._ZERO
+    m = backend.Matrix([[1, -1], [0, 0]])
+    assert all(x is backend._ZERO for x in (m * m).row_list()[1])
+
+
+def test_common_denominator():
+    v = [Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 2**61 - 1)]
+    nums, d = kernels._over_common_denominator(v)
+    assert d == 12 * (2**61 - 1)
+    assert all(type(x) is int for x in nums)
+    assert [Fraction(x, d) for x in nums] == v
+    assert kernels._over_common_denominator([]) == ([], 1)
+    assert backend._int_rows([v, [Fraction(0)]]) == [nums, [0]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_combine_int_exact(seed):
+    rng = random.Random(200 + seed)
+    width = rng.randint(1, 9)
+    a, b, divisor = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)
+    row = [rng.randint(-50, 50) * divisor for _ in range(width)]
+    prow = [rng.randint(-50, 50) * divisor for _ in range(width)]
+    start = rng.randint(0, width - 1)
+    want = row[:start] + [(a * x - b * y) // divisor
+                          for x, y in zip(row[start:], prow[start:])]
+    got = kernels.row_combine_int(row, a, prow, b, divisor, start)
+    assert got == want and got is not row

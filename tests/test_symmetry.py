@@ -6,17 +6,32 @@ import pytest
 
 from opkit.backend import (Matrix, OperatorInstance, instantiate, kernel_basis,
                            solve_affine, spans_equal, _rank_of_vectors)
-from opkit.certify import UnivariateSpec, univariate_certificate, univariate_factors
-from opkit.errors import InputError, ResourceLimitError
+from opkit.certify import (UnivariateSpec, factor_product_complement,
+                           univariate_certificate, univariate_factors)
+from opkit.errors import InputError, ResourceLimitError, VerificationError
 from opkit.poly import product
 from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                             enumerate_formal_symmetries,
                             formal_from_generalized,
-                            formal_from_generalized_simple,
                             generalized_from_formal, induced_kernel_map,
                             is_formal_symmetry, projector, _solve_right_factor)
 
 from conftest import conjugated_diagonal, distinct_fractions
+
+
+def formal_from_generalized_simple(gen, factors, inst):
+    """The shorter correspondence S = S_ij P^j, witness P^i S'_ij."""
+    p_i = instantiate(factors[gen.i], inst)
+    p_j = instantiate(factors[gen.j], inst)
+    if not gen.holds_for(p_i, p_j):
+        raise InputError("the generalized symmetry identity does not hold")
+    pj_comp = instantiate(factor_product_complement(factors, frozenset((gen.j,))), inst)
+    pi_comp = instantiate(factor_product_complement(factors, frozenset((gen.i,))), inst)
+    out = FormalSymmetry(gen.S_ij * pj_comp, pi_comp * gen.S_prime_ij)
+    p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
+    if not out.holds_for(p_full):
+        raise VerificationError("internal error: reconstructed symmetry failed")
+    return out
 
 
 def diag_setup(lambdas=(1, 2)):
