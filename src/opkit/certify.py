@@ -20,10 +20,11 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (InputError, MembershipError, ResourceLimitError,
                      VerificationError)
-from .groebner import BezoutCertificate, contains_one, resolve_term_cap
+from .groebner import BezoutCertificate, contains_one
 from .planner import (DecompositionPlan, IndexSet, SetSystem, _check_atoms,
                       max_elements)
-from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, product
+from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, product,
+                   resolve_term_cap)
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,37 @@
 """Certified Buchberger algorithm over Q[x].
 
-Every basis element carries explicit cofactors over the input generators,
+Basis elements can carry explicit cofactors over the input generators,
 maintained through S-polynomial formation and reduction, so membership of 1
 comes with a machine-checkable Bezout certificate instead of a bare yes/no.
 
 Normal selection strategy (smallest lcm total degree, ties by pair creation
 index), first-applicable-divisor reduction, monic normalization of new
 elements: the run is fully deterministic for a fixed input and order.
+Cofactors never steer any of these choices, so a run on the values alone
+makes exactly the decisions of the tracked run.  :func:`contains_one`
+relies on this: it searches on values alone and replays the run with
+cofactors only when a nonzero constant turns up.
+
 Coefficient growth is uncontrolled in exact arithmetic, so a per-polynomial
 term-count cap (default 100000, override with OPKIT_TERM_CAP) aborts
-runaway computations.
+runaway computations.  The cap applies to every polynomial a run carries:
+values always, cofactors only in tracked runs.  A membership search that
+ends without 1 carries no cofactors, so it runs to the end even where its
+cofactors would have passed the cap; a search that finds 1 still stops at
+the cap in its tracked replay.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import kernels
 from .errors import InputError, ResourceLimitError, VerificationError
-from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial
-
-DEFAULT_TERM_CAP = 100_000
-TERM_CAP_ENV = "OPKIT_TERM_CAP"
-
-
-def resolve_term_cap(term_cap: Optional[int] = None) -> int:
-    if term_cap is not None:
-        return term_cap
-    env = os.environ.get(TERM_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{TERM_CAP_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_TERM_CAP
+from .poly import (DEFAULT_ORDER, TERM_CAP_ENV, MonomialOrder, Polynomial,
+                   resolve_term_cap)
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,29 @@ def _check_cap(terms: dict, cap: int) -> None:
             f"raise {TERM_CAP_ENV} to continue")
 
 
+class _SortKeys(dict):
+    """Monomial sort keys computed once each, for the life of one run.
+
+    Use the bound ``__getitem__`` as the ``key`` of ``max``: a hit is one
+    dict lookup, a miss computes the key from the order and stores it.
+    """
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, exp: tuple):
+        key = self[exp] = self.order.sort_key(exp)
+        return key
+
+
 class _Tracked:
-    """Mutable working pair (value terms, cofactor terms) during the run."""
+    """Mutable working pair (value terms, cofactor terms) during the run.
+
+    ``cofs`` is empty when the run does not track cofactors.
+    """
 
     __slots__ = ("terms", "cofs")
 
@@ -120,10 +135,9 @@ class _Tracked:
         self.cofs = cofs
 
 
-def _reduce(work: _Tracked, basis: list["_BasisElem"], order: MonomialOrder,
+def _reduce(work: _Tracked, basis: list["_BasisElem"], key: Callable,
             cap: int) -> tuple[dict, list[dict]]:
     """Full normal form of work against basis, updating cofactors in place."""
-    key = order.sort_key
     terms = work.terms
     remainder: dict = {}
     while terms:
@@ -154,7 +168,9 @@ class _BasisElem:
 
 
 def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
-                    cap: int, stop_on_unit: bool) -> list[_BasisElem]:
+                    cap: int, stop_on_unit: bool,
+                    track: bool) -> list[_BasisElem]:
+    """One Buchberger run; with ``track=False`` every element's cofs is []."""
     gens = list(generators)
     if not gens:
         raise InputError("need at least one generator")
@@ -165,7 +181,7 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     if all(g.is_zero() for g in gens):
         raise InputError("all generators are zero")
     ngens = len(gens)
-    key = order.sort_key
+    key = _SortKeys(order).__getitem__
 
     basis: list[_BasisElem] = []
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, index, i, j)
@@ -192,8 +208,10 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        cofs: list[dict] = [{} for _ in range(ngens)]
-        cofs[i] = {(0,) * nvars: Fraction(1)}
+        cofs: list[dict] = []
+        if track:
+            cofs = [{} for _ in range(ngens)]
+            cofs[i] = {(0,) * nvars: Fraction(1)}
         if push_elem(dict(g._terms), cofs) and stop_on_unit:
             return basis
 
@@ -213,7 +231,7 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             c = kernels.poly_term_mul(ci, Fraction(1), ishift)
             kernels.poly_isubmul(c, Fraction(1), jshift, cj)
             scofs.append(c)
-        remainder, rcofs = _reduce(_Tracked(sterms, scofs), basis, order, cap)
+        remainder, rcofs = _reduce(_Tracked(sterms, scofs), basis, key, cap)
         if remainder:
             if push_elem(remainder, rcofs) and stop_on_unit:
                 return basis
@@ -233,7 +251,8 @@ def buchberger_certified(
 ) -> CertifiedBasis:
     """Compute a Groebner basis whose elements carry exact cofactors."""
     cap = resolve_term_cap(term_cap)
-    basis = _run_buchberger(generators, order, cap, stop_on_unit=False)
+    basis = _run_buchberger(generators, order, cap, stop_on_unit=False,
+                            track=True)
     nvars = generators[0].variable_count
     return CertifiedBasis(
         tuple(generators),
@@ -248,27 +267,33 @@ def contains_one(
 ) -> Optional[BezoutCertificate]:
     """Decide 1 in <generators> over Q with an explicit certificate.
 
-    Runs Buchberger until a nonzero constant enters the basis (then the
-    tracked cofactors, rescaled, are the certificate) or until the basis is
-    complete (then 1 is not a member).  The returned certificate is checked
-    exactly before being handed out, never trusted.
+    Runs Buchberger on the values alone until a nonzero constant enters the
+    basis or the basis is complete (then 1 is not a member).  Only when a
+    constant turns up is the run replayed with cofactors, which makes the
+    same choices; the tracked cofactors, rescaled, are the certificate.  The
+    returned certificate is checked exactly before being handed out, never
+    trusted.
+
+    The term cap bounds cofactors only in the replay: a search that ends
+    without 1 runs to the end even where its cofactors would have passed
+    the cap, and one that finds 1 raises ResourceLimitError in the replay.
     """
     cap = resolve_term_cap(term_cap)
-    basis = _run_buchberger(generators, order, cap, stop_on_unit=True)
+    probe = _run_buchberger(generators, order, cap, stop_on_unit=True,
+                            track=False)
+    if any(probe[-1].lead_exp):  # a run stopped on 1 ends with that constant
+        return None
+    unit = _run_buchberger(generators, order, cap, stop_on_unit=True,
+                           track=True)[-1]
     nvars = generators[0].variable_count
-    for elem in basis:
-        if not any(elem.lead_exp) and elem.terms:
-            const = elem.terms[elem.lead_exp]
-            inv = Fraction(1) / const
-            cofactors = tuple(
-                Polynomial._wrap({e: c * inv for e, c in cof.items()}, nvars)
-                for cof in elem.cofs)
-            cert = BezoutCertificate(cofactors)
-            if not cert.verify(generators):
-                raise VerificationError(
-                    "internal error: tracked Bezout certificate failed its exact check")
-            return cert
-    return None
+    inv = Fraction(1) / unit.terms[unit.lead_exp]
+    cert = BezoutCertificate(tuple(
+        Polynomial._wrap({e: c * inv for e, c in cof.items()}, nvars)
+        for cof in unit.cofs))
+    if not cert.verify(generators):
+        raise VerificationError(
+            "internal error: tracked Bezout certificate failed its exact check")
+    return cert
 
 
 def reduce_certified(p: Polynomial, basis: CertifiedBasis,
@@ -289,7 +314,8 @@ def reduce_certified(p: Polynomial, basis: CertifiedBasis,
     ]
     ngens = len(basis.generators)
     work = _Tracked(dict(p._terms), [{} for _ in range(ngens)])
-    remainder, cofs = _reduce(work, elems, basis.order, cap)
+    remainder, cofs = _reduce(work, elems, _SortKeys(basis.order).__getitem__,
+                              cap)
     # _reduce tracked p - sum(q_b * b); the generator cofactors accumulate
     # negatively, so flip the sign.
     cofactors = tuple(

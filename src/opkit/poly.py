@@ -20,20 +20,44 @@ The expression grammar accepted by :func:`parse_polynomial`:
 NUMBER is an integer or a contiguous rational literal ``a/b``; NAME matches
 ``[a-zA-Z][a-zA-Z0-9_]*``.  Implicit multiplication is rejected ("x y" is a
 syntax error), and '/' only appears inside rational literals.
+
+Parsing is bounded by the term cap (default 100000, override with
+OPKIT_TERM_CAP): a product of a t-term and a u-term polynomial forms t*u
+terms, and one that would form more than the cap raises ResourceLimitError
+before it is expanded.  Powers are built from such products, so
+"(x+y+1)^3000" is refused after a few small squarings, and no single
+product costs more than cap multiply-adds.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import kernels
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ResourceLimitError
 
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
+
+DEFAULT_TERM_CAP = 100_000
+TERM_CAP_ENV = "OPKIT_TERM_CAP"
+
+
+def resolve_term_cap(term_cap: int | None = None) -> int:
+    """The per-polynomial term-count cap: the argument, else OPKIT_TERM_CAP."""
+    if term_cap is not None:
+        return term_cap
+    env = os.environ.get(TERM_CAP_ENV)
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"{TERM_CAP_ENV} must be an integer, got {env!r}") from None
+    return DEFAULT_TERM_CAP
 
 
 class MonomialOrder(enum.Enum):
@@ -334,6 +358,16 @@ class _Parser:
         self.pos = 0
         self.variables = {name: i for i, name in enumerate(variables)}
         self.nvars = len(variables)
+        self.cap = resolve_term_cap()
+
+    def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+        """a * b, refused before expansion if it forms more terms than the cap."""
+        formed = a.term_count() * b.term_count()
+        if formed > self.cap:
+            raise ResourceLimitError(
+                f"product at position {pos} forms {formed} terms, more than "
+                f"the cap {self.cap}; raise {TERM_CAP_ENV} to continue")
+        return a * b
 
     def peek(self):
         return self.tokens[self.pos]
@@ -375,7 +409,7 @@ class _Parser:
             kind, _, pos = self.peek()
             if kind == "*":
                 self.advance()
-                value = value * self.parse_unary()
+                value = self.multiply(value, self.parse_unary(), pos)
             elif kind in ("name", "number", "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
@@ -395,7 +429,13 @@ class _Parser:
             kind, val, pos = self.advance()
             if kind != "number" or not isinstance(val, Fraction) or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a non-negative integer", pos)
-            value = value ** int(val)
+            # Binary powering here rather than **, so that every product is
+            # checked against the cap before it is formed.
+            base, value = value, Polynomial.one(self.nvars)
+            for bit in bin(int(val))[2:]:
+                value = self.multiply(value, value, pos)
+                if bit == "1":
+                    value = self.multiply(value, base, pos)
         return value
 
     def parse_atom(self) -> Polynomial:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "plan", "--job", path)
         assert code == 3
         assert "resource" in err
+
+    def test_huge_power_is_3_within_budget(self, capsys, tmp_path):
+        # Refused after a few small squarings, in about 1 s on a 2-CPU
+        # x86-64 VM.  Budget: 10 s.
+        path = write_job(tmp_path, {
+            "variables": ["x", "y"],
+            "factors": ["(x+y+1)^3000", "x", "y+1"],
+        })
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "certify", "--job", path)
+        assert code == 3
+        assert "forms" in err and "OPKIT_TERM_CAP" in err
+        assert time.perf_counter() - start < 10
 
     def test_failed_verification_is_4(self, capsys, tmp_path):
         path = write_job(tmp_path, {

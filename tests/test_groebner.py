@@ -1,14 +1,19 @@
 """Certified Buchberger: bases, cofactors, membership of 1."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from opkit.errors import InputError, ResourceLimitError
-from opkit.groebner import (buchberger_certified, contains_one,
-                            reduce_certified, s_polynomial)
-from opkit.poly import Polynomial, divide_multi, parse_polynomial
+from opkit import groebner
+from opkit.cli import main
+from opkit.errors import InputError, ResourceLimitError, VerificationError
+from opkit.groebner import (BezoutCertificate, buchberger_certified,
+                            contains_one, reduce_certified, s_polynomial)
+from opkit.poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, divide_multi,
+                        format_polynomial, parse_polynomial, resolve_term_cap)
 
 from conftest import random_polynomial, to_sympy
 
@@ -149,6 +154,190 @@ class TestContainsOne:
     def test_constant_generator_shortcut(self):
         cert = contains_one([P("5"), P("x")])
         assert cert is not None and cert.verify([P("5"), P("x")])
+
+
+def tracked_contains_one(generators, order=DEFAULT_ORDER, term_cap=None):
+    """Reference: one Buchberger run that tracks cofactors throughout."""
+    basis = groebner._run_buchberger(generators, order,
+                                     resolve_term_cap(term_cap),
+                                     stop_on_unit=True, track=True)
+    nvars = generators[0].variable_count
+    for elem in basis:
+        if not any(elem.lead_exp):
+            inv = Fraction(1) / elem.terms[elem.lead_exp]
+            cert = BezoutCertificate(tuple(
+                Polynomial._wrap({e: c * inv for e, c in cof.items()}, nvars)
+                for cof in elem.cofs))
+            if not cert.verify(generators):
+                raise VerificationError("tracked certificate failed")
+            return cert
+    return None
+
+
+def unit_family(rng, nvars):
+    """Random atoms plus 1 + sum(x_v * g * atom): the family generates 1."""
+    atoms = [random_polynomial(rng, nvars, max_terms=3, max_exp=2,
+                               allow_zero=False) for _ in range(rng.randint(1, 3))]
+    last = Polynomial.one(nvars)
+    for atom in atoms:
+        v = Polynomial.variable(rng.randrange(nvars), nvars)
+        last = last + v * random_polynomial(rng, nvars, max_terms=2,
+                                            max_exp=1, allow_zero=False) * atom
+    return atoms + [last]
+
+
+def non_unit_family(rng, nvars):
+    """Random generators shifted to vanish at one rational point."""
+    point = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = random_polynomial(rng, nvars, max_terms=4, max_exp=2,
+                              allow_zero=False)
+        value = sum((c * _monomial_at(e, point) for e, c in g.terms.items()),
+                    Fraction(0))
+        g = g - Polynomial.constant(value, nvars)
+        if not g.is_zero():
+            gens.append(g)
+    return gens or [Polynomial.variable(0, nvars)]
+
+
+def _monomial_at(exp, point):
+    value = Fraction(1)
+    for x, e in zip(point, exp):
+        value *= x ** e
+    return value
+
+
+DEMO_JOB = (Path(__file__).resolve().parent.parent / "src" / "opkit" / "data"
+            / "demo_job.json")
+
+
+def count_runs(monkeypatch, modules):
+    """Record the track flag of every Buchberger run and every search result."""
+    runs, hits = [], []
+    run = groebner._run_buchberger
+
+    def counted_run(*args, track, **kwargs):
+        runs.append(track)
+        return run(*args, track=track, **kwargs)
+
+    def counted_search(generators, *args, **kwargs):
+        cert = contains_one(generators, *args, **kwargs)
+        hits.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(groebner, "_run_buchberger", counted_run)
+    for module in modules:
+        monkeypatch.setattr(module, "contains_one", counted_search)
+    return runs, hits
+
+
+def certify_ideal_family(rng):
+    """Three quadrics in x, y, z and 1 + sum c_k * x_v(k) * P_k: only the
+    whole family generates 1."""
+    supports = (((0, 0, 0), (0, 0, 2), (1, 0, 1), (1, 1, 0), (2, 0, 0)),
+                ((0, 0, 0), (0, 0, 2), (0, 1, 1), (1, 0, 0), (1, 1, 0)),
+                ((0, 0, 0), (0, 0, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0)))
+    nonzero = [-3, -2, -1, 1, 2, 3]
+    atoms = [Polynomial({e: rng.choice(nonzero) for e in support}, 3)
+             for support in supports]
+    last = Polynomial.one(3)
+    for atom, v in zip(atoms, (1, 2, 2)):
+        last = last + Polynomial.variable(v, 3) * atom.scale(rng.choice(nonzero))
+    return atoms + [last]
+
+
+class TestValueFirst:
+    """contains_one probes on values and replays with cofactors on a hit."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_matches_tracked_reference(self, order):
+        rng = random.Random(8)
+        units = 0
+        for trial in range(30):
+            nvars = rng.randint(1, 3)
+            make = unit_family if trial % 2 else non_unit_family
+            gens = make(rng, nvars)
+            cert = contains_one(gens, order)
+            assert cert == tracked_contains_one(gens, order)
+            if make is unit_family:
+                assert cert is not None and cert.verify(gens)
+                units += 1
+            else:
+                assert cert is None
+        assert units == 15
+
+    def test_random_families_match_reference(self, rng):
+        hits = 0
+        for _ in range(40):
+            gens = [random_polynomial(rng, 2, max_terms=3, max_exp=2,
+                                      allow_zero=False)
+                    for _ in range(rng.randint(2, 3))]
+            cert = contains_one(gens)
+            assert cert == tracked_contains_one(gens)
+            hits += cert is not None
+        assert 0 < hits < 40
+
+    def test_tracked_runs_equal_unit_hits_demo(self, capsys, monkeypatch):
+        import opkit.certify
+        import opkit.planner
+        import opkit.reducer
+        runs, hits = count_runs(monkeypatch,
+                                (opkit.planner, opkit.certify, opkit.reducer))
+        assert main(["certify", "--job", str(DEMO_JOB)]) == 0
+        capsys.readouterr()
+        assert len(hits) == 11
+        assert runs.count(False) == 11
+        assert runs.count(True) == sum(hits) == 4
+
+    def test_tracked_runs_equal_unit_hits_certify_ideal(self, capsys,
+                                                        monkeypatch, tmp_path):
+        import opkit.planner
+        runs, hits = count_runs(monkeypatch, (opkit.planner,))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "variables": list("xyz"),
+            "factors": [format_polynomial(p, "xyz")
+                        for p in certify_ideal_family(random.Random(1))]}))
+        assert main(["certify", "--job", str(job)]) == 0
+        capsys.readouterr()
+        assert len(hits) == 15
+        assert runs.count(False) == 15
+        assert runs.count(True) == sum(hits) == 1
+
+
+class TestTermCapInReplay:
+    # The values of both families stay within 4 terms; their cofactors
+    # do not (the unit one needs a cap of 7, the non-unit one 10).
+    UNIT = ("-2/3*x^2*y + 4/3*y^2", "3/2*y^2 + y", "-1/3*x*y^2 - 2/3*x*y + 1")
+    NON_UNIT = ("-x^2 - 3/2*x", "1/3*x^2*y - x + y")
+
+    def test_unit_search_stops_at_the_cap_in_the_replay(self):
+        gens = [P(g) for g in self.UNIT]
+        probe = groebner._run_buchberger(gens, DEFAULT_ORDER, 4,
+                                         stop_on_unit=True, track=False)
+        assert not any(probe[-1].lead_exp)
+        with pytest.raises(ResourceLimitError):
+            contains_one(gens, term_cap=4)
+        assert contains_one(gens, term_cap=7).verify(gens)
+
+    def test_non_unit_search_runs_past_cofactor_growth(self):
+        gens = [P(g) for g in self.NON_UNIT]
+        with pytest.raises(ResourceLimitError):
+            tracked_contains_one(gens, term_cap=6)
+        assert contains_one(gens, term_cap=6) is None
+        with pytest.raises(ResourceLimitError):
+            contains_one(gens, term_cap=3)
+
+    def test_cli_exit_code_is_3(self, capsys, monkeypatch, tmp_path):
+        import opkit.planner
+        runs, _ = count_runs(monkeypatch, (opkit.planner,))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"variables": V, "factors": list(self.UNIT)}))
+        monkeypatch.setenv("OPKIT_TERM_CAP", "4")
+        assert main(["certify", "--job", str(job)]) == 3
+        assert "resource limit" in capsys.readouterr().err
+        assert runs[-2:] == [False, True]  # the probe found 1, the replay raised
 
 
 class TestReduceCertified:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkit.errors import InputError, ParseError
+from opkit.errors import InputError, ParseError, ResourceLimitError
 from opkit.poly import (MonomialOrder, Polynomial, divide_multi,
                         format_polynomial, parse_polynomial)
 
@@ -149,6 +149,26 @@ class TestParsePrint:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             P("1/0")
+
+    @pytest.mark.parametrize("text, exponent", [
+        ("x+y+1", 0), ("x+y+1", 1), ("x+y+1", 13), ("2*x-y", 8), ("x", 10**12),
+        ("0", 0), ("0", 3),
+    ])
+    def test_power_matches_pow(self, text, exponent):
+        assert P(f"({text})^{exponent}") == P(text) ** exponent
+
+    def test_term_cap_refuses_power_before_expanding(self, monkeypatch):
+        monkeypatch.setenv("OPKIT_TERM_CAP", "100")
+        assert P("(x+1)^19").term_count() == 20      # largest product 10*10
+        with pytest.raises(ResourceLimitError) as err:
+            P("(x+1)^20")                            # 11*11 terms
+        assert "forms 121 terms" in str(err.value)
+
+    def test_term_cap_refuses_product(self, monkeypatch):
+        monkeypatch.setenv("OPKIT_TERM_CAP", "100")
+        assert P("(x+y+1)^3*(x-y)^2") == P("x+y+1") ** 3 * P("x-y") ** 2  # 10*3
+        with pytest.raises(ResourceLimitError):
+            P("(x+y+1)^3*(x+y+1)^4")           # 10*15 terms
 
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
