@@ -46,12 +46,7 @@ from .errors import (
 )
 from .groebner import (
     BezoutCertificate,
-    CertifiedBasis,
-    CertifiedPoly,
-    buchberger_certified,
     contains_one,
-    reduce_certified,
-    s_polynomial,
 )
 from .planner import (
     DecompositionPlan,
@@ -65,7 +60,6 @@ from .planner import (
     min_elements,
     optimal_alpha,
     plan_decomposition,
-    regroup,
     upper_set,
 )
 from .poly import (
@@ -85,7 +79,6 @@ from .reducer import (
     map_F,
     split,
     system_split,
-    verify_integrability,
 )
 from .symmetry import (
     FormalSymmetry,

@@ -112,6 +112,16 @@ def _require_verified(cert, factors: Sequence[Polynomial]) -> None:
         raise VerificationError("certificate failed its exact verification")
 
 
+def _singleton_cofactors(cert: Certificate,
+                         factors: Sequence[Polynomial]) -> list[Polynomial]:
+    """Q_0 .. Q_l of a singleton-family certificate, in index order."""
+    ell = len(factors) - 1
+    singletons = {frozenset((i,)) for i in range(ell + 1)}
+    if set(cert.alpha.sets) != singletons:
+        raise InputError("a singleton-family certificate is required")
+    return [cert.cofactors[frozenset((i,))] for i in range(ell + 1)]
+
+
 def _verified(cert, factors, what: str):
     ok, residual = verify_certificate(cert, factors)
     if not ok:

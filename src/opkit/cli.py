@@ -80,6 +80,8 @@ class JobSpec:
                 raise InputError("give either 'lambdas' or 'factors', not both")
             if len(self.variables) != 1:
                 raise InputError("'lambdas' requires exactly one variable")
+            if not isinstance(data["lambdas"], list):
+                raise InputError("'lambdas' must be a list of rationals")
             self.lambdas = UnivariateSpec.of(
                 [self._rational(v, "lambdas") for v in data["lambdas"]])
             self.factors = univariate_factors(self.lambdas)
@@ -461,7 +463,8 @@ def cmd_system(job: JobSpec) -> dict:
     raw_g = job.raw.get("g")
     if f is None or raw_g is None:
         raise InputError("system mode with an instance needs 'f' and 'g'")
-    if not isinstance(raw_g, list) or len(raw_g) != len(constraints):
+    if (not isinstance(raw_g, list) or len(raw_g) != len(constraints)
+            or not all(isinstance(g, list) for g in raw_g)):
         raise InputError("'g' must list one vector per constraint")
     gs = [as_vector([job._rational(v, "g") for v in g]) for g in raw_g]
     violations = integrability_violations(factors, constraints, f, gs, inst)

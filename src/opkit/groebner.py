@@ -1,8 +1,10 @@
-"""Certified Buchberger algorithm over Q[x].
+"""Buchberger's algorithm over Q[x], for deciding whether 1 is in an ideal.
 
-Basis elements can carry explicit cofactors over the input generators,
-maintained through S-polynomial formation and reduction, so membership of 1
-comes with a machine-checkable Bezout certificate instead of a bare yes/no.
+:func:`contains_one` is the only entry point.  Every run stops as soon as a
+nonzero constant enters the basis.  A run that ends on one is replayed with
+cofactors over the input generators, carried through S-polynomial formation
+and reduction, so membership of 1 comes with a machine-checkable Bezout
+certificate instead of a bare yes/no.
 
 Normal selection strategy (smallest lcm total degree, ties by pair creation
 index), first-applicable-divisor reduction, monic normalization of new
@@ -35,30 +37,6 @@ from .poly import (DEFAULT_ORDER, TERM_CAP_ENV, MonomialOrder, Polynomial,
 
 
 @dataclass(frozen=True)
-class CertifiedPoly:
-    """A polynomial together with cofactors over the input generators.
-
-    Invariant: value == sum(cofactors[i] * generators[i]).
-    """
-
-    value: Polynomial
-    cofactors: tuple[Polynomial, ...]
-
-    def combination_holds(self, generators: Sequence[Polynomial]) -> bool:
-        acc = Polynomial.zero(self.value.variable_count)
-        for cof, gen in zip(self.cofactors, generators):
-            acc = acc + cof * gen
-        return acc == self.value
-
-
-@dataclass(frozen=True)
-class CertifiedBasis:
-    generators: tuple[Polynomial, ...]
-    basis: tuple[CertifiedPoly, ...]
-    order: MonomialOrder
-
-
-@dataclass(frozen=True)
 class BezoutCertificate:
     """Cofactors expressing 1 as a combination of the generators."""
 
@@ -70,31 +48,6 @@ class BezoutCertificate:
         for cof, gen in zip(self.cofactors, generators):
             acc = acc + cof * gen
         return acc == Polynomial.one(nvars)
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """Result of certified reduction: p = sum(cofactors[i]*g_i) + remainder."""
-
-    remainder: Polynomial
-    cofactors: tuple[Polynomial, ...]
-
-
-def s_polynomial(p: Polynomial, q: Polynomial,
-                 order: MonomialOrder = DEFAULT_ORDER) -> Polynomial:
-    """S(p, q) = (lcm/lt(p)) * p - (lcm/lt(q)) * q for leading-monomial lcm."""
-    if p.is_zero() or q.is_zero():
-        raise InputError("S-polynomial of a zero polynomial is undefined")
-    pexp, pc = p.leading_term(order)
-    qexp, qc = q.leading_term(order)
-    lcm = tuple(max(a, b) for a, b in zip(pexp, qexp))
-    pshift = tuple(l - a for l, a in zip(lcm, pexp))
-    qshift = tuple(l - b for l, b in zip(lcm, qexp))
-    left = Polynomial._wrap(
-        kernels.poly_term_mul(p._terms, Fraction(1) / pc, pshift), p.variable_count)
-    right = Polynomial._wrap(
-        kernels.poly_term_mul(q._terms, Fraction(1) / qc, qshift), q.variable_count)
-    return left - right
 
 
 def _check_cap(terms: dict, cap: int) -> None:
@@ -122,23 +75,13 @@ class _SortKeys(dict):
         return key
 
 
-class _Tracked:
-    """Mutable working pair (value terms, cofactor terms) during the run.
+def _reduce(terms: dict, cofs: list[dict], basis: list["_BasisElem"],
+            key: Callable, cap: int) -> dict:
+    """Full normal form of terms against basis; returns the remainder.
 
-    ``cofs`` is empty when the run does not track cofactors.
+    ``terms`` is consumed, and each of ``cofs`` is updated in place with the
+    same steps (none when the run does not track cofactors).
     """
-
-    __slots__ = ("terms", "cofs")
-
-    def __init__(self, terms: dict, cofs: list[dict]):
-        self.terms = terms
-        self.cofs = cofs
-
-
-def _reduce(work: _Tracked, basis: list["_BasisElem"], key: Callable,
-            cap: int) -> tuple[dict, list[dict]]:
-    """Full normal form of work against basis, updating cofactors in place."""
-    terms = work.terms
     remainder: dict = {}
     while terms:
         exp = max(terms, key=key)
@@ -149,13 +92,13 @@ def _reduce(work: _Tracked, basis: list["_BasisElem"], key: Callable,
                 shift = tuple(e - le for e, le in zip(exp, lexp))
                 kernels.poly_isubmul(terms, coeff, shift, elem.terms)
                 _check_cap(terms, cap)
-                for wc, bc in zip(work.cofs, elem.cofs):
+                for wc, bc in zip(cofs, elem.cofs):
                     kernels.poly_isubmul(wc, coeff, shift, bc)
                     _check_cap(wc, cap)
                 break
         else:
             remainder[exp] = terms.pop(exp)
-    return remainder, work.cofs
+    return remainder
 
 
 class _BasisElem:
@@ -168,9 +111,13 @@ class _BasisElem:
 
 
 def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
-                    cap: int, stop_on_unit: bool,
-                    track: bool) -> list[_BasisElem]:
-    """One Buchberger run; with ``track=False`` every element's cofs is []."""
+                    cap: int, track: bool) -> list[_BasisElem]:
+    """One Buchberger run, stopped as soon as a nonzero constant enters.
+
+    The run ends with that constant when the generators reach 1, and with a
+    complete Groebner basis otherwise.  With ``track=False`` every element's
+    cofs is [].
+    """
     gens = list(generators)
     if not gens:
         raise InputError("need at least one generator")
@@ -212,7 +159,7 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         if track:
             cofs = [{} for _ in range(ngens)]
             cofs[i] = {(0,) * nvars: Fraction(1)}
-        if push_elem(dict(g._terms), cofs) and stop_on_unit:
+        if push_elem(dict(g._terms), cofs):
             return basis
 
     while pairs:
@@ -231,33 +178,10 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             c = kernels.poly_term_mul(ci, Fraction(1), ishift)
             kernels.poly_isubmul(c, Fraction(1), jshift, cj)
             scofs.append(c)
-        remainder, rcofs = _reduce(_Tracked(sterms, scofs), basis, key, cap)
-        if remainder:
-            if push_elem(remainder, rcofs) and stop_on_unit:
-                return basis
+        remainder = _reduce(sterms, scofs, basis, key, cap)
+        if remainder and push_elem(remainder, scofs):
+            return basis
     return basis
-
-
-def _to_certified(elem: _BasisElem, nvars: int) -> CertifiedPoly:
-    return CertifiedPoly(
-        Polynomial._wrap(dict(elem.terms), nvars),
-        tuple(Polynomial._wrap(dict(c), nvars) for c in elem.cofs))
-
-
-def buchberger_certified(
-    generators: Sequence[Polynomial],
-    order: MonomialOrder = DEFAULT_ORDER,
-    term_cap: Optional[int] = None,
-) -> CertifiedBasis:
-    """Compute a Groebner basis whose elements carry exact cofactors."""
-    cap = resolve_term_cap(term_cap)
-    basis = _run_buchberger(generators, order, cap, stop_on_unit=False,
-                            track=True)
-    nvars = generators[0].variable_count
-    return CertifiedBasis(
-        tuple(generators),
-        tuple(_to_certified(e, nvars) for e in basis),
-        order)
 
 
 def contains_one(
@@ -279,12 +203,10 @@ def contains_one(
     the cap, and one that finds 1 raises ResourceLimitError in the replay.
     """
     cap = resolve_term_cap(term_cap)
-    probe = _run_buchberger(generators, order, cap, stop_on_unit=True,
-                            track=False)
+    probe = _run_buchberger(generators, order, cap, track=False)
     if any(probe[-1].lead_exp):  # a run stopped on 1 ends with that constant
         return None
-    unit = _run_buchberger(generators, order, cap, stop_on_unit=True,
-                           track=True)[-1]
+    unit = _run_buchberger(generators, order, cap, track=True)[-1]
     nvars = generators[0].variable_count
     inv = Fraction(1) / unit.terms[unit.lead_exp]
     cert = BezoutCertificate(tuple(
@@ -294,30 +216,3 @@ def contains_one(
         raise VerificationError(
             "internal error: tracked Bezout certificate failed its exact check")
     return cert
-
-
-def reduce_certified(p: Polynomial, basis: CertifiedBasis,
-                     term_cap: Optional[int] = None) -> Reduction:
-    """Certified normal form: p = sum(cofactors[i]*g_i) + remainder.
-
-    The remainder is 0 exactly when p lies in the ideal of the generators.
-    """
-    cap = resolve_term_cap(term_cap)
-    nvars = p.variable_count
-    if basis.generators and basis.generators[0].variable_count != nvars:
-        raise InputError("variable-count mismatch with the basis")
-    elems = [
-        _BasisElem(dict(cp.value._terms),
-                   [dict(c._terms) for c in cp.cofactors],
-                   cp.value.leading_term(basis.order)[0])
-        for cp in basis.basis
-    ]
-    ngens = len(basis.generators)
-    work = _Tracked(dict(p._terms), [{} for _ in range(ngens)])
-    remainder, cofs = _reduce(work, elems, _SortKeys(basis.order).__getitem__,
-                              cap)
-    # _reduce tracked p - sum(q_b * b); the generator cofactors accumulate
-    # negatively, so flip the sign.
-    cofactors = tuple(
-        Polynomial._wrap(kernels.poly_neg(c), nvars) for c in cofs)
-    return Reduction(Polynomial._wrap(remainder, nvars), cofactors)

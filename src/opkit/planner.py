@@ -213,20 +213,6 @@ def coincidence_graph(atoms: Sequence[Polynomial],
     return _coincidence_graph(len(atoms), _membership_tests(atoms, order))
 
 
-def regroup(atoms: Sequence[Polynomial],
-            order: MonomialOrder = DEFAULT_ORDER,
-            ) -> tuple[list[Polynomial], list[tuple[int, ...]]]:
-    """Group atoms by coincidence-graph component and multiply each group.
-
-    The grouped factors pairwise generate the unit ideal, and no finer
-    grouping of these atoms can (components are maximal).
-    """
-    nvars = _check_atoms(atoms)
-    components = coincidence_graph(atoms, order).connected_components()
-    factors = [product([atoms[i] for i in comp], nvars) for comp in components]
-    return factors, components
-
-
 def _unit_sets(count: int,
                test: MembershipTest) -> dict[IndexSet, BezoutCertificate]:
     """The Bezout certificate of every inclusion-minimal unit index set."""

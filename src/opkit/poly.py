@@ -26,7 +26,10 @@ OPKIT_TERM_CAP): a product of a t-term and a u-term polynomial forms t*u
 terms, and one that would form more than the cap raises ResourceLimitError
 before it is expanded.  Powers are built from such products, so
 "(x+y+1)^3000" is refused after a few small squarings, and no single
-product costs more than cap multiply-adds.
+product costs more than cap multiply-adds.  A product whose total degree
+would pass DEGREE_CAP (10000, fixed) raises ResourceLimitError too: the
+term cap does not bound "x^100000000", but Buchberger would then reduce
+its leading term one degree at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
 
 DEFAULT_TERM_CAP = 100_000
+DEGREE_CAP = 10_000
 TERM_CAP_ENV = "OPKIT_TERM_CAP"
 
 
@@ -361,12 +365,18 @@ class _Parser:
         self.cap = resolve_term_cap()
 
     def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
-        """a * b, refused before expansion if it forms more terms than the cap."""
+        """a * b, refused before expansion if it forms more terms than the
+        cap or has a total degree above DEGREE_CAP."""
         formed = a.term_count() * b.term_count()
         if formed > self.cap:
             raise ResourceLimitError(
                 f"product at position {pos} forms {formed} terms, more than "
                 f"the cap {self.cap}; raise {TERM_CAP_ENV} to continue")
+        degree = a.total_degree() + b.total_degree()
+        if degree > DEGREE_CAP:
+            raise ResourceLimitError(
+                f"product at position {pos} has total degree {degree}, more "
+                f"than the cap {DEGREE_CAP}")
         return a * b
 
     def peek(self):
@@ -456,6 +466,9 @@ class _Parser:
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression into canonical form.  Raises ParseError on bad input."""
+    if not isinstance(text, str):
+        raise InputError(
+            f"an expression must be a string, got {type(text).__name__}")
     return _Parser(text, variables).parse()
 
 

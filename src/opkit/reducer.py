@@ -21,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 from .backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
                       Vector, _rank_of_vectors, as_vector, instantiate,
                       kernel_basis, solve_affine, span_basis)
-from .certify import (Certificate, _require_verified, factor_product,
-                      factor_product_complement)
+from .certify import (Certificate, _require_verified, _singleton_cofactors,
+                      factor_product, factor_product_complement)
 from .errors import (InputError, IntegrabilityError, VerificationError)
 from .groebner import contains_one
 from .planner import IndexSet, SetSystem
@@ -211,9 +211,7 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
     factor's kernel.
     """
     ell = len(factors) - 1
-    singletons = {frozenset((i,)) for i in range(ell + 1)}
-    if set(cert.alpha.sets) != singletons:
-        raise InputError("kernel_structure needs the singleton family certificate")
+    cofactors = _singleton_cofactors(cert, factors)
     _require_verified(cert, factors)
     nvars = factors[0].variable_count
     p_full = instantiate(product(factors, nvars), inst)
@@ -231,8 +229,8 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
 
     projectors = []
     for i in range(ell + 1):
-        q = cert.cofactors[frozenset((i,))]
-        pr = instantiate(q * factor_product_complement(factors, frozenset((i,))), inst)
+        pr = instantiate(cofactors[i] * factor_product_complement(
+            factors, frozenset((i,))), inst)
         projectors.append(pr)
 
     idempotent = True
@@ -341,13 +339,6 @@ def integrability_violations(factors: Sequence[Polynomial],
             if list(left) != list(right):
                 violations.append(f"R^({j + 1}) g^{i + 1} != R^({i + 1}) g^{j + 1}")
     return violations
-
-
-def verify_integrability(factors: Sequence[Polynomial],
-                         constraints: Sequence[Polynomial],
-                         f: Sequence, g_list: Sequence[Sequence],
-                         inst: OperatorInstance) -> bool:
-    return not integrability_violations(factors, constraints, f, g_list, inst)
 
 
 @dataclass(frozen=True)

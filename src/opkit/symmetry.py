@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .backend import (_ZERO, Matrix, OperatorInstance, _rref, instantiate,
                       kernel_basis, solve_affine)
-from .certify import (Certificate, _require_verified,
+from .certify import (Certificate, _require_verified, _singleton_cofactors,
                       factor_product_complement)
 from .errors import InputError, ResourceLimitError, VerificationError
 from .poly import Polynomial
@@ -84,15 +84,6 @@ def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
     if witness is not None and not (P * S == witness * P):
         raise VerificationError("internal error: symmetry witness failed its check")
     return witness
-
-
-def _singleton_cofactors(cert: Certificate,
-                         factors: Sequence[Polynomial]) -> list[Polynomial]:
-    ell = len(factors) - 1
-    singletons = {frozenset((i,)) for i in range(ell + 1)}
-    if set(cert.alpha.sets) != singletons:
-        raise InputError("a singleton-family certificate is required")
-    return [cert.cofactors[frozenset((i,))] for i in range(ell + 1)]
 
 
 def projector(cert: Certificate, i: int, factors: Sequence[Polynomial],

@@ -172,13 +172,39 @@ class TestExitCodes:
             [["0", "0"], ["0", "-1"]]]}, "symmetry_cap": True}),
         ("reduce", {"instance": {"kind": "truncated_derivative",
                                  "max_degree": True}, "f": "random-in-range"}),
+        *[(mode, {"factors": [5]}) for mode in
+          ("plan", "certify", "reduce", "verify", "symmetry", "system")],
+        ("system", {"constraints": [3]}),
+        ("verify", {"certificate": {"alpha": [[0], [1]], "cofactors": [1, 2]}}),
+        ("verify", {"dual_certificate": {"beta": [[0, 1]],
+                                         "cofactors": [[1, 2]]}}),
+        ("system", {"constraints": ["x"], "instance": {
+            "kind": "matrices", "generators": [[["0", "1"], ["0", "0"]]]},
+            "f": ["1", "0"], "g": [5]}),
+        ("certify", {"factors": None, "lambdas": 5}),
     ])
     def test_malformed_field_is_2(self, capsys, tmp_path, mode, fields):
-        path = write_job(tmp_path, {"variables": ["x"],
-                                    "factors": ["x", "x+1"], **fields})
+        job = {"variables": ["x"], "factors": ["x", "x+1"], **fields}
+        # a field set to None is left out of the job
+        path = write_job(tmp_path, {k: v for k, v in job.items()
+                                    if v is not None})
         code, _, err = run_cli(capsys, mode, "--job", path)
         assert code == 2
         assert "input error" in err
+
+    def test_huge_degree_is_3_within_budget(self, capsys, tmp_path):
+        # Refused by the parser's degree cap after 14 squarings of x, in
+        # under 0.01 s on a 2-CPU x86-64 VM.  Budget: 2 s.  Without the cap,
+        # Buchberger reduces x^N by x+1 one degree per step.
+        path = write_job(tmp_path, {
+            "variables": ["x", "y"],
+            "factors": ["x^100000000+y", "x+1"],
+        })
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "certify", "--job", path)
+        assert code == 3
+        assert "total degree" in err
+        assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("field, family", [
         ("dual_certificate", [[0, 1.7]]),

@@ -1,4 +1,4 @@
-"""Certified Buchberger: bases, cofactors, membership of 1."""
+"""Buchberger runs, cofactors and membership of 1."""
 
 import json
 import random
@@ -10,8 +10,7 @@ import pytest
 from opkit import groebner
 from opkit.cli import main
 from opkit.errors import InputError, ResourceLimitError, VerificationError
-from opkit.groebner import (BezoutCertificate, buchberger_certified,
-                            contains_one, reduce_certified, s_polynomial)
+from opkit.groebner import BezoutCertificate, contains_one
 from opkit.poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, divide_multi,
                         format_polynomial, parse_polynomial, resolve_term_cap)
 
@@ -24,7 +23,46 @@ def P(text, variables=V):
     return parse_polynomial(text, variables)
 
 
+def s_polynomial(p, q, order=DEFAULT_ORDER):
+    """Reference S(p, q) = (lcm/lt(p)) * p - (lcm/lt(q)) * q."""
+    if p.is_zero() or q.is_zero():
+        raise InputError("S-polynomial of a zero polynomial is undefined")
+    pexp, pc = p.leading_term(order)
+    qexp, qc = q.leading_term(order)
+    lcm = tuple(max(a, b) for a, b in zip(pexp, qexp))
+
+    def shifted(exp, coeff, poly):
+        mono = Polynomial({tuple(l - e for l, e in zip(lcm, exp)): 1 / coeff},
+                          poly.variable_count)
+        return mono * poly
+
+    return shifted(pexp, pc, p) - shifted(qexp, qc, q)
+
+
+def run(gens, track=True, order=DEFAULT_ORDER, term_cap=None):
+    """The basis of one Buchberger run as (value, cofactors) pairs."""
+    nvars = gens[0].variable_count
+    basis = groebner._run_buchberger(gens, order, resolve_term_cap(term_cap),
+                                     track=track)
+    return [(Polynomial._wrap(dict(e.terms), nvars),
+             tuple(Polynomial._wrap(dict(c), nvars) for c in e.cofs))
+            for e in basis]
+
+
+def combination_holds(value, cofactors, gens):
+    acc = Polynomial.zero(value.variable_count)
+    for cof, gen in zip(cofactors, gens):
+        acc = acc + cof * gen
+    return acc == value
+
+
+def is_unit(value):
+    return value.is_constant() and not value.is_zero()
+
+
 class TestSPolynomial:
+    """The reference the Groebner-property test checks S-pairs with."""
+
     def test_coprime_leading_monomials(self):
         assert s_polynomial(P("x"), P("y")).is_zero()
 
@@ -41,56 +79,60 @@ class TestSPolynomial:
 
 class TestBuchberger:
     def test_single_generator(self):
-        cb = buchberger_certified([P("x")])
-        assert len(cb.basis) == 1
-        assert cb.basis[0].value == P("x")
-        assert cb.basis[0].cofactors == (Polynomial.one(2),)
+        basis = run([P("x")])
+        assert basis == [(P("x"), (Polynomial.one(2),))]
 
     def test_unit_ideal_pair(self):
-        cb = buchberger_certified([P("x+1"), P("x")])
-        constants = [b for b in cb.basis
-                     if b.value.is_constant() and not b.value.is_zero()]
-        assert constants
-        assert all(b.combination_holds(cb.generators) for b in cb.basis)
+        gens = [P("x+1"), P("x")]
+        basis = run(gens)
+        assert is_unit(basis[-1][0])
+        assert all(combination_holds(v, c, gens) for v, c in basis)
 
     def test_non_unit_ideal_has_no_constant(self):
-        cb = buchberger_certified([P("x"), P("x*y+y+1")])
-        assert not any(b.value.is_constant() for b in cb.basis)
+        assert not any(v.is_constant()
+                       for v, _ in run([P("x"), P("x*y+y+1")]))
 
     def test_all_generators_zero_rejected(self):
-        with pytest.raises(InputError):
-            buchberger_certified([P("0"), P("0")])
+        for track in (False, True):
+            with pytest.raises(InputError):
+                run([P("0"), P("0")], track)
 
     def test_groebner_property_and_certificates(self):
         rng = random.Random(5)
+        non_units = 0
         for _ in range(25):
             nvars = rng.randint(1, 2)
             gens = [random_polynomial(rng, nvars, max_terms=3, max_exp=2,
                                       allow_zero=False)
                     for _ in range(rng.randint(1, 3))]
-            cb = buchberger_certified(gens)
-            values = [b.value for b in cb.basis]
-            for b in cb.basis:
-                assert b.combination_holds(gens)
+            tracked = run(gens, track=True)
+            untracked = run(gens, track=False)
+            values = [v for v, _ in tracked]
+            assert [v for v, _ in untracked] == values
+            assert all(c == () for _, c in untracked)
+            for v, c in tracked:
+                assert combination_holds(v, c, gens)
+            if is_unit(values[-1]):
+                continue  # the run stopped at 1, not at a full basis
+            non_units += 1
             for i in range(len(values)):
                 for j in range(i + 1, len(values)):
-                    s = s_polynomial(values[i], values[j], cb.order)
+                    s = s_polynomial(values[i], values[j])
                     if s.is_zero():
                         continue
-                    _, r = divide_multi(s, values, cb.order)
+                    _, r = divide_multi(s, values, DEFAULT_ORDER)
                     assert r.is_zero()
+        assert non_units > 0
 
     def test_determinism(self):
         gens = [P("x^2+y"), P("x*y-1"), P("y^2+x")]
-        a = buchberger_certified(gens)
-        b = buchberger_certified(gens)
-        assert [e.value for e in a.basis] == [e.value for e in b.basis]
-        assert [e.cofactors for e in a.basis] == [e.cofactors for e in b.basis]
+        assert run(gens) == run(gens)
 
     def test_term_cap_aborts(self):
         gens = [P("x^7*y^3 - 3*x^2 + 1"), P("x^3*y^7 + y^4 - 2")]
-        with pytest.raises(ResourceLimitError):
-            buchberger_certified(gens, term_cap=3)
+        for track in (False, True):
+            with pytest.raises(ResourceLimitError):
+                run(gens, track, term_cap=3)
 
 
 class TestContainsOne:
@@ -159,8 +201,7 @@ class TestContainsOne:
 def tracked_contains_one(generators, order=DEFAULT_ORDER, term_cap=None):
     """Reference: one Buchberger run that tracks cofactors throughout."""
     basis = groebner._run_buchberger(generators, order,
-                                     resolve_term_cap(term_cap),
-                                     stop_on_unit=True, track=True)
+                                     resolve_term_cap(term_cap), track=True)
     nvars = generators[0].variable_count
     for elem in basis:
         if not any(elem.lead_exp):
@@ -314,8 +355,7 @@ class TestTermCapInReplay:
 
     def test_unit_search_stops_at_the_cap_in_the_replay(self):
         gens = [P(g) for g in self.UNIT]
-        probe = groebner._run_buchberger(gens, DEFAULT_ORDER, 4,
-                                         stop_on_unit=True, track=False)
+        probe = groebner._run_buchberger(gens, DEFAULT_ORDER, 4, track=False)
         assert not any(probe[-1].lead_exp)
         with pytest.raises(ResourceLimitError):
             contains_one(gens, term_cap=4)
@@ -340,44 +380,8 @@ class TestTermCapInReplay:
         assert runs[-2:] == [False, True]  # the probe found 1, the replay raised
 
 
-class TestReduceCertified:
-    def test_reduce_zero(self):
-        cb = buchberger_certified([P("x+1"), P("x")])
-        red = reduce_certified(Polynomial.zero(2), cb)
-        assert red.remainder.is_zero()
-        assert all(c.is_zero() for c in red.cofactors)
-
-    def test_reduce_product_of_generators(self):
-        cb = buchberger_certified([P("x+1"), P("x")])
-        red = reduce_certified(P("(x+1)*x"), cb)
-        assert red.remainder.is_zero()
-        acc = Polynomial.zero(2)
-        for c, g in zip(red.cofactors, cb.generators):
-            acc = acc + c * g
-        assert acc == P("(x+1)*x")
-
-    def test_non_member(self):
-        cb = buchberger_certified([P("x^2", ["x"])])
-        red = reduce_certified(P("x", ["x"]), cb)
-        assert red.remainder == P("x", ["x"])
-
-    def test_reconstruction_random(self, rng):
-        for _ in range(20):
-            gens = [random_polynomial(rng, 2, max_terms=3, allow_zero=False)
-                    for _ in range(2)]
-            cb = buchberger_certified(gens)
-            p = random_polynomial(rng, 2, max_terms=5)
-            red = reduce_certified(p, cb)
-            acc = red.remainder
-            for c, g in zip(red.cofactors, gens):
-                acc = acc + c * g
-            assert acc == p
-
-
-def inter_reduced(basis):
-    """Reduced Groebner basis of the same ideal, without cofactors."""
-    order = basis.order
-    polys = [cp.value for cp in basis.basis]
+def inter_reduced(polys, order=DEFAULT_ORDER):
+    """Reduced Groebner basis of the ideal of a Groebner basis."""
     leads = [p.leading_term(order)[0] for p in polys]
     # Minimalize: drop elements whose leading monomial is divisible by the
     # leading monomial of another kept element (earlier index wins ties).
@@ -415,7 +419,7 @@ class TestInterReduced:
         for _ in range(10):
             gens = [random_polynomial(rng, 2, max_terms=3, max_exp=2,
                                       allow_zero=False) for _ in range(2)]
-            ours = inter_reduced(buchberger_certified(gens))
+            ours = inter_reduced([v for v, _ in run(gens, track=False)])
             gb = sympy.groebner([to_sympy(g, V) for g in gens], x, y,
                                 order="grevlex")
             theirs = sorted((sympy.expand(e / sympy.LC(e, gens=(x, y), order="grevlex"))

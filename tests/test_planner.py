@@ -9,7 +9,7 @@ from opkit.groebner import contains_one
 from opkit.planner import (SetSystem, alpha_l, alpha_u, beta_min,
                            coincidence_graph, lower_set, max_elements,
                            min_elements, optimal_alpha, plan_decomposition,
-                           regroup, upper_set)
+                           upper_set)
 from opkit.poly import Polynomial, parse_polynomial
 
 V = ["x", "y"]
@@ -99,23 +99,25 @@ class TestCoincidenceGraph:
 
 
 class TestRegroup:
+    """The plan's components and grouped factors."""
+
     def test_demo_regrouping(self):
-        factors, components = regroup(demo_atoms())
-        assert components == [(0,), (1, 2, 3)]
-        assert factors[0] == P("x+1")
-        assert factors[1] == P("(x*y+y+1)*x*(x^2+x*y+x+y-1)")
+        plan = plan_decomposition(demo_atoms())
+        assert plan.components == ((0,), (1, 2, 3))
+        assert plan.grouped_factors[0] == P("x+1")
+        assert plan.grouped_factors[1] == P("(x*y+y+1)*x*(x^2+x*y+x+y-1)")
 
     def test_pairwise_unit_atoms_stay_single(self):
-        factors, components = regroup([P("x", U), P("x+1", U), P("x+2", U)])
-        assert components == [(0,), (1,), (2,)]
+        plan = plan_decomposition([P("x", U), P("x+1", U), P("x+2", U)])
+        assert plan.components == ((0,), (1,), (2,))
 
     def test_identical_atoms_merge(self):
-        _, components = regroup([P("x", U), P("x", U)])
-        assert components == [(0, 1)]
+        plan = plan_decomposition([P("x", U), P("x", U)])
+        assert plan.components == ((0, 1),)
 
     def test_regrouped_graph_is_edgeless(self):
-        factors, _ = regroup(demo_atoms())
-        assert not coincidence_graph(factors).edges
+        plan = plan_decomposition(demo_atoms())
+        assert not coincidence_graph(plan.grouped_factors).edges
 
 
 class TestBetaMin:

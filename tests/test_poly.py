@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opkit.errors import InputError, ParseError, ResourceLimitError
-from opkit.poly import (MonomialOrder, Polynomial, divide_multi,
+from opkit.poly import (DEGREE_CAP, MonomialOrder, Polynomial, divide_multi,
                         format_polynomial, parse_polynomial)
 
 from conftest import random_polynomial, to_sympy
@@ -151,7 +151,7 @@ class TestParsePrint:
             P("1/0")
 
     @pytest.mark.parametrize("text, exponent", [
-        ("x+y+1", 0), ("x+y+1", 1), ("x+y+1", 13), ("2*x-y", 8), ("x", 10**12),
+        ("x+y+1", 0), ("x+y+1", 1), ("x+y+1", 13), ("2*x-y", 8), ("x", 10**4),
         ("0", 0), ("0", 3),
     ])
     def test_power_matches_pow(self, text, exponent):
@@ -169,6 +169,24 @@ class TestParsePrint:
         assert P("(x+y+1)^3*(x-y)^2") == P("x+y+1") ** 3 * P("x-y") ** 2  # 10*3
         with pytest.raises(ResourceLimitError):
             P("(x+y+1)^3*(x+y+1)^4")           # 10*15 terms
+
+    def test_degree_cap_refuses_power(self):
+        assert P(f"(x*y)^{DEGREE_CAP // 2}").total_degree() == DEGREE_CAP
+        for text in (f"x^{DEGREE_CAP + 1}", "x^1000000000000",
+                     f"(x*y)^{DEGREE_CAP // 2 + 1}"):
+            with pytest.raises(ResourceLimitError) as err:
+                P(text)
+            assert "total degree" in str(err.value)
+
+    def test_degree_cap_refuses_product(self):
+        assert P(f"x^{DEGREE_CAP - 1}*y").total_degree() == DEGREE_CAP
+        with pytest.raises(ResourceLimitError):
+            P(f"x^{DEGREE_CAP}*(y+1)")
+
+    @pytest.mark.parametrize("text", [5, None, ["x"]])
+    def test_non_string_refused(self, text):
+        with pytest.raises(InputError):
+            parse_polynomial(text, V2)
 
     def test_error_position(self):
         with pytest.raises(ParseError) as err:

@@ -8,7 +8,8 @@ import pytest
 from opkit.backend import (Matrix, OperatorInstance, affine_sets_equal,
                            instantiate, solve_affine)
 from opkit.certify import (Certificate, UnivariateSpec,
-                           univariate_certificate, univariate_factors)
+                           univariate_certificate, univariate_factors,
+                           verify_certificate)
 from opkit.errors import InputError, IntegrabilityError, VerificationError
 from opkit.planner import SetSystem
 from opkit.poly import Polynomial, parse_polynomial, product
@@ -17,7 +18,7 @@ from opkit.reducer import (build_report, find_system_certificate,
                            map_F, recombination_is_identity,
                            recombined_solution_set, split, system_map_B,
                            system_map_F, system_split,
-                           verify_integrability, verify_system_certificate)
+                           verify_system_certificate)
 
 from conftest import conjugated_diagonal, distinct_fractions, random_vector
 
@@ -187,6 +188,17 @@ class TestKernelStructure:
         with pytest.raises(InputError):
             kernel_structure(merged, factors, diag_instance())
 
+    def test_verified_non_singleton_certificate_rejected(self):
+        # 1 = -x/2 * (x+3) + 1/2 * (x+1)(x+2): a true certificate over
+        # alpha = {{0, 1}, {2}}, which is not the singleton family
+        factors = [P("x+1"), P("x+2"), P("x+3")]
+        cert = Certificate(
+            SetSystem.of(2, [[0, 1], [2]]),
+            {frozenset((0, 1)): P("-1/2*x"), frozenset((2,)): P("1/2")})
+        assert verify_certificate(cert, factors)[0]
+        with pytest.raises(InputError, match="singleton-family"):
+            kernel_structure(cert, factors, diag_instance())
+
     def test_random_conjugated_instances(self, rng):
         for _ in range(50):
             lambdas = distinct_fractions(rng, rng.randint(2, 3), bound=4)
@@ -229,12 +241,12 @@ class TestConstrainedSystems:
 
     def test_integrability_consistent(self, rng):
         _, factors, constraints, inst, _, f, gs = constrained_setup(rng, 2)
-        assert verify_integrability(factors, constraints, f, gs, inst)
+        assert not integrability_violations(factors, constraints, f, gs, inst)
 
     def test_integrability_vacuous_without_constraints(self, rng):
         factors = [P("x"), P("x+1")]
         inst = diag_instance()
-        assert verify_integrability(factors, [], [0, 0], [], inst)
+        assert not integrability_violations(factors, [], [0, 0], [], inst)
 
     def test_zero_constraints_degenerate_to_plain_split(self, rng):
         # with no side conditions the subsystem maps are the plain
