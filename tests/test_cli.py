@@ -31,6 +31,24 @@ def demo_job_dict():
     return json.loads(DEMO_JOB.read_text())
 
 
+# Enumerated symmetry basis on the two-variable truncated derivative.
+SYMMETRY_ENUMERATED_JOB = {
+    "variables": ["x", "y"],
+    "factors": ["x", "x+1"],
+    "instance": {"kind": "truncated_derivative", "max_degree": 3},
+    "symmetry_cap": 200,
+}
+
+# One explicit S on the diagonal instance of (x+1)(x+2).
+SYMMETRY_EXPLICIT_JOB = {
+    "variables": ["x"],
+    "lambdas": ["1", "2"],
+    "instance": {"kind": "matrices",
+                 "generators": [[["-1", "0"], ["0", "-2"]]]},
+    "symmetry": [["2", "0"], ["0", "5"]],
+}
+
+
 class TestGolden:
     def test_plan_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--job", str(DEMO_JOB))
@@ -50,6 +68,16 @@ class TestGolden:
         code, out, _ = run_cli(capsys, "reduce", "--job", path)
         assert code == 0
         assert out == (GOLDEN / "demo_reduce_symbolic.json").read_text()
+
+    @pytest.mark.parametrize("job, golden", [
+        (SYMMETRY_ENUMERATED_JOB, "symmetry_enumerated.json"),
+        (SYMMETRY_EXPLICIT_JOB, "symmetry_explicit.json"),
+    ], ids=["enumerated", "explicit"])
+    def test_symmetry_matches_golden(self, capsys, tmp_path, job, golden):
+        code, out, _ = run_cli(capsys, "symmetry", "--job",
+                               write_job(tmp_path, job))
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_byte_stable_across_runs(self, capsys):
         _, first, _ = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
