@@ -83,6 +83,7 @@ from .reducer import (
 from .symmetry import (
     FormalSymmetry,
     GeneralizedSymmetry,
+    Splitting,
     enumerate_formal_symmetries,
     formal_from_generalized,
     generalized_from_formal,

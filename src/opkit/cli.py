@@ -22,6 +22,8 @@ Job fields (mode-dependent):
     certificate  {"alpha": [[..]..], "cofactors": ["expr", ..]} (verify mode)
     dual_certificate  {"beta": [[..]..], "cofactors": [["expr", ..], ..]}
     symmetry     matrix grid: an explicit S to decompose (symmetry mode)
+    symmetry_cap positive integer: the largest dimension whose symmetry
+                 basis is enumerated (symmetry mode; default 12)
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
-                      instantiate, kernel_basis,
-                      make_truncated_derivative_instance, solve_affine)
+from .backend import (Matrix, OperatorInstance, _rank_of_vectors,
+                      affine_sets_equal, as_vector, instantiate, kernel_basis,
+                      make_truncated_derivative_instance, solve_affine,
+                      spans_equal)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
                       dual_to_alpha, plan_dual_certificate,
                       univariate_certificate, univariate_factors,
@@ -49,9 +52,9 @@ from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
 from .reducer import (find_system_certificate, integrability_violations,
                       recombined_solution_set, split, system_map_B,
                       system_map_F, system_split, verify_system_certificate)
-from .symmetry import (FormalSymmetry, enumerate_formal_symmetries,
-                       formal_from_generalized, generalized_from_formal,
-                       induced_kernel_map, is_formal_symmetry)
+from .symmetry import (SYMMETRY_DIMENSION_CAP, FormalSymmetry, Splitting,
+                       _induced_on_kernel, enumerate_formal_symmetries,
+                       is_formal_symmetry)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -360,8 +363,8 @@ def cmd_symmetry(job: JobSpec) -> dict:
     inst = job.instance()
     if inst is None:
         raise InputError("symmetry mode requires an 'instance'")
-    nvars = factors[0].variable_count
-    p_full = instantiate(product(factors, nvars), inst)
+    split = Splitting.of(cert, factors, inst)
+    p_full = split.P
     kernel = kernel_basis(p_full)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
@@ -371,7 +374,6 @@ def cmd_symmetry(job: JobSpec) -> dict:
         basis = [job._matrix(raw_s, "symmetry")]
         explicit = True
     else:
-        from .symmetry import SYMMETRY_DIMENSION_CAP
         cap = job.raw.get("symmetry_cap", SYMMETRY_DIMENSION_CAP)
         if not _is_positive_int(cap):
             raise InputError("'symmetry_cap' must be a positive integer")
@@ -394,9 +396,8 @@ def cmd_symmetry(job: JobSpec) -> dict:
             entry["S_prime"] = witness.to_strings()
             entry["generalized"] = []
         for i, j in pairs:
-            gen = generalized_from_formal(sym, cert, i, j, factors, inst)
-            back = formal_from_generalized(gen, cert, factors, inst)
-            reconstructed.append(back.S)
+            gen = split.slice(sym, i, j)
+            reconstructed.append(split.fold(gen).S)
             if explicit:
                 entry["generalized"].append({
                     "i": i, "j": j,
@@ -408,14 +409,10 @@ def cmd_symmetry(job: JobSpec) -> dict:
     out["decompositions"] = reports
 
     if kernel and not explicit:
-        induced = [induced_kernel_map(S, p_full) for S in basis]
-        rebuilt = [induced_kernel_map(S, p_full) for S in reconstructed]
-        from .backend import spans_equal
         flat = lambda ms: [tuple(v for row in m._entries for v in row)
                            for m in ms if m is not None]
-        dim_a = len(kernel) ** 2
-        a, b = flat(induced), flat(rebuilt)
-        from .backend import _rank_of_vectors
+        a = flat(_induced_on_kernel(S, p_full, kernel) for S in basis)
+        b = flat(_induced_on_kernel(S, p_full, kernel) for S in reconstructed)
         out["generation"] = {
             "induced_dimension": _rank_of_vectors(a),
             "reconstructed_dimension": _rank_of_vectors(b),

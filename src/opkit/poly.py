@@ -29,7 +29,11 @@ before it is expanded.  Powers are built from such products, so
 product costs more than cap multiply-adds.  A product whose total degree
 would pass DEGREE_CAP (10000, fixed) raises ResourceLimitError too: the
 term cap does not bound "x^100000000", but Buchberger would then reduce
-its leading term one degree at a time.
+its leading term one degree at a time.  So does a literal, product or sum
+with a coefficient whose numerator or denominator would pass
+COEFFICIENT_BITS_CAP (4096 bits, fixed): "2^10000000" is refused after a
+dozen squarings, and a literal too long for the cap is refused before it
+is converted.  Digits are ASCII only.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ RationalLike = Fraction | int | str
 
 DEFAULT_TERM_CAP = 100_000
 DEGREE_CAP = 10_000
+COEFFICIENT_BITS_CAP = 4096
+# A literal with more significant digits is at least 10^1365 > 2^4096.
+_LITERAL_DIGITS_CAP = COEFFICIENT_BITS_CAP // 3
 TERM_CAP_ENV = "OPKIT_TERM_CAP"
 
 
@@ -310,6 +317,29 @@ def divide_multi(
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()")
+_DIGITS = set("0123456789")
+
+
+def _check_bits(p: Polynomial, what: str, pos: int) -> Polynomial:
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)
+    if bits > COEFFICIENT_BITS_CAP:
+        raise ResourceLimitError(
+            f"{what} at position {pos} has a {bits}-bit coefficient, more "
+            f"than the cap {COEFFICIENT_BITS_CAP}")
+    return p
+
+
+def _literal(text: str, start: int, end: int) -> int:
+    """A run of ASCII digits as an int, refused past COEFFICIENT_BITS_CAP;
+    a run too long to fit is refused before it is converted."""
+    digits = text[start:end].lstrip("0") or "0"
+    value = int(digits) if len(digits) <= _LITERAL_DIGITS_CAP else None
+    if value is None or value.bit_length() > COEFFICIENT_BITS_CAP:
+        raise ResourceLimitError(
+            f"number at position {start} has {len(digits)} digits, more than "
+            f"a {COEFFICIENT_BITS_CAP}-bit coefficient holds")
+    return value
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -321,17 +351,17 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
-            num = int(text[start:i])
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
+            num = _literal(text, start, i)
+            if i < n and text[i] == "/" and i + 1 < n and text[i + 1] in _DIGITS:
                 i += 1
                 dstart = i
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
-                den = int(text[dstart:i])
+                den = _literal(text, dstart, i)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", start)
                 tokens.append(("number", Fraction(num, den), start))
@@ -366,7 +396,9 @@ class _Parser:
 
     def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
         """a * b, refused before expansion if it forms more terms than the
-        cap or has a total degree above DEGREE_CAP."""
+        cap or has a total degree above DEGREE_CAP, and after it if a
+        coefficient passes COEFFICIENT_BITS_CAP.  Both factors are within
+        the caps, so forming the product is bounded work."""
         formed = a.term_count() * b.term_count()
         if formed > self.cap:
             raise ResourceLimitError(
@@ -377,7 +409,7 @@ class _Parser:
             raise ResourceLimitError(
                 f"product at position {pos} has total degree {degree}, more "
                 f"than the cap {DEGREE_CAP}")
-        return a * b
+        return _check_bits(a * b, "product", pos)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -401,6 +433,7 @@ class _Parser:
         return value
 
     def parse_expr(self) -> Polynomial:
+        start = self.peek()[2]
         value = self.parse_term()
         while True:
             kind, _, _ = self.peek()
@@ -411,7 +444,7 @@ class _Parser:
                 self.advance()
                 value = value - self.parse_term()
             else:
-                return value
+                return _check_bits(value, "expression", start)
 
     def parse_term(self) -> Polynomial:
         value = self.parse_unary()

@@ -21,12 +21,13 @@ from typing import Mapping, Optional, Sequence
 from .backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
                       Vector, _rank_of_vectors, as_vector, instantiate,
                       kernel_basis, solve_affine, span_basis)
-from .certify import (Certificate, _require_verified, _singleton_cofactors,
-                      factor_product, factor_product_complement)
+from .certify import (Certificate, _require_verified, factor_product,
+                      factor_product_complement)
 from .errors import (InputError, IntegrabilityError, VerificationError)
 from .groebner import contains_one
 from .planner import IndexSet, SetSystem
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, format_polynomial, product
+from .symmetry import Splitting
 
 
 def _set_label(J: IndexSet) -> str:
@@ -210,42 +211,31 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
     each instantiated Q_i * P^i acts on it as the projection onto its
     factor's kernel.
     """
-    ell = len(factors) - 1
-    cofactors = _singleton_cofactors(cert, factors)
-    _require_verified(cert, factors)
-    nvars = factors[0].variable_count
-    p_full = instantiate(product(factors, nvars), inst)
-    kernel_p = kernel_basis(p_full)
-    factor_mats = [instantiate(fp, inst) for fp in factors]
-    factor_kernels = [kernel_basis(m) for m in factor_mats]
+    split = Splitting.of(cert, factors, inst)
+    kernel_p = kernel_basis(split.P)
+    factor_kernels = [kernel_basis(m) for m in split.factors]
     dims_add_up = len(kernel_p) == sum(len(k) for k in factor_kernels)
 
     pairwise_trivial = True
-    for i in range(ell + 1):
-        for j in range(i + 1, ell + 1):
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
             stacked = list(factor_kernels[i]) + list(factor_kernels[j])
             if _rank_of_vectors(stacked) != len(factor_kernels[i]) + len(factor_kernels[j]):
                 pairwise_trivial = False
 
-    projectors = []
-    for i in range(ell + 1):
-        pr = instantiate(cofactors[i] * factor_product_complement(
-            factors, frozenset((i,))), inst)
-        projectors.append(pr)
-
     idempotent = True
     lands = True
-    for i, pr in enumerate(projectors):
+    for p_i, pr in zip(split.factors, split.projectors):
         diff = pr * pr - pr
         for v in kernel_p:
             if any(x != 0 for x in diff.apply(v)):
                 idempotent = False
             image = pr.apply(v)
-            if any(x != 0 for x in factor_mats[i].apply(image)):
+            if any(x != 0 for x in p_i.apply(image)):
                 lands = False
 
     total = Matrix.zeros(inst.dimension, inst.dimension)
-    for pr in projectors:
+    for pr in split.projectors:
         total = total + pr
     sums_to_id = True
     for v in kernel_p:

@@ -6,8 +6,9 @@ operator with a singleton-family certificate, the instantiated projectors
 Pr_i = Q_i P^i slice a symmetry into generalized symmetries
 S_ij = Pr_i S Pr_j (satisfying P_i S_ij = S'_ij P_j, hence mapping the
 kernel of P_j into the kernel of P_i), and any generalized symmetry folds
-back into a formal symmetry of the product.  All witness identities are
-checked with exact matrix equality.
+back into a formal symmetry of the product.  A ``Splitting`` verifies its
+certificate once, every identity it builds is checked once with exact
+matrix equality, and the public functions check their inputs at the boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .backend import (_ZERO, Matrix, OperatorInstance, _rref, instantiate,
-                      kernel_basis, solve_affine)
+                      kernel_basis)
 from .certify import (Certificate, _require_verified, _singleton_cofactors,
                       factor_product_complement)
 from .errors import InputError, ResourceLimitError, VerificationError
@@ -86,20 +87,56 @@ def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
     return witness
 
 
+@dataclass(frozen=True)
+class Splitting:
+    """P, P_i, P^i, Q_i and Pr_i = Q_i P^i instantiated from a singleton-family
+    certificate; ``of`` verifies the certificate, so build it there."""
+
+    P: Matrix
+    factors: tuple[Matrix, ...]
+    complements: tuple[Matrix, ...]
+    cofactors: tuple[Matrix, ...]
+    projectors: tuple[Matrix, ...]
+
+    @classmethod
+    def of(cls, cert: Certificate, factors: Sequence[Polynomial],
+           inst: OperatorInstance) -> "Splitting":
+        cofactors = _singleton_cofactors(cert, factors)
+        _require_verified(cert, factors)
+        q = tuple(instantiate(c, inst) for c in cofactors)
+        comp = tuple(instantiate(factor_product_complement(factors, frozenset((i,))), inst)
+                     for i in range(len(factors)))
+        return cls(P=instantiate(factor_product_complement(factors, frozenset()), inst),
+                   factors=tuple(instantiate(p, inst) for p in factors),
+                   complements=comp, cofactors=q,
+                   projectors=tuple(qi * ci for qi, ci in zip(q, comp)))
+
+    def slice(self, sym: FormalSymmetry, i: int, j: int) -> GeneralizedSymmetry:
+        """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for sym checked on P."""
+        pr_j = self.projectors[j]
+        out = GeneralizedSymmetry(
+            i, j, self.projectors[i] * sym.S * pr_j,
+            self.cofactors[i] * sym.S_prime * pr_j * self.complements[j])
+        if not out.holds_for(self.factors[i], self.factors[j]):
+            raise VerificationError(
+                "internal error: generalized symmetry identity failed")
+        return out
+
+    def fold(self, gen: GeneralizedSymmetry) -> FormalSymmetry:
+        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for gen checked on P_i, P_j."""
+        out = FormalSymmetry(
+            gen.S_ij * self.projectors[gen.j],
+            self.complements[gen.i] * gen.S_prime_ij * self.cofactors[gen.j])
+        if not out.holds_for(self.P):
+            raise VerificationError("internal error: reconstructed symmetry failed")
+        return out
+
+
 def projector(cert: Certificate, i: int, factors: Sequence[Polynomial],
               inst: OperatorInstance) -> Matrix:
     """Instantiate Pr_i = Q_i * P^i; a projection onto the kernel of P_i
     once restricted to the kernel of the product."""
-    cofactors = _singleton_cofactors(cert, factors)
-    _require_verified(cert, factors)
-    return _projector(cofactors, i, factors, inst)
-
-
-def _projector(cofactors: Sequence[Polynomial], i: int,
-               factors: Sequence[Polynomial], inst: OperatorInstance) -> Matrix:
-    """Pr_i from cofactors whose certificate the caller has verified."""
-    return instantiate(
-        cofactors[i] * factor_product_complement(factors, frozenset((i,))), inst)
+    return Splitting.of(cert, factors, inst).projectors[i]
 
 
 def generalized_from_formal(sym: FormalSymmetry, cert: Certificate,
@@ -111,25 +148,10 @@ def generalized_from_formal(sym: FormalSymmetry, cert: Certificate,
     The witness is Q_i S' Pr_j P^j; the defining identity is checked
     exactly before returning.
     """
-    cofactors = _singleton_cofactors(cert, factors)
-    p_full = instantiate(
-        factor_product_complement(factors, frozenset()), inst)
-    if not sym.holds_for(p_full):
+    split = Splitting.of(cert, factors, inst)
+    if not sym.holds_for(split.P):
         raise InputError("S is not a formal symmetry of the instantiated product")
-    _require_verified(cert, factors)
-    pr_i = _projector(cofactors, i, factors, inst)
-    pr_j = _projector(cofactors, j, factors, inst)
-    s_ij = pr_i * sym.S * pr_j
-    q_i = instantiate(cofactors[i], inst)
-    pj_comp = instantiate(factor_product_complement(factors, frozenset((j,))), inst)
-    s_prime = q_i * sym.S_prime * pr_j * pj_comp
-    out = GeneralizedSymmetry(i, j, s_ij, s_prime)
-    p_i = instantiate(factors[i], inst)
-    p_j = instantiate(factors[j], inst)
-    if not out.holds_for(p_i, p_j):
-        raise VerificationError(
-            "internal error: generalized symmetry identity failed")
-    return out
+    return split.slice(sym, i, j)
 
 
 def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
@@ -137,21 +159,10 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
                             inst: OperatorInstance) -> FormalSymmetry:
     """Fold a generalized symmetry back: S = S_ij Pr_j with witness
     P^i S'_ij Q_j."""
-    cofactors = _singleton_cofactors(cert, factors)
-    p_i = instantiate(factors[gen.i], inst)
-    p_j = instantiate(factors[gen.j], inst)
-    if not gen.holds_for(p_i, p_j):
+    split = Splitting.of(cert, factors, inst)
+    if not gen.holds_for(split.factors[gen.i], split.factors[gen.j]):
         raise InputError("the generalized symmetry identity does not hold")
-    pr_j = projector(cert, gen.j, factors, inst)
-    s = gen.S_ij * pr_j
-    pi_comp = instantiate(factor_product_complement(factors, frozenset((gen.i,))), inst)
-    q_j = instantiate(cofactors[gen.j], inst)
-    s_prime = pi_comp * gen.S_prime_ij * q_j
-    out = FormalSymmetry(s, s_prime)
-    p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
-    if not out.holds_for(p_full):
-        raise VerificationError("internal error: reconstructed symmetry failed")
-    return out
+    return split.fold(gen)
 
 
 def enumerate_formal_symmetries(P: Matrix,
@@ -208,15 +219,15 @@ def induced_kernel_map(S: Matrix, P: Matrix) -> Optional[Matrix]:
     kernel = kernel_basis(P)
     if not kernel:
         raise InputError("P has trivial kernel; no induced map exists")
-    d = len(kernel)
-    n = P.rows
-    # Solve K a = S v for each kernel basis vector v, K = kernel basis as columns.
-    k_cols = Matrix([[kernel[j][i] for j in range(d)] for i in range(n)])
-    cols = []
-    for v in kernel:
-        image = S.apply(v)
-        sol = solve_affine(k_cols, image)
-        if sol.is_empty():
-            return None
-        cols.append(list(sol.particular))
-    return Matrix([[cols[j][i] for j in range(d)] for i in range(d)])
+    return _induced_on_kernel(S, P, kernel)
+
+
+def _induced_on_kernel(S: Matrix, P: Matrix, kernel) -> Optional[Matrix]:
+    """``induced_kernel_map`` given the nonempty ``kernel_basis(P)``.  Each
+    basis vector is 1 at its free column (its last nonzero entry) and 0 at
+    the others, so a kernel vector's coordinates are its free entries."""
+    images = [S.apply(v) for v in kernel]
+    if any(any(P.apply(w)) for w in images):
+        return None
+    free = [max(c for c, x in enumerate(v) if x) for v in kernel]
+    return Matrix([[w[c] for w in images] for c in free])

@@ -138,6 +138,53 @@ class TestVerifyOnce:
         assert len(calls) == checks
         assert calls[-1] == "Certificate"
 
+    def test_symmetry_checks_each_identity_once(self, capsys, tmp_path,
+                                                monkeypatch):
+        import opkit
+        import opkit.certify
+        from opkit.backend import instantiate
+        from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
+                                    enumerate_formal_symmetries,
+                                    induced_kernel_map)
+        calls = {"verify": 0, "formal": 0, "generalized": 0, "solve": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(opkit.certify, "verify_certificate", counted(
+            "verify", opkit.certify.verify_certificate))
+        monkeypatch.setattr(FormalSymmetry, "holds_for", counted(
+            "formal", FormalSymmetry.holds_for))
+        monkeypatch.setattr(GeneralizedSymmetry, "holds_for", counted(
+            "generalized", GeneralizedSymmetry.holds_for))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("opkit") and hasattr(module, "solve_affine"):
+                monkeypatch.setattr(module, "solve_affine", counted(
+                    "solve", module.solve_affine))
+        path = write_job(tmp_path, SYMMETRY_ENUMERATED_JOB)
+        code, _, _ = run_cli(capsys, "certify", "--job", path)
+        assert code == 0
+        certify_checks = calls["verify"]
+        code, out, _ = run_cli(capsys, "symmetry", "--job", path)
+        assert code == 0
+        report = json.loads(out)
+        m = report["symmetry_space_dimension"]
+        pairs = len(report["factors"]) ** 2
+        assert calls["verify"] == 2 * certify_checks + 1
+        assert calls["formal"] == calls["generalized"] == m * pairs
+        assert calls["solve"] == 0
+        # the public induced_kernel_map reads coordinates off the kernel too
+        factors = [opkit.parse_polynomial(s, ["x", "y"])
+                   for s in report["factors"]]
+        inst = opkit.make_truncated_derivative_instance(2, 3)
+        p_full = instantiate(factors[0] * factors[1], inst)
+        for S in enumerate_formal_symmetries(p_full, dimension_cap=200)[:3]:
+            assert induced_kernel_map(S, p_full) is not None
+        assert calls["solve"] == 0
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys, tmp_path):
@@ -232,6 +279,35 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "certify", "--job", path)
         assert code == 3
         assert "total degree" in err
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("factor, code, message", [
+        ("2²", 2, "unexpected character"),
+        ("x+٣", 2, "unexpected character"),
+        ("7" * 5000, 3, "5000 digits"),
+        ("1/" + "3" * 5000, 3, "5000 digits"),
+        ("+".join(f"1/{p}" for p in range(2, 4000)
+                  if all(p % q for q in range(2, int(p ** 0.5) + 1))),
+         3, "-bit coefficient"),
+    ], ids=["superscript", "arabic-indic", "long-literal",
+            "long-denominator", "long-sum"])
+    def test_literal_digits(self, capsys, tmp_path, factor, code, message):
+        path = write_job(tmp_path, {"variables": ["x"],
+                                    "factors": [factor, "x"]})
+        got, _, err = run_cli(capsys, "certify", "--job", path)
+        assert got == code
+        assert message in err
+
+    def test_huge_coefficient_is_3_within_budget(self, capsys, tmp_path):
+        # Refused by the parser's coefficient cap after a dozen squarings
+        # of 2, in under 0.01 s on a 2-CPU x86-64 VM.  Budget: 2 s.
+        # Without the cap, printing the factor fails on its digit count.
+        path = write_job(tmp_path, {"variables": ["x"],
+                                    "factors": ["2^10000000", "x"]})
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "certify", "--job", path)
+        assert code == 3
+        assert "-bit coefficient" in err and "4096" in err
         assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("field, family", [
