@@ -83,7 +83,6 @@ from .reducer import (
 from .symmetry import (
     FormalSymmetry,
     GeneralizedSymmetry,
-    Splitting,
     enumerate_formal_symmetries,
     formal_from_generalized,
     generalized_from_formal,

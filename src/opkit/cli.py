@@ -363,8 +363,8 @@ def cmd_symmetry(job: JobSpec) -> dict:
     inst = job.instance()
     if inst is None:
         raise InputError("symmetry mode requires an 'instance'")
-    split = Splitting.of(cert, factors, inst)
-    p_full = split.P
+    splitting = Splitting.of(cert, factors, inst)
+    p_full = splitting.P
     kernel = kernel_basis(p_full)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
@@ -396,8 +396,8 @@ def cmd_symmetry(job: JobSpec) -> dict:
             entry["S_prime"] = witness.to_strings()
             entry["generalized"] = []
         for i, j in pairs:
-            gen = split.slice(sym, i, j)
-            reconstructed.append(split.fold(gen).S)
+            gen = splitting.slice(sym, i, j)
+            reconstructed.append(splitting.fold(gen).S)
             if explicit:
                 entry["generalized"].append({
                     "i": i, "j": j,

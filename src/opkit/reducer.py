@@ -211,9 +211,9 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
     each instantiated Q_i * P^i acts on it as the projection onto its
     factor's kernel.
     """
-    split = Splitting.of(cert, factors, inst)
-    kernel_p = kernel_basis(split.P)
-    factor_kernels = [kernel_basis(m) for m in split.factors]
+    splitting = Splitting.of(cert, factors, inst)
+    kernel_p = kernel_basis(splitting.P)
+    factor_kernels = [kernel_basis(m) for m in splitting.factors]
     dims_add_up = len(kernel_p) == sum(len(k) for k in factor_kernels)
 
     pairwise_trivial = True
@@ -225,7 +225,7 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
 
     idempotent = True
     lands = True
-    for p_i, pr in zip(split.factors, split.projectors):
+    for p_i, pr in zip(splitting.factors, splitting.projectors):
         diff = pr * pr - pr
         for v in kernel_p:
             if any(x != 0 for x in diff.apply(v)):
@@ -235,7 +235,7 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
                 lands = False
 
     total = Matrix.zeros(inst.dimension, inst.dimension)
-    for pr in split.projectors:
+    for pr in splitting.projectors:
         total = total + pr
     sums_to_id = True
     for v in kernel_p:

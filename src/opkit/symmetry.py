@@ -113,10 +113,9 @@ class Splitting:
 
     def slice(self, sym: FormalSymmetry, i: int, j: int) -> GeneralizedSymmetry:
         """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for sym checked on P."""
-        pr_j = self.projectors[j]
         out = GeneralizedSymmetry(
-            i, j, self.projectors[i] * sym.S * pr_j,
-            self.cofactors[i] * sym.S_prime * pr_j * self.complements[j])
+            i, j, self.projectors[i] * sym.S * self.projectors[j],
+            self.cofactors[i] * sym.S_prime * self.projectors[j] * self.complements[j])
         if not out.holds_for(self.factors[i], self.factors[j]):
             raise VerificationError(
                 "internal error: generalized symmetry identity failed")
@@ -148,10 +147,10 @@ def generalized_from_formal(sym: FormalSymmetry, cert: Certificate,
     The witness is Q_i S' Pr_j P^j; the defining identity is checked
     exactly before returning.
     """
-    split = Splitting.of(cert, factors, inst)
-    if not sym.holds_for(split.P):
+    splitting = Splitting.of(cert, factors, inst)
+    if not sym.holds_for(splitting.P):
         raise InputError("S is not a formal symmetry of the instantiated product")
-    return split.slice(sym, i, j)
+    return splitting.slice(sym, i, j)
 
 
 def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
@@ -159,10 +158,10 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
                             inst: OperatorInstance) -> FormalSymmetry:
     """Fold a generalized symmetry back: S = S_ij Pr_j with witness
     P^i S'_ij Q_j."""
-    split = Splitting.of(cert, factors, inst)
-    if not gen.holds_for(split.factors[gen.i], split.factors[gen.j]):
+    splitting = Splitting.of(cert, factors, inst)
+    if not gen.holds_for(splitting.factors[gen.i], splitting.factors[gen.j]):
         raise InputError("the generalized symmetry identity does not hold")
-    return split.fold(gen)
+    return splitting.fold(gen)
 
 
 def enumerate_formal_symmetries(P: Matrix,
@@ -222,7 +221,8 @@ def induced_kernel_map(S: Matrix, P: Matrix) -> Optional[Matrix]:
     return _induced_on_kernel(S, P, kernel)
 
 
-def _induced_on_kernel(S: Matrix, P: Matrix, kernel) -> Optional[Matrix]:
+def _induced_on_kernel(S: Matrix, P: Matrix,
+                       kernel: Sequence[Sequence[Fraction]]) -> Optional[Matrix]:
     """``induced_kernel_map`` given the nonempty ``kernel_basis(P)``.  Each
     basis vector is 1 at its free column (its last nonzero entry) and 0 at
     the others, so a kernel vector's coordinates are its free entries."""
