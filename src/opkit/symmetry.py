@@ -89,8 +89,8 @@ def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
 
 @dataclass(frozen=True)
 class Splitting:
-    """P, P_i, P^i, Q_i and Pr_i = Q_i P^i instantiated from a singleton-family
-    certificate; ``of`` verifies the certificate, so build it there."""
+    """P, P_i, P^i, Q_i and Pr_i = Q_i P^i of a singleton-family certificate
+    on one instance; build it with ``of``, which verifies the certificate."""
 
     P: Matrix
     factors: tuple[Matrix, ...]
