@@ -3,9 +3,13 @@
 Commuting families of rational matrices realize the abstract operators;
 polynomials are instantiated through the evaluation homomorphism, and
 kernel/solve/range questions are answered by fraction-free Gaussian
-elimination over the integers (denominators cleared per row, Bareiss
-updates) followed by back-substitution, which keeps intermediate growth
-polynomial and the pivoting fully deterministic.
+elimination over the integers (Bareiss updates) followed by
+back-substitution, which keeps intermediate growth polynomial and the
+pivoting fully deterministic.
+
+A ``Matrix`` is integer rows over one positive denominator, in lowest
+terms; products and elimination work on those integers, values leave as
+``Fraction``s, and no other module reads the fields.
 
 Everything is exact; nothing here ever touches floating point.
 """
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
@@ -25,13 +30,10 @@ Vector = tuple[Fraction, ...]
 
 DIMENSION_CAP = 2000
 
-# Outputs of this module store every zero entry as this one object, which is
-# also the zero of the matrix kernels' outputs, so a matrix or vector that is
-# kept (in an instance's memo, or by a caller) costs memory only for its
-# nonzero entries.  The unit entries that elimination creates (pivots,
-# kernel-basis ones) share _ONE the same way.  Values and reprs are
-# unaffected.
-_ZERO = kernels._ZERO
+# Vectors and Fraction rows built here store every zero entry as this one
+# object, and the unit entries of elimination (pivots, kernel-basis ones)
+# share _ONE, so a kept vector costs memory only for its other entries.
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -45,85 +47,103 @@ def as_vector(values: Iterable) -> Vector:
     return tuple(_frac(v) for v in values)
 
 
-class Matrix:
-    """Immutable dense matrix of exact rationals."""
+def _integer_form(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``nums`` and ``d`` with v[i] == nums[i] / d for every i;
+    ``d`` is the lcm of the denominators, so the form is in lowest terms."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
-    __slots__ = ("rows", "cols", "_entries")
+
+class Matrix:
+    """Immutable dense matrix of exact rationals: integer rows ``_entries`` over
+    one denominator ``_den`` > 0, in lowest terms, so equal values hash equal."""
+
+    __slots__ = ("rows", "cols", "_entries", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [tuple(_frac(v) for v in row) for row in entries]
+        rows = [[_frac(v) for v in row] for row in entries]
         if not rows:
             raise InputError("a matrix needs at least one row")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise InputError("matrix rows must be nonempty and equal length")
+        nums, self._den = _integer_form(list(chain.from_iterable(rows)))
+        self._entries = tuple(tuple(nums[k:k + width])
+                              for k in range(0, len(nums), width))
         self.rows = len(rows)
         self.cols = width
-        self._entries = tuple(rows)
 
     @classmethod
-    def _wrap(cls, entries: list[list[Fraction]]) -> "Matrix":
+    def _wrap(cls, entries: Sequence[Sequence[int]], den: int) -> "Matrix":
+        """The matrix entries / den, for integer rows and den > 0."""
+        g = gcd(den, *chain.from_iterable(entries)) if den != 1 else 1
+        if g != 1:
+            entries = [[v // g for v in row] for row in entries]
         self = object.__new__(cls)
-        self._entries = tuple(tuple(r) for r in entries)
+        self._entries = tuple(map(tuple, entries))
+        self._den = den // g
         self.rows = len(entries)
         self.cols = len(entries[0])
         return self
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls._wrap([[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+        return cls._wrap([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls._wrap([[zero] * cols for _ in range(rows)])
+        return cls._wrap([[0] * cols for _ in range(rows)], 1)
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "Matrix":
-        vals = [_frac(v) for v in values]
-        zero = Fraction(0)
-        return cls._wrap([[vals[i] if i == j else zero for j in range(len(vals))]
-                          for i in range(len(vals))])
+        vals = list(values)
+        return cls([[vals[i] if i == j else 0 for j in range(len(vals))]
+                    for i in range(len(vals))])
 
     def to_strings(self) -> list[list[str]]:
-        return [[str(v) for v in row] for row in self._entries]
+        return [[str(Fraction(v, self._den)) for v in row]
+                for row in self._entries]
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._entries[i][j]
+        return Fraction(self._entries[i][j], self._den)
 
     def row_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._entries]
+        d = self._den
+        return [[Fraction(v, d) if v else _ZERO for v in row]
+                for row in self._entries]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not v for row in self._entries for v in row)
+        return not any(chain.from_iterable(self._entries))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self._entries == other._entries)
+        return (isinstance(other, Matrix) and self._den == other._den
+                and self._entries == other._entries)
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash((self._entries, self._den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._wrap([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self._entries, other._entries)])
+        d = lcm(self._den, other._den)
+        a, b = d // self._den, d // other._den
+        return Matrix._wrap([[x * a + y * b for x, y in zip(r1, r2)]
+                             for r1, r2 in zip(self._entries, other._entries)], d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._wrap([[a - b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self._entries, other._entries)])
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._wrap([[-a for a in row] for row in self._entries])
+        return Matrix._wrap([[-a for a in row] for row in self._entries],
+                            self._den)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix._wrap([[a * c for a in row] for row in self._entries])
+        return Matrix._wrap([[a * c.numerator for a in row]
+                             for row in self._entries],
+                            self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -131,7 +151,8 @@ class Matrix:
                 raise InputError(
                     f"cannot multiply {self.rows}x{self.cols} by "
                     f"{other.rows}x{other.cols}")
-            return Matrix._wrap(kernels.mat_mul(self.row_list(), other.row_list()))
+            return Matrix._wrap(kernels.mat_mul(self._entries, other._entries),
+                                self._den * other._den)
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         return NotImplemented
@@ -144,7 +165,10 @@ class Matrix:
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != column count {self.cols}")
-        return tuple(kernels.mat_apply(self.row_list(), [_frac(x) for x in v]))
+        nums, d = _integer_form([_frac(x) for x in v])
+        d *= self._den
+        return tuple(Fraction(s, d) if s else _ZERO
+                     for s in kernels.mat_apply(self._entries, nums))
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -205,8 +229,7 @@ def instantiate(p: Polynomial, inst: OperatorInstance) -> Matrix:
     The result is memoized on ``inst``, keyed by the value of ``p``: a later
     call with an equal polynomial on the same instance returns the same
     (immutable) matrix without evaluating again.  The memo lives exactly as
-    long as the instance.  Zero entries of the result are one shared
-    ``Fraction(0)``.
+    long as the instance.
     """
     if p.variable_count != inst.variable_count:
         raise InputError(
@@ -238,26 +261,27 @@ def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
             if e:
                 term = term * powers[v][e]
         acc = acc + term.scale(coeff)
-    return Matrix._wrap([[v or _ZERO for v in row] for row in acc._entries])
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Exact elimination
 # ---------------------------------------------------------------------------
 
-def _int_rows(entries: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves row space)."""
-    return [kernels._over_common_denominator(row)[0] for row in entries]
+def _int_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Clear denominators vector by vector (row scaling preserves row space)."""
+    return [_integer_form(v)[0] for v in vectors]
 
 
-def _rref(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with pivot columns, fully deterministic.
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of an integer matrix, with pivot columns,
+    fully deterministic.
 
-    Forward pass: fraction-free Bareiss elimination on the denominator-
-    cleared integer matrix (exact divisions, polynomial entry growth).
-    Backward pass: normalize pivots to 1 and clear above, in fractions.
+    Forward pass: fraction-free Bareiss elimination (exact divisions,
+    polynomial entry growth).  Backward pass: normalize pivots to 1 and
+    clear above, in fractions.
     """
-    mat = _int_rows(entries)
+    mat = list(rows)
     n = len(mat)
     m = len(mat[0])
     prev = 1
@@ -344,8 +368,9 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
     f = as_vector(f)
     if len(f) != m.rows:
         raise InputError(f"rhs length {len(f)} != row count {m.rows}")
-    augmented = [list(row) + [fv] for row, fv in zip(m._entries, f)]
-    rref, pivots = _rref(augmented)
+    # Row i of [m | f] times m._den * (denominator of m._den * f_i) is integer.
+    rref, pivots = _rref([[x * r.denominator for x in row] + [r.numerator]
+                          for row, r in zip(m._entries, (v * m._den for v in f))])
     if pivots and pivots[-1] == m.cols:
         return AffineSolutionSet(None, ())
     particular = [_ZERO] * m.cols
@@ -355,6 +380,28 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
     # augmented matrix without its last column.
     return AffineSolutionSet(tuple(particular),
                              tuple(_kernel_from_rref(rref, pivots, m.cols)))
+
+
+def _solve_right_factor(P: Matrix, C: Matrix) -> Optional[Matrix]:
+    """Deterministic X with X P = C, or None; free parameters set to zero.
+
+    Row r of X solves P^T x = (row r of C).  One elimination of the
+    augmented matrix [P^T | C^T] serves every row: the system is unsolvable
+    exactly when a pivot lands in the right-hand block, and otherwise each
+    right-hand column of the reduced echelon form holds that row's
+    particular solution, the one a separate solve would give.
+    """
+    n = P.rows
+    columns = zip(zip(*P._entries), zip(*C._entries))
+    rref, pivots = _rref([[x * C._den for x in p_col] + [x * P._den for x in c_col]
+                          for p_col, c_col in columns])
+    if pivots and pivots[-1] >= n:
+        return None
+    rows = [[_ZERO] * n for _ in range(n)]
+    for k, pc in enumerate(pivots):
+        for r in range(n):
+            rows[r][pc] = rref[k][n + r]
+    return Matrix(rows)
 
 
 def range_member(m: Matrix, f: Sequence) -> bool:
@@ -369,7 +416,7 @@ def range_member(m: Matrix, f: Sequence) -> bool:
 def _rank_of_vectors(vectors: Sequence[Vector]) -> int:
     if not vectors:
         return 0
-    return len(_rref([tuple(v) for v in vectors])[1])
+    return len(_rref(_int_rows(vectors))[1])
 
 
 def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
@@ -386,7 +433,7 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """Deterministic basis (reduced-echelon rows) of the span of the inputs."""
     if not vectors:
         return []
-    rref, pivots = _rref([tuple(v) for v in vectors])
+    rref, pivots = _rref(_int_rows(vectors))
     return [tuple(row) for row in rref[: len(pivots)]]
 
 
@@ -445,14 +492,13 @@ def make_truncated_derivative_instance(k: int, max_degree: int) -> OperatorInsta
             f"instance dimension {dimension} exceeds cap {DIMENSION_CAP}")
     basis = graded_monomials(k, max_degree)
     index = {exp: i for i, exp in enumerate(basis)}
-    zero = Fraction(0)
     generators = []
     for v in range(k):
-        entries = [[zero] * dimension for _ in range(dimension)]
+        entries = [[0] * dimension for _ in range(dimension)]
         for col, exp in enumerate(basis):
             if exp[v] > 0:
                 lowered = list(exp)
                 lowered[v] -= 1
-                entries[index[tuple(lowered)]][col] = Fraction(exp[v])
-        generators.append(Matrix._wrap(entries))
+                entries[index[tuple(lowered)]][col] = exp[v]
+        generators.append(Matrix._wrap(entries, 1))
     return OperatorInstance(dimension, tuple(generators))

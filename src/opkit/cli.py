@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,11 +48,11 @@ from .errors import (InputError, IntegrabilityError, MembershipError,
                      OpkitError, ParseError, ResourceLimitError,
                      VerificationError)
 from .planner import DecompositionPlan, SetSystem, plan_decomposition
-from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
+from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, _literal,
                    format_polynomial, parse_polynomial, product)
-from .reducer import (find_system_certificate, integrability_violations,
-                      recombined_solution_set, split, system_map_B,
-                      system_map_F, system_split, verify_system_certificate)
+from .reducer import (_system_split, find_system_certificate,
+                      integrability_violations, recombined_solution_set, split,
+                      system_map_B, system_map_F)
 from .symmetry import (SYMMETRY_DIMENSION_CAP, FormalSymmetry, Splitting,
                        _induced_on_kernel, enumerate_formal_symmetries,
                        is_formal_symmetry)
@@ -62,6 +63,8 @@ EXIT_RESOURCE = 3
 EXIT_VERIFICATION = 4
 
 MODES = ("plan", "certify", "reduce", "verify", "symmetry", "system")
+
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
 class JobSpec:
@@ -98,15 +101,18 @@ class JobSpec:
 
     @staticmethod
     def _rational(value, where: str) -> Fraction:
-        """An exact rational from an integer or an "a/b" string; floats and
-        bools are refused, since they are not exact rationals."""
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise InputError(f"bad rational {value!r} in {where!r}: "
-                             f"expected an integer or an 'a/b' string")
-        try:
+        """An exact rational from an integer or an "a/b" string of ASCII digits,
+        held to COEFFICIENT_BITS_CAP before conversion as ``load_job`` holds
+        JSON integers; floats and bools are not exact rationals."""
+        if isinstance(value, str) and (match := _RATIONAL_TEXT.fullmatch(value)):
+            sign, num, den = match.groups("1")
+            num, den = (_literal(d, f"in {where!r}") for d in (num, den))
+            if den:
+                return Fraction(-num if sign == "-" else num, den)
+        elif isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational {value!r} in {where!r}") from None
+        raise InputError(f"bad rational {value!r} in {where!r}: "
+                         f"expected an integer or an 'a/b' string")
 
     def _matrix(self, grid, where: str) -> Matrix:
         if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
@@ -172,7 +178,9 @@ def _is_positive_int(value) -> bool:
 def load_job(path: str, order: MonomialOrder, seed: int) -> JobSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            # An integer past COEFFICIENT_BITS_CAP is refused before int().
+            data = json.load(fh, parse_int=lambda s: (-1 if s[0] == "-" else 1)
+                             * _literal(s.lstrip("-"), "in the job file"))
     except OSError as exc:
         raise InputError(f"cannot read job file: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -258,21 +266,22 @@ def cmd_reduce(job: JobSpec) -> dict:
     out, factors, cert = _certificates(job)
     out["mode"] = "reduce"
     inst = job.instance()
-    report, _ = split(cert, factors, job.variables)
+    f = None
+    if inst is not None:
+        nvars = factors[0].variable_count
+        p_full = instantiate(product(factors, nvars), inst)
+        rng = random.Random(job.seed)
+        f = job.vector("f", inst.dimension, rng, in_range_of=p_full)
+        if f is None:
+            raise InputError("reduce with an instance needs 'f'")
+    report, subsolutions = split(cert, factors, job.variables, inst, f)
     out["report"] = report.to_json_dict()
     if inst is None:
         return out
-    nvars = factors[0].variable_count
-    p_full = instantiate(product(factors, nvars), inst)
-    rng = random.Random(job.seed)
-    f = job.vector("f", inst.dimension, rng, in_range_of=p_full)
-    if f is None:
-        raise InputError("reduce with an instance needs 'f'")
     out["instance"] = {"dimension": inst.dimension}
     out["f"] = [str(v) for v in f]
     direct = solve_affine(p_full, f)
     out["f_in_range"] = not direct.is_empty()
-    _, subsolutions = split(cert, factors, job.variables, inst, f)
     subs_json = []
     for J in cert.alpha:
         sol = subsolutions[J]
@@ -409,7 +418,7 @@ def cmd_symmetry(job: JobSpec) -> dict:
     out["decompositions"] = reports
 
     if kernel and not explicit:
-        flat = lambda ms: [tuple(v for row in m._entries for v in row)
+        flat = lambda ms: [tuple(v for row in m.row_list() for v in row)
                            for m in ms if m is not None]
         a = flat(_induced_on_kernel(S, p_full, kernel) for S in basis)
         b = flat(_induced_on_kernel(S, p_full, kernel) for S in reconstructed)
@@ -444,11 +453,11 @@ def cmd_system(job: JobSpec) -> dict:
     if sys_cert is None:
         out["ok"] = False
         raise CommandFailed(out, EXIT_VERIFICATION)
-    ok, _ = verify_system_certificate(sys_cert, factors, constraints)
+    # find_system_certificate verifies the identity before returning it.
     out["certificate"] = {
         "Q": [_fmt(job, q) for q in sys_cert.q_cofactors],
         "S": [_fmt(job, s) for s in sys_cert.s_cofactors],
-        "verified": ok,
+        "verified": True,
     }
     inst = job.instance()
     if inst is None:
@@ -469,7 +478,7 @@ def cmd_system(job: JobSpec) -> dict:
     if violations:
         out["ok"] = False
         raise CommandFailed(out, EXIT_VERIFICATION)
-    report = system_split(sys_cert, factors, constraints, f, gs, inst)
+    report = _system_split(factors, constraints, f, gs, inst)
     out["subsystems"] = list(report.subsystems)
     out["solutions"] = [
         {"solvable": not sol.is_empty(),

@@ -1,19 +1,18 @@
 """Exact kernels: the hot inner loops of the package, in pure Python.
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
-Fractions), dense Fraction matrix products, and the integer row operation
-used by fraction-free elimination.  Callers reach the kernels by attribute
-(``kernels.mat_mul``), so a test or a tracer can substitute one.
+Fractions), integer matrix products on the integer rows of a
+``backend.Matrix``, and the integer row operation used by fraction-free
+elimination.  Callers reach the kernels by attribute (``kernels.mat_mul``),
+so a test or a tracer can substitute one.
 
 All polynomial kernels keep the canonical-form invariant: no zero
-coefficient is ever stored.  Every zero entry of a matrix-kernel output is
-the one shared ``_ZERO``.
+coefficient is ever stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 IMPLEMENTATION = "pure-python"
@@ -94,43 +93,15 @@ def poly_isubmul(acc: dict, coeff: Fraction, shift: tuple, q: dict) -> None:
             acc.pop(key, None)
 
 
-def _over_common_denominator(v) -> tuple[list[int], int]:
-    """Integers ``nums`` and ``d`` with v[i] == nums[i] / d for every i.
-
-    ``d`` is the lcm of the denominators of the Fractions in v.
-    """
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
-
-
 def mat_mul(a: list, b: list) -> list:
-    """Multiply two dense Fraction matrices given as lists of row lists.
-
-    Delayed normalization: every row of a and column of b is put over one
-    common denominator, so each output entry is an integer dot product that
-    becomes one Fraction.
-    """
-    cols = [_over_common_denominator(col) for col in zip(*b)]
-    out = []
-    for row in a:
-        nums, d = _over_common_denominator(row)
-        out_row = []
-        for col_nums, col_d in cols:
-            s = sum(map(mul, nums, col_nums))
-            out_row.append(Fraction(s, d * col_d) if s else _ZERO)
-        out.append(out_row)
-    return out
+    """Multiply two integer matrices given as sequences of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_apply(a: list, v: list) -> list:
-    """Apply a dense Fraction matrix to a vector (delayed normalization)."""
-    v_nums, v_d = _over_common_denominator(v)
-    out = []
-    for row in a:
-        nums, d = _over_common_denominator(row)
-        s = sum(map(mul, nums, v_nums))
-        out.append(Fraction(s, d * v_d) if s else _ZERO)
-    return out
+    """Apply an integer matrix, a sequence of rows, to an integer vector."""
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def row_combine_int(row: list, a: int, prow: list, b: int,

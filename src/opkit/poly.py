@@ -330,14 +330,14 @@ def _check_bits(p: Polynomial, what: str, pos: int) -> Polynomial:
     return p
 
 
-def _literal(text: str, start: int, end: int) -> int:
-    """A run of ASCII digits as an int, refused past COEFFICIENT_BITS_CAP;
-    a run too long to fit is refused before it is converted."""
-    digits = text[start:end].lstrip("0") or "0"
+def _literal(digits: str, where: str) -> int:
+    """A run of ASCII digits as an int, refused past COEFFICIENT_BITS_CAP,
+    before conversion when too long; ``where`` places it in the message."""
+    digits = digits.lstrip("0") or "0"
     value = int(digits) if len(digits) <= _LITERAL_DIGITS_CAP else None
     if value is None or value.bit_length() > COEFFICIENT_BITS_CAP:
         raise ResourceLimitError(
-            f"number at position {start} has {len(digits)} digits, more than "
+            f"number {where} has {len(digits)} digits, more than "
             f"a {COEFFICIENT_BITS_CAP}-bit coefficient holds")
     return value
 
@@ -355,13 +355,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             start = i
             while i < n and text[i] in _DIGITS:
                 i += 1
-            num = _literal(text, start, i)
+            num = _literal(text[start:i], f"at position {start}")
             if i < n and text[i] == "/" and i + 1 < n and text[i + 1] in _DIGITS:
                 i += 1
                 dstart = i
                 while i < n and text[i] in _DIGITS:
                     i += 1
-                den = _literal(text, dstart, i)
+                den = _literal(text[dstart:i], f"at position {dstart}")
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", start)
                 tokens.append(("number", Fraction(num, den), start))

@@ -373,6 +373,13 @@ def system_split(sys_cert: SystemCertificate,
     violations = integrability_violations(factors, constraints, f, g_list, inst)
     if violations:
         raise IntegrabilityError("; ".join(violations))
+    return _system_split(factors, constraints, f, g_list, inst)
+
+
+def _system_split(factors: Sequence[Polynomial], constraints: Sequence[Polynomial],
+                  f: Sequence, g_list: Sequence[Sequence], inst: OperatorInstance,
+                  ) -> SystemReport:
+    """``system_split`` for a verified certificate and integrable data."""
     f = as_vector(f)
     gs = [as_vector(g) for g in g_list]
     subsystems = []

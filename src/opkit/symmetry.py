@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backend import (_ZERO, Matrix, OperatorInstance, _rref, instantiate,
-                      kernel_basis)
+from .backend import (Matrix, OperatorInstance, _solve_right_factor,
+                      instantiate, kernel_basis)
 from .certify import (Certificate, _require_verified, _singleton_cofactors,
                       factor_product_complement)
 from .errors import InputError, ResourceLimitError, VerificationError
@@ -49,27 +49,6 @@ class GeneralizedSymmetry:
 
     def holds_for(self, P_i: Matrix, P_j: Matrix) -> bool:
         return P_i * self.S_ij == self.S_prime_ij * P_j
-
-
-def _solve_right_factor(P: Matrix, C: Matrix) -> Optional[Matrix]:
-    """Deterministic X with X P = C, or None; free parameters set to zero.
-
-    Row r of X solves P^T x = (row r of C).  One elimination of the
-    augmented matrix [P^T | C^T] serves every row: the system is unsolvable
-    exactly when a pivot lands in the right-hand block, and otherwise each
-    right-hand column of the reduced echelon form holds that row's
-    particular solution, the one a separate solve would give.
-    """
-    n = P.rows
-    columns = zip(zip(*P._entries), zip(*C._entries))
-    rref, pivots = _rref([p_col + c_col for p_col, c_col in columns])
-    if pivots and pivots[-1] >= n:
-        return None
-    rows = [[_ZERO] * n for _ in range(n)]
-    for k, pc in enumerate(pivots):
-        for r in range(n):
-            rows[r][pc] = rref[k][n + r]
-    return Matrix._wrap(rows)
 
 
 def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
@@ -179,15 +158,13 @@ def enumerate_formal_symmetries(P: Matrix,
     if n > dimension_cap:
         raise ResourceLimitError(
             f"symmetry enumeration capped at dimension {dimension_cap}, got {n}")
-    kernel = kernel_basis(P)
-    if not kernel:
-        return [_unit_matrix(n, b, c) for b in range(n) for c in range(n)]
     # Unknowns S[b][c] flattened as b*n + c; constraint block per kernel
-    # vector v: sum_{b,c} P[a][b] v[c] S[b][c] = 0 for each row a.
-    constraint_rows = []
-    for v in kernel:
+    # vector v: sum_{b,c} P[a][b] v[c] S[b][c] = 0 for each row a.  The zero
+    # row stands in for no constraint when P is invertible.
+    constraint_rows = [[0] * (n * n)]
+    for v in kernel_basis(P):
         for a in range(n):
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             for b in range(n):
                 pab = P.entry(a, b)
                 if pab:
@@ -195,18 +172,8 @@ def enumerate_formal_symmetries(P: Matrix,
                         if v[c]:
                             row[b * n + c] = pab * v[c]
             constraint_rows.append(row)
-    basis_vecs = kernel_basis(Matrix(constraint_rows))
-    out = []
-    for vec in basis_vecs:
-        entries = [[vec[b * n + c] for c in range(n)] for b in range(n)]
-        out.append(Matrix(entries))
-    return out
-
-
-def _unit_matrix(n: int, b: int, c: int) -> Matrix:
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    entries[b][c] = Fraction(1)
-    return Matrix(entries)
+    return [Matrix([vec[b * n:(b + 1) * n] for b in range(n)])
+            for vec in kernel_basis(Matrix(constraint_rows))]
 
 
 def induced_kernel_map(S: Matrix, P: Matrix) -> Optional[Matrix]:

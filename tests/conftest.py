@@ -9,6 +9,10 @@ import pytest
 
 from opkit.poly import Polynomial
 
+# Denominators large enough that a common denominator of a row is a big
+# integer, mixed with small ones.
+BIG_DENOMINATORS = (1, 2, 3, 2**61 - 1, 10**20 + 39, 3**40)
+
 
 def random_polynomial(rng: random.Random, nvars: int, max_terms: int = 5,
                       max_exp: int = 3, coeff_bound: int = 6,

@@ -324,8 +324,8 @@ def test_criterion_8_symmetry_suite():
                     back = formal_from_generalized(gen, cert, factors, inst)
                     ok = ok and back.holds_for(p_full)
                     rebuilt.append(induced_kernel_map(back.S, p_full))
-        flat = [tuple(v for row in m._entries for v in row) for m in induced]
-        flat_re = [tuple(v for row in m._entries for v in row) for m in rebuilt]
+        flat = [tuple(v for row in m.row_list() for v in row) for m in induced]
+        flat_re = [tuple(v for row in m.row_list() for v in row) for m in rebuilt]
         d = len(kernel)
         ok = ok and _rank_of_vectors(flat) == d * d
         ok = ok and spans_equal(flat, flat_re)

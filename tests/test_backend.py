@@ -7,13 +7,14 @@ import pytest
 
 from opkit.errors import InputError, ResourceLimitError
 from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
-                           _rref, affine_sets_equal, graded_monomials, in_span,
+                           _rank_of_vectors, affine_sets_equal,
+                           graded_monomials, in_span,
                            instantiate, kernel_basis,
                            make_truncated_derivative_instance, range_member,
                            solve_affine, span_basis, spans_equal)
 from opkit.poly import Polynomial, parse_polynomial, product
 
-from conftest import random_polynomial, random_vector
+from conftest import BIG_DENOMINATORS, random_polynomial, random_vector
 
 
 def P(text, variables=("x",)):
@@ -21,12 +22,71 @@ def P(text, variables=("x",)):
 
 
 def rank(m):
-    return len(_rref(m._entries)[1])
+    return _rank_of_vectors(m.row_list())
 
 
 def random_matrix(rng, rows, cols, bound=5):
     return Matrix([[Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
                     for _ in range(cols)] for _ in range(rows)])
+
+
+def fraction_grid(rng, rows, cols, denominators):
+    return [[Fraction(rng.randint(-9, 9), rng.choice(denominators))
+             if rng.random() < 0.7 else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+class TestMatrixFormat:
+    """Matrix arithmetic against plain-Fraction reference loops."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_operations_match_fraction_loops(self, seed):
+        rng = random.Random(300 + seed)
+        denominators = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
+        n, m, p = (rng.randint(1, 5) for _ in range(3))
+        a, a2 = (fraction_grid(rng, n, m, denominators) for _ in range(2))
+        b = fraction_grid(rng, m, p, denominators)
+        c = Fraction(rng.randint(-9, 9), rng.choice(denominators))
+        v = [Fraction(rng.randint(-9, 9), rng.choice(denominators))
+             for _ in range(m)]
+        A, A2, B = Matrix(a), Matrix(a2), Matrix(b)
+        want = {
+            "+": [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)],
+            "-": [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)],
+            "neg": [[-x for x in r] for r in a],
+            "*": [[sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0))
+                   for j in range(p)] for i in range(n)],
+            "scale": [[x * c for x in r] for r in a],
+        }
+        got = {"+": A + A2, "-": A - A2, "neg": -A, "*": A * B,
+               "scale": A.scale(c)}
+        for name, grid in want.items():
+            assert got[name] == Matrix(grid), name
+            assert hash(got[name]) == hash(Matrix(grid)), name
+            assert got[name].row_list() == grid, name
+            assert all(type(x) is Fraction for r in got[name].row_list()
+                       for x in r), name
+        assert c * A == A * c == got["scale"]
+        assert A.apply(v) == tuple(sum((x * y for x, y in zip(r, v)),
+                                       Fraction(0)) for r in a)
+        assert all(A.entry(i, j) == a[i][j]
+                   for i in range(n) for j in range(m))
+        assert A.to_strings() == [[str(x) for x in r] for r in a]
+        assert repr(A) == f"Matrix({[[str(x) for x in r] for r in a]!r})"
+
+    def test_equal_values_give_equal_matrices(self):
+        half = Matrix([[Fraction(1, 2), Fraction(-1, 2)], [0, Fraction(3, 2)]])
+        whole = Matrix([[1, -1], [0, 3]])
+        for m in (half + half, half.scale(2), half * Matrix.diagonal([2, 2]),
+                  Matrix([["2/2", "-4/4"], [0, "6/2"]])):
+            assert m == whole and hash(m) == hash(whole)
+            assert m.to_strings() == [["1", "-1"], ["0", "3"]]
+        zero = Matrix.zeros(2, 2)
+        for m in (half - half, half.scale(0), Matrix([["0/5", 0], [0, 0]])):
+            assert m == zero and hash(m) == hash(zero) and m.is_zero()
+        assert half.scale(Fraction(-1, 3)) == Matrix(
+            [[Fraction(-1, 6), Fraction(1, 6)], [0, Fraction(-1, 2)]])
+        assert Matrix.identity(2) != Matrix.diagonal([1, Fraction(1, 2)])
 
 
 class TestInstantiate:

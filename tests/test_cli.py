@@ -49,6 +49,21 @@ SYMMETRY_EXPLICIT_JOB = {
 }
 
 
+# (D+1)^2 u = f with D u = g on the 3-dimensional truncated derivative D;
+# f and g are derived from u = (1, 2, 3).
+CONSISTENT_SYSTEM_JOB = {
+    "variables": ["x"],
+    "factors": ["x+1", "x+1"],
+    "constraints": ["x"],
+    "instance": {"kind": "matrices",
+                 "generators": [[["0", "1", "0"],
+                                 ["0", "0", "2"],
+                                 ["0", "0", "0"]]]},
+    "f": ["11", "14", "3"],
+    "g": [["2", "6", "0"]],
+}
+
+
 class TestGolden:
     def test_plan_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--job", str(DEMO_JOB))
@@ -137,6 +152,26 @@ class TestVerifyOnce:
         assert json.loads(out)["alpha_certificate"]["verified"] is True
         assert len(calls) == checks
         assert calls[-1] == "Certificate"
+
+    def test_reduce_checks_the_certificate_once_more(self, capsys, tmp_path,
+                                                    monkeypatch):
+        import opkit.certify
+        calls = []
+        verify = opkit.certify.verify_certificate
+
+        def counted(cert, factors):
+            calls.append(type(cert).__name__)
+            return verify(cert, factors)
+
+        monkeypatch.setattr(opkit.certify, "verify_certificate", counted)
+        path = str(DEMO_JOB)
+        code, _, _ = run_cli(capsys, "certify", "--job", path)
+        assert code == 0 and len(calls) == 2
+        code, out, _ = run_cli(capsys, "reduce", "--job", path)
+        assert code == 0
+        assert json.loads(out)["solution_sets_equal"] is True
+        # certify's two checks, then one at the boundary of split
+        assert calls[2:] == ["DualCertificate", "Certificate", "Certificate"]
 
     def test_symmetry_checks_each_identity_once(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -266,6 +301,34 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, mode, "--job", path)
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("entry, code, message", [
+        ('"' + "7" * 3000 + '"', 3, "3000 digits"),
+        ('"1/' + "3" * 3000 + '"', 3, "3000 digits"),
+        ("7" * 5000, 3, "5000 digits"),
+        ("-" + "7" * 5000, 3, "5000 digits"),
+        ('"1e4000000"', 2, "bad rational"),
+        ('"1.5"', 2, "bad rational"),
+        ('"1/0"', 2, "bad rational"),
+    ], ids=["long-string", "long-denominator", "long-json-integer",
+            "long-negative-json-integer", "exponent", "decimal",
+            "zero-denominator"])
+    def test_job_rational_size_within_budget(self, capsys, tmp_path, entry,
+                                             code, message):
+        # Refused before conversion in well under 0.1 s on a 2-CPU x86-64
+        # VM.  Budget: 2 s.  Without the caps, the 3,000-digit entry makes
+        # an f that exits 1 when printed, the 5,000-digit JSON integer
+        # exits 1 inside json.load, and "1e4000000" builds a 4-million-digit
+        # integer.
+        path = tmp_path / "job.json"
+        path.write_text(
+            '{"variables": ["x"], "factors": ["x", "x+1"], "instance": '
+            '{"kind": "matrices", "generators": [[[' + entry + ', "0"], '
+            '["0", "-1"]]]}, "f": "random-in-range"}')
+        start = time.perf_counter()
+        got, _, err = run_cli(capsys, "reduce", "--job", str(path))
+        assert (got, message in err) == (code, True)
+        assert time.perf_counter() - start < 2
 
     def test_huge_degree_is_3_within_budget(self, capsys, tmp_path):
         # Refused by the parser's degree cap after 14 squarings of x, in
@@ -480,18 +543,7 @@ class TestSymmetryMode:
 
 class TestSystemMode:
     def test_consistent_system(self, capsys, tmp_path):
-        path = write_job(tmp_path, {
-            "variables": ["x"],
-            "factors": ["x+1", "x+1"],
-            "constraints": ["x"],
-            "instance": {"kind": "matrices",
-                         "generators": [[["0", "1", "0"],
-                                         ["0", "0", "2"],
-                                         ["0", "0", "0"]]]},
-            "f": ["11", "14", "3"],
-            "g": [["2", "6", "0"]],
-        })
-        # f, g derived from u = (1,2,3): P = (D+1)^2, R = D
+        path = write_job(tmp_path, CONSISTENT_SYSTEM_JOB)
         code, out, _ = run_cli(capsys, "system", "--job", path)
         assert code == 0
         report = json.loads(out)
@@ -500,6 +552,30 @@ class TestSystemMode:
         assert report["integrability"]["ok"] is True
         assert report["round_trips"]["recombined_solves_system"] is True
         assert report["round_trips"]["FB_is_identity_on_parts"] is True
+
+    def test_consistent_system_checks_each_identity_once(self, capsys,
+                                                         tmp_path, monkeypatch):
+        import opkit.cli
+        import opkit.reducer
+        calls = {"verify_system_certificate": 0, "integrability_violations": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(opkit.reducer, name))
+            for module in (opkit.reducer, opkit.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        code, out, _ = run_cli(capsys, "system", "--job",
+                               write_job(tmp_path, CONSISTENT_SYSTEM_JOB))
+        assert code == 0
+        assert json.loads(out)["certificate"]["verified"] is True
+        assert calls == {"verify_system_certificate": 1,
+                         "integrability_violations": 1}
 
     def test_inconsistent_data_is_4(self, capsys, tmp_path):
         path = write_job(tmp_path, {

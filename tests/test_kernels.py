@@ -1,4 +1,5 @@
-"""The kernels give exact values: each is checked against a plain-Fraction loop."""
+"""The kernels give exact values: each is checked against a plain loop, over
+Fractions for the polynomial kernels and over ints for the matrix kernels."""
 
 import random
 from fractions import Fraction
@@ -7,12 +8,10 @@ import pytest
 
 from opkit import backend, kernels
 
-# Denominators large enough that a common denominator of a row is a big
-# integer, mixed with small ones.
-BIG_DENOMINATORS = (1, 2, 3, 2**61 - 1, 10**20 + 39, 3**40)
+from conftest import BIG_DENOMINATORS
 
 
-# -- plain-Fraction reference loops -----------------------------------------
+# -- plain reference loops --------------------------------------------------
 
 def ref_combine(a, b, sign):
     out = {}
@@ -37,12 +36,20 @@ def ref_term_mul(a, coeff, shift):
 
 
 def ref_mat_mul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
+    out = [[0] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
 
 
 def ref_mat_apply(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    out = [0] * len(a)
+    for i, row in enumerate(a):
+        for x, y in zip(row, v):
+            out[i] += x * y
+    return out
 
 
 # -- inputs -----------------------------------------------------------------
@@ -59,20 +66,14 @@ def random_terms(rng, nvars, nterms, denominators=(1, 2, 3, 5, 7)):
     return out
 
 
-def random_matrix(rng, rows, cols, denominators=(1, 2, 3, 4), density=0.7):
-    return [[Fraction(rng.randint(-8, 8), rng.choice(denominators))
-             if rng.random() < density else Fraction(0)
+def random_int_matrix(rng, rows, cols, scales=(1, 2, 3, 4), density=0.7):
+    return [[rng.randint(-8, 8) * rng.choice(scales)
+             if rng.random() < density else 0
              for _ in range(cols)] for _ in range(rows)]
 
 
 def assert_canonical(terms):
     assert all(type(c) is Fraction and c != 0 for c in terms.values())
-
-
-def assert_shared_zeros(rows):
-    for row in rows:
-        for x in row:
-            assert x != 0 or x is kernels._ZERO
 
 
 # -- polynomial kernels -----------------------------------------------------
@@ -158,43 +159,43 @@ SHAPES = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (4, 4, 4),
 def test_matrix_kernels_exact(shape, seed):
     rng = random.Random(100 * seed + sum(shape))
     n, m, p = shape
-    denominators = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
-    a = random_matrix(rng, n, m, denominators)
-    b = random_matrix(rng, m, p, denominators)
+    scales = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
+    a = random_int_matrix(rng, n, m, scales)
+    b = random_int_matrix(rng, m, p, scales)
     v = [row[0] for row in b]
     got = kernels.mat_mul(a, b)
     assert got == ref_mat_mul(a, b)
-    assert all(type(x) is Fraction for row in got for x in row)
-    assert_shared_zeros(got)
+    assert all(type(x) is int for row in got for x in row)
     applied = kernels.mat_apply(a, v)
     assert applied == ref_mat_apply(a, v)
-    assert_shared_zeros([applied])
+    assert all(type(x) is int for x in applied)
+    # Matrix rows are tuples; the kernels take any sequence of rows.
+    assert kernels.mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == got
 
 
 def test_matrix_zero_outputs_are_the_shared_zero():
-    assert backend._ZERO is kernels._ZERO
     half, third = Fraction(1, 2), Fraction(1, 3)
     # Row 0 cancels to zero, row 1 is all zeros, row 2 is not zero.
-    a = [[half, -third], [Fraction(0), Fraction(0)], [half, third]]
-    b = [[Fraction(2, 3), Fraction(0)], [Fraction(1), Fraction(0)]]
-    prod = kernels.mat_mul(a, b)
+    a = backend.Matrix([[half, -third], [0, 0], [half, third]])
+    b = backend.Matrix([[Fraction(2, 3), 0], [1, 0]])
+    prod = (a * b).row_list()
     assert prod == [[0, 0], [0, 0], [Fraction(2, 3), 0]]
     zeros = [x for row in prod for x in row if x == 0]
-    assert len(zeros) == 5 and all(x is kernels._ZERO for x in zeros)
-    out = kernels.mat_apply(a, [Fraction(2, 3), Fraction(1)])
-    assert out == [0, 0, Fraction(2, 3)]
-    assert out[0] is kernels._ZERO and out[1] is kernels._ZERO
+    assert len(zeros) == 5 and all(x is backend._ZERO for x in zeros)
+    out = a.apply([Fraction(2, 3), Fraction(1)])
+    assert out == (0, 0, Fraction(2, 3))
+    assert out[0] is backend._ZERO and out[1] is backend._ZERO
     m = backend.Matrix([[1, -1], [0, 0]])
     assert all(x is backend._ZERO for x in (m * m).row_list()[1])
 
 
 def test_common_denominator():
     v = [Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 2**61 - 1)]
-    nums, d = kernels._over_common_denominator(v)
+    nums, d = backend._integer_form(v)
     assert d == 12 * (2**61 - 1)
     assert all(type(x) is int for x in nums)
     assert [Fraction(x, d) for x in nums] == v
-    assert kernels._over_common_denominator([]) == ([], 1)
+    assert backend._integer_form([]) == ([], 1)
     assert backend._int_rows([v, [Fraction(0)]]) == [nums, [0]]
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from opkit.backend import (Matrix, OperatorInstance, instantiate, kernel_basis,
-                           solve_affine, spans_equal, _rank_of_vectors)
+                           solve_affine, spans_equal, _rank_of_vectors,
+                           _solve_right_factor)
 from opkit.certify import (UnivariateSpec, factor_product_complement,
                            univariate_certificate, univariate_factors)
 from opkit.errors import InputError, ResourceLimitError, VerificationError
@@ -14,7 +15,7 @@ from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                             enumerate_formal_symmetries,
                             formal_from_generalized,
                             generalized_from_formal, induced_kernel_map,
-                            is_formal_symmetry, projector, _solve_right_factor)
+                            is_formal_symmetry, projector)
 
 from conftest import conjugated_diagonal, distinct_fractions
 
@@ -79,6 +80,14 @@ class TestIsFormalSymmetry:
             outcomes.add((kernel_basis(P) == [], got is None))
         assert {(True, False), (False, False), (False, True)} <= outcomes
 
+    def test_negative_last_pivot_gives_the_canonical_matrix(self):
+        # Eliminating [P^T | C^T] for P = diag(1, -1) ends on the pivot -1.
+        P = Matrix.diagonal([1, -1])
+        C = Matrix([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]])
+        got = _solve_right_factor(P, C)
+        want = Matrix([[Fraction(1, 2), -3], [0, Fraction(5, 7)]])
+        assert got == want and hash(got) == hash(want)
+        assert got.to_strings() == [["1/2", "-3"], ["0", "5/7"]]
 
     def test_identity_always_works(self):
         for p in (Matrix.identity(2), Matrix.diagonal([0, 1]), Matrix.zeros(2, 2)):
@@ -109,8 +118,8 @@ class TestIsFormalSymmetry:
             assert is_formal_symmetry(s, p) is not None
         # a matrix outside the space has no witness
         outside = Matrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
-        flat_basis = [tuple(v for row in m._entries for v in row) for m in basis]
-        flat_out = tuple(v for row in outside._entries for v in row)
+        flat_basis = [tuple(v for row in m.row_list() for v in row) for m in basis]
+        flat_out = tuple(v for row in outside.row_list() for v in row)
         from opkit.backend import in_span
         assert not in_span(flat_basis, flat_out)
         assert is_formal_symmetry(outside, p) is None
@@ -291,7 +300,7 @@ class TestGeneration:
                                                       factors, inst)
                         back = formal_from_generalized(gen, cert, factors, inst)
                         rebuilt.append(induced_kernel_map(back.S, p_full))
-            flat = lambda ms: [tuple(v for row in m._entries for v in row)
+            flat = lambda ms: [tuple(v for row in m.row_list() for v in row)
                                for m in ms]
             d = len(kernel)
             assert _rank_of_vectors(flat(induced)) == d * d
