@@ -23,8 +23,8 @@ from .errors import (InputError, MembershipError, ResourceLimitError,
 from .groebner import BezoutCertificate, contains_one
 from .planner import (DecompositionPlan, IndexSet, SetSystem, _check_atoms,
                       max_elements)
-from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, product,
-                   resolve_term_cap)
+from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
+                   _check_certificate_bits, product, resolve_term_cap)
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def univariate_certificate(spec: UnivariateSpec) -> Certificate:
         for j, lj in enumerate(lambdas):
             if j != i:
                 alpha_i /= (lj - li)
+        _check_certificate_bits((alpha_i,), "a partial-fraction cofactor")
         cofactors[frozenset((i,))] = Polynomial.constant(alpha_i, 1)
     cert = Certificate(
         SetSystem.of(ell, [[i] for i in range(ell + 1)]), cofactors)
@@ -228,6 +229,7 @@ def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
         if out.term_count() > cap:
             raise ResourceLimitError(
                 f"cofactor expansion exceeded the term cap ({cap})")
+        _check_certificate_bits(out.terms.values(), "a cofactor expansion")
         return out
 
     states: dict[IndexSet, Polynomial] = {frozenset(): Polynomial.one(nvars)}
@@ -257,6 +259,8 @@ def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
             q = capped_mul(q, factor_product(factors, target - K))
         final[target] = final.get(target, Polynomial.zero(nvars)) + q
     final = {K: q for K, q in final.items() if not q.is_zero()}
+    for q in final.values():  # a sum of capped products may pass the cap
+        _check_certificate_bits(q.terms.values(), "an alpha cofactor")
 
     cert = Certificate(SetSystem(ell, frozenset(final)), final)
     return _verified(cert, factors, "converted certificate")

@@ -1,26 +1,38 @@
 """Buchberger's algorithm over Q[x], for deciding whether 1 is in an ideal.
 
-:func:`contains_one` is the only entry point.  Every run stops as soon as a
-nonzero constant enters the basis.  A run that ends on one is replayed with
-cofactors over the input generators, carried through S-polynomial formation
-and reduction, so membership of 1 comes with a machine-checkable Bezout
-certificate instead of a bare yes/no.
+:func:`contains_one` is the only entry point.  It probes the ideal with a
+run on the values alone, and only when the probe finds 1 does it replay a
+run that carries cofactors over the input generators through S-polynomial
+formation and reduction, so membership of 1 comes with a
+machine-checkable Bezout certificate instead of a bare yes/no.  Every run
+stops as soon as a nonzero constant enters the basis, and ends on a
+complete Groebner basis otherwise.
 
-Normal selection strategy (smallest lcm total degree, ties by pair creation
-index), first-applicable-divisor reduction, monic normalization of new
-elements: the run is fully deterministic for a fixed input and order.
-Cofactors never steer any of these choices, so a run on the values alone
-makes exactly the decisions of the tracked run.  :func:`contains_one`
-relies on this: it searches on values alone and replays the run with
-cofactors only when a nonzero constant turns up.
+Both runs are deterministic for a fixed input and order: pairs are taken
+by rank, ties by creation index, reduction uses the first applicable
+divisor, and new elements are normalized to be monic.  They differ in the
+pairs they form:
+
+* The tracked replay forms every pair, skips only those with coprime
+  leading monomials (the product criterion), and ranks a pair by its lcm
+  total degree (the normal strategy).
+* The probe prunes pairs by the Gebauer-Moller criteria (Gebauer & Moller
+  1988) and ranks a pair by its sugar, the degree its S-polynomial would
+  have on homogenized generators (Giovini et al. 1991).  The criteria
+  drop only pairs that other pairs cover (Buchberger's chain criterion),
+  so the probe still ends on a nonzero constant exactly when 1 is in the
+  ideal.  Only that verdict is used; the probe's values can differ from
+  the replay's.
 
 Coefficient growth is uncontrolled in exact arithmetic, so a per-polynomial
 term-count cap (default 100000, override with OPKIT_TERM_CAP) aborts
 runaway computations.  The cap applies to every polynomial a run carries:
-values always, cofactors only in tracked runs.  A membership search that
-ends without 1 carries no cofactors, so it runs to the end even where its
-cofactors would have passed the cap; a search that finds 1 still stops at
-the cap in its tracked replay.
+values always, cofactors only in the replay.  A membership search that
+ends without 1 carries no cofactors, and its pruned values can stay
+smaller than the tracked run's, so it may finish under a cap that the
+tracked run would pass; a search that finds 1 still stops at the cap in
+its replay.  The replay also refuses a new element whose cofactors have a
+coefficient past ``poly.CERTIFICATE_BITS_CAP``.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from typing import Callable, Optional, Sequence
 from . import kernels
 from .errors import InputError, ResourceLimitError, VerificationError
 from .poly import (DEFAULT_ORDER, TERM_CAP_ENV, MonomialOrder, Polynomial,
-                   resolve_term_cap)
+                   _check_certificate_bits, resolve_term_cap)
 
 
 @dataclass(frozen=True)
@@ -110,13 +122,52 @@ class _BasisElem:
         self.lead_exp = lead_exp
 
 
+def _lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    """True if the monomial a divides the monomial b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _gebauer_moller(leads: list[tuple],
+                    queued: dict[tuple[int, int], tuple]) -> list[int]:
+    """Pairs for the newest element, ``leads[-1]``, by the Gebauer-Moller
+    criteria; returns the indices of the elements it is paired with.
+
+    Criterion B drops the queued pairs whose lcm the new leading monomial
+    divides, unless that lcm equals the lcm of either one's pair with the
+    new element.  Of the new pairs, criterion M keeps those of minimal lcm,
+    and F keeps one (the oldest) per lcm, none where a pair of that lcm has
+    coprime leading monomials (the product criterion).
+    """
+    lead = leads[-1]
+    for pair, lcm in list(queued.items()):
+        if (_divides(lead, lcm) and _lcm(leads[pair[0]], lead) != lcm
+                and _lcm(leads[pair[1]], lead) != lcm):
+            del queued[pair]
+    groups: dict[tuple, tuple[int, bool]] = {}  # lcm -> (oldest, coprime)
+    for i, other in enumerate(leads[:-1]):
+        lcm = _lcm(other, lead)
+        oldest, coprime = groups.get(lcm, (i, False))
+        groups[lcm] = (oldest, coprime or all(
+            a == 0 or b == 0 for a, b in zip(other, lead)))
+    return sorted(
+        oldest for lcm, (oldest, coprime) in groups.items()
+        if not coprime and not any(other != lcm and _divides(other, lcm)
+                                   for other in groups))
+
+
 def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                     cap: int, track: bool) -> list[_BasisElem]:
     """One Buchberger run, stopped as soon as a nonzero constant enters.
 
     The run ends with that constant when the generators reach 1, and with a
-    complete Groebner basis otherwise.  With ``track=False`` every element's
-    cofs is [].
+    complete Groebner basis otherwise.  With ``track=True`` every element
+    carries its cofactors, every pair is formed and only the product
+    criterion skips one.  With ``track=False`` every element's cofs is [],
+    and the Gebauer-Moller criteria decide which pairs are formed and kept.
     """
     gens = list(generators)
     if not gens:
@@ -131,10 +182,13 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     key = _SortKeys(order).__getitem__
 
     basis: list[_BasisElem] = []
-    pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, index, i, j)
+    leads: list[tuple] = []
+    sugars: list[int] = []  # a generator's total degree, else its pair's rank
+    pairs: list[tuple[int, int, int, int]] = []  # (rank, index, i, j)
+    queued: dict[tuple[int, int], tuple] = {}  # (i, j) -> lcm, pairs not yet dropped
     counter = 0
 
-    def push_elem(terms: dict, cofs: list[dict]) -> bool:
+    def push_elem(terms: dict, cofs: list[dict], sugar: int) -> bool:
         """Monic-normalize and append; True if the element is a nonzero constant."""
         nonlocal counter
         lead = max(terms, key=key)
@@ -143,13 +197,21 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             inv = Fraction(1) / lc
             terms = {e: c * inv for e, c in terms.items()}
             cofs = [{e: c * inv for e, c in cof.items()} for cof in cofs]
-        new = _BasisElem(terms, cofs, lead)
+        for cof in cofs:
+            _check_certificate_bits(cof.values(), "a Bezout cofactor")
         m = len(basis)
-        for i in range(m):
-            lcm_deg = sum(max(a, b) for a, b in zip(basis[i].lead_exp, lead))
-            heapq.heappush(pairs, (lcm_deg, counter, i, m))
+        basis.append(_BasisElem(terms, cofs, lead))
+        leads.append(lead)
+        sugars.append(sugar)
+        partners = range(m) if track else _gebauer_moller(leads, queued)
+        for i in partners:
+            lcm = _lcm(leads[i], lead)
+            rank = sum(lcm)
+            if not track:  # the pair's sugar
+                rank += max(sugars[i] - sum(leads[i]), sugar - sum(lead))
+            heapq.heappush(pairs, (rank, counter, i, m))
+            queued[i, m] = lcm
             counter += 1
-        basis.append(new)
         return not any(lead)
 
     for i, g in enumerate(gens):
@@ -159,14 +221,17 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         if track:
             cofs = [{} for _ in range(ngens)]
             cofs[i] = {(0,) * nvars: Fraction(1)}
-        if push_elem(dict(g._terms), cofs):
+        if push_elem(dict(g._terms), cofs, g.total_degree()):
             return basis
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        rank, _, i, j = heapq.heappop(pairs)
+        lcm = queued.pop((i, j), None)
+        if lcm is None:
+            continue  # removed by criterion B
         ei, ej = basis[i], basis[j]
-        lcm = tuple(max(a, b) for a, b in zip(ei.lead_exp, ej.lead_exp))
-        # Product criterion: coprime leading monomials reduce to zero.
+        # Product criterion: coprime leading monomials reduce to zero (the
+        # probe never queues such pairs).
         if all(a == 0 or b == 0 for a, b in zip(ei.lead_exp, ej.lead_exp)):
             continue
         ishift = tuple(l - a for l, a in zip(lcm, ei.lead_exp))
@@ -179,7 +244,7 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             kernels.poly_isubmul(c, Fraction(1), jshift, cj)
             scofs.append(c)
         remainder = _reduce(sterms, scofs, basis, key, cap)
-        if remainder and push_elem(remainder, scofs):
+        if remainder and push_elem(remainder, scofs, rank):
             return basis
     return basis
 
@@ -191,16 +256,19 @@ def contains_one(
 ) -> Optional[BezoutCertificate]:
     """Decide 1 in <generators> over Q with an explicit certificate.
 
-    Runs Buchberger on the values alone until a nonzero constant enters the
-    basis or the basis is complete (then 1 is not a member).  Only when a
-    constant turns up is the run replayed with cofactors, which makes the
-    same choices; the tracked cofactors, rescaled, are the certificate.  The
-    returned certificate is checked exactly before being handed out, never
-    trusted.
+    Probes with a Buchberger run on the values alone, which prunes pairs by
+    the Gebauer-Moller criteria, until a nonzero constant enters the basis
+    or the basis is complete (then 1 is not a member, and None is
+    returned).  Only the probe's verdict is used.  When it finds 1, the
+    plain run, with every pair, is replayed with cofactors; the tracked
+    cofactors, rescaled, are the certificate.  The returned certificate is
+    checked exactly before being handed out, never trusted.
 
-    The term cap bounds cofactors only in the replay: a search that ends
-    without 1 runs to the end even where its cofactors would have passed
-    the cap, and one that finds 1 raises ResourceLimitError in the replay.
+    The term cap bounds cofactors only in the replay.  The probe's values
+    can differ from the replay's, so a search that ends without 1 may
+    finish under a cap that the tracked run would pass; one that finds 1
+    raises ResourceLimitError in the replay, as it does when a cofactor
+    coefficient passes ``poly.CERTIFICATE_BITS_CAP``.
     """
     cap = resolve_term_cap(term_cap)
     probe = _run_buchberger(generators, order, cap, track=False)

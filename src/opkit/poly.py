@@ -33,7 +33,10 @@ its leading term one degree at a time.  So does a literal, product or sum
 with a coefficient whose numerator or denominator would pass
 COEFFICIENT_BITS_CAP (4096 bits, fixed): "2^10000000" is refused after a
 dozen squarings, and a literal too long for the cap is refused before it
-is converted.  Digits are ASCII only.
+is converted.  Digits are ASCII only.  Certificates built from capped
+inputs have their own cap, CERTIFICATE_BITS_CAP (14000 bits, fixed), which
+groebner and certify check on the cofactors they build: every coefficient
+within it prints.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ DEGREE_CAP = 10_000
 COEFFICIENT_BITS_CAP = 4096
 # A literal with more significant digits is at least 10^1365 > 2^4096.
 _LITERAL_DIGITS_CAP = COEFFICIENT_BITS_CAP // 3
+# A numerator or denominator within 14000 bits has at most 4215 decimal
+# digits, so every certificate coefficient under the cap prints.
+CERTIFICATE_BITS_CAP = 14_000
 TERM_CAP_ENV = "OPKIT_TERM_CAP"
 
 
@@ -320,9 +326,23 @@ _OPS = set("+-*^()")
 _DIGITS = set("0123456789")
 
 
+def _coefficient_bits(coeffs: Iterable[Fraction]) -> int:
+    """The largest numerator or denominator bit length among coeffs."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in coeffs), default=0)
+
+
+def _check_certificate_bits(coeffs: Iterable[Fraction], what: str) -> None:
+    """Raise ResourceLimitError if a coefficient passes CERTIFICATE_BITS_CAP."""
+    bits = _coefficient_bits(coeffs)
+    if bits > CERTIFICATE_BITS_CAP:
+        raise ResourceLimitError(
+            f"{what} has a {bits}-bit coefficient, more than the "
+            f"certificate cap {CERTIFICATE_BITS_CAP}")
+
+
 def _check_bits(p: Polynomial, what: str, pos: int) -> Polynomial:
-    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in p.terms.values()), default=0)
+    bits = _coefficient_bits(p.terms.values())
     if bits > COEFFICIENT_BITS_CAP:
         raise ResourceLimitError(
             f"{what} at position {pos} has a {bits}-bit coefficient, more "

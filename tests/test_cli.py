@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from opkit.cli import main
+from opkit.poly import (CERTIFICATE_BITS_CAP, _coefficient_bits,
+                        parse_polynomial)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_JOB = ROOT / "src" / "opkit" / "data" / "demo_job.json"
@@ -372,6 +374,37 @@ class TestExitCodes:
         assert code == 3
         assert "-bit coefficient" in err and "4096" in err
         assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("field", ["factors", "lambdas"])
+    def test_certificate_bits_cap_is_3_within_budget(self, capsys, tmp_path,
+                                                     field):
+        # Four constants of 3900 to 4000 bits, each within the parser's cap,
+        # and 0: the certificate of the factors x + c needs 16000-bit
+        # coefficients.  Refused in dual_to_alpha (factors) or in the
+        # partial fractions (lambdas) in about 0.2 s on a 2-CPU x86-64 VM.
+        # Budget: 2 s.  Without the cap, printing the certificate fails on
+        # its digit count.
+        constants = [2**4000 + 1, 3**2500, 5**1700, 0, 7**1400]
+        values = ([f"x+{c}" for c in constants] if field == "factors"
+                  else [str(c) for c in constants])
+        path = write_job(tmp_path, {"variables": ["x"], field: values})
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "certify", "--job", path)
+        assert code == 3
+        assert "certificate cap 14000" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 2
+
+    def test_demo_stays_far_under_the_certificate_bits_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
+        assert (code, out) == (0, (GOLDEN / "demo_certify.json").read_text())
+        report = json.loads(out)
+        cofactors = [item["Q"] for d in report["dual_certificates"]
+                     for item in d["cofactors"]]
+        cofactors += [item["Q"] for item in
+                      report["alpha_certificate"]["cofactors"]]
+        bits = max(_coefficient_bits(parse_polynomial(q, ["x", "y"]).terms
+                                     .values()) for q in cofactors)
+        assert bits * 100 < CERTIFICATE_BITS_CAP
 
     @pytest.mark.parametrize("field, family", [
         ("dual_certificate", [[0, 1.7]]),

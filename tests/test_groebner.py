@@ -1,11 +1,15 @@
 """Buchberger runs, cofactors and membership of 1."""
 
+import itertools
 import json
 import random
+import time
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkit import groebner
 from opkit.cli import main
@@ -347,11 +351,83 @@ class TestValueFirst:
         assert runs.count(True) == sum(hits) == 1
 
 
+def assert_groebner_basis(values, generators, order):
+    """Buchberger's criterion, with the reference S-polynomial: every S-pair
+    of values, and every generator, reduces to zero against values."""
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            s = s_polynomial(values[i], values[j], order)
+            assert divide_multi(s, values, order)[1].is_zero()
+    for g in generators:
+        assert divide_multi(g, values, order)[1].is_zero()
+
+
+def certify_ideal_triples(rng):
+    """The four triples of a certify-ideal family; none generates 1."""
+    family = certify_ideal_family(rng)
+    return [[family[k] for k in triple]
+            for triple in itertools.combinations(range(4), 3)]
+
+
+def polynomials(nvars):
+    """Nonzero polynomials of up to three terms, exponents up to 2."""
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    coefficients = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    return st.dictionaries(exponents, coefficients, min_size=1,
+                           max_size=3).map(lambda t: Polynomial(t, nvars))
+
+
+class TestPrunedProbe:
+    """The probe prunes pairs by the Gebauer-Moller criteria; only its
+    verdict is used, and the replay keeps every pair."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_non_unit_probe_ends_on_a_groebner_basis(self, order):
+        rng = random.Random(21)
+        families = [non_unit_family(rng, rng.randint(1, 3))
+                    for _ in range(12)]
+        triples = certify_ideal_triples(random.Random(1))
+        # In lex the triples' bases hold 15 to 23 elements, and checking
+        # their S-pairs takes about two seconds; one triple is checked.
+        families += triples[3:] if order is MonomialOrder.LEX else triples
+        for gens in families:
+            values = [v for v, _ in run(gens, track=False, order=order)]
+            assert not is_unit(values[-1])
+            assert_groebner_basis(values, gens, order)
+
+    @given(st.integers(1, 3).flatmap(
+               lambda n: st.lists(polynomials(n), min_size=1, max_size=3)),
+           st.sampled_from(list(MonomialOrder)))
+    @settings(max_examples=100, deadline=timedelta(seconds=5),
+              derandomize=True)
+    def test_verdict_matches_tracked_reference(self, gens, order):
+        assert contains_one(gens, order) == tracked_contains_one(gens, order)
+
+    def test_probe_reduces_fewer_pairs_on_certify_ideal(self, monkeypatch):
+        calls = []
+        reduce = groebner._reduce
+
+        def counted(*args):
+            calls.append(1)
+            return reduce(*args)
+
+        def reductions(gens, track):
+            calls.clear()
+            run(gens, track=track)
+            return len(calls)
+
+        monkeypatch.setattr(groebner, "_reduce", counted)
+        counts = [(reductions(gens, False), reductions(gens, True))
+                  for gens in certify_ideal_triples(random.Random(1))]
+        assert counts == [(9, 14), (11, 20), (11, 20), (12, 27)]
+
+
 class TestTermCapInReplay:
-    # The values of both families stay within 4 terms; their cofactors
-    # do not (the unit one needs a cap of 7, the non-unit one 10).
+    # The values of both families stay within 4 terms; their cofactors do
+    # not, and need a cap of 7.  The probe on the non-unit family forms a
+    # 4-term value, so a cap of 3 still stops it.
     UNIT = ("-2/3*x^2*y + 4/3*y^2", "3/2*y^2 + y", "-1/3*x*y^2 - 2/3*x*y + 1")
-    NON_UNIT = ("-x^2 - 3/2*x", "1/3*x^2*y - x + y")
+    NON_UNIT = ("-1/3*x^2*y^2 - x + 22/3", "1/2*x^2*y - 4")
 
     def test_unit_search_stops_at_the_cap_in_the_replay(self):
         gens = [P(g) for g in self.UNIT]
@@ -368,6 +444,19 @@ class TestTermCapInReplay:
         assert contains_one(gens, term_cap=6) is None
         with pytest.raises(ResourceLimitError):
             contains_one(gens, term_cap=3)
+
+    def test_replay_stops_at_the_certificate_bits_cap(self):
+        # 1 = q (x^4 + 1) + r (x - b) with q = 1/(b^4 + 1): for b = 3^2500
+        # the cofactors need 15850-bit coefficients, and the replay refuses
+        # them in about a millisecond on a 2-CPU x86-64 VM.  Budget: 2 s.
+        # With x^3 + 1 they need 11887 bits and pass.
+        gens = [P("x^4+1"), P("x-3^2500")]
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="certificate cap 14000"):
+            contains_one(gens)
+        assert time.perf_counter() - start < 2
+        gens = [P("x^3+1"), P("x-3^2500")]
+        assert contains_one(gens).verify(gens)
 
     def test_cli_exit_code_is_3(self, capsys, monkeypatch, tmp_path):
         import opkit.planner
