@@ -178,22 +178,26 @@ class Matrix:
         return f"Matrix({self.to_strings()!r})"
 
 
-def commutator_is_zero(a: Matrix, b: Matrix) -> bool:
-    return (a * b - b * a).is_zero()
+def _sparse_rows(m: Matrix) -> list[dict]:
+    """The integer rows of m as ``{col: value}`` maps of the nonzero entries."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m._entries]
 
 
 @dataclass(frozen=True)
 class OperatorInstance:
     """A commuting family of square matrices realizing the variables.
 
-    Each instance memoizes its instantiated polynomials: ``instantiate``
-    keeps the matrix of every polynomial it evaluates here, keyed by the
-    polynomial's value, for as long as the instance lives.  The memo takes
-    no part in equality, hashing or the repr.
+    Each instance keeps its generators' integer rows in sparse form, built
+    once at construction; the commutator check and every evaluation run on
+    them.  Each instance also memoizes its instantiated polynomials:
+    ``instantiate`` keeps the matrix of every polynomial it evaluates here,
+    keyed by the polynomial's value, for as long as the instance lives.
+    Neither takes part in equality, hashing or the repr.
     """
 
     dimension: int
     generators: tuple[Matrix, ...]
+    _sparse: tuple = field(init=False, repr=False, compare=False)
     _instantiated: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
@@ -208,11 +212,16 @@ class OperatorInstance:
         for i, g in enumerate(self.generators):
             if not (g.is_square() and g.rows == self.dimension):
                 raise InputError(f"generator {i} is not {self.dimension} square")
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                if not commutator_is_zero(self.generators[i], self.generators[j]):
+        sparse = tuple(_sparse_rows(g) for g in self.generators)
+        # Both products of a pair are over the same denominator, so the
+        # generators commute exactly when their numerators do.
+        for i in range(len(sparse)):
+            for j in range(i + 1, len(sparse)):
+                if (kernels.sparse_mul(sparse[i], sparse[j])
+                        != kernels.sparse_mul(sparse[j], sparse[i])):
                     raise InputError(
                         f"generators {i} and {j} do not commute")
+        object.__setattr__(self, "_sparse", sparse)
 
     @classmethod
     def of(cls, generators: Sequence[Matrix]) -> "OperatorInstance":
@@ -242,26 +251,55 @@ def instantiate(p: Polynomial, inst: OperatorInstance) -> Matrix:
     return cached
 
 
+def _sparse_product(a: tuple[list[dict], int],
+                    b: tuple[list[dict], int]) -> tuple[list[dict], int]:
+    """The product of two matrices given as (sparse integer rows, denominator),
+    in lowest terms as ``Matrix._wrap`` keeps a Matrix, so that the
+    numerators of powers do not grow with the powers of the denominator."""
+    rows = kernels.sparse_mul(a[0], b[0])
+    den = a[1] * b[1]
+    g = den if den == 1 else gcd(
+        den, *chain.from_iterable(r.values() for r in rows))
+    if g != 1:
+        rows = [{j: v // g for j, v in r.items()} for r in rows]
+    return rows, den // g
+
+
 def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
+    """p at the generators, on sparse integer rows.
+
+    Each monomial is a sparse product of generator powers, an integer
+    matrix over its own denominator.  The terms are summed as integers over
+    the lcm D of their denominators (the monomial's times the
+    coefficient's), and the sum leaves as one Matrix in lowest terms.
+    """
     n = inst.dimension
-    max_exp = [0] * inst.variable_count
-    for exp in p.terms:
-        for v, e in enumerate(exp):
-            max_exp[v] = max(max_exp[v], e)
-    powers: list[list[Matrix]] = []
-    for v, top in enumerate(max_exp):
-        cache = [Matrix.identity(n)]
-        for _ in range(top):
-            cache.append(cache[-1] * inst.generators[v])
-        powers.append(cache)
-    acc = Matrix.zeros(n, n)
-    for exp, coeff in sorted(p.terms.items()):
-        term = Matrix.identity(n)
+    identity = ([{i: 1} for i in range(n)], 1)
+    powers = [[identity, (rows, g._den)]  # powers[v][e]: generator v to the e
+              for rows, g in zip(inst._sparse, inst.generators)]
+    terms = []
+    for exp, c in p.terms.items():
+        mono = identity
         for v, e in enumerate(exp):
             if e:
-                term = term * powers[v][e]
-        acc = acc + term.scale(coeff)
-    return acc
+                cache = powers[v]
+                while len(cache) <= e:
+                    cache.append(_sparse_product(cache[-1], cache[1]))
+                mono = cache[e] if mono is identity else _sparse_product(
+                    mono, cache[e])
+        terms.append((c, mono))
+    D = lcm(*(c.denominator * den for c, (_, den) in terms))
+    acc: list[dict] = [{} for _ in range(n)]
+    for c, (rows, den) in terms:
+        b = c.numerator * (D // (c.denominator * den))
+        for row, mrow in zip(acc, rows):
+            for j, v in mrow.items():
+                row[j] = row.get(j, 0) + b * v
+    dense = [[0] * n for _ in range(n)]
+    for out, row in zip(dense, acc):
+        for j, v in row.items():
+            out[j] = v
+    return Matrix._wrap(dense, D)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ from .errors import (InputError, IntegrabilityError, MembershipError,
                      OpkitError, ParseError, ResourceLimitError,
                      VerificationError)
 from .planner import DecompositionPlan, SetSystem, plan_decomposition
-from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, _literal,
-                   format_polynomial, parse_polynomial, product)
+from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
+                   _check_certificate_bits, _literal, format_polynomial,
+                   parse_polynomial, product)
 from .reducer import (_system_split, find_system_certificate,
                       integrability_violations, recombined_solution_set, split,
                       system_map_B, system_map_F)
@@ -262,6 +263,14 @@ def cmd_certify(job: JobSpec) -> dict:
     return out
 
 
+def _vector_text(v: Sequence[Fraction], what: str) -> list[str]:
+    """The entries of v as strings, held to CERTIFICATE_BITS_CAP, under
+    which every value prints: a solution of a system with entries near the
+    job cap can need more bits than that."""
+    _check_certificate_bits(v, what)
+    return [str(x) for x in v]
+
+
 def cmd_reduce(job: JobSpec) -> dict:
     out, factors, cert = _certificates(job)
     out["mode"] = "reduce"
@@ -279,7 +288,7 @@ def cmd_reduce(job: JobSpec) -> dict:
     if inst is None:
         return out
     out["instance"] = {"dimension": inst.dimension}
-    out["f"] = [str(v) for v in f]
+    out["f"] = _vector_text(f, "'f'")
     direct = solve_affine(p_full, f)
     out["f_in_range"] = not direct.is_empty()
     subs_json = []
@@ -301,7 +310,7 @@ def cmd_reduce(job: JobSpec) -> dict:
     out["recombined_solves"] = solves
     out["recombined_particular"] = (
         None if recombined.is_empty()
-        else [str(v) for v in recombined.particular])
+        else _vector_text(recombined.particular, "the recombined solution"))
     out["solution_sets_equal"] = affine_sets_equal(direct, recombined)
     if not (solves and out["solution_sets_equal"]):
         raise VerificationError("reduced system failed to reproduce the solution set")

@@ -31,8 +31,10 @@ values always, cofactors only in the replay.  A membership search that
 ends without 1 carries no cofactors, and its pruned values can stay
 smaller than the tracked run's, so it may finish under a cap that the
 tracked run would pass; a search that finds 1 still stops at the cap in
-its replay.  The replay also refuses a new element whose cofactors have a
-coefficient past ``poly.CERTIFICATE_BITS_CAP``.
+its replay.  Coefficient size is capped by ``poly.CERTIFICATE_BITS_CAP``:
+both runs refuse a value coefficient past it, checked on the coefficient
+each reduction step cancels and on every new element, and the replay also
+refuses a new element whose cofactors have a coefficient past it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from typing import Callable, Optional, Sequence
 
 from . import kernels
 from .errors import InputError, ResourceLimitError, VerificationError
-from .poly import (DEFAULT_ORDER, TERM_CAP_ENV, MonomialOrder, Polynomial,
-                   _check_certificate_bits, resolve_term_cap)
+from .poly import (CERTIFICATE_BITS_CAP, DEFAULT_ORDER, TERM_CAP_ENV,
+                   MonomialOrder, Polynomial, _check_certificate_bits,
+                   resolve_term_cap)
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,9 @@ def _reduce(terms: dict, cofs: list[dict], basis: list["_BasisElem"],
             lexp = elem.lead_exp
             if all(e >= le for e, le in zip(exp, lexp)):
                 coeff = terms[exp]  # basis elements are monic
+                if (coeff.numerator.bit_length() > CERTIFICATE_BITS_CAP
+                        or coeff.denominator.bit_length() > CERTIFICATE_BITS_CAP):
+                    _check_certificate_bits((coeff,), "a Buchberger value")
                 shift = tuple(e - le for e, le in zip(exp, lexp))
                 kernels.poly_isubmul(terms, coeff, shift, elem.terms)
                 _check_cap(terms, cap)
@@ -197,6 +203,7 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             inv = Fraction(1) / lc
             terms = {e: c * inv for e, c in terms.items()}
             cofs = [{e: c * inv for e, c in cof.items()} for cof in cofs]
+        _check_certificate_bits(terms.values(), "a Buchberger value")
         for cof in cofs:
             _check_certificate_bits(cof.values(), "a Bezout cofactor")
         m = len(basis)
@@ -268,7 +275,8 @@ def contains_one(
     can differ from the replay's, so a search that ends without 1 may
     finish under a cap that the tracked run would pass; one that finds 1
     raises ResourceLimitError in the replay, as it does when a cofactor
-    coefficient passes ``poly.CERTIFICATE_BITS_CAP``.
+    coefficient passes ``poly.CERTIFICATE_BITS_CAP``.  Either run raises it
+    when a value coefficient passes that cap.
     """
     cap = resolve_term_cap(term_cap)
     probe = _run_buchberger(generators, order, cap, track=False)

@@ -2,9 +2,9 @@
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
 Fractions), integer matrix products on the integer rows of a
-``backend.Matrix``, and the integer row operation used by fraction-free
-elimination.  Callers reach the kernels by attribute (``kernels.mat_mul``),
-so a test or a tracer can substitute one.
+``backend.Matrix`` and on sparse integer rows, and the integer row
+operation used by fraction-free elimination.  Callers reach the kernels by
+attribute (``kernels.mat_mul``), so a test or a tracer can substitute one.
 
 All polynomial kernels keep the canonical-form invariant: no zero
 coefficient is ever stored.
@@ -97,6 +97,23 @@ def mat_mul(a: list, b: list) -> list:
     """Multiply two integer matrices given as sequences of rows."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def sparse_mul(a: list, b: list) -> list:
+    """Multiply two integer matrices given as sparse rows.
+
+    A sparse row is a ``{col: value}`` map with no zero value; row i of the
+    product is the sum over k of a[i][k] * (row k of b), and stores no zero
+    either.
+    """
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def mat_apply(a: list, v: list) -> list:

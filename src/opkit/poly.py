@@ -35,8 +35,8 @@ COEFFICIENT_BITS_CAP (4096 bits, fixed): "2^10000000" is refused after a
 dozen squarings, and a literal too long for the cap is refused before it
 is converted.  Digits are ASCII only.  Certificates built from capped
 inputs have their own cap, CERTIFICATE_BITS_CAP (14000 bits, fixed), which
-groebner and certify check on the cofactors they build: every coefficient
-within it prints.
+groebner and certify check on the cofactors they build, and groebner on the
+values its runs carry: every coefficient within it prints.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
                            solve_affine, span_basis, spans_equal)
 from opkit.poly import Polynomial, parse_polynomial, product
 
-from conftest import BIG_DENOMINATORS, random_polynomial, random_vector
+from conftest import (BIG_DENOMINATORS, distinct_fractions, invert,
+                      random_polynomial, random_vector)
 
 
 def P(text, variables=("x",)):
@@ -128,8 +129,13 @@ class TestInstantiate:
     def test_non_commuting_generators_rejected(self):
         a = Matrix([[0, 1], [0, 0]])
         b = Matrix([[0, 0], [1, 0]])
-        with pytest.raises(InputError, match="commute"):
-            OperatorInstance.of([a, b])
+        half = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+        for generators, pair in (([a, b], "0 and 1"),
+                                 ([Matrix.identity(2), a, b], "1 and 2"),
+                                 ([half, a.scale(Fraction(5, 7))], "0 and 1")):
+            with pytest.raises(InputError,
+                               match=f"^generators {pair} do not commute$"):
+                OperatorInstance.of(generators)
 
 
 def naive_evaluate(p, generators):
@@ -152,25 +158,110 @@ def naive_evaluate(p, generators):
     return Matrix(total)
 
 
+def assert_same_matrix(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert (got.rows, got.cols, got._entries, got._den) == (
+        want.rows, want.cols, want._entries, want._den)
+
+
+def commuting_rationals(rng, n):
+    """Two commuting matrices V D V^-1, V E V^-1 with non-integer entries."""
+    while True:
+        v = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(n)] for _ in range(n)])
+        v_inv = invert(v)
+        if v_inv is not None:
+            break
+    d, e = (Matrix.diagonal(distinct_fractions(rng, n)) for _ in range(2))
+    # V D V^-1 + I/2 has a non-integer entry: if its diagonal were all
+    # integers, V D V^-1 would have a diagonal of halves.
+    half = Matrix.identity(n).scale(Fraction(1, 2))
+    return v * d * v_inv + half, v * e * v_inv
+
+
+class TestSparseEvaluation:
+    """instantiate evaluates on sparse rows; its matrix equals a plain
+    Fraction evaluation in value, fields and hash."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_commuting_rationals(self, seed):
+        rng = random.Random(700 + seed)
+        a, b = commuting_rationals(rng, rng.randint(2, 4))
+        assert any(x.denominator > 1 for r in a.row_list() for x in r)
+        inst = OperatorInstance.of([a, b])
+        for _ in range(8):
+            p = random_polynomial(rng, 2, max_terms=5, max_exp=3)
+            assert_same_matrix(instantiate(p, inst), naive_evaluate(p, [a, b]))
+
+    def test_zero_and_constant_polynomials(self, rng):
+        a, b = commuting_rationals(rng, 3)
+        inst = OperatorInstance.of([a, b])
+        for p in (Polynomial.zero(2), Polynomial.one(2), P("-1", "xy"),
+                  P("3/7", "xy"), P("0*x + 5/2", "xy")):
+            assert_same_matrix(instantiate(p, inst), naive_evaluate(p, [a, b]))
+        assert_same_matrix(instantiate(Polynomial.zero(2), inst),
+                           Matrix.zeros(3, 3))
+
+    def test_zero_generator(self, rng):
+        a, _ = commuting_rationals(rng, 3)
+        zero = Matrix.zeros(3, 3)
+        inst = OperatorInstance.of([zero, a])
+        for text in ("x", "x^2*y + 1/3", "x*y - y^2 + 2", "x^3"):
+            p = P(text, "xy")
+            assert_same_matrix(instantiate(p, inst),
+                               naive_evaluate(p, [zero, a]))
+
+    @pytest.mark.parametrize("k, max_degree", [(1, 6), (2, 3), (2, 5), (3, 3)])
+    def test_truncated_derivative(self, k, max_degree):
+        rng = random.Random(40 + 10 * k + max_degree)
+        inst = make_truncated_derivative_instance(k, max_degree)
+        names = "xyz"[:k]
+        demo = [P(f, names) for f in ("x+1", "x^2-1/2*x+3", "2/3*x^3")]
+        polys = [product(demo, k)] + [random_polynomial(rng, k, max_exp=4)
+                                      for _ in range(6)]
+        for p in polys:
+            assert_same_matrix(instantiate(p, inst),
+                               naive_evaluate(p, inst.generators))
+
+    def test_no_dense_product(self, monkeypatch, rng):
+        import opkit.kernels
+        a, b = commuting_rationals(rng, 3)
+        calls = {"mat_mul": 0, "sparse_mul": 0}
+        for name in calls:
+            kernel = getattr(opkit.kernels, name)
+
+            def counted(a, b, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(a, b)
+
+            monkeypatch.setattr(opkit.kernels, name, counted)
+        for names, inst in (("xy", make_truncated_derivative_instance(2, 5)),
+                            ("xyz", make_truncated_derivative_instance(3, 3)),
+                            ("xy", OperatorInstance.of([a, b]))):
+            for text in ("x^2*y + 3*x*y^2 - 1/2", "x^3 + y", "7"):
+                instantiate(P(text, names), inst)
+        assert calls["mat_mul"] == 0 and calls["sparse_mul"] > 0
+
+
 class TestInstanceContext:
     def test_equal_polynomial_hits_the_memo(self, monkeypatch):
-        import opkit.kernels
+        import opkit.backend
         inst = make_truncated_derivative_instance(2, 4)
         first = instantiate(P("x^2 + 3*x*y + 1", "xy"), inst)
         calls = []
-        mat_mul = opkit.kernels.mat_mul
+        evaluate = opkit.backend._evaluate
 
-        def counted(a, b):
-            calls.append(1)
-            return mat_mul(a, b)
+        def counted(p, instance):
+            calls.append(p)
+            return evaluate(p, instance)
 
-        monkeypatch.setattr(opkit.kernels, "mat_mul", counted)
+        monkeypatch.setattr(opkit.backend, "_evaluate", counted)
         again = P("1 + y*x*3 + x*x", "xy")
         assert again == P("x^2 + 3*x*y + 1", "xy")
         assert instantiate(again, inst) is first
         assert calls == []
         instantiate(P("x + y", "xy"), inst)
-        assert calls
+        assert calls == [P("x + y", "xy")]
 
     def test_fresh_instances_never_see_a_stale_matrix(self, rng):
         p = P("x^2*y - 2*x + y^3 + 1/2", "xy")

@@ -1,12 +1,17 @@
 """CLI behavior: golden outputs, exit codes, all six modes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkit.cli import main
 from opkit.poly import (CERTIFICATE_BITS_CAP, _coefficient_bits,
@@ -256,6 +261,37 @@ class TestExitCodes:
         assert "forms" in err and "OPKIT_TERM_CAP" in err
         assert time.perf_counter() - start < 10
 
+    def test_lex_value_growth_is_3_within_budget(self, capsys, tmp_path):
+        # In lex, Buchberger's values on these factors keep 30 to 65 terms
+        # while their coefficients grow past 26,000 bits in 20 s.  A value
+        # coefficient passes the 14000-bit cap, and the job exits 3, in
+        # 6.5 to 8.5 s on a 2-CPU x86-64 VM.  Budget: 30 s.
+        path = write_job(tmp_path, {"variables": ["x", "y", "z"], "factors": [
+            "x^2*y^2 + 3/2*x^2*z^2 + 5/4*y^2*z + 3/2*x + 10",
+            "-x^2*y*z^2 + 5*x^2*y*z + 3/4*x*y - z^2 + 4",
+            "-3/4*x^2*y^2*z + x*z^2 + x*y"]})
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "plan", "--order", "lex", "--job", path)
+        assert code == 3
+        assert "a Buchberger value" in err and "certificate cap 14000" in err
+        assert time.perf_counter() - start < 30
+
+    def test_solution_past_the_cap_is_3(self, capsys, tmp_path):
+        # Generator entries within the job cap can give a solution past the
+        # print cap: for [[1, 2^4094], [2^4094, 0]] and factors x, x+1 the
+        # solution of P u = (1, 2) needs 16372 bits.  Without
+        # the cap, printing it exits 1 with a traceback.
+        big = 2**4094
+        path = write_job(tmp_path, {
+            "variables": ["x"], "factors": ["x", "x+1"],
+            "instance": {"kind": "matrices",
+                         "generators": [[[1, big], [big, 0]]]},
+            "f": ["1", "2"]})
+        code, _, err = run_cli(capsys, "reduce", "--job", path)
+        assert code == 3
+        assert ("the recombined solution has a 16372-bit coefficient, more "
+                "than the certificate cap 14000") in err
+
     def test_failed_verification_is_4(self, capsys, tmp_path):
         path = write_job(tmp_path, {
             "variables": ["x"],
@@ -431,6 +467,102 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "certify", "--job", path)
         assert code == 4
         assert "no decomposition" in err
+
+
+# Job rationals as the parser meets them: exact ones (integers, small and
+# near the 4096-bit cap, and "a/b" strings), and values that are not exact
+# rationals or pass the cap.
+EXACT_RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(2**4094, 2**4095),
+)
+FUZZ_RATIONALS = st.one_of(
+    EXACT_RATIONALS,
+    st.integers(2**4096, 2**4097),
+    st.sampled_from(["1/0", " 5 ", "1e3", "0.5", "1//2", "", "x"]),
+    st.booleans(), st.floats(), st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+@st.composite
+def fuzz_grid(draw, entries, n=None):
+    """A row list: square of side n when n is given, else any shape."""
+    rows = draw(st.integers(0, 3)) if n is None else n
+    width = draw(st.integers(0, 3)) if n is None else n
+    ragged = n is None and draw(st.booleans())
+    return [draw(st.lists(entries, min_size=0 if ragged else width,
+                          max_size=3 if ragged else width))
+            for _ in range(rows)]
+
+
+@st.composite
+def fuzz_generators(draw, k):
+    """Generator lists: square grids of one side (commuting or not), scalar
+    diagonals (they commute), any shape, or a value that is no list.  The
+    entries are all exact in about half of the draws, and the list has one
+    generator per variable (k) in about half."""
+    entries = draw(st.sampled_from([EXACT_RATIONALS, FUZZ_RATIONALS]))
+    n = draw(st.integers(1, 3))
+    count = draw(st.one_of(st.just(k), st.integers(0, 3)))
+    kind = draw(st.sampled_from(["square", "diagonal", "any", "other"]))
+    if kind == "square":
+        return [draw(fuzz_grid(entries, n)) for _ in range(count)]
+    if kind == "diagonal":
+        return [[[draw(entries) if i == j else 0 for j in range(n)]
+                 for i in range(n)] for _ in range(count)]
+    if kind == "any":
+        return [draw(fuzz_grid(entries)) for _ in range(count)]
+    return draw(st.one_of(entries, fuzz_grid(entries)))
+
+
+@st.composite
+def fuzz_instance(draw, k):
+    """An instance block for k variables: either kind with good and bad
+    fields, or an unknown kind, an object without a kind or a non-object."""
+    kind = draw(st.sampled_from(["truncated_derivative", "matrices", "other"]))
+    if kind == "truncated_derivative":
+        return {"kind": kind, "max_degree": draw(st.one_of(
+            st.integers(1, 3), st.one_of(
+                st.integers(-1, 0), st.integers(2001, 10**40),
+                st.just(2**4096 - 1), st.floats(), st.booleans(),
+                st.sampled_from(["2", None]))))}
+    if kind == "matrices":
+        return {"kind": kind, "generators": draw(fuzz_generators(k))}
+    return draw(st.one_of(
+        st.fixed_dictionaries({"kind": st.one_of(
+            st.sampled_from(["sphere", "Matrices", ""]), st.integers(0, 2),
+            st.none(), st.lists(st.just("matrices"), max_size=1))}),
+        st.dictionaries(st.sampled_from(["max_degree", "generators", "n"]),
+                        FUZZ_RATIONALS, max_size=2),
+        FUZZ_RATIONALS))
+
+
+class TestInstanceFuzz:
+    """Any ``instance`` block keeps the exit-code contract: 0, 2, 3 or 4,
+    never a traceback."""
+
+    @given(st.sampled_from(["reduce", "symmetry"]),
+           st.sampled_from([["x"], ["x", "y"]]), st.data(),
+           st.one_of(st.just("random-in-range"),
+                     st.sampled_from([["1", "2"], None])))
+    @settings(max_examples=150, deadline=timedelta(seconds=10),
+              derandomize=True)
+    def test_exit_code_contract(self, mode, variables, data, f):
+        job = {"variables": variables, "factors": ["x", "x+1"],
+               "instance": data.draw(fuzz_instance(len(variables)))}
+        if f is not None:
+            job["f"] = f
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "job.json"
+            path.write_text(json.dumps(job))
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = main([mode, "--job", str(path)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPlan:

@@ -1,5 +1,6 @@
 """The kernels give exact values: each is checked against a plain loop, over
-Fractions for the polynomial kernels and over ints for the matrix kernels."""
+Fractions for the polynomial kernels and over ints for the matrix kernels,
+dense and sparse."""
 
 import random
 from fractions import Fraction
@@ -171,6 +172,32 @@ def test_matrix_kernels_exact(shape, seed):
     assert all(type(x) is int for x in applied)
     # Matrix rows are tuples; the kernels take any sequence of rows.
     assert kernels.mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == got
+
+
+def sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sparse_mul_exact(shape, seed):
+    rng = random.Random(300 * seed + sum(shape))
+    n, m, p = shape
+    scales = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
+    a = random_int_matrix(rng, n, m, scales, density=0.4)
+    b = random_int_matrix(rng, m, p, scales, density=0.4)
+    got = kernels.sparse_mul(sparse(a), sparse(b))
+    assert got == sparse(ref_mat_mul(a, b))
+    assert all(type(v) is int and v for row in got for v in row.values())
+
+
+def test_sparse_mul_stores_no_zero():
+    # Row 0 cancels to zero in column 0, row 1 is empty, row 2 is not zero.
+    a = [{0: 1, 1: -1}, {}, {0: 2}]
+    b = [{0: 3, 1: 1}, {0: 3}]
+    assert kernels.sparse_mul(a, b) == [{1: 1}, {}, {0: 6, 1: 2}]
+    assert kernels.sparse_mul([{}], [{0: 5}]) == [{}]
+    assert a == [{0: 1, 1: -1}, {}, {0: 2}] and b == [{0: 3, 1: 1}, {0: 3}]
 
 
 def test_matrix_zero_outputs_are_the_shared_zero():
