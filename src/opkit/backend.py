@@ -451,46 +451,37 @@ def range_member(m: Matrix, f: Sequence) -> bool:
 # Subspace utilities (exact)
 # ---------------------------------------------------------------------------
 
-def _rank_of_vectors(vectors: Sequence[Vector]) -> int:
-    if not vectors:
-        return 0
-    return len(_rref(_int_rows(vectors))[1])
-
-
-def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
-    """Exact membership of v in the span of the given vectors."""
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    base = _rank_of_vectors(vectors)
-    return _rank_of_vectors(list(vectors) + [v]) == base
-
-
 def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    """Deterministic basis (reduced-echelon rows) of the span of the inputs."""
+    """Deterministic basis (reduced-echelon rows) of the span of the inputs.
+
+    The reduced echelon form is canonical, so two spans are equal exactly
+    when their bases are, and the rank is the length of the basis.
+    """
     if not vectors:
         return []
     rref, pivots = _rref(_int_rows(vectors))
     return [tuple(row) for row in rref[: len(pivots)]]
 
 
+def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
+    """Exact membership of v in the span of the given vectors."""
+    basis = span_basis(vectors)
+    return len(span_basis(basis + [tuple(v)])) == len(basis)
+
+
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    ra = _rank_of_vectors(a)
-    rb = _rank_of_vectors(b)
-    if ra != rb:
-        return False
-    return _rank_of_vectors(list(a) + list(b)) == ra
+    return span_basis(a) == span_basis(b)
 
 
 def affine_sets_equal(s1: AffineSolutionSet, s2: AffineSolutionSet) -> bool:
     """Exact equality of affine solution sets."""
     if s1.is_empty() or s2.is_empty():
         return s1.is_empty() and s2.is_empty()
-    if not spans_equal(s1.kernel_vectors, s2.kernel_vectors):
+    basis = span_basis(s1.kernel_vectors)
+    if span_basis(s2.kernel_vectors) != basis:
         return False
     diff = tuple(a - b for a, b in zip(s1.particular, s2.particular))
-    return in_span(s1.kernel_vectors, diff)
+    return len(span_basis(basis + [diff])) == len(basis)
 
 
 # ---------------------------------------------------------------------------

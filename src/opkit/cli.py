@@ -22,8 +22,6 @@ Job fields (mode-dependent):
     certificate  {"alpha": [[..]..], "cofactors": ["expr", ..]} (verify mode)
     dual_certificate  {"beta": [[..]..], "cofactors": [["expr", ..], ..]}
     symmetry     matrix grid: an explicit S to decompose (symmetry mode)
-    symmetry_cap positive integer: the largest dimension whose symmetry
-                 basis is enumerated (symmetry mode; default 12)
 """
 
 from __future__ import annotations
@@ -36,12 +34,13 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backend import (Matrix, OperatorInstance, _rank_of_vectors,
-                      affine_sets_equal, as_vector, instantiate, kernel_basis,
+from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
+                      instantiate, kernel_basis,
                       make_truncated_derivative_instance, solve_affine,
-                      spans_equal)
+                      span_basis)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
-                      dual_to_alpha, plan_dual_certificate,
+                      dual_to_alpha, factor_product_complement,
+                      plan_dual_certificate,
                       univariate_certificate, univariate_factors,
                       verify_certificate)
 from .errors import (InputError, IntegrabilityError, MembershipError,
@@ -54,9 +53,8 @@ from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
 from .reducer import (_system_split, find_system_certificate,
                       integrability_violations, recombined_solution_set, split,
                       system_map_B, system_map_F)
-from .symmetry import (SYMMETRY_DIMENSION_CAP, FormalSymmetry, Splitting,
-                       _induced_on_kernel, enumerate_formal_symmetries,
-                       is_formal_symmetry)
+from .symmetry import (FormalSymmetry, Splitting, _induced_on_kernel,
+                       enumerate_formal_symmetries, is_formal_symmetry)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -381,22 +379,17 @@ def cmd_symmetry(job: JobSpec) -> dict:
     inst = job.instance()
     if inst is None:
         raise InputError("symmetry mode requires an 'instance'")
+    # Enumeration refuses a dimension past its cap before any elimination,
+    # so it comes before the splitting, which instantiates the same P.
+    p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
+    raw_s = job.raw.get("symmetry")
+    explicit = raw_s is not None
+    basis = ([job._matrix(raw_s, "symmetry")] if explicit
+             else enumerate_formal_symmetries(p_full))
     splitting = Splitting.of(cert, factors, inst)
-    p_full = splitting.P
     kernel = kernel_basis(p_full)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
-
-    raw_s = job.raw.get("symmetry")
-    if raw_s is not None:
-        basis = [job._matrix(raw_s, "symmetry")]
-        explicit = True
-    else:
-        cap = job.raw.get("symmetry_cap", SYMMETRY_DIMENSION_CAP)
-        if not _is_positive_int(cap):
-            raise InputError("'symmetry_cap' must be a positive integer")
-        basis = enumerate_formal_symmetries(p_full, dimension_cap=cap)
-        explicit = False
     out["symmetry_space_dimension"] = (None if explicit else len(basis))
 
     pairs = [(i, j) for i in range(len(factors)) for j in range(len(factors))]
@@ -431,10 +424,11 @@ def cmd_symmetry(job: JobSpec) -> dict:
                            for m in ms if m is not None]
         a = flat(_induced_on_kernel(S, p_full, kernel) for S in basis)
         b = flat(_induced_on_kernel(S, p_full, kernel) for S in reconstructed)
+        induced, rebuilt = span_basis(a), span_basis(b)
         out["generation"] = {
-            "induced_dimension": _rank_of_vectors(a),
-            "reconstructed_dimension": _rank_of_vectors(b),
-            "equal": spans_equal(a, b),
+            "induced_dimension": len(induced),
+            "reconstructed_dimension": len(rebuilt),
+            "equal": induced == rebuilt,
         }
         if not out["generation"]["equal"]:
             raise VerificationError("generated symmetry spans differ on the kernel")

@@ -8,30 +8,22 @@ machine-checkable Bezout certificate instead of a bare yes/no.  Every run
 stops as soon as a nonzero constant enters the basis, and ends on a
 complete Groebner basis otherwise.
 
-Both runs are deterministic for a fixed input and order: pairs are taken
-by rank, ties by creation index, reduction uses the first applicable
-divisor, and new elements are normalized to be monic.  They differ in the
-pairs they form:
-
-* The tracked replay forms every pair, skips only those with coprime
-  leading monomials (the product criterion), and ranks a pair by its lcm
-  total degree (the normal strategy).
-* The probe prunes pairs by the Gebauer-Moller criteria (Gebauer & Moller
-  1988) and ranks a pair by its sugar, the degree its S-polynomial would
-  have on homogenized generators (Giovini et al. 1991).  The criteria
-  drop only pairs that other pairs cover (Buchberger's chain criterion),
-  so the probe still ends on a nonzero constant exactly when 1 is in the
-  ideal.  Only that verdict is used; the probe's values can differ from
-  the replay's.
+Both runs take one pair policy and are deterministic for a fixed input and
+order.  Pairs are pruned by the Gebauer-Moller criteria (Gebauer & Moller
+1988), which drop only pairs that other pairs cover (Buchberger's chain
+criterion), and ranked by sugar, the degree an S-polynomial would have on
+homogenized generators (Giovini et al. 1991); ties go by creation index,
+reduction uses the first applicable divisor, and new elements are
+normalized to be monic.  So the replay repeats the probe step for step and
+only adds the cofactors.
 
 Coefficient growth is uncontrolled in exact arithmetic, so a per-polynomial
 term-count cap (default 100000, override with OPKIT_TERM_CAP) aborts
 runaway computations.  The cap applies to every polynomial a run carries:
 values always, cofactors only in the replay.  A membership search that
-ends without 1 carries no cofactors, and its pruned values can stay
-smaller than the tracked run's, so it may finish under a cap that the
-tracked run would pass; a search that finds 1 still stops at the cap in
-its replay.  Coefficient size is capped by ``poly.CERTIFICATE_BITS_CAP``:
+ends without 1 carries no cofactors, so it may finish under a cap that its
+cofactors would pass; a search that finds 1 still stops at the cap in its
+replay.  Coefficient size is capped by ``poly.CERTIFICATE_BITS_CAP``:
 both runs refuse a value coefficient past it, checked on the coefficient
 each reduction step cancels and on every new element, and the replay also
 refuses a new element whose cofactors have a coefficient past it.
@@ -170,10 +162,10 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     """One Buchberger run, stopped as soon as a nonzero constant enters.
 
     The run ends with that constant when the generators reach 1, and with a
-    complete Groebner basis otherwise.  With ``track=True`` every element
-    carries its cofactors, every pair is formed and only the product
-    criterion skips one.  With ``track=False`` every element's cofs is [],
-    and the Gebauer-Moller criteria decide which pairs are formed and kept.
+    complete Groebner basis otherwise.  The Gebauer-Moller criteria decide
+    which pairs are formed and kept, and sugar ranks them.  With
+    ``track=True`` every element carries its cofactors; with ``track=False``
+    every element's cofs is [].
     """
     gens = list(generators)
     if not gens:
@@ -210,12 +202,9 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         basis.append(_BasisElem(terms, cofs, lead))
         leads.append(lead)
         sugars.append(sugar)
-        partners = range(m) if track else _gebauer_moller(leads, queued)
-        for i in partners:
+        for i in _gebauer_moller(leads, queued):
             lcm = _lcm(leads[i], lead)
-            rank = sum(lcm)
-            if not track:  # the pair's sugar
-                rank += max(sugars[i] - sum(leads[i]), sugar - sum(lead))
+            rank = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lead))
             heapq.heappush(pairs, (rank, counter, i, m))
             queued[i, m] = lcm
             counter += 1
@@ -237,10 +226,6 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         if lcm is None:
             continue  # removed by criterion B
         ei, ej = basis[i], basis[j]
-        # Product criterion: coprime leading monomials reduce to zero (the
-        # probe never queues such pairs).
-        if all(a == 0 or b == 0 for a, b in zip(ei.lead_exp, ej.lead_exp)):
-            continue
         ishift = tuple(l - a for l, a in zip(lcm, ei.lead_exp))
         jshift = tuple(l - b for l, b in zip(lcm, ej.lead_exp))
         sterms = kernels.poly_term_mul(ei.terms, Fraction(1), ishift)
@@ -263,20 +248,18 @@ def contains_one(
 ) -> Optional[BezoutCertificate]:
     """Decide 1 in <generators> over Q with an explicit certificate.
 
-    Probes with a Buchberger run on the values alone, which prunes pairs by
-    the Gebauer-Moller criteria, until a nonzero constant enters the basis
-    or the basis is complete (then 1 is not a member, and None is
-    returned).  Only the probe's verdict is used.  When it finds 1, the
-    plain run, with every pair, is replayed with cofactors; the tracked
-    cofactors, rescaled, are the certificate.  The returned certificate is
-    checked exactly before being handed out, never trusted.
+    Probes with a Buchberger run on the values alone until a nonzero
+    constant enters the basis or the basis is complete (then 1 is not a
+    member, and None is returned).  When it finds 1, the same run is
+    replayed with cofactors; the tracked cofactors, rescaled, are the
+    certificate.  The returned certificate is checked exactly before being
+    handed out, never trusted.
 
-    The term cap bounds cofactors only in the replay.  The probe's values
-    can differ from the replay's, so a search that ends without 1 may
-    finish under a cap that the tracked run would pass; one that finds 1
-    raises ResourceLimitError in the replay, as it does when a cofactor
-    coefficient passes ``poly.CERTIFICATE_BITS_CAP``.  Either run raises it
-    when a value coefficient passes that cap.
+    The term cap bounds cofactors only in the replay, so a search that ends
+    without 1 may finish under a cap that its cofactors would pass; one that
+    finds 1 raises ResourceLimitError in the replay, as it does when a
+    cofactor coefficient passes ``poly.CERTIFICATE_BITS_CAP``.  Either run
+    raises it when a value coefficient passes that cap.
     """
     cap = resolve_term_cap(term_cap)
     probe = _run_buchberger(generators, order, cap, track=False)

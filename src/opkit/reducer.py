@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
-                      Vector, _rank_of_vectors, as_vector, instantiate,
-                      kernel_basis, solve_affine, span_basis)
+                      Vector, as_vector, instantiate, kernel_basis,
+                      solve_affine, span_basis)
 from .certify import (Certificate, _require_verified, factor_product,
                       factor_product_complement)
 from .errors import (InputError, IntegrabilityError, VerificationError)
@@ -220,7 +220,7 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             stacked = list(factor_kernels[i]) + list(factor_kernels[j])
-            if _rank_of_vectors(stacked) != len(factor_kernels[i]) + len(factor_kernels[j]):
+            if len(span_basis(stacked)) != len(stacked):
                 pairwise_trivial = False
 
     idempotent = True

@@ -143,21 +143,21 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
     return splitting.fold(gen)
 
 
-def enumerate_formal_symmetries(P: Matrix,
-                                dimension_cap: int = SYMMETRY_DIMENSION_CAP
-                                ) -> list[Matrix]:
+def enumerate_formal_symmetries(P: Matrix) -> list[Matrix]:
     """Exact basis of the space {S | some S' gives P S = S' P}.
 
     The space is cut out by the linear condition that S maps the kernel of
     P into itself: P S v = 0 for every kernel basis vector v.  The basis is
     the deterministic nullspace basis of that constraint system, reshaped.
+    A P past ``SYMMETRY_DIMENSION_CAP`` is refused before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
     n = P.rows
-    if n > dimension_cap:
+    if n > SYMMETRY_DIMENSION_CAP:
         raise ResourceLimitError(
-            f"symmetry enumeration capped at dimension {dimension_cap}, got {n}")
+            f"symmetry enumeration capped at dimension {SYMMETRY_DIMENSION_CAP}, "
+            f"got {n}")
     # Unknowns S[b][c] flattened as b*n + c; constraint block per kernel
     # vector v: sum_{b,c} P[a][b] v[c] S[b][c] = 0 for each row a.  The zero
     # row stands in for no constraint when P is invertible.

@@ -7,7 +7,7 @@ import pytest
 
 from opkit.errors import InputError, ResourceLimitError
 from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
-                           _rank_of_vectors, affine_sets_equal,
+                           affine_sets_equal,
                            graded_monomials, in_span,
                            instantiate, kernel_basis,
                            make_truncated_derivative_instance, range_member,
@@ -23,7 +23,7 @@ def P(text, variables=("x",)):
 
 
 def rank(m):
-    return _rank_of_vectors(m.row_list())
+    return len(span_basis(m.row_list()))
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -378,6 +378,8 @@ class TestSubspaces:
         basis = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
         assert in_span(basis, (Fraction(3), Fraction(4)))
         assert not in_span([(Fraction(1), Fraction(0))], (Fraction(0), Fraction(1)))
+        assert in_span([], (_ZERO, _ZERO))
+        assert not in_span([], (Fraction(1), _ZERO))
 
     def test_spans_equal(self):
         a = [(Fraction(1), Fraction(1))]
@@ -395,6 +397,33 @@ class TestSubspaces:
         assert not affine_sets_equal(s1, s3)
         assert affine_sets_equal(AffineSolutionSet(None, ()),
                                  AffineSolutionSet(None, ()))
+        s4 = AffineSolutionSet((Fraction(0), Fraction(5)),
+                               ((Fraction(0), Fraction(2)),))
+        assert not affine_sets_equal(s1, s4)
+
+    def test_eliminations_per_comparison(self, monkeypatch):
+        # The reduced-echelon basis is canonical: a span comparison is one
+        # elimination per side, and an affine one adds one for the offset.
+        import opkit.backend
+        calls = []
+        rref = opkit.backend._rref
+
+        def counted(rows):
+            calls.append(len(rows))
+            return rref(rows)
+
+        monkeypatch.setattr(opkit.backend, "_rref", counted)
+        rng = random.Random(3)
+        kernel = [random_vector(rng, 4) for _ in range(2)]
+        mixed = [tuple(a + 2 * b for a, b in zip(*kernel)), kernel[1]]
+        assert spans_equal(kernel, mixed)
+        assert len(calls) == 2
+        calls.clear()
+        particular = random_vector(rng, 4)
+        shifted = tuple(p + k for p, k in zip(particular, kernel[0]))
+        assert affine_sets_equal(AffineSolutionSet(particular, tuple(kernel)),
+                                 AffineSolutionSet(shifted, tuple(mixed)))
+        assert len(calls) == 3
 
 
 class TestTruncatedDerivative:

@@ -43,7 +43,6 @@ SYMMETRY_ENUMERATED_JOB = {
     "variables": ["x", "y"],
     "factors": ["x", "x+1"],
     "instance": {"kind": "truncated_derivative", "max_degree": 3},
-    "symmetry_cap": 200,
 }
 
 # One explicit S on the diagonal instance of (x+1)(x+2).
@@ -188,7 +187,8 @@ class TestVerifyOnce:
         from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                                     enumerate_formal_symmetries,
                                     induced_kernel_map)
-        calls = {"verify": 0, "formal": 0, "generalized": 0, "solve": 0}
+        calls = {"verify": 0, "formal": 0, "generalized": 0, "solve": 0,
+                 "span": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -206,6 +206,8 @@ class TestVerifyOnce:
             if name.startswith("opkit") and hasattr(module, "solve_affine"):
                 monkeypatch.setattr(module, "solve_affine", counted(
                     "solve", module.solve_affine))
+        monkeypatch.setattr(opkit.cli, "span_basis", counted(
+            "span", opkit.cli.span_basis))
         path = write_job(tmp_path, SYMMETRY_ENUMERATED_JOB)
         code, _, _ = run_cli(capsys, "certify", "--job", path)
         assert code == 0
@@ -218,12 +220,13 @@ class TestVerifyOnce:
         assert calls["verify"] == 2 * certify_checks + 1
         assert calls["formal"] == calls["generalized"] == m * pairs
         assert calls["solve"] == 0
+        assert calls["span"] == 2  # one canonical basis per side
         # the public induced_kernel_map reads coordinates off the kernel too
         factors = [opkit.parse_polynomial(s, ["x", "y"])
                    for s in report["factors"]]
         inst = opkit.make_truncated_derivative_instance(2, 3)
         p_full = instantiate(factors[0] * factors[1], inst)
-        for S in enumerate_formal_symmetries(p_full, dimension_cap=200)[:3]:
+        for S in enumerate_formal_symmetries(p_full)[:3]:
             assert induced_kernel_map(S, p_full) is not None
         assert calls["solve"] == 0
 
@@ -260,6 +263,22 @@ class TestExitCodes:
         assert code == 3
         assert "forms" in err and "OPKIT_TERM_CAP" in err
         assert time.perf_counter() - start < 10
+
+    def test_symmetry_past_the_cap_is_3_before_dense_work(self, capsys,
+                                                          tmp_path):
+        # Dimension 406 is the two-variable truncated derivative at
+        # max_degree 28.  Enumeration refuses it before the splitting or any
+        # elimination, in about 0.03 s on a 2-CPU x86-64 VM; a job field
+        # cannot lift the cap.  Budget: 1 s.
+        path = write_job(tmp_path, {
+            **SYMMETRY_ENUMERATED_JOB,
+            "instance": {"kind": "truncated_derivative", "max_degree": 28},
+            "symmetry_cap": 1000})
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "symmetry", "--job", path)
+        assert code == 3
+        assert "capped at dimension 12, got 406" in err
+        assert time.perf_counter() - start < 1
 
     def test_lex_value_growth_is_3_within_budget(self, capsys, tmp_path):
         # In lex, Buchberger's values on these factors keep 30 to 65 terms
@@ -317,7 +336,7 @@ class TestExitCodes:
         ("symmetry", {"instance": {"kind": "matrices", "generators": [
             [["0", "0"], ["0", "-1"]]]}, "symmetry": [[0.5, "0"], ["0", "1"]]}),
         ("symmetry", {"instance": {"kind": "matrices", "generators": [
-            [["0", "0"], ["0", "-1"]]]}, "symmetry_cap": True}),
+            [["0", "0"], ["0", "-1"]]]}, "symmetry": [["1"]]}),
         ("reduce", {"instance": {"kind": "truncated_derivative",
                                  "max_degree": True}, "f": "random-in-range"}),
         *[(mode, {"factors": [5]}) for mode in

@@ -378,8 +378,8 @@ def polynomials(nvars):
 
 
 class TestPrunedProbe:
-    """The probe prunes pairs by the Gebauer-Moller criteria; only its
-    verdict is used, and the replay keeps every pair."""
+    """Both runs prune pairs by the Gebauer-Moller criteria, so the replay
+    repeats the probe and only adds cofactors."""
 
     @pytest.mark.parametrize("order", list(MonomialOrder))
     def test_non_unit_probe_ends_on_a_groebner_basis(self, order):
@@ -403,7 +403,7 @@ class TestPrunedProbe:
     def test_verdict_matches_tracked_reference(self, gens, order):
         assert contains_one(gens, order) == tracked_contains_one(gens, order)
 
-    def test_probe_reduces_fewer_pairs_on_certify_ideal(self, monkeypatch):
+    def test_replay_repeats_the_probe(self, monkeypatch):
         calls = []
         reduce = groebner._reduce
 
@@ -411,23 +411,33 @@ class TestPrunedProbe:
             calls.append(1)
             return reduce(*args)
 
-        def reductions(gens, track):
+        def values_and_reductions(gens, track):
             calls.clear()
-            run(gens, track=track)
-            return len(calls)
+            basis = groebner._run_buchberger(gens, DEFAULT_ORDER,
+                                             resolve_term_cap(None), track)
+            return [(e.terms, e.lead_exp) for e in basis], len(calls)
 
         monkeypatch.setattr(groebner, "_reduce", counted)
-        counts = [(reductions(gens, False), reductions(gens, True))
-                  for gens in certify_ideal_triples(random.Random(1))]
-        assert counts == [(9, 14), (11, 20), (11, 20), (12, 27)]
+        rng = random.Random(21)
+        families = [non_unit_family(rng, rng.randint(1, 3))
+                    for _ in range(12)]
+        families += certify_ideal_triples(random.Random(1))
+        total = 0
+        for gens in families:
+            probe, probe_calls = values_and_reductions(gens, False)
+            replay, replay_calls = values_and_reductions(gens, True)
+            assert replay == probe
+            assert replay_calls == probe_calls
+            total += probe_calls
+        assert total > 0
 
 
 class TestTermCapInReplay:
-    # The values of both families stay within 4 terms; their cofactors do
-    # not, and need a cap of 7.  The probe on the non-unit family forms a
-    # 4-term value, so a cap of 3 still stops it.
+    # The values of the unit family stay within 4 terms; its cofactors do
+    # not, and need a cap of 5.  The non-unit family's values need a cap of
+    # 4 and its cofactors one of 6, so a cap of 5 stops only the tracked run
+    # and a cap of 3 stops the probe.
     UNIT = ("-2/3*x^2*y + 4/3*y^2", "3/2*y^2 + y", "-1/3*x*y^2 - 2/3*x*y + 1")
-    NON_UNIT = ("-1/3*x^2*y^2 - x + 22/3", "1/2*x^2*y - 4")
 
     def test_unit_search_stops_at_the_cap_in_the_replay(self):
         gens = [P(g) for g in self.UNIT]
@@ -435,13 +445,15 @@ class TestTermCapInReplay:
         assert not any(probe[-1].lead_exp)
         with pytest.raises(ResourceLimitError):
             contains_one(gens, term_cap=4)
-        assert contains_one(gens, term_cap=7).verify(gens)
+        assert contains_one(gens, term_cap=5).verify(gens)
 
     def test_non_unit_search_runs_past_cofactor_growth(self):
-        gens = [P(g) for g in self.NON_UNIT]
+        gens = non_unit_family(random.Random(0), 2)
+        assert [format_polynomial(g, V) for g in gens] == [
+            "-x^2 + 3/2*x*y - 1/2", "x^2*y - 1"]
         with pytest.raises(ResourceLimitError):
-            tracked_contains_one(gens, term_cap=6)
-        assert contains_one(gens, term_cap=6) is None
+            tracked_contains_one(gens, term_cap=5)
+        assert contains_one(gens, term_cap=5) is None
         with pytest.raises(ResourceLimitError):
             contains_one(gens, term_cap=3)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from opkit.backend import (Matrix, OperatorInstance, instantiate, kernel_basis,
-                           solve_affine, spans_equal, _rank_of_vectors,
+                           solve_affine, span_basis, spans_equal,
                            _solve_right_factor)
 from opkit.certify import (UnivariateSpec, factor_product_complement,
                            univariate_certificate, univariate_factors)
@@ -303,5 +303,5 @@ class TestGeneration:
             flat = lambda ms: [tuple(v for row in m.row_list() for v in row)
                                for m in ms]
             d = len(kernel)
-            assert _rank_of_vectors(flat(induced)) == d * d
+            assert len(span_basis(flat(induced))) == d * d
             assert spans_equal(flat(induced), flat(rebuilt))
