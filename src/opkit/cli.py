@@ -53,8 +53,9 @@ from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
 from .reducer import (_system_split, find_system_certificate,
                       integrability_violations, recombined_solution_set, split,
                       system_map_B, system_map_F)
-from .symmetry import (FormalSymmetry, Splitting, _induced_on_kernel,
-                       enumerate_formal_symmetries, is_formal_symmetry)
+from .symmetry import (SYMMETRY_DIMENSION_CAP, FormalSymmetry, Splitting,
+                       _induced_on_kernel, enumerate_formal_symmetries,
+                       is_formal_symmetry)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -369,6 +370,15 @@ def cmd_verify(job: JobSpec) -> dict:
 
 
 def cmd_symmetry(job: JobSpec) -> dict:
+    # Explicit and enumerated jobs alike are refused past the cap before
+    # any instantiation or elimination.
+    inst = job.instance()
+    if inst is None:
+        raise InputError("symmetry mode requires an 'instance'")
+    if inst.dimension > SYMMETRY_DIMENSION_CAP:
+        raise ResourceLimitError(
+            f"symmetry mode capped at dimension {SYMMETRY_DIMENSION_CAP}, "
+            f"got {inst.dimension}")
     out, factors, cert = _certificates(job)
     out["mode"] = "symmetry"
     singletons = {frozenset((i,)) for i in range(len(factors))}
@@ -376,18 +386,13 @@ def cmd_symmetry(job: JobSpec) -> dict:
         raise VerificationError(
             "symmetry mode needs a singleton-family certificate; "
             "regroup the factors first")
-    inst = job.instance()
-    if inst is None:
-        raise InputError("symmetry mode requires an 'instance'")
-    # Enumeration refuses a dimension past its cap before any elimination,
-    # so it comes before the splitting, which instantiates the same P.
     p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
+    kernel = kernel_basis(p_full)
     raw_s = job.raw.get("symmetry")
     explicit = raw_s is not None
     basis = ([job._matrix(raw_s, "symmetry")] if explicit
-             else enumerate_formal_symmetries(p_full))
+             else enumerate_formal_symmetries(p_full, kernel))
     splitting = Splitting.of(cert, factors, inst)
-    kernel = kernel_basis(p_full)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
     out["symmetry_space_dimension"] = (None if explicit else len(basis))

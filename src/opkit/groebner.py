@@ -13,9 +13,17 @@ order.  Pairs are pruned by the Gebauer-Moller criteria (Gebauer & Moller
 1988), which drop only pairs that other pairs cover (Buchberger's chain
 criterion), and ranked by sugar, the degree an S-polynomial would have on
 homogenized generators (Giovini et al. 1991); ties go by creation index,
-reduction uses the first applicable divisor, and new elements are
-normalized to be monic.  So the replay repeats the probe step for step and
-only adds the cofactors.
+and reduction uses the first applicable divisor.  So the replay repeats the
+probe step for step and only adds the cofactors.
+
+The arithmetic is fraction-free: every polynomial is an integer term map.
+A basis element is divided by the content of its terms and cofactors
+together and leads positive, so its monic value is ``terms / lc`` and its
+cofactors are ``cofs / lc``.  An S-polynomial under reduction, with its
+cofactors, is an integer term map over one integer scale, and a reduction
+step is ``acc = a*acc - c*x^shift*q`` (``kernels.poly_isubmul_int``) with
+``a`` and ``c`` free of common factors.  The exact values are those of a
+run on monic Fraction polynomials.
 
 Coefficient growth is uncontrolled in exact arithmetic, so a per-polynomial
 term-count cap (default 100000, override with OPKIT_TERM_CAP) aborts
@@ -25,13 +33,16 @@ ends without 1 carries no cofactors, so it may finish under a cap that its
 cofactors would pass; a search that finds 1 still stops at the cap in its
 replay.  Coefficient size is capped by ``poly.CERTIFICATE_BITS_CAP``:
 both runs refuse a value coefficient past it, checked on the coefficient
-each reduction step cancels and on every new element, and the replay also
-refuses a new element whose cofactors have a coefficient past it.
+each reduction step cancels and on every new element's monic value, and
+the replay also refuses a new element whose cofactors have a coefficient
+past it.  The cap is checked on the exact reduced Fractions, which are
+built only when an unreduced integer passes it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -82,42 +93,62 @@ class _SortKeys(dict):
         return key
 
 
-def _reduce(terms: dict, cofs: list[dict], basis: list["_BasisElem"],
-            key: Callable, cap: int) -> dict:
-    """Full normal form of terms against basis; returns the remainder.
+def _reduce(terms: dict, cofs: list[dict], scale: int,
+            basis: list["_BasisElem"], key: Callable, cap: int) -> dict:
+    """Full normal form of ``terms / scale`` against basis.
 
-    ``terms`` is consumed, and each of ``cofs`` is updated in place with the
-    same steps (none when the run does not track cofactors).
+    ``terms`` and each of ``cofs`` are integer term maps over the one
+    positive integer ``scale``.  ``terms`` is consumed and each of ``cofs``
+    is updated in place with the same steps (none when the run does not
+    track cofactors); the returned remainder is over the scale the cofs end
+    on.
     """
-    remainder: dict = {}
+    remainder = []  # (exp, coefficient, scale when it was set aside)
     while terms:
         exp = max(terms, key=key)
         for elem in basis:
             lexp = elem.lead_exp
             if all(e >= le for e, le in zip(exp, lexp)):
-                coeff = terms[exp]  # basis elements are monic
-                if (coeff.numerator.bit_length() > CERTIFICATE_BITS_CAP
-                        or coeff.denominator.bit_length() > CERTIFICATE_BITS_CAP):
-                    _check_certificate_bits((coeff,), "a Buchberger value")
+                coeff = terms[exp]
+                if (coeff.bit_length() > CERTIFICATE_BITS_CAP
+                        or scale.bit_length() > CERTIFICATE_BITS_CAP):
+                    _check_certificate_bits((Fraction(coeff, scale),),
+                                            "a Buchberger value")
+                g = math.gcd(coeff, elem.lc)
+                a, c = elem.lc // g, coeff // g
+                scale *= a
                 shift = tuple(e - le for e, le in zip(exp, lexp))
-                kernels.poly_isubmul(terms, coeff, shift, elem.terms)
+                kernels.poly_isubmul_int(terms, a, c, shift, elem.terms)
                 _check_cap(terms, cap)
                 for wc, bc in zip(cofs, elem.cofs):
-                    kernels.poly_isubmul(wc, coeff, shift, bc)
+                    kernels.poly_isubmul_int(wc, a, c, shift, bc)
                     _check_cap(wc, cap)
                 break
         else:
-            remainder[exp] = terms.pop(exp)
-    return remainder
+            remainder.append((exp, terms.pop(exp), scale))
+    return {exp: v * (scale // at) for exp, v, at in remainder}
+
+
+def _check_value_bits(values, lc: int, what: str) -> None:
+    """The certificate bits cap on the exact values ``v / lc``, built only
+    when an unreduced integer passes the cap."""
+    if (lc.bit_length() > CERTIFICATE_BITS_CAP
+            or any(v.bit_length() > CERTIFICATE_BITS_CAP for v in values)):
+        _check_certificate_bits([Fraction(v, lc) for v in values], what)
 
 
 class _BasisElem:
-    __slots__ = ("terms", "cofs", "lead_exp")
+    """Integer term maps with no content common to the terms and cofactors,
+    and a positive leading coefficient ``lc``: the monic value is
+    ``terms / lc`` and its cofactors are ``cofs / lc``."""
+
+    __slots__ = ("terms", "cofs", "lead_exp", "lc")
 
     def __init__(self, terms: dict, cofs: list[dict], lead_exp: tuple):
         self.terms = terms
         self.cofs = cofs
         self.lead_exp = lead_exp
+        self.lc = terms[lead_exp]
 
 
 def _lcm(a: tuple, b: tuple) -> tuple:
@@ -187,17 +218,21 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     counter = 0
 
     def push_elem(terms: dict, cofs: list[dict], sugar: int) -> bool:
-        """Monic-normalize and append; True if the element is a nonzero constant."""
+        """Append terms with cofs, divided by their common content and made
+        to lead positive; True if the element is a nonzero constant."""
         nonlocal counter
         lead = max(terms, key=key)
+        content = math.gcd(*terms.values(), *(v for cof in cofs
+                                         for v in cof.values()))
+        if terms[lead] < 0:
+            content = -content
+        if content != 1:
+            terms = {e: v // content for e, v in terms.items()}
+            cofs = [{e: v // content for e, v in cof.items()} for cof in cofs]
         lc = terms[lead]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            terms = {e: c * inv for e, c in terms.items()}
-            cofs = [{e: c * inv for e, c in cof.items()} for cof in cofs]
-        _check_certificate_bits(terms.values(), "a Buchberger value")
+        _check_value_bits(terms.values(), lc, "a Buchberger value")
         for cof in cofs:
-            _check_certificate_bits(cof.values(), "a Bezout cofactor")
+            _check_value_bits(cof.values(), lc, "a Bezout cofactor")
         m = len(basis)
         basis.append(_BasisElem(terms, cofs, lead))
         leads.append(lead)
@@ -213,11 +248,14 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
+        den = math.lcm(*(c.denominator for c in g._terms.values()))
         cofs: list[dict] = []
         if track:
             cofs = [{} for _ in range(ngens)]
-            cofs[i] = {(0,) * nvars: Fraction(1)}
-        if push_elem(dict(g._terms), cofs, g.total_degree()):
+            cofs[i] = {(0,) * nvars: den}
+        terms = {e: c.numerator * (den // c.denominator)
+                 for e, c in g._terms.items()}
+        if push_elem(terms, cofs, g.total_degree()):
             return basis
 
     while pairs:
@@ -228,14 +266,16 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         ei, ej = basis[i], basis[j]
         ishift = tuple(l - a for l, a in zip(lcm, ei.lead_exp))
         jshift = tuple(l - b for l, b in zip(lcm, ej.lead_exp))
-        sterms = kernels.poly_term_mul(ei.terms, Fraction(1), ishift)
-        kernels.poly_isubmul(sterms, Fraction(1), jshift, ej.terms)
+        g = math.gcd(ei.lc, ej.lc)
+        a, c = ej.lc // g, ei.lc // g  # over the scale lcm(ei.lc, ej.lc)
+        sterms = kernels.poly_term_mul(ei.terms, a, ishift)
+        kernels.poly_isubmul_int(sterms, 1, c, jshift, ej.terms)
         scofs = []
         for ci, cj in zip(ei.cofs, ej.cofs):
-            c = kernels.poly_term_mul(ci, Fraction(1), ishift)
-            kernels.poly_isubmul(c, Fraction(1), jshift, cj)
-            scofs.append(c)
-        remainder = _reduce(sterms, scofs, basis, key, cap)
+            cof = kernels.poly_term_mul(ci, a, ishift)
+            kernels.poly_isubmul_int(cof, 1, c, jshift, cj)
+            scofs.append(cof)
+        remainder = _reduce(sterms, scofs, ei.lc * a, basis, key, cap)
         if remainder and push_elem(remainder, scofs, rank):
             return basis
     return basis
@@ -267,9 +307,9 @@ def contains_one(
         return None
     unit = _run_buchberger(generators, order, cap, track=True)[-1]
     nvars = generators[0].variable_count
-    inv = Fraction(1) / unit.terms[unit.lead_exp]
     cert = BezoutCertificate(tuple(
-        Polynomial._wrap({e: c * inv for e, c in cof.items()}, nvars)
+        Polynomial._wrap({e: Fraction(c, unit.lc) for e, c in cof.items()},
+                         nvars)
         for cof in unit.cofs))
     if not cert.verify(generators):
         raise VerificationError(

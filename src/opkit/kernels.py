@@ -1,7 +1,8 @@
 """Exact kernels: the hot inner loops of the package, in pure Python.
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
-Fractions), integer matrix products on the integer rows of a
+Fractions, and the integer reduction step of fraction-free Buchberger on
+integer term maps), integer matrix products on the integer rows of a
 ``backend.Matrix`` and on sparse integer rows, and the integer row
 operation used by fraction-free elimination.  Callers reach the kernels by
 attribute (``kernels.mat_mul``), so a test or a tracer can substitute one.
@@ -87,6 +88,25 @@ def poly_isubmul(acc: dict, coeff: Fraction, shift: tuple, q: dict) -> None:
     for exp, c in q.items():
         key = tuple(x + y for x, y in zip(exp, shift))
         new = acc.get(key, _ZERO) - coeff * c
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+
+def poly_isubmul_int(acc: dict, a: int, c: int, shift: tuple,
+                     q: dict) -> None:
+    """In place on integer term maps: acc = a * acc - (c * x^shift) * q.
+
+    The fraction-free reduction step: with acc over a scale s and q over
+    its leading coefficient, the result is over the scale a * s.
+    """
+    if a != 1:
+        for exp, v in acc.items():
+            acc[exp] = a * v
+    for exp, v in q.items():
+        key = tuple(x + y for x, y in zip(exp, shift))
+        new = acc.get(key, 0) - c * v
         if new:
             acc[key] = new
         else:

@@ -143,13 +143,17 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
     return splitting.fold(gen)
 
 
-def enumerate_formal_symmetries(P: Matrix) -> list[Matrix]:
+def enumerate_formal_symmetries(
+        P: Matrix,
+        kernel: Optional[Sequence[Sequence[Fraction]]] = None) -> list[Matrix]:
     """Exact basis of the space {S | some S' gives P S = S' P}.
 
     The space is cut out by the linear condition that S maps the kernel of
     P into itself: P S v = 0 for every kernel basis vector v.  The basis is
     the deterministic nullspace basis of that constraint system, reshaped.
-    A P past ``SYMMETRY_DIMENSION_CAP`` is refused before any elimination.
+    ``kernel`` is ``kernel_basis(P)`` when the caller already has it, so P
+    is not eliminated again.  A P past ``SYMMETRY_DIMENSION_CAP`` is refused
+    before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
@@ -162,7 +166,7 @@ def enumerate_formal_symmetries(P: Matrix) -> list[Matrix]:
     # vector v: sum_{b,c} P[a][b] v[c] S[b][c] = 0 for each row a.  The zero
     # row stands in for no constraint when P is invertible.
     constraint_rows = [[0] * (n * n)]
-    for v in kernel_basis(P):
+    for v in kernel_basis(P) if kernel is None else kernel:
         for a in range(n):
             row = [0] * (n * n)
             for b in range(n):

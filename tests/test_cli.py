@@ -179,6 +179,27 @@ class TestVerifyOnce:
         # certify's two checks, then one at the boundary of split
         assert calls[2:] == ["DualCertificate", "Certificate", "Certificate"]
 
+    def test_symmetry_eliminates_p_once(self, capsys, tmp_path, monkeypatch):
+        import opkit.cli
+        import opkit.symmetry
+        from opkit.backend import instantiate, kernel_basis
+        factors = [opkit.parse_polynomial(s, ["x", "y"])
+                   for s in SYMMETRY_ENUMERATED_JOB["factors"]]
+        inst = opkit.make_truncated_derivative_instance(2, 3)
+        p_full = instantiate(factors[0] * factors[1], inst)
+        eliminations = []
+
+        def counted(m):
+            eliminations.append(m == p_full)
+            return kernel_basis(m)
+
+        for module in (opkit.cli, opkit.symmetry):
+            monkeypatch.setattr(module, "kernel_basis", counted)
+        path = write_job(tmp_path, SYMMETRY_ENUMERATED_JOB)
+        code, _, _ = run_cli(capsys, "symmetry", "--job", path)
+        assert code == 0
+        assert eliminations.count(True) == 1  # the constraint system aside
+
     def test_symmetry_checks_each_identity_once(self, capsys, tmp_path,
                                                 monkeypatch):
         import opkit
@@ -267,9 +288,9 @@ class TestExitCodes:
     def test_symmetry_past_the_cap_is_3_before_dense_work(self, capsys,
                                                           tmp_path):
         # Dimension 406 is the two-variable truncated derivative at
-        # max_degree 28.  Enumeration refuses it before the splitting or any
-        # elimination, in about 0.03 s on a 2-CPU x86-64 VM; a job field
-        # cannot lift the cap.  Budget: 1 s.
+        # max_degree 28.  The symmetry command refuses it before any
+        # instantiation or elimination, in about 0.03 s on a 2-CPU x86-64
+        # VM; a job field cannot lift the cap.  Budget: 1 s.
         path = write_job(tmp_path, {
             **SYMMETRY_ENUMERATED_JOB,
             "instance": {"kind": "truncated_derivative", "max_degree": 28},
@@ -280,11 +301,29 @@ class TestExitCodes:
         assert "capped at dimension 12, got 406" in err
         assert time.perf_counter() - start < 1
 
+    def test_explicit_symmetry_past_the_cap_is_3(self, capsys, tmp_path):
+        # The same cap holds for an explicit S: the identity at dimension
+        # 406 is refused before its grid is read or P is instantiated.
+        # Without the cap, an explicit job took 16.6 s at dimension 190 on
+        # a 2-CPU x86-64 VM, growing about cubically.  Budget: 1 s.
+        n = 406
+        identity = [["1" if i == j else "0" for j in range(n)]
+                    for i in range(n)]
+        path = write_job(tmp_path, {
+            **SYMMETRY_ENUMERATED_JOB,
+            "instance": {"kind": "truncated_derivative", "max_degree": 28},
+            "symmetry": identity})
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "symmetry", "--job", path)
+        assert code == 3
+        assert "capped at dimension 12, got 406" in err
+        assert time.perf_counter() - start < 1
+
     def test_lex_value_growth_is_3_within_budget(self, capsys, tmp_path):
         # In lex, Buchberger's values on these factors keep 30 to 65 terms
         # while their coefficients grow past 26,000 bits in 20 s.  A value
         # coefficient passes the 14000-bit cap, and the job exits 3, in
-        # 6.5 to 8.5 s on a 2-CPU x86-64 VM.  Budget: 30 s.
+        # 1.6 to 2.4 s on a 2-CPU x86-64 VM.  Budget: 10 s.
         path = write_job(tmp_path, {"variables": ["x", "y", "z"], "factors": [
             "x^2*y^2 + 3/2*x^2*z^2 + 5/4*y^2*z + 3/2*x + 10",
             "-x^2*y*z^2 + 5*x^2*y*z + 3/4*x*y - z^2 + 4",
@@ -293,7 +332,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "plan", "--order", "lex", "--job", path)
         assert code == 3
         assert "a Buchberger value" in err and "certificate cap 14000" in err
-        assert time.perf_counter() - start < 30
+        assert time.perf_counter() - start < 10
 
     def test_solution_past_the_cap_is_3(self, capsys, tmp_path):
         # Generator entries within the job cap can give a solution past the

@@ -1,5 +1,6 @@
 """Buchberger runs, cofactors and membership of 1."""
 
+import heapq
 import itertools
 import json
 import random
@@ -48,9 +49,15 @@ def run(gens, track=True, order=DEFAULT_ORDER, term_cap=None):
     nvars = gens[0].variable_count
     basis = groebner._run_buchberger(gens, order, resolve_term_cap(term_cap),
                                      track=track)
-    return [(Polynomial._wrap(dict(e.terms), nvars),
-             tuple(Polynomial._wrap(dict(c), nvars) for c in e.cofs))
+    return [(monic(e.terms, e.lc, nvars),
+             tuple(monic(c, e.lc, nvars) for c in e.cofs))
             for e in basis]
+
+
+def monic(terms, lc, nvars):
+    """An integer term map over the scale lc, as a Polynomial."""
+    return Polynomial._wrap({e: Fraction(c, lc) for e, c in terms.items()},
+                            nvars)
 
 
 def combination_holds(value, cofactors, gens):
@@ -209,14 +216,85 @@ def tracked_contains_one(generators, order=DEFAULT_ORDER, term_cap=None):
     nvars = generators[0].variable_count
     for elem in basis:
         if not any(elem.lead_exp):
-            inv = Fraction(1) / elem.terms[elem.lead_exp]
             cert = BezoutCertificate(tuple(
-                Polynomial._wrap({e: c * inv for e, c in cof.items()}, nvars)
-                for cof in elem.cofs))
+                monic(cof, elem.lc, nvars) for cof in elem.cofs))
             if not cert.verify(generators):
                 raise VerificationError("tracked certificate failed")
             return cert
     return None
+
+
+def reference_buchberger(generators, order, track):
+    """Reference: Buchberger on plain Fraction term maps, monic elements.
+
+    It takes the pair policy of ``groebner._run_buchberger`` (Gebauer-Moller
+    pairs ranked by sugar, ties by creation, the first applicable divisor)
+    and does every step in Fractions.  Returns (monic value, cofactors,
+    leading monomial) per basis element.
+    """
+    key = order.sort_key
+    nvars, ngens = generators[0].variable_count, len(generators)
+    basis, leads, sugars, pairs, queued = [], [], [], [], {}
+    counter = itertools.count()
+
+    def submul(acc, coeff, shift, q):
+        for exp, c in q.items():
+            exp = tuple(x + y for x, y in zip(exp, shift))
+            new = acc.get(exp, 0) - coeff * c
+            if new:
+                acc[exp] = new
+            else:
+                acc.pop(exp, None)
+
+    def push(terms, cofs, sugar):
+        lead = max(terms, key=key)
+        inv = 1 / terms[lead]
+        m = len(basis)
+        basis.append(({e: c * inv for e, c in terms.items()},
+                      [{e: c * inv for e, c in cof.items()} for cof in cofs],
+                      lead))
+        leads.append(lead)
+        sugars.append(sugar)
+        for i in groebner._gebauer_moller(leads, queued):
+            lcm = groebner._lcm(leads[i], lead)
+            rank = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lead))
+            heapq.heappush(pairs, (rank, next(counter), i, m))
+            queued[i, m] = lcm
+        return not any(lead)
+
+    for i, g in enumerate(generators):
+        cofs = [{} for _ in range(ngens)] if track else []
+        if track:
+            cofs[i] = {(0,) * nvars: Fraction(1)}
+        if push(dict(g.terms), cofs, g.total_degree()):
+            return basis
+    while pairs:
+        rank, _, i, j = heapq.heappop(pairs)
+        lcm = queued.pop((i, j), None)
+        if lcm is None:
+            continue
+        (ti, ci, li), (tj, cj, lj) = basis[i], basis[j]
+        ishift = tuple(l - a for l, a in zip(lcm, li))
+        jshift = tuple(l - b for l, b in zip(lcm, lj))
+        terms, cofs = {}, [{} for _ in ci]
+        for acc, p, q in zip([terms] + cofs, [ti] + ci, [tj] + cj):
+            submul(acc, -1, ishift, p)
+            submul(acc, 1, jshift, q)
+        remainder = {}
+        while terms:
+            exp = max(terms, key=key)
+            for bt, bc, lead in basis:
+                if all(e >= le for e, le in zip(exp, lead)):
+                    coeff = terms[exp]
+                    shift = tuple(e - le for e, le in zip(exp, lead))
+                    for acc, q in zip([terms] + cofs, [bt] + bc):
+                        submul(acc, coeff, shift, q)
+                    break
+            else:
+                remainder[exp] = terms.pop(exp)
+        if remainder and push(remainder, cofs, rank):
+            return basis
+    return basis
 
 
 def unit_family(rng, nvars):
@@ -415,7 +493,9 @@ class TestPrunedProbe:
             calls.clear()
             basis = groebner._run_buchberger(gens, DEFAULT_ORDER,
                                              resolve_term_cap(None), track)
-            return [(e.terms, e.lead_exp) for e in basis], len(calls)
+            nvars = gens[0].variable_count
+            return ([(monic(e.terms, e.lc, nvars), e.lead_exp)
+                     for e in basis], len(calls))
 
         monkeypatch.setattr(groebner, "_reduce", counted)
         rng = random.Random(21)
@@ -430,6 +510,35 @@ class TestPrunedProbe:
             assert replay_calls == probe_calls
             total += probe_calls
         assert total > 0
+
+
+class TestFractionReference:
+    """Both runs compute the values of the plain-Fraction reference, element
+    for element, and contains_one returns the reference's certificate."""
+
+    @given(st.integers(1, 3).flatmap(
+               lambda n: st.lists(polynomials(n), min_size=1, max_size=3)),
+           st.sampled_from(list(MonomialOrder)))
+    @settings(max_examples=100, deadline=timedelta(seconds=5),
+              derandomize=True)
+    def test_runs_match_the_reference(self, gens, order):
+        nvars = gens[0].variable_count
+        for track in (False, True):
+            got = groebner._run_buchberger(gens, order,
+                                           resolve_term_cap(None), track)
+            want = reference_buchberger(gens, order, track)
+            assert [(monic(e.terms, e.lc, nvars),
+                     [monic(c, e.lc, nvars) for c in e.cofs], e.lead_exp)
+                    for e in got] == [
+                (Polynomial._wrap(t, nvars),
+                 [Polynomial._wrap(c, nvars) for c in cofs], lead)
+                for t, cofs, lead in want]
+        cert = contains_one(gens, order)
+        if any(want[-1][2]):
+            assert cert is None
+        else:  # the unit element is the monic constant 1
+            assert cert == BezoutCertificate(tuple(
+                Polynomial._wrap(c, nvars) for c in want[-1][1]))
 
 
 class TestTermCapInReplay:

@@ -1,6 +1,6 @@
 """The kernels give exact values: each is checked against a plain loop, over
-Fractions for the polynomial kernels and over ints for the matrix kernels,
-dense and sparse."""
+Fractions for the polynomial kernels (the integer reduction step too) and
+over ints for the matrix kernels, dense and sparse."""
 
 import random
 from fractions import Fraction
@@ -147,6 +147,47 @@ def test_empty_and_zero_operands():
     acc = dict(a)
     kernels.poly_isubmul(acc, Fraction(3), (1,), {})
     assert acc == a
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_poly_isubmul_int_exact(seed):
+    # a * acc - (c * x^shift) * q on integer term maps equals the same step
+    # on Fractions; odd seeds take a = 1 and seeds 2 and 6 big integers.
+    rng = random.Random(300 + seed)
+    nvars = rng.randint(1, 3)
+    big = 2**70 if seed % 4 == 2 else 1
+    acc = {e: int(c) * big for e, c in random_terms(rng, nvars, 12, (1,)).items()}
+    q = {e: int(c) for e, c in random_terms(rng, nvars, 8, (1,)).items()}
+    a = 1 if seed % 2 else rng.randint(2, 9) * big
+    c = rng.choice([-1, 1]) * rng.randint(1, 9) * big
+    shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+    want = ref_combine(ref_term_mul(acc, Fraction(a), (0,) * nvars),
+                       ref_term_mul(q, Fraction(c), shift), -1)
+    got = dict(acc)
+    kernels.poly_isubmul_int(got, a, c, shift, q)
+    assert got == want
+    assert all(type(v) is int and v != 0 for v in got.values())
+
+
+def test_poly_isubmul_int_cancels_and_empty_q():
+    # 3 * (2x + 1) - 2 * (3x + 5) = -7: the leading terms cancel.
+    acc = {(1,): 2, (0,): 1}
+    kernels.poly_isubmul_int(acc, 3, 2, (0,), {(1,): 3, (0,): 5})
+    assert acc == {(0,): -7}
+    # (2x + 4) - 2 * (x + 2) = 0, with a = 1.
+    acc = {(1,): 2, (0,): 4}
+    kernels.poly_isubmul_int(acc, 1, 2, (0,), {(1,): 1, (0,): 2})
+    assert acc == {}
+    # x^2 * (x + 1) - x^2 * (x + 1) = 0 at a shift.
+    acc = {(3,): 1, (2,): 1}
+    kernels.poly_isubmul_int(acc, 1, 1, (2,), {(1,): 1, (0,): 1})
+    assert acc == {}
+    # An empty q only scales acc.
+    acc = {(2,): -3, (0,): 1}
+    kernels.poly_isubmul_int(acc, 1, 7, (1,), {})
+    assert acc == {(2,): -3, (0,): 1}
+    kernels.poly_isubmul_int(acc, 5, 7, (1,), {})
+    assert acc == {(2,): -15, (0,): 5}
 
 
 # -- matrix kernels ---------------------------------------------------------
