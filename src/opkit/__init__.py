@@ -13,6 +13,7 @@ is machine-verified before it is returned.
 
 from .backend import (
     AffineSolutionSet,
+    Factorization,
     Matrix,
     OperatorInstance,
     instantiate,

@@ -5,7 +5,9 @@ polynomials are instantiated through the evaluation homomorphism, and
 kernel/solve/range questions are answered by fraction-free Gaussian
 elimination over the integers (Bareiss updates) followed by
 back-substitution, which keeps intermediate growth polynomial and the
-pivoting fully deterministic.
+pivoting fully deterministic.  A ``Factorization`` keeps the eliminations
+of one matrix, so that many questions about it eliminate it once for each
+kind of question.
 
 A ``Matrix`` is integer rows over one positive denominator, in lowest
 terms; products and elimination work on those integers, values leave as
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -420,26 +423,87 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
                              tuple(_kernel_from_rref(rref, pivots, m.cols)))
 
 
-def _solve_right_factor(P: Matrix, C: Matrix) -> Optional[Matrix]:
-    """Deterministic X with X P = C, or None; free parameters set to zero.
+class Factorization:
+    """The eliminations of one matrix P, each done once, when first needed.
 
-    Row r of X solves P^T x = (row r of C).  One elimination of the
-    augmented matrix [P^T | C^T] serves every row: the system is unsolvable
-    exactly when a pivot lands in the right-hand block, and otherwise each
-    right-hand column of the reduced echelon form holds that row's
-    particular solution, the one a separate solve would give.
+    ``echelon`` is the reduced echelon form of P with its pivot columns;
+    ``kernel`` is ``kernel_basis(P)``, read off it.  ``right_divide`` solves
+    X P = C for square P from one elimination of [P^T | I] to its reduced
+    form [R | E]: E P^T = R, so the first rank(P) rows of E give the
+    witness matrix G and the other rows N span the kernel of P as row
+    vectors.  X P = C is solvable exactly when C N^T = 0, and then C G is
+    the solution with the free parameters set to zero, the matrix that
+    reducing [P^T | C^T] on its own gives (a reduced echelon form is
+    unique).  For the same reason N is the reduced echelon form of the
+    kernel basis as rows.  Nothing is kept outside the object: a caller
+    builds one per P and drops it with P.
     """
-    n = P.rows
-    columns = zip(zip(*P._entries), zip(*C._entries))
-    rref, pivots = _rref([[x * C._den for x in p_col] + [x * P._den for x in c_col]
-                          for p_col, c_col in columns])
-    if pivots and pivots[-1] >= n:
-        return None
-    rows = [[_ZERO] * n for _ in range(n)]
-    for k, pc in enumerate(pivots):
-        for r in range(n):
-            rows[r][pc] = rref[k][n + r]
-    return Matrix(rows)
+
+    def __init__(self, P: Matrix):
+        self.P = P
+
+    @cached_property
+    def echelon(self) -> tuple[list[list[Fraction]], list[int]]:
+        return _rref(self.P._entries)
+
+    @cached_property
+    def kernel(self) -> list[Vector]:
+        return _kernel_from_rref(*self.echelon, self.P.cols)
+
+    @cached_property
+    def kernel_matrix(self) -> Matrix:
+        """The kernel basis as the columns of a matrix K; P must be singular."""
+        return Matrix(list(zip(*self.kernel)))
+
+    def kernel_coordinates(self, image: Matrix) -> Optional[list[Vector]]:
+        """Kernel-basis coordinates of the columns of ``image``, one row per
+        basis vector; None when a column leaves the kernel (P image != 0).
+
+        Each kernel basis vector is 1 at its free (non-pivot) column and 0
+        at the others, so a kernel vector's coordinates are its free rows.
+        """
+        if not (self.P * image).is_zero():
+            return None
+        d = image._den
+        return [tuple(Fraction(v, d) if v else _ZERO for v in image._entries[c])
+                for c in self._free]
+
+    @cached_property
+    def _free(self) -> list[int]:
+        pivots = set(self.echelon[1])
+        return [c for c in range(self.P.cols) if c not in pivots]
+
+    @cached_property
+    def _division(self) -> tuple[Matrix, Optional[Matrix],
+                                 list[list[Fraction]], list[int]]:
+        """(G, N^T or None, the rows of N, their pivot columns)."""
+        P = self.P
+        n = P.rows
+        # Row k is column k of P beside e_k, both times P._den.
+        rref, pivots = _rref([list(col) + [P._den if j == k else 0
+                                           for j in range(n)]
+                              for k, col in enumerate(zip(*P._entries))])
+        rank = sum(1 for p in pivots if p < n)
+        g = [[_ZERO] * n for _ in range(n)]
+        for k in range(rank):
+            for j in range(n):
+                g[j][pivots[k]] = rref[k][n + j]
+        null = [row[n:] for row in rref[rank:]]
+        null_t = Matrix(list(zip(*null))) if null else None
+        return Matrix(g), null_t, null, [p - n for p in pivots[rank:]]
+
+    @property
+    def null_echelon(self) -> tuple[list[list[Fraction]], list[int]]:
+        """The reduced echelon form of the kernel basis as rows, with its
+        pivot columns, from the elimination behind ``right_divide``."""
+        return self._division[2], self._division[3]
+
+    def right_divide(self, C: Matrix) -> Optional[Matrix]:
+        """Deterministic X with X P = C, or None; free parameters set to zero."""
+        G, null_t, _, _ = self._division
+        if null_t is not None and not (C * null_t).is_zero():
+            return None
+        return C * G
 
 
 def range_member(m: Matrix, f: Sequence) -> bool:

@@ -32,10 +32,11 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
-                      instantiate, kernel_basis,
+from .backend import (Factorization, Matrix, OperatorInstance,
+                      affine_sets_equal, as_vector, instantiate,
                       make_truncated_derivative_instance, solve_affine,
                       span_basis)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
@@ -54,8 +55,7 @@ from .reducer import (_system_split, find_system_certificate,
                       integrability_violations, recombined_solution_set, split,
                       system_map_B, system_map_F)
 from .symmetry import (SYMMETRY_DIMENSION_CAP, FormalSymmetry, Splitting,
-                       _induced_on_kernel, enumerate_formal_symmetries,
-                       is_formal_symmetry)
+                       enumerate_formal_symmetries, is_formal_symmetry)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -386,22 +386,40 @@ def cmd_symmetry(job: JobSpec) -> dict:
         raise VerificationError(
             "symmetry mode needs a singleton-family certificate; "
             "regroup the factors first")
+    # P is eliminated twice per job, whatever the size of the basis: its
+    # reduced form gives the kernel and the basis, and one right division
+    # gives every witness.
     p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
-    kernel = kernel_basis(p_full)
+    fact = Factorization(p_full)
+    kernel = fact.kernel
     raw_s = job.raw.get("symmetry")
     explicit = raw_s is not None
     basis = ([job._matrix(raw_s, "symmetry")] if explicit
-             else enumerate_formal_symmetries(p_full, kernel))
+             else enumerate_formal_symmetries(p_full, fact))
     splitting = Splitting.of(cert, factors, inst)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
     out["symmetry_space_dimension"] = (None if explicit else len(basis))
 
-    pairs = [(i, j) for i in range(len(factors)) for j in range(len(factors))]
+    # The generation check compares the maps that the basis and the
+    # reconstructions induce on the kernel: the image of S is S K, and the
+    # image of a reconstruction S_ij Pr_j is S_ij (Pr_j K).
+    generation = bool(kernel) and not explicit
+    if generation:
+        K = fact.kernel_matrix
+        sliced_kernels = [pr * K for pr in splitting.projectors]
+    induced, rebuilt = [], []
+
+    def induced_on_kernel(image: Matrix) -> tuple:
+        coordinates = fact.kernel_coordinates(image)
+        if coordinates is None:
+            raise VerificationError(
+                "internal error: a verified symmetry left the kernel")
+        return tuple(chain.from_iterable(coordinates))
+
     reports = []
-    reconstructed = []
     for idx, S in enumerate(basis):
-        witness = is_formal_symmetry(S, p_full)
+        witness = is_formal_symmetry(S, p_full, fact)
         if witness is None:
             raise VerificationError("the supplied matrix is not a formal symmetry")
         sym = FormalSymmetry(S, witness)
@@ -411,12 +429,14 @@ def cmd_symmetry(job: JobSpec) -> dict:
             entry["S"] = S.to_strings()
             entry["S_prime"] = witness.to_strings()
             entry["generalized"] = []
-        for i, j in pairs:
-            gen = splitting.slice(sym, i, j)
-            reconstructed.append(splitting.fold(gen).S)
+        if generation:
+            induced.append(induced_on_kernel(S * K))
+        for gen, _ in splitting.decompose(sym):
+            if generation:
+                rebuilt.append(induced_on_kernel(gen.S_ij * sliced_kernels[gen.j]))
             if explicit:
                 entry["generalized"].append({
-                    "i": i, "j": j,
+                    "i": gen.i, "j": gen.j,
                     "S_ij": gen.S_ij.to_strings(),
                     "S_prime_ij": gen.S_prime_ij.to_strings(),
                     "verified": True,
@@ -424,12 +444,11 @@ def cmd_symmetry(job: JobSpec) -> dict:
         reports.append(entry)
     out["decompositions"] = reports
 
-    if kernel and not explicit:
-        flat = lambda ms: [tuple(v for row in m.row_list() for v in row)
-                           for m in ms if m is not None]
-        a = flat(_induced_on_kernel(S, p_full, kernel) for S in basis)
-        b = flat(_induced_on_kernel(S, p_full, kernel) for S in reconstructed)
-        induced, rebuilt = span_basis(a), span_basis(b)
+    if generation:
+        # Zero maps span nothing, and many reconstructions induce zero on
+        # the kernel: every S_ij with i or j a factor of trivial kernel.
+        induced, rebuilt = (span_basis([v for v in maps if any(v)])
+                            for maps in (induced, rebuilt))
         out["generation"] = {
             "induced_dimension": len(induced),
             "reconstructed_dimension": len(rebuilt),

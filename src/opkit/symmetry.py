@@ -6,19 +6,28 @@ operator with a singleton-family certificate, the instantiated projectors
 Pr_i = Q_i P^i slice a symmetry into generalized symmetries
 S_ij = Pr_i S Pr_j (satisfying P_i S_ij = S'_ij P_j, hence mapping the
 kernel of P_j into the kernel of P_i), and any generalized symmetry folds
-back into a formal symmetry of the product.  A ``Splitting`` verifies its
-certificate once, every identity it builds is checked once with exact
-matrix equality, and the public functions check their inputs at the boundary.
+back into a formal symmetry of the product.
+
+A symmetry job eliminates P twice, whatever the size of its symmetry space:
+a ``backend.Factorization`` of P holds the reduced echelon form of P (and
+so the kernel basis K) and one right division by P (the reduced form of
+[P^T | I]).  Every witness is then a product with the division, the
+enumerated basis is read off the two reduced forms (the Kronecker structure
+of the constraint system), and maps induced on the kernel are products
+with K.  A ``Splitting`` verifies its certificate once and shares the
+products of its slices across the pairs (i, j).  Every identity built here
+is checked once with exact matrix equality, and the public functions check
+their inputs at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .backend import (Matrix, OperatorInstance, _solve_right_factor,
-                      instantiate, kernel_basis)
+from .backend import Factorization, Matrix, OperatorInstance, instantiate
 from .certify import (Certificate, _require_verified, _singleton_cofactors,
                       factor_product_complement)
 from .errors import InputError, ResourceLimitError, VerificationError
@@ -51,17 +60,30 @@ class GeneralizedSymmetry:
         return P_i * self.S_ij == self.S_prime_ij * P_j
 
 
-def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
+def _factorization(P: Matrix,
+                   factorization: Optional[Factorization]) -> Factorization:
+    if factorization is None:
+        return Factorization(P)
+    if factorization.P != P:
+        raise InputError("the factorization is of another matrix")
+    return factorization
+
+
+def is_formal_symmetry(S: Matrix, P: Matrix,
+                       factorization: Optional[Factorization] = None
+                       ) -> Optional[Matrix]:
     """Return a witness S' with P S = S' P when one exists, else None.
 
     Solvable exactly when S maps the kernel of P into itself; the witness
     is the deterministic free-parameters-zero solution and is not unique
-    for singular P.
+    for singular P.  ``factorization`` is ``Factorization(P)`` when the
+    caller already has one, so P is not eliminated again.
     """
     if not (S.is_square() and P.is_square() and S.rows == P.rows):
         raise InputError("S and P must be square matrices of equal size")
-    witness = _solve_right_factor(P, P * S)
-    if witness is not None and not (P * S == witness * P):
+    PS = P * S
+    witness = _factorization(P, factorization).right_divide(PS)
+    if witness is not None and PS != witness * P:
         raise VerificationError("internal error: symmetry witness failed its check")
     return witness
 
@@ -90,21 +112,53 @@ class Splitting:
                    complements=comp, cofactors=q,
                    projectors=tuple(qi * ci for qi, ci in zip(q, comp)))
 
+    @cached_property
+    def _slice_right(self) -> tuple[Matrix, ...]:
+        """Pr_j P^j, the right factor of a sliced witness."""
+        return tuple(pr * c for pr, c in zip(self.projectors, self.complements))
+
+    @cached_property
+    def _fold_right(self) -> tuple[Matrix, ...]:
+        """Pr_j P^j Q_j, the right factor of a sliced witness folded back."""
+        return tuple(t * q for t, q in zip(self._slice_right, self.cofactors))
+
     def slice(self, sym: FormalSymmetry, i: int, j: int) -> GeneralizedSymmetry:
         """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for sym checked on P."""
-        out = GeneralizedSymmetry(
-            i, j, self.projectors[i] * sym.S * self.projectors[j],
-            self.cofactors[i] * sym.S_prime * self.projectors[j] * self.complements[j])
+        return self._generalized(i, j, self.projectors[i] * sym.S * self.projectors[j],
+                                 self.cofactors[i] * sym.S_prime * self._slice_right[j])
+
+    def fold(self, gen: GeneralizedSymmetry) -> FormalSymmetry:
+        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for gen checked on P_i, P_j."""
+        return self._formal(
+            gen.S_ij * self.projectors[gen.j],
+            self.complements[gen.i] * gen.S_prime_ij * self.cofactors[gen.j])
+
+    def decompose(self, sym: FormalSymmetry
+                  ) -> list[tuple[GeneralizedSymmetry, FormalSymmetry]]:
+        """``slice(sym, i, j)`` and its ``fold`` for every pair (i, j), in
+        order, with Pr_i S, Q_i S' and P^i Q_i S' computed once per i."""
+        out = []
+        for i in range(len(self.factors)):
+            left = self.projectors[i] * sym.S
+            left_prime = self.cofactors[i] * sym.S_prime
+            fold_prime = self.complements[i] * left_prime
+            for j, pr in enumerate(self.projectors):
+                gen = self._generalized(i, j, left * pr,
+                                        left_prime * self._slice_right[j])
+                out.append((gen, self._formal(
+                    gen.S_ij * pr, fold_prime * self._fold_right[j])))
+        return out
+
+    def _generalized(self, i: int, j: int, S_ij: Matrix,
+                     S_prime_ij: Matrix) -> GeneralizedSymmetry:
+        out = GeneralizedSymmetry(i, j, S_ij, S_prime_ij)
         if not out.holds_for(self.factors[i], self.factors[j]):
             raise VerificationError(
                 "internal error: generalized symmetry identity failed")
         return out
 
-    def fold(self, gen: GeneralizedSymmetry) -> FormalSymmetry:
-        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for gen checked on P_i, P_j."""
-        out = FormalSymmetry(
-            gen.S_ij * self.projectors[gen.j],
-            self.complements[gen.i] * gen.S_prime_ij * self.cofactors[gen.j])
+    def _formal(self, S: Matrix, S_prime: Matrix) -> FormalSymmetry:
+        out = FormalSymmetry(S, S_prime)
         if not out.holds_for(self.P):
             raise VerificationError("internal error: reconstructed symmetry failed")
         return out
@@ -145,15 +199,20 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
 
 def enumerate_formal_symmetries(
         P: Matrix,
-        kernel: Optional[Sequence[Sequence[Fraction]]] = None) -> list[Matrix]:
+        factorization: Optional[Factorization] = None) -> list[Matrix]:
     """Exact basis of the space {S | some S' gives P S = S' P}.
 
     The space is cut out by the linear condition that S maps the kernel of
-    P into itself: P S v = 0 for every kernel basis vector v.  The basis is
-    the deterministic nullspace basis of that constraint system, reshaped.
-    ``kernel`` is ``kernel_basis(P)`` when the caller already has it, so P
-    is not eliminated again.  A P past ``SYMMETRY_DIMENSION_CAP`` is refused
-    before any elimination.
+    P into itself: P S v = 0 for every kernel basis vector v.  In the
+    unknowns S[b][c], flattened as b*n + c, that constraint matrix is
+    P (x) K^T up to row order, so its reduced echelon form is
+    rref(P) (x) rref(K^T), with pivots at the pairs of pivot columns.  The
+    basis is the nullspace basis of that form in the reduced-echelon
+    convention, one element per free pair (b, c) in order, reshaped: 1 at
+    (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.
+    ``factorization`` is ``Factorization(P)`` when the caller already has
+    one, so P is not eliminated again.  A P past ``SYMMETRY_DIMENSION_CAP``
+    is refused before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
@@ -162,22 +221,26 @@ def enumerate_formal_symmetries(
         raise ResourceLimitError(
             f"symmetry enumeration capped at dimension {SYMMETRY_DIMENSION_CAP}, "
             f"got {n}")
-    # Unknowns S[b][c] flattened as b*n + c; constraint block per kernel
-    # vector v: sum_{b,c} P[a][b] v[c] S[b][c] = 0 for each row a.  The zero
-    # row stands in for no constraint when P is invertible.
-    constraint_rows = [[0] * (n * n)]
-    for v in kernel_basis(P) if kernel is None else kernel:
-        for a in range(n):
-            row = [0] * (n * n)
-            for b in range(n):
-                pab = P.entry(a, b)
-                if pab:
-                    for c in range(n):
-                        if v[c]:
-                            row[b * n + c] = pab * v[c]
-            constraint_rows.append(row)
-    return [Matrix([vec[b * n:(b + 1) * n] for b in range(n)])
-            for vec in kernel_basis(Matrix(constraint_rows))]
+    fact = _factorization(P, factorization)
+    rref, pivots = fact.echelon
+    null, null_pivots = fact.null_echelon
+    pivot_set, null_set = set(pivots), set(null_pivots)
+    zero = Fraction(0)
+    basis = []
+    for b in range(n):
+        for c in range(n):
+            if b in pivot_set and c in null_set:
+                continue
+            rows = [[zero] * n for _ in range(n)]
+            rows[b][c] = 1
+            for row, p in zip(rref, pivots):
+                x = row[b]
+                if x:
+                    for null_row, q in zip(null, null_pivots):
+                        if null_row[c]:
+                            rows[p][q] = -x * null_row[c]
+            basis.append(Matrix(rows))
+    return basis
 
 
 def induced_kernel_map(S: Matrix, P: Matrix) -> Optional[Matrix]:
@@ -186,19 +249,8 @@ def induced_kernel_map(S: Matrix, P: Matrix) -> Optional[Matrix]:
     None when S does not preserve the kernel; a 0x0 placeholder is never
     produced (an invertible P raises instead, there is nothing to induce).
     """
-    kernel = kernel_basis(P)
-    if not kernel:
+    fact = Factorization(P)
+    if not fact.kernel:
         raise InputError("P has trivial kernel; no induced map exists")
-    return _induced_on_kernel(S, P, kernel)
-
-
-def _induced_on_kernel(S: Matrix, P: Matrix,
-                       kernel: Sequence[Sequence[Fraction]]) -> Optional[Matrix]:
-    """``induced_kernel_map`` given the nonempty ``kernel_basis(P)``.  Each
-    basis vector is 1 at its free column (its last nonzero entry) and 0 at
-    the others, so a kernel vector's coordinates are its free entries."""
-    images = [S.apply(v) for v in kernel]
-    if any(any(P.apply(w)) for w in images):
-        return None
-    free = [max(c for c, x in enumerate(v) if x) for v in kernel]
-    return Matrix([[w[c] for w in images] for c in free])
+    coordinates = fact.kernel_coordinates(S * fact.kernel_matrix)
+    return None if coordinates is None else Matrix(coordinates)

@@ -77,6 +77,29 @@ def conjugated_diagonal(rng: random.Random, eigenvalues):
             return v * Matrix.diagonal(eigenvalues) * v_inv
 
 
+def solve_right_factor_reference(P, C):
+    """Reference right division: X with X P = C, or None, with the free
+    parameters set to zero, from one elimination of [P^T | C^T] per call.
+
+    Unsolvable exactly when a pivot lands in the right-hand block;
+    otherwise each right-hand column of the reduced form holds one row of
+    X at the pivot columns.
+    """
+    from opkit.backend import Matrix, _rref
+
+    n = P.rows
+    columns = zip(zip(*P._entries), zip(*C._entries))
+    rref, pivots = _rref([[x * C._den for x in p_col] + [x * P._den for x in c_col]
+                          for p_col, c_col in columns])
+    if pivots and pivots[-1] >= n:
+        return None
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k, pc in enumerate(pivots):
+        for r in range(n):
+            rows[r][pc] = rref[k][n + r]
+    return Matrix(rows)
+
+
 def distinct_fractions(rng: random.Random, count: int, bound: int = 8):
     values = set()
     while len(values) < count:

@@ -180,25 +180,42 @@ class TestVerifyOnce:
         assert calls[2:] == ["DualCertificate", "Certificate", "Certificate"]
 
     def test_symmetry_eliminates_p_once(self, capsys, tmp_path, monkeypatch):
-        import opkit.cli
-        import opkit.symmetry
-        from opkit.backend import instantiate, kernel_basis
-        factors = [opkit.parse_polynomial(s, ["x", "y"])
-                   for s in SYMMETRY_ENUMERATED_JOB["factors"]]
-        inst = opkit.make_truncated_derivative_instance(2, 3)
-        p_full = instantiate(factors[0] * factors[1], inst)
-        eliminations = []
+        # A job runs the same four eliminations whatever its basis size:
+        # P, the right division [P^T | I], and one canonical span basis per
+        # side of the generation check.  The golden job has 27 basis
+        # elements, the dimension-10 job 91.
+        import opkit.backend
+        from opkit.backend import instantiate
+        dim10 = {"variables": ["x"], "factors": ["x", "x+1"],
+                 "instance": {"kind": "truncated_derivative",
+                              "max_degree": 10}}
+        rref = opkit.backend._rref
+        for job, k, degree, size in ((SYMMETRY_ENUMERATED_JOB, 2, 3, 27),
+                                     (dim10, 1, 10, 91)):
+            factors = [opkit.parse_polynomial(s, job["variables"])
+                       for s in job["factors"]]
+            inst = opkit.make_truncated_derivative_instance(k, degree)
+            p_full = instantiate(factors[0] * factors[1], inst)
+            n = inst.dimension
+            transposed = [list(col) + [p_full._den * (j == i)
+                                       for j in range(n)]
+                          for i, col in enumerate(zip(*p_full._entries))]
+            eliminations = []
 
-        def counted(m):
-            eliminations.append(m == p_full)
-            return kernel_basis(m)
+            def counted(rows):
+                rows = [list(r) for r in rows]
+                eliminations.append("P" if rows == list(map(list, p_full._entries))
+                                    else "division" if rows == transposed
+                                    else "span")
+                return rref(rows)
 
-        for module in (opkit.cli, opkit.symmetry):
-            monkeypatch.setattr(module, "kernel_basis", counted)
-        path = write_job(tmp_path, SYMMETRY_ENUMERATED_JOB)
-        code, _, _ = run_cli(capsys, "symmetry", "--job", path)
-        assert code == 0
-        assert eliminations.count(True) == 1  # the constraint system aside
+            monkeypatch.setattr(opkit.backend, "_rref", counted)
+            code, out, _ = run_cli(capsys, "symmetry", "--job",
+                                   write_job(tmp_path, job))
+            monkeypatch.setattr(opkit.backend, "_rref", rref)
+            assert code == 0
+            assert json.loads(out)["symmetry_space_dimension"] == size
+            assert sorted(eliminations) == ["P", "division", "span", "span"]
 
     def test_symmetry_checks_each_identity_once(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -621,6 +638,82 @@ class TestInstanceFuzz:
                 code = main([mode, "--job", str(path)])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+# FUZZ_RATIONALS within the 4096-bit job-rational cap, whose refusal is
+# exit code 3 and is tested on its own.
+MALFORMED_ENTRIES = st.one_of(
+    EXACT_RATIONALS,
+    st.sampled_from(["1/0", " 5 ", "1e3", "0.5", "1//2", "", "x"]),
+    st.booleans(), st.floats(), st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+@st.composite
+def explicit_symmetry_job(draw):
+    """A symmetry job for factors x, x+1 on one upper triangular generator
+    of side n <= 4 with eigenvalues in {0, -1, 2} (0 drawn twice as often,
+    so P = x (x + 1) is mostly singular), and an explicit grid: a rational
+    combination of the enumerated basis (a symmetry), any rational square
+    grid (mostly not one), or a malformed grid."""
+    n = draw(st.integers(1, 4))
+    upper = [[draw(st.sampled_from([0, 0, -1, 2])) if i == j
+              else draw(st.integers(-2, 2)) if i < j else 0
+              for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(["symmetry", "grid", "malformed"]))
+    if kind == "symmetry":
+        from opkit.backend import Matrix
+        from opkit.symmetry import enumerate_formal_symmetries
+        x = Matrix(upper)
+        p = x * (x + Matrix.identity(n))
+        grid = Matrix.zeros(n, n)
+        for s in enumerate_formal_symmetries(p):
+            c = draw(st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=4))
+            grid = grid + s.scale(c)
+        grid = grid.to_strings()
+    elif kind == "grid":
+        grid = draw(fuzz_grid(st.fractions(-3, 3, max_denominator=4).map(str),
+                              n))
+    else:
+        grid = draw(st.one_of(fuzz_grid(MALFORMED_ENTRIES),
+                              fuzz_grid(EXACT_RATIONALS, n + 1),
+                              MALFORMED_ENTRIES.filter(
+                                  lambda v: v is not None)))
+    return {"variables": ["x"], "factors": ["x", "x+1"],
+            "instance": {"kind": "matrices",
+                         "generators": [[[str(v) for v in row]
+                                         for row in upper]]},
+            "symmetry": grid}
+
+
+class TestExplicitSymmetryFuzz:
+    """An explicit ``symmetry`` grid keeps the exit-code contract: 0, 2 or
+    4, never a traceback; every exit-0 witness matches the reference."""
+
+    @given(explicit_symmetry_job())
+    @settings(max_examples=120, deadline=timedelta(seconds=10),
+              derandomize=True)
+    def test_exit_code_contract_and_witness(self, job):
+        from opkit.backend import Matrix
+        from conftest import solve_right_factor_reference
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "job.json"
+            path.write_text(json.dumps(job))
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = main(["symmetry", "--job", str(path)])
+        assert code in (0, 2, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            entry = json.loads(out.getvalue())["decompositions"][0]
+            x = Matrix(job["instance"]["generators"][0])
+            P = x * (x + Matrix.identity(x.rows))
+            S, S_prime = Matrix(entry["S"]), Matrix(entry["S_prime"])
+            assert P * S == S_prime * P
+            assert S_prime == solve_right_factor_reference(P, P * S)
 
 
 class TestPlan:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from opkit.backend import (Matrix, OperatorInstance, instantiate, kernel_basis,
-                           solve_affine, span_basis, spans_equal,
-                           _solve_right_factor)
+from opkit.backend import (Factorization, Matrix, OperatorInstance,
+                           instantiate, kernel_basis, solve_affine, span_basis,
+                           spans_equal)
 from opkit.certify import (UnivariateSpec, factor_product_complement,
                            univariate_certificate, univariate_factors)
 from opkit.errors import InputError, ResourceLimitError, VerificationError
@@ -17,7 +17,8 @@ from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                             generalized_from_formal, induced_kernel_map,
                             is_formal_symmetry, projector)
 
-from conftest import conjugated_diagonal, distinct_fractions
+from conftest import (conjugated_diagonal, distinct_fractions,
+                      solve_right_factor_reference)
 
 
 def formal_from_generalized_simple(gen, factors, inst):
@@ -62,18 +63,31 @@ def random_grid(rng, rows, cols, bound=3):
                     for _ in range(cols)] for _ in range(rows)])
 
 
+def random_rank(rng, n, rank, bound=3):
+    """A random rational n x n matrix of rank at most ``rank``."""
+    if not rank:
+        return Matrix.zeros(n, n)
+    return random_grid(rng, n, rank, bound) * random_grid(rng, rank, n, bound)
+
+
+def same_matrix(a, b):
+    """Equal in value, in the stored fields and in the hash, or both None."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (a == b and a._entries == b._entries and a._den == b._den
+            and hash(a) == hash(b) and a.to_strings() == b.to_strings())
+
+
 class TestIsFormalSymmetry:
     def test_one_elimination_matches_column_solves(self, rng):
         outcomes = set()
         for _ in range(60):
             n = rng.randint(1, 5)
-            rank = rng.choice([n, rng.randint(0, n)])
-            P = (random_grid(rng, n, rank) * random_grid(rng, rank, n)
-                 if rank else Matrix.zeros(n, n))
+            P = random_rank(rng, n, rng.choice([n, rng.randint(0, n)]))
             C = (random_grid(rng, n, n) * P if rng.random() < 0.5
                  else random_grid(rng, n, n))
             expected = solve_right_factor_by_columns(P, C)
-            got = _solve_right_factor(P, C)
+            got = Factorization(P).right_divide(C)
             assert got == expected
             if got is not None:
                 assert got * P == C
@@ -81,13 +95,50 @@ class TestIsFormalSymmetry:
         assert {(True, False), (False, False), (False, True)} <= outcomes
 
     def test_negative_last_pivot_gives_the_canonical_matrix(self):
-        # Eliminating [P^T | C^T] for P = diag(1, -1) ends on the pivot -1.
+        # Eliminating [P^T | I] for P = diag(1, -1) meets the pivot -1.
         P = Matrix.diagonal([1, -1])
         C = Matrix([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]])
-        got = _solve_right_factor(P, C)
+        got = Factorization(P).right_divide(C)
         want = Matrix([[Fraction(1, 2), -3], [0, Fraction(5, 7)]])
-        assert got == want and hash(got) == hash(want)
+        assert same_matrix(got, want)
         assert got.to_strings() == [["1/2", "-3"], ["0", "5/7"]]
+        assert same_matrix(got, solve_right_factor_reference(P, C))
+
+    def test_division_witness_matches_per_call_elimination(self, rng):
+        # One division of P serves every right side C, and gives the same
+        # matrix as eliminating [P^T | C^T] for each C: singular,
+        # invertible and zero P, negative pivots and determinants, C inside
+        # and outside the row space of P.
+        fixed = [Matrix.zeros(3, 3), Matrix.diagonal([1, -1]),
+                 Matrix.diagonal([-3, 0, Fraction(-1, 2)]),
+                 Matrix([[0, -2], [Fraction(-3, 5), 0]]),
+                 Matrix([[1, 1], [1, 1]])]
+        cases = fixed + [random_rank(rng, n, rng.randint(0, n))
+                         for n in (1, 2, 3, 4, 5, 6, 6) for _ in range(6)]
+        seen = set()
+        for P in cases:
+            n = P.rows
+            division = Factorization(P)
+            for _ in range(6):
+                kind = rng.choice(["inside", "outside", "zero"])
+                C = {"inside": lambda: random_grid(rng, n, n) * P,
+                     "outside": lambda: random_grid(rng, n, n),
+                     "zero": lambda: Matrix.zeros(n, n)}[kind]()
+                got = division.right_divide(C)
+                assert same_matrix(got, solve_right_factor_reference(P, C))
+                if kind != "outside":
+                    assert got is not None and got * P == C
+                seen.add((P.is_zero(), bool(kernel_basis(P)), got is None))
+                S = random_grid(rng, n, n)
+                assert same_matrix(is_formal_symmetry(S, P, division),
+                                   solve_right_factor_reference(P, P * S))
+        assert {(True, True, False), (False, False, False),
+                (False, True, False), (False, True, True)} <= seen
+
+    def test_factorization_of_another_matrix_is_refused(self):
+        fact = Factorization(Matrix.diagonal([0, 1]))
+        with pytest.raises(InputError):
+            is_formal_symmetry(Matrix.identity(2), Matrix.identity(2), fact)
 
     def test_identity_always_works(self):
         for p in (Matrix.identity(2), Matrix.diagonal([0, 1]), Matrix.zeros(2, 2)):
@@ -125,7 +176,73 @@ class TestIsFormalSymmetry:
         assert is_formal_symmetry(outside, p) is None
 
 
+def enumerate_by_constraints(P):
+    """Reference basis: the nullspace of the n^2-column constraint system
+    P S v = 0 for every kernel basis vector v, in the unknowns S[b][c]
+    flattened as b*n + c, reshaped."""
+    n = P.rows
+    constraint_rows = [[0] * (n * n)]
+    for v in kernel_basis(P):
+        for a in range(n):
+            row = [0] * (n * n)
+            for b in range(n):
+                pab = P.entry(a, b)
+                if pab:
+                    for c in range(n):
+                        if v[c]:
+                            row[b * n + c] = pab * v[c]
+            constraint_rows.append(row)
+    return [Matrix([vec[b * n:(b + 1) * n] for b in range(n)])
+            for vec in kernel_basis(Matrix(constraint_rows))]
+
+
 class TestEnumerate:
+    def test_kronecker_basis_matches_constraint_elimination(self, rng):
+        # Invertible (empty kernel), zero, rank 1, rank-deficient rational
+        # and nilpotent P, n from 1 to 12, element for element.
+        nilpotent = Matrix([[int(j == i + 1) for j in range(5)]
+                            for i in range(5)])
+        cases = [Matrix.identity(3), Matrix.zeros(4, 4), nilpotent,
+                 Matrix.diagonal([Fraction(-2, 3), 0, 5, 0]),
+                 random_rank(rng, 12, 1), random_rank(rng, 10, 7)]
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            cases.append(random_rank(rng, n, rng.choice(
+                [1, n, rng.randint(0, n)])))
+        kernel_dims = set()
+        for P in cases:
+            got = enumerate_formal_symmetries(P)
+            want = enumerate_by_constraints(P)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert same_matrix(a, b)
+            d, n = len(kernel_basis(P)), P.rows
+            assert len(got) == n * n - d * (n - d)
+            kernel_dims.add((d == 0, d == n - 1, d == n))
+        assert {(True, False, False), (False, True, False),
+                (False, False, True)} <= kernel_dims
+
+    def test_one_factorization_serves_kernel_basis_and_witnesses(
+            self, monkeypatch):
+        import opkit.backend
+        P = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 2)]])
+        fact = Factorization(P)
+        calls = []
+        rref = opkit.backend._rref
+
+        def counted(rows):
+            calls.append(len(rows[0]))
+            return rref(rows)
+
+        monkeypatch.setattr(opkit.backend, "_rref", counted)
+        assert fact.kernel == kernel_basis(P)
+        basis = enumerate_formal_symmetries(P, fact)
+        for S in basis:
+            assert is_formal_symmetry(S, P, fact) is not None
+        assert sorted(calls[1:]) == [3, 6]  # kernel_basis above aside
+        with pytest.raises(InputError):
+            enumerate_formal_symmetries(P, Factorization(Matrix.identity(3)))
+
     def test_invertible_gives_full_space(self):
         assert len(enumerate_formal_symmetries(Matrix.identity(2))) == 4
 
