@@ -9,9 +9,12 @@ pivoting fully deterministic.  A ``Factorization`` keeps the eliminations
 of one matrix, so that many questions about it eliminate it once for each
 kind of question.
 
-A ``Matrix`` is integer rows over one positive denominator, in lowest
-terms; products and elimination work on those integers, values leave as
-``Fraction``s, and no other module reads the fields.
+A ``Matrix`` is sparse: each integer row holds the ``(col, value)`` pairs
+of its nonzero entries, all over one positive denominator, in lowest
+terms.  That is the one format; sums, products (``kernels.mat_mul``),
+applications (``kernels.mat_apply``) and instantiation all work on it,
+elimination takes the rows dense, values leave as ``Fraction``s, and no
+other module reads the fields.
 
 Everything is exact; nothing here ever touches floating point.
 """
@@ -57,9 +60,22 @@ def _integer_form(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+def _dense(row: Iterable[tuple[int, int]], cols: int) -> list[int]:
+    """The dense integer row of ``cols`` entries with the given pairs."""
+    out = [0] * cols
+    for j, v in row:
+        out[j] = v
+    return out
+
+
 class Matrix:
-    """Immutable dense matrix of exact rationals: integer rows ``_entries`` over
-    one denominator ``_den`` > 0, in lowest terms, so equal values hash equal."""
+    """Immutable sparse matrix of exact rationals.
+
+    ``_entries`` holds one integer row per matrix row, as the ``(col,
+    value)`` pairs of its nonzero entries sorted by column, all over one
+    denominator ``_den`` > 0, in lowest terms; with the shape ``rows`` by
+    ``cols``, equal values are equal field by field and hash equal.
+    """
 
     __slots__ = ("rows", "cols", "_entries", "_den")
 
@@ -71,31 +87,37 @@ class Matrix:
         if width == 0 or any(len(r) != width for r in rows):
             raise InputError("matrix rows must be nonempty and equal length")
         nums, self._den = _integer_form(list(chain.from_iterable(rows)))
-        self._entries = tuple(tuple(nums[k:k + width])
-                              for k in range(0, len(nums), width))
+        self._entries = tuple(
+            tuple([(j, v) for j, v in enumerate(nums[k:k + width]) if v])
+            for k in range(0, len(nums), width))
         self.rows = len(rows)
         self.cols = width
 
     @classmethod
-    def _wrap(cls, entries: Sequence[Sequence[int]], den: int) -> "Matrix":
-        """The matrix entries / den, for integer rows and den > 0."""
-        g = gcd(den, *chain.from_iterable(entries)) if den != 1 else 1
+    def _wrap(cls, entries: Sequence[Sequence[tuple[int, int]]], den: int,
+              cols: int) -> "Matrix":
+        """The matrix entries / den, for sparse integer rows and den > 0."""
+        g = gcd(den, *(v for row in entries for _, v in row)) if den != 1 else 1
         if g != 1:
-            entries = [[v // g for v in row] for row in entries]
+            entries = [[(j, v // g) for j, v in row] for row in entries]
         self = object.__new__(cls)
         self._entries = tuple(map(tuple, entries))
         self._den = den // g
         self.rows = len(entries)
-        self.cols = len(entries[0])
+        self.cols = cols
         return self
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._wrap([[int(i == j) for j in range(n)] for i in range(n)], 1)
+        if n < 1:
+            raise InputError("a matrix needs at least one row and column")
+        return cls._wrap([((i, 1),) for i in range(n)], 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._wrap([[0] * cols for _ in range(rows)], 1)
+        if rows < 1 or cols < 1:
+            raise InputError("a matrix needs at least one row and column")
+        return cls._wrap([()] * rows, 1, cols)
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "Matrix":
@@ -104,49 +126,56 @@ class Matrix:
                     for i in range(len(vals))])
 
     def to_strings(self) -> list[list[str]]:
-        return [[str(Fraction(v, self._den)) for v in row]
+        return [[str(Fraction(v, self._den)) for v in _dense(row, self.cols)]
                 for row in self._entries]
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._entries[i][j], self._den)
+        return Fraction(_dense(self._entries[i], self.cols)[j], self._den)
 
     def row_list(self) -> list[list[Fraction]]:
         d = self._den
-        return [[Fraction(v, d) if v else _ZERO for v in row]
+        return [[Fraction(v, d) if v else _ZERO for v in _dense(row, self.cols)]
                 for row in self._entries]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(chain.from_iterable(self._entries))
+        return not any(self._entries)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self._den == other._den
-                and self._entries == other._entries)
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self._den == other._den and self._entries == other._entries)
 
     def __hash__(self) -> int:
-        return hash((self._entries, self._den))
+        return hash((self.cols, self._entries, self._den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         d = lcm(self._den, other._den)
         a, b = d // self._den, d // other._den
-        return Matrix._wrap([[x * a + y * b for x, y in zip(r1, r2)]
-                             for r1, r2 in zip(self._entries, other._entries)], d)
+        rows = []
+        for r1, r2 in zip(self._entries, other._entries):
+            acc = {j: x * a for j, x in r1}
+            for j, y in r2:
+                acc[j] = acc.get(j, 0) + y * b
+            rows.append([(j, v) for j, v in sorted(acc.items()) if v])
+        return Matrix._wrap(rows, d, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._wrap([[-a for a in row] for row in self._entries],
-                            self._den)
+        return Matrix._wrap([[(j, -v) for j, v in row] for row in self._entries],
+                            self._den, self.cols)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix._wrap([[a * c.numerator for a in row]
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._wrap([[(j, v * c.numerator) for j, v in row]
                              for row in self._entries],
-                            self._den * c.denominator)
+                            self._den * c.denominator, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -155,7 +184,7 @@ class Matrix:
                     f"cannot multiply {self.rows}x{self.cols} by "
                     f"{other.rows}x{other.cols}")
             return Matrix._wrap(kernels.mat_mul(self._entries, other._entries),
-                                self._den * other._den)
+                                self._den * other._den, other.cols)
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         return NotImplemented
@@ -173,6 +202,10 @@ class Matrix:
         return tuple(Fraction(s, d) if s else _ZERO
                      for s in kernels.mat_apply(self._entries, nums))
 
+    def _dense_rows(self) -> list[list[int]]:
+        """The dense integer rows, the input of elimination."""
+        return [_dense(row, self.cols) for row in self._entries]
+
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix shape mismatch")
@@ -181,26 +214,18 @@ class Matrix:
         return f"Matrix({self.to_strings()!r})"
 
 
-def _sparse_rows(m: Matrix) -> list[dict]:
-    """The integer rows of m as ``{col: value}`` maps of the nonzero entries."""
-    return [{j: v for j, v in enumerate(row) if v} for row in m._entries]
-
-
 @dataclass(frozen=True)
 class OperatorInstance:
     """A commuting family of square matrices realizing the variables.
 
-    Each instance keeps its generators' integer rows in sparse form, built
-    once at construction; the commutator check and every evaluation run on
-    them.  Each instance also memoizes its instantiated polynomials:
-    ``instantiate`` keeps the matrix of every polynomial it evaluates here,
-    keyed by the polynomial's value, for as long as the instance lives.
-    Neither takes part in equality, hashing or the repr.
+    Each instance memoizes its instantiated polynomials: ``instantiate``
+    keeps the matrix of every polynomial it evaluates here, keyed by the
+    polynomial's value, for as long as the instance lives.  The memo takes
+    no part in equality, hashing or the repr.
     """
 
     dimension: int
     generators: tuple[Matrix, ...]
-    _sparse: tuple = field(init=False, repr=False, compare=False)
     _instantiated: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
@@ -212,19 +237,15 @@ class OperatorInstance:
                 f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
         if not self.generators:
             raise InputError("need at least one generator matrix")
-        for i, g in enumerate(self.generators):
+        gens = self.generators
+        for i, g in enumerate(gens):
             if not (g.is_square() and g.rows == self.dimension):
                 raise InputError(f"generator {i} is not {self.dimension} square")
-        sparse = tuple(_sparse_rows(g) for g in self.generators)
-        # Both products of a pair are over the same denominator, so the
-        # generators commute exactly when their numerators do.
-        for i in range(len(sparse)):
-            for j in range(i + 1, len(sparse)):
-                if (kernels.sparse_mul(sparse[i], sparse[j])
-                        != kernels.sparse_mul(sparse[j], sparse[i])):
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                if gens[i] * gens[j] != gens[j] * gens[i]:
                     raise InputError(
                         f"generators {i} and {j} do not commute")
-        object.__setattr__(self, "_sparse", sparse)
 
     @classmethod
     def of(cls, generators: Sequence[Matrix]) -> "OperatorInstance":
@@ -254,32 +275,17 @@ def instantiate(p: Polynomial, inst: OperatorInstance) -> Matrix:
     return cached
 
 
-def _sparse_product(a: tuple[list[dict], int],
-                    b: tuple[list[dict], int]) -> tuple[list[dict], int]:
-    """The product of two matrices given as (sparse integer rows, denominator),
-    in lowest terms as ``Matrix._wrap`` keeps a Matrix, so that the
-    numerators of powers do not grow with the powers of the denominator."""
-    rows = kernels.sparse_mul(a[0], b[0])
-    den = a[1] * b[1]
-    g = den if den == 1 else gcd(
-        den, *chain.from_iterable(r.values() for r in rows))
-    if g != 1:
-        rows = [{j: v // g for j, v in r.items()} for r in rows]
-    return rows, den // g
-
-
 def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
-    """p at the generators, on sparse integer rows.
+    """p at the generators.
 
-    Each monomial is a sparse product of generator powers, an integer
-    matrix over its own denominator.  The terms are summed as integers over
-    the lcm D of their denominators (the monomial's times the
-    coefficient's), and the sum leaves as one Matrix in lowest terms.
+    Each monomial is a product of generator powers, a Matrix in lowest
+    terms.  The terms are summed as integers over the lcm D of their
+    denominators (the monomial's times the coefficient's), and the sum
+    leaves as one Matrix in lowest terms.
     """
     n = inst.dimension
-    identity = ([{i: 1} for i in range(n)], 1)
-    powers = [[identity, (rows, g._den)]  # powers[v][e]: generator v to the e
-              for rows, g in zip(inst._sparse, inst.generators)]
+    identity = Matrix.identity(n)
+    powers = [[identity, g] for g in inst.generators]  # powers[v][e]: g_v^e
     terms = []
     for exp, c in p.terms.items():
         mono = identity
@@ -287,22 +293,18 @@ def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
             if e:
                 cache = powers[v]
                 while len(cache) <= e:
-                    cache.append(_sparse_product(cache[-1], cache[1]))
-                mono = cache[e] if mono is identity else _sparse_product(
-                    mono, cache[e])
+                    cache.append(cache[-1] * cache[1])
+                mono = cache[e] if mono is identity else mono * cache[e]
         terms.append((c, mono))
-    D = lcm(*(c.denominator * den for c, (_, den) in terms))
+    D = lcm(*(c.denominator * m._den for c, m in terms))
     acc: list[dict] = [{} for _ in range(n)]
-    for c, (rows, den) in terms:
-        b = c.numerator * (D // (c.denominator * den))
-        for row, mrow in zip(acc, rows):
-            for j, v in mrow.items():
+    for c, m in terms:
+        b = c.numerator * (D // (c.denominator * m._den))
+        for row, mrow in zip(acc, m._entries):
+            for j, v in mrow:
                 row[j] = row.get(j, 0) + b * v
-    dense = [[0] * n for _ in range(n)]
-    for out, row in zip(dense, acc):
-        for j, v in row.items():
-            out[j] = v
-    return Matrix._wrap(dense, D)
+    return Matrix._wrap([[(j, v) for j, v in sorted(row.items()) if v]
+                         for row in acc], D, n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,7 @@ def _kernel_from_rref(rref: Sequence[Sequence[Fraction]], pivots: Sequence[int],
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Deterministic exact nullspace basis (reduced-echelon convention)."""
-    rref, pivots = _rref(m._entries)
+    rref, pivots = _rref(m._dense_rows())
     return _kernel_from_rref(rref, pivots, m.cols)
 
 
@@ -411,7 +413,8 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
         raise InputError(f"rhs length {len(f)} != row count {m.rows}")
     # Row i of [m | f] times m._den * (denominator of m._den * f_i) is integer.
     rref, pivots = _rref([[x * r.denominator for x in row] + [r.numerator]
-                          for row, r in zip(m._entries, (v * m._den for v in f))])
+                          for row, r in zip(m._dense_rows(),
+                                           (v * m._den for v in f))])
     if pivots and pivots[-1] == m.cols:
         return AffineSolutionSet(None, ())
     particular = [_ZERO] * m.cols
@@ -444,7 +447,7 @@ class Factorization:
 
     @cached_property
     def echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        return _rref(self.P._entries)
+        return _rref(self.P._dense_rows())
 
     @cached_property
     def kernel(self) -> list[Vector]:
@@ -464,9 +467,8 @@ class Factorization:
         """
         if not (self.P * image).is_zero():
             return None
-        d = image._den
-        return [tuple(Fraction(v, d) if v else _ZERO for v in image._entries[c])
-                for c in self._free]
+        rows = image.row_list()
+        return [tuple(rows[c]) for c in self._free]
 
     @cached_property
     def _free(self) -> list[int]:
@@ -482,7 +484,7 @@ class Factorization:
         # Row k is column k of P beside e_k, both times P._den.
         rref, pivots = _rref([list(col) + [P._den if j == k else 0
                                            for j in range(n)]
-                              for k, col in enumerate(zip(*P._entries))])
+                              for k, col in enumerate(zip(*P._dense_rows()))])
         rank = sum(1 for p in pivots if p < n)
         g = [[_ZERO] * n for _ in range(n)]
         for k in range(rank):
@@ -587,11 +589,11 @@ def make_truncated_derivative_instance(k: int, max_degree: int) -> OperatorInsta
     index = {exp: i for i, exp in enumerate(basis)}
     generators = []
     for v in range(k):
-        entries = [[0] * dimension for _ in range(dimension)]
+        entries: list[list] = [[] for _ in range(dimension)]
         for col, exp in enumerate(basis):
             if exp[v] > 0:
                 lowered = list(exp)
                 lowered[v] -= 1
-                entries[index[tuple(lowered)]][col] = exp[v]
-        generators.append(Matrix._wrap(entries, 1))
+                entries[index[tuple(lowered)]].append((col, exp[v]))
+        generators.append(Matrix._wrap(entries, 1, dimension))
     return OperatorInstance(dimension, tuple(generators))

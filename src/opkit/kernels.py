@@ -2,9 +2,9 @@
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
 Fractions, and the integer reduction step of fraction-free Buchberger on
-integer term maps), integer matrix products on the integer rows of a
-``backend.Matrix`` and on sparse integer rows, and the integer row
-operation used by fraction-free elimination.  Callers reach the kernels by
+integer term maps), the integer matrix product and apply on the sparse
+integer rows of a ``backend.Matrix``, and the dense integer row operation
+used by fraction-free elimination.  Callers reach the kernels by
 attribute (``kernels.mat_mul``), so a test or a tracer can substitute one.
 
 All polynomial kernels keep the canonical-form invariant: no zero
@@ -14,7 +14,6 @@ coefficient is ever stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 IMPLEMENTATION = "pure-python"
 
@@ -114,31 +113,26 @@ def poly_isubmul_int(acc: dict, a: int, c: int, shift: tuple,
 
 
 def mat_mul(a: list, b: list) -> list:
-    """Multiply two integer matrices given as sequences of rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def sparse_mul(a: list, b: list) -> list:
     """Multiply two integer matrices given as sparse rows.
 
-    A sparse row is a ``{col: value}`` map with no zero value; row i of the
-    product is the sum over k of a[i][k] * (row k of b), and stores no zero
-    either.
+    A sparse row is a sequence of ``(col, value)`` pairs sorted by column,
+    with no zero value; row i of the product is the sum over k of
+    a[i][k] * (row k of b), a sparse row of the same form.
     """
     out = []
     for row in a:
         acc: dict = {}
-        for k, x in row.items():
-            for j, y in b[k].items():
+        for k, x in row:
+            for j, y in b[k]:
                 acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
+        out.append(tuple([(j, v) for j, v in sorted(acc.items()) if v]))
     return out
 
 
 def mat_apply(a: list, v: list) -> list:
-    """Apply an integer matrix, a sequence of rows, to an integer vector."""
-    return [sum(map(mul, row, v)) for row in a]
+    """Apply an integer matrix, a sequence of sparse rows, to an integer
+    vector."""
+    return [sum([x * v[k] for k, x in row]) for row in a]
 
 
 def row_combine_int(row: list, a: int, prow: list, b: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -77,6 +78,29 @@ def conjugated_diagonal(rng: random.Random, eigenvalues):
             return v * Matrix.diagonal(eigenvalues) * v_inv
 
 
+def dense_rows(m):
+    """The integer rows of a Matrix, dense: entry (i, j) of m is
+    dense_rows(m)[i][j] / m._den."""
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for dense, row in zip(out, m._entries):
+        for j, v in row:
+            dense[j] = v
+    return out
+
+
+def has_canonical_fields(m) -> bool:
+    """True when m is stored in its one form: each row the (col, value)
+    pairs of its nonzero integer entries, columns strictly increasing and
+    in range, over a positive denominator in lowest terms."""
+    values = [v for row in m._entries for _, v in row]
+    columns = [[j for j, _ in row] for row in m._entries]
+    return (len(m._entries) == m.rows and m._den > 0
+            and gcd(m._den, *values) == 1
+            and all(type(v) is int and v for v in values)
+            and all(cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+                    for cols in columns))
+
+
 def solve_right_factor_reference(P, C):
     """Reference right division: X with X P = C, or None, with the free
     parameters set to zero, from one elimination of [P^T | C^T] per call.
@@ -88,7 +112,7 @@ def solve_right_factor_reference(P, C):
     from opkit.backend import Matrix, _rref
 
     n = P.rows
-    columns = zip(zip(*P._entries), zip(*C._entries))
+    columns = zip(zip(*dense_rows(P)), zip(*dense_rows(C)))
     rref, pivots = _rref([[x * C._den for x in p_col] + [x * P._den for x in c_col]
                           for p_col, c_col in columns])
     if pivots and pivots[-1] >= n:

@@ -14,8 +14,9 @@ from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
                            solve_affine, span_basis, spans_equal)
 from opkit.poly import Polynomial, parse_polynomial, product
 
-from conftest import (BIG_DENOMINATORS, distinct_fractions, invert,
-                      random_polynomial, random_vector)
+from conftest import (BIG_DENOMINATORS, distinct_fractions,
+                      has_canonical_fields, invert, random_polynomial,
+                      random_vector)
 
 
 def P(text, variables=("x",)):
@@ -88,6 +89,22 @@ class TestMatrixFormat:
         assert half.scale(Fraction(-1, 3)) == Matrix(
             [[Fraction(-1, 6), Fraction(1, 6)], [0, Fraction(-1, 2)]])
         assert Matrix.identity(2) != Matrix.diagonal([1, Fraction(1, 2)])
+
+    def test_shape_is_part_of_the_value(self):
+        # Zero rows are stored empty, so only cols tells these apart.
+        assert Matrix.zeros(2, 2) != Matrix.zeros(2, 3)
+        assert hash(Matrix.zeros(2, 2)) != hash(Matrix.zeros(2, 3))
+        assert Matrix.zeros(2, 3) == Matrix([[0, 0, 0], [0, 0, 0]])
+        assert Matrix.zeros(2, 3).to_strings() == [["0"] * 3] * 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: Matrix.identity(0), lambda: Matrix.identity(-1),
+        lambda: Matrix.zeros(0, 2), lambda: Matrix.zeros(2, 0),
+        lambda: Matrix.zeros(0, 0), lambda: Matrix([]), lambda: Matrix([[]]),
+        lambda: Matrix.diagonal([])])
+    def test_size_zero_is_refused(self, build):
+        with pytest.raises(InputError):
+            build()
 
 
 class TestInstantiate:
@@ -162,6 +179,7 @@ def assert_same_matrix(got, want):
     assert got == want and hash(got) == hash(want)
     assert (got.rows, got.cols, got._entries, got._den) == (
         want.rows, want.cols, want._entries, want._den)
+    assert has_canonical_fields(got)
 
 
 def commuting_rationals(rng, n):
@@ -180,7 +198,7 @@ def commuting_rationals(rng, n):
 
 
 class TestSparseEvaluation:
-    """instantiate evaluates on sparse rows; its matrix equals a plain
+    """instantiate evaluates by Matrix products; its matrix equals a plain
     Fraction evaluation in value, fields and hash."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -222,25 +240,6 @@ class TestSparseEvaluation:
         for p in polys:
             assert_same_matrix(instantiate(p, inst),
                                naive_evaluate(p, inst.generators))
-
-    def test_no_dense_product(self, monkeypatch, rng):
-        import opkit.kernels
-        a, b = commuting_rationals(rng, 3)
-        calls = {"mat_mul": 0, "sparse_mul": 0}
-        for name in calls:
-            kernel = getattr(opkit.kernels, name)
-
-            def counted(a, b, name=name, kernel=kernel):
-                calls[name] += 1
-                return kernel(a, b)
-
-            monkeypatch.setattr(opkit.kernels, name, counted)
-        for names, inst in (("xy", make_truncated_derivative_instance(2, 5)),
-                            ("xyz", make_truncated_derivative_instance(3, 3)),
-                            ("xy", OperatorInstance.of([a, b]))):
-            for text in ("x^2*y + 3*x*y^2 - 1/2", "x^3 + y", "7"):
-                instantiate(P(text, names), inst)
-        assert calls["mat_mul"] == 0 and calls["sparse_mul"] > 0
 
 
 class TestInstanceContext:

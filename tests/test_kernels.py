@@ -1,6 +1,6 @@
 """The kernels give exact values: each is checked against a plain loop, over
 Fractions for the polynomial kernels (the integer reduction step too) and
-over ints for the matrix kernels, dense and sparse."""
+over dense ints for the matrix kernels, which take sparse rows."""
 
 import random
 from fractions import Fraction
@@ -196,49 +196,55 @@ SHAPES = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (4, 4, 4),
           (3, 7, 2)]
 
 
+def sparse(rows):
+    """Dense integer rows as the rows of a Matrix: the sorted (col, value)
+    pairs of their nonzero entries."""
+    return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shape", SHAPES)
 def test_matrix_kernels_exact(shape, seed):
-    rng = random.Random(100 * seed + sum(shape))
+    # Each shape and seed is drawn twice, at density 0.7 and at 0.4.
     n, m, p = shape
     scales = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
-    a = random_int_matrix(rng, n, m, scales)
-    b = random_int_matrix(rng, m, p, scales)
-    v = [row[0] for row in b]
-    got = kernels.mat_mul(a, b)
-    assert got == ref_mat_mul(a, b)
-    assert all(type(x) is int for row in got for x in row)
-    applied = kernels.mat_apply(a, v)
-    assert applied == ref_mat_apply(a, v)
-    assert all(type(x) is int for x in applied)
-    # Matrix rows are tuples; the kernels take any sequence of rows.
-    assert kernels.mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == got
+    for base, density in ((100, 0.7), (300, 0.4)):
+        rng = random.Random(base * seed + sum(shape))
+        a = random_int_matrix(rng, n, m, scales, density)
+        b = random_int_matrix(rng, m, p, scales, density)
+        v = [row[0] for row in b]
+        got = kernels.mat_mul(sparse(a), sparse(b))
+        assert got == sparse(ref_mat_mul(a, b))
+        assert all(type(x) is int for row in got for _, x in row)
+        applied = kernels.mat_apply(sparse(a), v)
+        assert applied == ref_mat_apply(a, v)
+        assert all(type(x) is int for x in applied)
+        # Matrix rows are tuples; the kernels take any sequence of rows.
+        assert kernels.mat_mul(tuple(sparse(a)), tuple(sparse(b))) == got
 
 
-def sparse(rows):
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("shape", SHAPES)
-def test_sparse_mul_exact(shape, seed):
-    rng = random.Random(300 * seed + sum(shape))
-    n, m, p = shape
-    scales = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
-    a = random_int_matrix(rng, n, m, scales, density=0.4)
-    b = random_int_matrix(rng, m, p, scales, density=0.4)
-    got = kernels.sparse_mul(sparse(a), sparse(b))
+@pytest.mark.parametrize("a, b", [
+    # 3x2 by 2x2: row 0 cancels in column 0, row 1 is empty.
+    ([[1, -1], [0, 0], [2, 0]], [[3, 1], [3, 0]]),
+    # 1x2 by 2x4: the whole product cancels.
+    ([[1, 1]], [[2, 0, 0, -1], [-2, 0, 0, 1]]),
+    # 1x3 by 3x2 with an all-zero right factor.
+    ([[5, 0, 1]], [[0, 0], [0, 0], [0, 0]]),
+    # 2x4 by 4x1 and 4x1 by 1x3: rectangular, with empty rows.
+    ([[0, 0, 0, 0], [1, 2, 0, -7]], [[3], [0], [9], [1]]),
+    ([[4], [0], [-1], [0]], [[1, 0, -2]]),
+    # 1x1: an empty row.
+    ([[0]], [[5]]),
+])
+def test_matrix_kernels_edge_cases(a, b):
+    sa, sb = sparse(a), sparse(b)
+    got = kernels.mat_mul(sa, sb)
     assert got == sparse(ref_mat_mul(a, b))
-    assert all(type(v) is int and v for row in got for v in row.values())
-
-
-def test_sparse_mul_stores_no_zero():
-    # Row 0 cancels to zero in column 0, row 1 is empty, row 2 is not zero.
-    a = [{0: 1, 1: -1}, {}, {0: 2}]
-    b = [{0: 3, 1: 1}, {0: 3}]
-    assert kernels.sparse_mul(a, b) == [{1: 1}, {}, {0: 6, 1: 2}]
-    assert kernels.sparse_mul([{}], [{0: 5}]) == [{}]
-    assert a == [{0: 1, 1: -1}, {}, {0: 2}] and b == [{0: 3, 1: 1}, {0: 3}]
+    assert all(v for row in got for _, v in row)
+    v = [row[0] for row in b]
+    assert kernels.mat_apply(sa, v) == ref_mat_apply(a, v)
+    assert all(type(x) is int for x in kernels.mat_apply(sa, v))
+    assert (sa, sb) == (sparse(a), sparse(b))
 
 
 def test_matrix_zero_outputs_are_the_shared_zero():

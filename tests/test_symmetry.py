@@ -18,7 +18,7 @@ from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                             is_formal_symmetry, projector)
 
 from conftest import (conjugated_diagonal, distinct_fractions,
-                      solve_right_factor_reference)
+                      has_canonical_fields, solve_right_factor_reference)
 
 
 def formal_from_generalized_simple(gen, factors, inst):
@@ -74,7 +74,8 @@ def same_matrix(a, b):
     """Equal in value, in the stored fields and in the hash, or both None."""
     if a is None or b is None:
         return a is None and b is None
-    return (a == b and a._entries == b._entries and a._den == b._den
+    return (a == b and a.cols == b.cols and a._entries == b._entries
+            and a._den == b._den and has_canonical_fields(a)
             and hash(a) == hash(b) and a.to_strings() == b.to_strings())
 
 
