@@ -9,12 +9,10 @@ pivoting fully deterministic.  A ``Factorization`` keeps the eliminations
 of one matrix, so that many questions about it eliminate it once for each
 kind of question.
 
-A ``Matrix`` is sparse: each integer row holds the ``(col, value)`` pairs
-of its nonzero entries, all over one positive denominator, in lowest
-terms.  That is the one format; sums, products (``kernels.mat_mul``),
-applications (``kernels.mat_apply``) and instantiation all work on it,
-elimination takes the rows dense, values leave as ``Fraction``s, and no
-other module reads the fields.
+A ``Matrix`` is sparse integer rows over one positive denominator, in
+lowest terms; products, sums and instantiation work on those rows,
+elimination takes them dense, values leave as ``Fraction``s, and no other
+module reads the fields.
 
 Everything is exact; nothing here ever touches floating point.
 """
@@ -69,13 +67,10 @@ def _dense(row: Iterable[tuple[int, int]], cols: int) -> list[int]:
 
 
 class Matrix:
-    """Immutable sparse matrix of exact rationals.
-
-    ``_entries`` holds one integer row per matrix row, as the ``(col,
-    value)`` pairs of its nonzero entries sorted by column, all over one
-    denominator ``_den`` > 0, in lowest terms; with the shape ``rows`` by
-    ``cols``, equal values are equal field by field and hash equal.
-    """
+    """Immutable sparse matrix of exact rationals: each row of ``_entries``
+    is the ``(col, value)`` pairs of its nonzero integer entries, sorted by
+    column, over one denominator ``_den`` > 0, in lowest terms, so equal
+    values of one shape hash equal."""
 
     __slots__ = ("rows", "cols", "_entries", "_den")
 
@@ -126,8 +121,7 @@ class Matrix:
                     for i in range(len(vals))])
 
     def to_strings(self) -> list[list[str]]:
-        return [[str(Fraction(v, self._den)) for v in _dense(row, self.cols)]
-                for row in self._entries]
+        return [[str(v) for v in row] for row in self.row_list()]
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(_dense(self._entries[i], self.cols)[j], self._den)
@@ -237,10 +231,10 @@ class OperatorInstance:
                 f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
         if not self.generators:
             raise InputError("need at least one generator matrix")
-        gens = self.generators
-        for i, g in enumerate(gens):
+        for i, g in enumerate(self.generators):
             if not (g.is_square() and g.rows == self.dimension):
                 raise InputError(f"generator {i} is not {self.dimension} square")
+        gens = self.generators
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 if gens[i] * gens[j] != gens[j] * gens[i]:
