@@ -16,6 +16,26 @@ homogenized generators (Giovini et al. 1991); ties go by creation index,
 and reduction uses the first applicable divisor.  So the replay repeats the
 probe step for step and only adds the cofactors.
 
+Inside a run every monomial is one packed int (Bachmann & Schonemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998): a
+total-degree field and one field per variable, each field ``bits`` value
+bits under one guard bit that a valid monomial keeps clear.  Multiplying
+monomials is adding ints, ``a`` divides ``b`` exactly when ``(b - a)`` has
+no guard bit set, and the lcm is a per-field max under a mask.  The field
+order follows the monomial order: lex puts x_1 highest and the degree
+lowest, grlex the degree highest and then x_1 .. x_n, so under both the int
+itself is the sort key; grevlex puts the degree highest and then
+x_n .. x_1, and its key is the int with the variable fields complemented,
+``flip ^ m`` (which is ``flip + 2*deg_part - m``).  The generators are
+packed when a run starts, and only what leaves the run (cofactors, and the
+basis a test reads) is unpacked.  Every exponent is at most its monomial's
+degree, so a field can only wrap if the degree field does: each element
+keeps the largest degree among its terms and cofactors, and packing, every
+lcm, every S-pair shift and every reduction shift check the degree field's
+guard bit.  A set guard bit stops the run, which starts over with fields
+twice as wide; the first run's fields fit the input degrees with room to
+double, and all of them in one 30-bit int digit when they can.
+
 The arithmetic is fraction-free: every polynomial is an integer term map.
 A basis element is divided by the content of its terms and cofactors
 together and leads positive, so its monic value is ``terms / lc`` and its
@@ -45,7 +65,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import kernels
 from .errors import InputError, ResourceLimitError, VerificationError
@@ -75,26 +95,73 @@ def _check_cap(terms: dict, cap: int) -> None:
             f"raise {TERM_CAP_ENV} to continue")
 
 
-class _SortKeys(dict):
-    """Monomial sort keys computed once each, for the life of one run.
+class _FieldOverflow(Exception):
+    """A degree reached its field's guard bit: the run starts over with
+    wider fields."""
 
-    Use the bound ``__getitem__`` as the ``key`` of ``max``: a hit is one
-    dict lookup, a miss computes the key from the order and stores it.
-    """
 
-    __slots__ = ("order",)
+class _Packing:
+    """The packed-int monomials of one run: field layout, masks and key."""
 
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.order = order
+    __slots__ = ("bits", "shifts", "deg_shift", "guards", "deg_guard",
+                 "exp_guards", "exp_values", "exp_low", "ones", "sum_shift",
+                 "key")
 
-    def __missing__(self, exp: tuple):
-        key = self[exp] = self.order.sort_key(exp)
-        return key
+    def __init__(self, nvars: int, order: MonomialOrder, bits: int):
+        width = bits + 1
+        if order is MonomialOrder.LEX:
+            fields, deg_field = range(nvars, 0, -1), 0
+        elif order is MonomialOrder.GRLEX:
+            fields, deg_field = range(nvars - 1, -1, -1), nvars
+        else:
+            fields, deg_field = range(nvars), nvars
+        field = (1 << bits) - 1
+        self.bits = bits
+        self.shifts = tuple(f * width for f in fields)
+        self.deg_shift = deg_field * width
+        self.deg_guard = 1 << (self.deg_shift + bits)
+        self.exp_guards = sum(1 << (s + bits) for s in self.shifts)
+        self.guards = self.exp_guards | self.deg_guard
+        self.exp_values = sum(field << s for s in self.shifts)
+        self.exp_low = min(self.shifts)
+        self.ones = sum(1 << (k * width) for k in range(nvars))
+        self.sum_shift = (nvars - 1) * width
+        self.key = (self.exp_values.__xor__
+                    if order is MonomialOrder.GREVLEX else None)
+
+    def pack(self, exp: tuple) -> int:
+        degree = sum(exp)
+        if degree >> self.bits:
+            raise _FieldOverflow("packing")
+        m = degree << self.deg_shift
+        for e, s in zip(exp, self.shifts):
+            m |= e << s
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        field = (1 << self.bits) - 1
+        return tuple((m >> s) & field for s in self.shifts)
+
+    def degree(self, m: int) -> int:
+        return (m >> self.deg_shift) & ((1 << self.bits) - 1)
+
+    def lcm(self, a: int, b: int) -> int:
+        # The guard stays set in the variable fields where a >= b, and no
+        # field borrows from its neighbour; those fields take a, the rest b.
+        wins = ((a | self.guards) - b) & self.exp_guards
+        keep = wins - (wins >> self.bits)
+        m = (a & keep) | (b & (self.exp_values ^ keep))
+        # Multiplying by one 1 per field sums the fields into the top one;
+        # no partial sum passes deg a + deg b, so none carries.
+        degree = ((((m >> self.exp_low) * self.ones) >> self.sum_shift)
+                  & ((2 << self.bits) - 1))
+        if degree >> self.bits:
+            raise _FieldOverflow("lcm")
+        return m | (degree << self.deg_shift)
 
 
 def _reduce(terms: dict, cofs: list[dict], scale: int,
-            basis: list["_BasisElem"], key: Callable, cap: int) -> dict:
+            basis: list["_BasisElem"], packing: _Packing, cap: int) -> dict:
     """Full normal form of ``terms / scale`` against basis.
 
     ``terms`` and each of ``cofs`` are integer term maps over the one
@@ -103,30 +170,33 @@ def _reduce(terms: dict, cofs: list[dict], scale: int,
     track cofactors); the returned remainder is over the scale the cofs end
     on.
     """
-    remainder = []  # (exp, coefficient, scale when it was set aside)
+    key, guards, deg_guard = packing.key, packing.guards, packing.deg_guard
+    remainder = []  # (monomial, coefficient, scale when it was set aside)
     while terms:
-        exp = max(terms, key=key)
+        m = max(terms, key=key)
         for elem in basis:
-            lexp = elem.lead_exp
-            if all(e >= le for e, le in zip(exp, lexp)):
-                coeff = terms[exp]
-                if (coeff.bit_length() > CERTIFICATE_BITS_CAP
-                        or scale.bit_length() > CERTIFICATE_BITS_CAP):
-                    _check_certificate_bits((Fraction(coeff, scale),),
-                                            "a Buchberger value")
-                g = math.gcd(coeff, elem.lc)
-                a, c = elem.lc // g, coeff // g
-                scale *= a
-                shift = tuple(e - le for e, le in zip(exp, lexp))
-                kernels.poly_isubmul_int(terms, a, c, shift, elem.terms)
-                _check_cap(terms, cap)
-                for wc, bc in zip(cofs, elem.cofs):
-                    kernels.poly_isubmul_int(wc, a, c, shift, bc)
-                    _check_cap(wc, cap)
-                break
+            shift = m - elem.lead
+            if shift & guards:
+                continue
+            if (elem.top + shift) & deg_guard:
+                raise _FieldOverflow("reduction shift")
+            coeff = terms[m]
+            if (coeff.bit_length() > CERTIFICATE_BITS_CAP
+                    or scale.bit_length() > CERTIFICATE_BITS_CAP):
+                _check_certificate_bits((Fraction(coeff, scale),),
+                                        "a Buchberger value")
+            g = math.gcd(coeff, elem.lc)
+            a, c = elem.lc // g, coeff // g
+            scale *= a
+            kernels.poly_isubmul_int(terms, a, c, shift, elem.terms)
+            _check_cap(terms, cap)
+            for wc, bc in zip(cofs, elem.cofs):
+                kernels.poly_isubmul_int(wc, a, c, shift, bc)
+                _check_cap(wc, cap)
+            break
         else:
-            remainder.append((exp, terms.pop(exp), scale))
-    return {exp: v * (scale // at) for exp, v, at in remainder}
+            remainder.append((m, terms.pop(m), scale))
+    return {m: v * (scale // at) for m, v, at in remainder}
 
 
 def _check_value_bits(values, lc: int, what: str) -> None:
@@ -138,30 +208,24 @@ def _check_value_bits(values, lc: int, what: str) -> None:
 
 
 class _BasisElem:
-    """Integer term maps with no content common to the terms and cofactors,
-    and a positive leading coefficient ``lc``: the monic value is
-    ``terms / lc`` and its cofactors are ``cofs / lc``."""
+    """Integer term maps on packed monomials with no content common to the
+    terms and cofactors, and a positive leading coefficient ``lc``: the
+    monic value is ``terms / lc`` and its cofactors are ``cofs / lc``.
+    ``top`` holds, in the degree field alone, the largest degree among the
+    terms and cofactors."""
 
-    __slots__ = ("terms", "cofs", "lead_exp", "lc")
+    __slots__ = ("terms", "cofs", "lead", "lc", "top")
 
-    def __init__(self, terms: dict, cofs: list[dict], lead_exp: tuple):
+    def __init__(self, terms: dict, cofs: list[dict], lead: int, top: int):
         self.terms = terms
         self.cofs = cofs
-        self.lead_exp = lead_exp
-        self.lc = terms[lead_exp]
+        self.lead = lead
+        self.lc = terms[lead]
+        self.top = top
 
 
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    """True if the monomial a divides the monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _gebauer_moller(leads: list[tuple],
-                    queued: dict[tuple[int, int], tuple]) -> list[int]:
+def _gebauer_moller(leads: list[int], queued: dict[tuple[int, int], int],
+                    packing: _Packing) -> list[int]:
     """Pairs for the newest element, ``leads[-1]``, by the Gebauer-Moller
     criteria; returns the indices of the elements it is paired with.
 
@@ -171,32 +235,42 @@ def _gebauer_moller(leads: list[tuple],
     and F keeps one (the oldest) per lcm, none where a pair of that lcm has
     coprime leading monomials (the product criterion).
     """
-    lead = leads[-1]
+    lead, lcm_of, guards = leads[-1], packing.lcm, packing.guards
     for pair, lcm in list(queued.items()):
-        if (_divides(lead, lcm) and _lcm(leads[pair[0]], lead) != lcm
-                and _lcm(leads[pair[1]], lead) != lcm):
+        if (not (lcm - lead) & guards
+                and lcm_of(leads[pair[0]], lead) != lcm
+                and lcm_of(leads[pair[1]], lead) != lcm):
             del queued[pair]
-    groups: dict[tuple, tuple[int, bool]] = {}  # lcm -> (oldest, coprime)
+    groups: dict[int, tuple[int, bool]] = {}  # lcm -> (oldest, coprime)
     for i, other in enumerate(leads[:-1]):
-        lcm = _lcm(other, lead)
+        lcm = lcm_of(other, lead)
         oldest, coprime = groups.get(lcm, (i, False))
-        groups[lcm] = (oldest, coprime or all(
-            a == 0 or b == 0 for a, b in zip(other, lead)))
+        groups[lcm] = (oldest, coprime or lcm == other + lead)
     return sorted(
         oldest for lcm, (oldest, coprime) in groups.items()
-        if not coprime and not any(other != lcm and _divides(other, lcm)
+        if not coprime and not any(other != lcm and not (lcm - other) & guards
                                    for other in groups))
 
 
+def _start_bits(generators: Sequence[Polynomial]) -> int:
+    """Value bits per field of a run's first try: room for twice the
+    largest input degree, and at least what fills one 30-bit int digit (or
+    one bit, past 28 variables)."""
+    degree = max(g.total_degree() for g in generators)
+    nvars = generators[0].variable_count
+    return max((2 * degree).bit_length(), 30 // (nvars + 1) - 1, 1)
+
+
 def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
-                    cap: int, track: bool) -> list[_BasisElem]:
+                    cap: int, track: bool) -> tuple[list[_BasisElem], _Packing]:
     """One Buchberger run, stopped as soon as a nonzero constant enters.
 
     The run ends with that constant when the generators reach 1, and with a
-    complete Groebner basis otherwise.  The Gebauer-Moller criteria decide
-    which pairs are formed and kept, and sugar ranks them.  With
-    ``track=True`` every element carries its cofactors; with ``track=False``
-    every element's cofs is [].
+    complete Groebner basis otherwise.  Returns the basis, on packed
+    monomials, and the packing that unpacks them.  With ``track=True`` every
+    element carries its cofactors; with ``track=False`` every element's cofs
+    is [].  A degree that reaches a guard bit restarts the run with fields
+    twice as wide.
     """
     gens = list(generators)
     if not gens:
@@ -207,14 +281,28 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             raise InputError("generators must share a variable count")
     if all(g.is_zero() for g in gens):
         raise InputError("all generators are zero")
+    bits = _start_bits(gens)
+    while True:
+        packing = _Packing(nvars, order, bits)
+        try:
+            return _run_at_width(gens, packing, cap, track), packing
+        except _FieldOverflow:
+            bits *= 2
+
+
+def _run_at_width(gens: list[Polynomial], packing: _Packing, cap: int,
+                  track: bool) -> list[_BasisElem]:
+    """The run of :func:`_run_buchberger` at one field width."""
     ngens = len(gens)
-    key = _SortKeys(order).__getitem__
+    key, degree, pack = packing.key, packing.degree, packing.pack
+    deg_guard = packing.deg_guard
+    deg_values = deg_guard - (1 << packing.deg_shift)
 
     basis: list[_BasisElem] = []
-    leads: list[tuple] = []
+    leads: list[int] = []
     sugars: list[int] = []  # a generator's total degree, else its pair's rank
     pairs: list[tuple[int, int, int, int]] = []  # (rank, index, i, j)
-    queued: dict[tuple[int, int], tuple] = {}  # (i, j) -> lcm, pairs not yet dropped
+    queued: dict[tuple[int, int], int] = {}  # (i, j) -> lcm, pairs not yet dropped
     counter = 0
 
     def push_elem(terms: dict, cofs: list[dict], sugar: int) -> bool:
@@ -227,23 +315,26 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         if terms[lead] < 0:
             content = -content
         if content != 1:
-            terms = {e: v // content for e, v in terms.items()}
-            cofs = [{e: v // content for e, v in cof.items()} for cof in cofs]
+            terms = {m: v // content for m, v in terms.items()}
+            cofs = [{m: v // content for m, v in cof.items()} for cof in cofs]
         lc = terms[lead]
         _check_value_bits(terms.values(), lc, "a Buchberger value")
         for cof in cofs:
             _check_value_bits(cof.values(), lc, "a Bezout cofactor")
+        top = max(m & deg_values for poly in (terms, *cofs) for m in poly)
         m = len(basis)
-        basis.append(_BasisElem(terms, cofs, lead))
+        basis.append(_BasisElem(terms, cofs, lead, top))
         leads.append(lead)
         sugars.append(sugar)
-        for i in _gebauer_moller(leads, queued):
-            lcm = _lcm(leads[i], lead)
-            rank = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lead))
+        lead_degree = degree(lead)
+        for i in _gebauer_moller(leads, queued, packing):
+            lcm = packing.lcm(leads[i], lead)
+            rank = degree(lcm) + max(sugars[i] - degree(leads[i]),
+                                     sugar - lead_degree)
             heapq.heappush(pairs, (rank, counter, i, m))
             queued[i, m] = lcm
             counter += 1
-        return not any(lead)
+        return not lead
 
     for i, g in enumerate(gens):
         if g.is_zero():
@@ -252,8 +343,8 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         cofs: list[dict] = []
         if track:
             cofs = [{} for _ in range(ngens)]
-            cofs[i] = {(0,) * nvars: den}
-        terms = {e: c.numerator * (den // c.denominator)
+            cofs[i] = {0: den}  # 0 packs the constant monomial
+        terms = {pack(e): c.numerator * (den // c.denominator)
                  for e, c in g._terms.items()}
         if push_elem(terms, cofs, g.total_degree()):
             return basis
@@ -264,18 +355,19 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         if lcm is None:
             continue  # removed by criterion B
         ei, ej = basis[i], basis[j]
-        ishift = tuple(l - a for l, a in zip(lcm, ei.lead_exp))
-        jshift = tuple(l - b for l, b in zip(lcm, ej.lead_exp))
+        ishift, jshift = lcm - ei.lead, lcm - ej.lead
+        if (ei.top + ishift) & deg_guard or (ej.top + jshift) & deg_guard:
+            raise _FieldOverflow("S-pair shift")
         g = math.gcd(ei.lc, ej.lc)
         a, c = ej.lc // g, ei.lc // g  # over the scale lcm(ei.lc, ej.lc)
-        sterms = kernels.poly_term_mul(ei.terms, a, ishift)
+        sterms = {m + ishift: a * v for m, v in ei.terms.items()}
         kernels.poly_isubmul_int(sterms, 1, c, jshift, ej.terms)
         scofs = []
         for ci, cj in zip(ei.cofs, ej.cofs):
-            cof = kernels.poly_term_mul(ci, a, ishift)
+            cof = {m + ishift: a * v for m, v in ci.items()}
             kernels.poly_isubmul_int(cof, 1, c, jshift, cj)
             scofs.append(cof)
-        remainder = _reduce(sterms, scofs, ei.lc * a, basis, key, cap)
+        remainder = _reduce(sterms, scofs, ei.lc * a, basis, packing, cap)
         if remainder and push_elem(remainder, scofs, rank):
             return basis
     return basis
@@ -302,14 +394,15 @@ def contains_one(
     raises it when a value coefficient passes that cap.
     """
     cap = resolve_term_cap(term_cap)
-    probe = _run_buchberger(generators, order, cap, track=False)
-    if any(probe[-1].lead_exp):  # a run stopped on 1 ends with that constant
+    probe, _ = _run_buchberger(generators, order, cap, track=False)
+    if probe[-1].lead:  # a run stopped on 1 ends with that constant, packed 0
         return None
-    unit = _run_buchberger(generators, order, cap, track=True)[-1]
+    basis, packing = _run_buchberger(generators, order, cap, track=True)
+    unit = basis[-1]
     nvars = generators[0].variable_count
     cert = BezoutCertificate(tuple(
-        Polynomial._wrap({e: Fraction(c, unit.lc) for e, c in cof.items()},
-                         nvars)
+        Polynomial._wrap({packing.unpack(m): Fraction(c, unit.lc)
+                          for m, c in cof.items()}, nvars)
         for cof in unit.cofs))
     if not cert.verify(generators):
         raise VerificationError(

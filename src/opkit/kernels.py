@@ -2,10 +2,11 @@
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
 Fractions, and the integer reduction step of fraction-free Buchberger on
-integer term maps), the integer matrix product and apply on the sparse
-integer rows of a ``backend.Matrix``, and the dense integer row operation
-used by fraction-free elimination.  Callers reach the kernels by
-attribute (``kernels.mat_mul``), so a test or a tracer can substitute one.
+integer term maps keyed by packed-int monomials), the integer matrix
+product and apply on the sparse integer rows of a ``backend.Matrix``, and
+the dense integer row operation used by fraction-free elimination.
+Callers reach the kernels by attribute (``kernels.mat_mul``), so a test or
+a tracer can substitute one.
 
 All polynomial kernels keep the canonical-form invariant: no zero
 coefficient is ever stored.
@@ -93,18 +94,20 @@ def poly_isubmul(acc: dict, coeff: Fraction, shift: tuple, q: dict) -> None:
             acc.pop(key, None)
 
 
-def poly_isubmul_int(acc: dict, a: int, c: int, shift: tuple,
+def poly_isubmul_int(acc: dict, a: int, c: int, shift: int,
                      q: dict) -> None:
     """In place on integer term maps: acc = a * acc - (c * x^shift) * q.
 
     The fraction-free reduction step: with acc over a scale s and q over
-    its leading coefficient, the result is over the scale a * s.
+    its leading coefficient, the result is over the scale a * s.  The
+    monomials are packed ints (``groebner._Packing``), so x^shift * x^e is
+    ``e + shift``; the caller keeps every sum clear of the guard bits.
     """
     if a != 1:
-        for exp, v in acc.items():
-            acc[exp] = a * v
-    for exp, v in q.items():
-        key = tuple(x + y for x, y in zip(exp, shift))
+        for m, v in acc.items():
+            acc[m] = a * v
+    for m, v in q.items():
+        key = m + shift
         new = acc.get(key, 0) - c * v
         if new:
             acc[key] = new

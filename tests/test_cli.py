@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opkit.cli import main
-from opkit.poly import (CERTIFICATE_BITS_CAP, _coefficient_bits,
+from opkit.poly import (CERTIFICATE_BITS_CAP, DEGREE_CAP, _coefficient_bits,
                         parse_polynomial)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -716,6 +716,108 @@ class TestExplicitSymmetryFuzz:
             S, S_prime = Matrix(entry["S"]), Matrix(entry["S_prime"])
             assert P * S == S_prime * P
             assert S_prime == solve_right_factor_reference(P, P * S)
+
+
+# Values that are no string: numbers, bools, null and nested lists.
+NOT_STRINGS = st.one_of(
+    st.integers(-9, 9), st.floats(), st.booleans(), st.none(),
+    st.lists(st.lists(st.sampled_from(["x", 1]), max_size=2), max_size=2),
+)
+# Strings no expression can name as a variable.
+ODD_NAMES = st.sampled_from(["", "1", "x y", "x^2", "y_1 "])
+# Exponents: mostly small, sometimes at or just past DEGREE_CAP.
+EXPONENTS = st.one_of(st.integers(0, 3),
+                      st.sampled_from([1, DEGREE_CAP, DEGREE_CAP + 1]))
+
+
+def rarely(draw) -> bool:
+    """True in about one draw in six: picks the malformed branch."""
+    return draw(st.sampled_from([False] * 5 + [True]))
+
+
+@st.composite
+def fuzz_variables(draw):
+    """Mostly one to three of x, y, z, sometimes with a repeat or an odd
+    name, or an empty list or a value that is no list."""
+    if rarely(draw):
+        return draw(st.one_of(st.just([]), NOT_STRINGS))
+    names = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1,
+                          max_size=3, unique=True))
+    if rarely(draw):
+        names.append(draw(st.one_of(st.sampled_from(names), ODD_NAMES,
+                                    NOT_STRINGS)))
+    return names
+
+
+@st.composite
+def fuzz_factor(draw, names):
+    """Mostly an expression over the job's names and ``w`` (never a
+    variable) of up to three terms, with coefficients such as ``3/2``,
+    ``0`` and ``1/0``; sometimes a value that is no string."""
+    if rarely(draw):
+        return draw(NOT_STRINGS)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coefficient = (draw(st.sampled_from(["0*", "1/0*", "x*y*"]))
+                       if rarely(draw) else
+                       draw(st.sampled_from(["", "2*", "-3/2*"])))
+        variables = names + ["w"] if rarely(draw) else names
+        powers = [f"{name}^{draw(EXPONENTS)}" for name in draw(
+            st.lists(st.sampled_from(variables), max_size=2))]
+        terms.append(coefficient + ("*".join(powers) or "1"))
+    return " + ".join(terms)
+
+
+@st.composite
+def fuzz_lambda(draw):
+    """Mostly a small exact rational (repeats included), sometimes a
+    malformed one or one past the job-rational cap."""
+    if rarely(draw):
+        return draw(st.one_of(FUZZ_RATIONALS, NOT_STRINGS))
+    return draw(st.sampled_from([0, 1, -2, "1/2", "-3/4"]))
+
+
+@st.composite
+def fuzz_factor_job(draw):
+    """A job's ``variables`` with ``factors`` (most often), ``lambdas``,
+    both or neither, each well formed or not."""
+    field = ("both", "neither")[draw(st.integers(0, 1))] if rarely(draw) \
+        else draw(st.sampled_from(["factors", "factors", "lambdas"]))
+    job = {}
+    if not (rarely(draw) and rarely(draw)):
+        job["variables"] = (["x"] if field == "lambdas" and not rarely(draw)
+                            else draw(fuzz_variables()))
+    variables = job.get("variables")
+    names = ([v for v in variables if isinstance(v, str)]
+             if isinstance(variables, list) else []) or ["x"]
+    if field in ("factors", "both"):
+        job["factors"] = (draw(NOT_STRINGS) if rarely(draw) else draw(
+            st.lists(fuzz_factor(names), min_size=1, max_size=4)))
+    if field in ("lambdas", "both"):
+        job["lambdas"] = (draw(st.one_of(FUZZ_RATIONALS, st.just([])))
+                          if rarely(draw) else draw(
+                              st.lists(fuzz_lambda(), min_size=1, max_size=4)))
+    return job
+
+
+class TestFactorFuzz:
+    """Any ``variables``, ``factors`` and ``lambdas`` keep the exit-code
+    contract in plan and certify mode: 0, 2, 3 or 4, never a traceback."""
+
+    # The 300 jobs take about 1.4 s on a 2-CPU x86-64 VM.  Budget: 3 s.
+    @given(st.sampled_from(["plan", "certify"]), fuzz_factor_job())
+    @settings(max_examples=300, deadline=timedelta(seconds=10),
+              derandomize=True)
+    def test_exit_code_contract(self, mode, job):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "job.json"
+            path.write_text(json.dumps(job))
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = main([mode, "--job", str(path)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPlan:

@@ -1,9 +1,11 @@
 """Buchberger runs, cofactors and membership of 1."""
 
+import collections
 import heapq
 import itertools
 import json
 import random
+import types
 import time
 from datetime import timedelta
 from fractions import Fraction
@@ -47,17 +49,18 @@ def s_polynomial(p, q, order=DEFAULT_ORDER):
 def run(gens, track=True, order=DEFAULT_ORDER, term_cap=None):
     """The basis of one Buchberger run as (value, cofactors) pairs."""
     nvars = gens[0].variable_count
-    basis = groebner._run_buchberger(gens, order, resolve_term_cap(term_cap),
-                                     track=track)
-    return [(monic(e.terms, e.lc, nvars),
-             tuple(monic(c, e.lc, nvars) for c in e.cofs))
+    basis, packing = groebner._run_buchberger(
+        gens, order, resolve_term_cap(term_cap), track=track)
+    return [(monic(e.terms, e.lc, nvars, packing),
+             tuple(monic(c, e.lc, nvars, packing) for c in e.cofs))
             for e in basis]
 
 
-def monic(terms, lc, nvars):
-    """An integer term map over the scale lc, as a Polynomial."""
-    return Polynomial._wrap({e: Fraction(c, lc) for e, c in terms.items()},
-                            nvars)
+def monic(terms, lc, nvars, packing):
+    """An integer term map on packed monomials over the scale lc, as a
+    Polynomial."""
+    return Polynomial._wrap({packing.unpack(m): Fraction(c, lc)
+                             for m, c in terms.items()}, nvars)
 
 
 def combination_holds(value, cofactors, gens):
@@ -211,31 +214,72 @@ class TestContainsOne:
 
 def tracked_contains_one(generators, order=DEFAULT_ORDER, term_cap=None):
     """Reference: one Buchberger run that tracks cofactors throughout."""
-    basis = groebner._run_buchberger(generators, order,
-                                     resolve_term_cap(term_cap), track=True)
+    basis, packing = groebner._run_buchberger(
+        generators, order, resolve_term_cap(term_cap), track=True)
     nvars = generators[0].variable_count
     for elem in basis:
-        if not any(elem.lead_exp):
+        if not any(packing.unpack(elem.lead)):
             cert = BezoutCertificate(tuple(
-                monic(cof, elem.lc, nvars) for cof in elem.cofs))
+                monic(cof, elem.lc, nvars, packing) for cof in elem.cofs))
             if not cert.verify(generators):
                 raise VerificationError("tracked certificate failed")
             return cert
     return None
 
 
-def reference_buchberger(generators, order, track):
+def reference_gebauer_moller(leads, queued, events):
+    """Reference: the Gebauer-Moller criteria on exponent tuples.
+
+    Pairs for the newest element, ``leads[-1]``: criterion B drops the
+    queued pairs whose lcm the new leading monomial divides, unless that lcm
+    equals the lcm of either one's pair with the new element; of the new
+    pairs, M keeps those of minimal lcm, and F keeps the oldest per lcm,
+    none where a pair of that lcm has coprime leading monomials.  Appends
+    ("pruned", i, j) to events per dropped pair and ("formed", i, m) per
+    returned pair.
+    """
+    def lcm_of(a, b):
+        return tuple(map(max, a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    lead, m = leads[-1], len(leads) - 1
+    for pair, lcm in list(queued.items()):
+        if (divides(lead, lcm) and lcm_of(leads[pair[0]], lead) != lcm
+                and lcm_of(leads[pair[1]], lead) != lcm):
+            del queued[pair]
+            events.append(("pruned",) + pair)
+    groups = {}  # lcm -> (oldest, coprime)
+    for i, other in enumerate(leads[:-1]):
+        lcm = lcm_of(other, lead)
+        oldest, coprime = groups.get(lcm, (i, False))
+        groups[lcm] = (oldest, coprime or all(
+            a == 0 or b == 0 for a, b in zip(other, lead)))
+    formed = sorted(
+        oldest for lcm, (oldest, coprime) in groups.items()
+        if not coprime and not any(other != lcm and divides(other, lcm)
+                                   for other in groups))
+    events.extend(("formed", i, m) for i in formed)
+    return [(i, lcm_of(leads[i], lead)) for i in formed]
+
+
+def reference_buchberger(generators, order, track, events=None):
     """Reference: Buchberger on plain Fraction term maps, monic elements.
 
     It takes the pair policy of ``groebner._run_buchberger`` (Gebauer-Moller
     pairs ranked by sugar, ties by creation, the first applicable divisor)
-    and does every step in Fractions.  Returns (monic value, cofactors,
-    leading monomial) per basis element.
+    and does every step in Fractions and exponent tuples.  Returns (monic
+    value, cofactors, leading monomial) per basis element.  If ``events``
+    is a list, the run appends ("formed", i, j) and ("pruned", i, j) per
+    pair formed and dropped by the criteria, ("popped", i, j) per pair
+    taken from the queue and ("reduce",) per S-polynomial reduced.
     """
     key = order.sort_key
     nvars, ngens = generators[0].variable_count, len(generators)
     basis, leads, sugars, pairs, queued = [], [], [], [], {}
     counter = itertools.count()
+    events = [] if events is None else events
 
     def submul(acc, coeff, shift, q):
         for exp, c in q.items():
@@ -255,8 +299,7 @@ def reference_buchberger(generators, order, track):
                       lead))
         leads.append(lead)
         sugars.append(sugar)
-        for i in groebner._gebauer_moller(leads, queued):
-            lcm = groebner._lcm(leads[i], lead)
+        for i, lcm in reference_gebauer_moller(leads, queued, events):
             rank = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lead))
             heapq.heappush(pairs, (rank, next(counter), i, m))
             queued[i, m] = lcm
@@ -270,9 +313,11 @@ def reference_buchberger(generators, order, track):
             return basis
     while pairs:
         rank, _, i, j = heapq.heappop(pairs)
+        events.append(("popped", i, j))
         lcm = queued.pop((i, j), None)
         if lcm is None:
             continue
+        events.append(("reduce",))
         (ti, ci, li), (tj, cj, lj) = basis[i], basis[j]
         ishift = tuple(l - a for l, a in zip(lcm, li))
         jshift = tuple(l - b for l, b in zip(lcm, lj))
@@ -491,11 +536,11 @@ class TestPrunedProbe:
 
         def values_and_reductions(gens, track):
             calls.clear()
-            basis = groebner._run_buchberger(gens, DEFAULT_ORDER,
-                                             resolve_term_cap(None), track)
+            basis, packing = groebner._run_buchberger(
+                gens, DEFAULT_ORDER, resolve_term_cap(None), track)
             nvars = gens[0].variable_count
-            return ([(monic(e.terms, e.lc, nvars), e.lead_exp)
-                     for e in basis], len(calls))
+            return ([(monic(e.terms, e.lc, nvars, packing),
+                      packing.unpack(e.lead)) for e in basis], len(calls))
 
         monkeypatch.setattr(groebner, "_reduce", counted)
         rng = random.Random(21)
@@ -524,11 +569,12 @@ class TestFractionReference:
     def test_runs_match_the_reference(self, gens, order):
         nvars = gens[0].variable_count
         for track in (False, True):
-            got = groebner._run_buchberger(gens, order,
-                                           resolve_term_cap(None), track)
+            got, packing = groebner._run_buchberger(
+                gens, order, resolve_term_cap(None), track)
             want = reference_buchberger(gens, order, track)
-            assert [(monic(e.terms, e.lc, nvars),
-                     [monic(c, e.lc, nvars) for c in e.cofs], e.lead_exp)
+            assert [(monic(e.terms, e.lc, nvars, packing),
+                     [monic(c, e.lc, nvars, packing) for c in e.cofs],
+                     packing.unpack(e.lead))
                     for e in got] == [
                 (Polynomial._wrap(t, nvars),
                  [Polynomial._wrap(c, nvars) for c in cofs], lead)
@@ -550,8 +596,9 @@ class TestTermCapInReplay:
 
     def test_unit_search_stops_at_the_cap_in_the_replay(self):
         gens = [P(g) for g in self.UNIT]
-        probe = groebner._run_buchberger(gens, DEFAULT_ORDER, 4, track=False)
-        assert not any(probe[-1].lead_exp)
+        probe, packing = groebner._run_buchberger(gens, DEFAULT_ORDER, 4,
+                                                  track=False)
+        assert not any(packing.unpack(probe[-1].lead))
         with pytest.raises(ResourceLimitError):
             contains_one(gens, term_cap=4)
         assert contains_one(gens, term_cap=5).verify(gens)
@@ -637,3 +684,151 @@ class TestInterReduced:
             ours_sympy = sorted((to_sympy(p, V) for p in ours),
                                 key=sympy.default_sort_key)
             assert ours_sympy == theirs
+
+
+def exponents(nvars):
+    return st.tuples(*[st.integers(0, 40)] * nvars)
+
+
+class TestPacking:
+    """A run's packed monomials: one int each, whose sums, guard bits and
+    order are those of the exponent tuples."""
+
+    @given(st.integers(1, 4).flatmap(
+               lambda n: st.tuples(exponents(n), exponents(n))),
+           st.sampled_from(list(MonomialOrder)), st.integers(7, 12))
+    @settings(max_examples=200, derandomize=True)
+    def test_arithmetic_matches_tuples(self, pair, order, bits):
+        a, b = pair
+        packing = groebner._Packing(len(a), order, bits)
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a and packing.degree(pa) == sum(a)
+        assert packing.unpack(pa + pb) == tuple(map(sum, zip(a, b)))
+        divides = all(x <= y for x, y in zip(a, b))
+        assert (not (pb - pa) & packing.guards) is divides
+        lcm = packing.lcm(pa, pb)
+        assert lcm == packing.pack(tuple(map(max, a, b)))
+        key = packing.key or (lambda m: m)
+        assert ((key(pa) < key(pb)) is (order.sort_key(a) < order.sort_key(b)))
+
+    def test_constant_is_zero_and_guard_bits_show_overflow(self):
+        packing = groebner._Packing(2, DEFAULT_ORDER, 3)
+        assert packing.pack((0, 0)) == 0
+        assert packing.pack((3, 4)) == packing.pack((3, 0)) + packing.pack((0, 4))
+        with pytest.raises(groebner._FieldOverflow, match="packing"):
+            packing.pack((4, 4))
+        with pytest.raises(groebner._FieldOverflow, match="lcm"):
+            packing.lcm(packing.pack((7, 0)), packing.pack((0, 1)))
+
+
+def record_overflows(monkeypatch):
+    """The site of every field overflow, in the order they are raised."""
+    sites = []
+
+    class Recorded(groebner._FieldOverflow):
+        def __init__(self, site):
+            sites.append(site)
+            super().__init__(site)
+
+    monkeypatch.setattr(groebner, "_FieldOverflow", Recorded)
+    return sites
+
+
+class TestWidening:
+    """A degree that reaches a guard bit restarts the run with fields twice
+    as wide, whatever site it reaches first; the values, leading monomials
+    and certificate are those of a run that starts wide."""
+
+    # A triple of a certify-ideal family in lex, and a lex unit family with
+    # a tail of degree 5 under a leading x: started at 1 to 3 bits, they
+    # overflow at packing, at an lcm, at an S-pair shift and at a reduction
+    # shift.
+    UNIT = ("x - y^5", "x^2 + 1", "y^2 - 1")
+
+    def test_every_site_widens_to_the_wide_result(self, monkeypatch):
+        lex = MonomialOrder.LEX
+        families = [certify_ideal_triples(random.Random(1))[0],
+                    [P(g) for g in self.UNIT]]
+        sites = record_overflows(monkeypatch)
+        wide = [([run(gens, track, lex) for track in (False, True)],
+                 contains_one(gens, lex)) for gens in families]
+        assert sites == []
+        assert [cert is None for _, cert in wide] == [True, False]
+        for bits in (1, 2, 3):
+            monkeypatch.setattr(groebner, "_start_bits",
+                                lambda generators: bits)
+            for gens, (runs, cert) in zip(families, wide):
+                assert [run(gens, track, lex)
+                        for track in (False, True)] == runs
+                assert contains_one(gens, lex) == cert
+        assert set(sites) == {"packing", "lcm", "S-pair shift",
+                              "reduction shift"}
+
+    def test_workload_shaped_runs_start_wide_enough(self, monkeypatch):
+        sites = record_overflows(monkeypatch)
+        for gens in certify_ideal_triples(random.Random(1)):
+            assert contains_one(gens) is None
+        assert sites == []
+
+
+def packed_run_events(monkeypatch, gens, order, track):
+    """The events of reference_buchberger, read off a packed run by wrapping
+    its pair criteria, its queue and its reductions; and its unpacked
+    leading monomials."""
+    events = []
+    gebauer_moller, reduce = groebner._gebauer_moller, groebner._reduce
+
+    def criteria(leads, queued, packing):
+        before = list(queued)
+        formed = gebauer_moller(leads, queued, packing)
+        events.extend(("pruned",) + pair for pair in before
+                      if pair not in queued)
+        events.extend(("formed", i, len(leads) - 1) for i in formed)
+        return formed
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        events.append(("popped",) + item[2:])
+        return item
+
+    def reduction(*args):
+        events.append(("reduce",))
+        return reduce(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_gebauer_moller", criteria)
+        patch.setattr(groebner, "_reduce", reduction)
+        patch.setattr(groebner, "heapq", types.SimpleNamespace(
+            heappush=heapq.heappush, heappop=heappop))
+        basis, packing = groebner._run_buchberger(
+            gens, order, resolve_term_cap(None), track)
+    return events, [packing.unpack(e.lead) for e in basis]
+
+
+class TestPairCounts:
+    """The packed run forms, prunes, pops and reduces the pairs of the
+    tuple reference, in its order: deterministic counts, no timing."""
+
+    @pytest.mark.parametrize("order, families, counts", [
+        (DEFAULT_ORDER, certify_ideal_triples(random.Random(1)),
+         {"formed": 86, "popped": 86, "reduce": 86}),
+        (MonomialOrder.LEX, certify_ideal_triples(random.Random(2))[3:],
+         {"formed": 54, "pruned": 12, "popped": 54, "reduce": 42}),
+        (MonomialOrder.GRLEX, [certify_ideal_family(random.Random(2))],
+         {"formed": 12, "pruned": 6, "popped": 6, "reduce": 6}),
+    ], ids=["certify-ideal-triples", "lex-triple", "grlex-unit-family"])
+    def test_events_match_the_reference(self, monkeypatch, order, families,
+                                        counts):
+        kinds = collections.Counter()
+        for gens in families:
+            for track in (False, True):
+                want = []
+                leads = [lead for _, _, lead in
+                         reference_buchberger(gens, order, track, want)]
+                got, got_leads = packed_run_events(monkeypatch, gens, order,
+                                                   track)
+                assert got == want
+                assert got_leads == leads
+                assert got.count(("reduce",)) == want.count(("reduce",))
+                kinds.update(event[0] for event in got)
+        assert kinds == counts  # over the probe and the replay

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from opkit import backend, kernels
+from opkit import backend, groebner, kernels
+from opkit.poly import MonomialOrder
 
 from conftest import BIG_DENOMINATORS
 
@@ -71,6 +72,17 @@ def random_int_matrix(rng, rows, cols, scales=(1, 2, 3, 4), density=0.7):
     return [[rng.randint(-8, 8) * rng.choice(scales)
              if rng.random() < density else 0
              for _ in range(cols)] for _ in range(rows)]
+
+
+def isubmul_int(acc, a, c, shift, q, order=MonomialOrder.GREVLEX):
+    """kernels.poly_isubmul_int on maps keyed by exponent tuples: packs the
+    monomials of one run, takes the step and unpacks acc in place."""
+    packing = groebner._Packing(len(shift), order, 8)
+    packed = {packing.pack(e): v for e, v in acc.items()}
+    kernels.poly_isubmul_int(packed, a, c, packing.pack(shift),
+                             {packing.pack(e): v for e, v in q.items()})
+    acc.clear()
+    acc.update({packing.unpack(m): v for m, v in packed.items()})
 
 
 def assert_canonical(terms):
@@ -164,7 +176,7 @@ def test_poly_isubmul_int_exact(seed):
     want = ref_combine(ref_term_mul(acc, Fraction(a), (0,) * nvars),
                        ref_term_mul(q, Fraction(c), shift), -1)
     got = dict(acc)
-    kernels.poly_isubmul_int(got, a, c, shift, q)
+    isubmul_int(got, a, c, shift, q, list(MonomialOrder)[seed % 3])
     assert got == want
     assert all(type(v) is int and v != 0 for v in got.values())
 
@@ -172,21 +184,21 @@ def test_poly_isubmul_int_exact(seed):
 def test_poly_isubmul_int_cancels_and_empty_q():
     # 3 * (2x + 1) - 2 * (3x + 5) = -7: the leading terms cancel.
     acc = {(1,): 2, (0,): 1}
-    kernels.poly_isubmul_int(acc, 3, 2, (0,), {(1,): 3, (0,): 5})
+    isubmul_int(acc, 3, 2, (0,), {(1,): 3, (0,): 5})
     assert acc == {(0,): -7}
     # (2x + 4) - 2 * (x + 2) = 0, with a = 1.
     acc = {(1,): 2, (0,): 4}
-    kernels.poly_isubmul_int(acc, 1, 2, (0,), {(1,): 1, (0,): 2})
+    isubmul_int(acc, 1, 2, (0,), {(1,): 1, (0,): 2})
     assert acc == {}
     # x^2 * (x + 1) - x^2 * (x + 1) = 0 at a shift.
     acc = {(3,): 1, (2,): 1}
-    kernels.poly_isubmul_int(acc, 1, 1, (2,), {(1,): 1, (0,): 1})
+    isubmul_int(acc, 1, 1, (2,), {(1,): 1, (0,): 1})
     assert acc == {}
     # An empty q only scales acc.
     acc = {(2,): -3, (0,): 1}
-    kernels.poly_isubmul_int(acc, 1, 7, (1,), {})
+    isubmul_int(acc, 1, 7, (1,), {})
     assert acc == {(2,): -3, (0,): 1}
-    kernels.poly_isubmul_int(acc, 5, 7, (1,), {})
+    isubmul_int(acc, 5, 7, (1,), {})
     assert acc == {(2,): -15, (0,): 5}
 
 
