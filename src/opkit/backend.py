@@ -12,7 +12,10 @@ kind of question.
 A ``Matrix`` is sparse integer rows over one positive denominator, in
 lowest terms; products, sums and instantiation work on those rows,
 elimination takes them dense, values leave as ``Fraction``s, and no other
-module reads the fields.
+module reads the fields (``symmetry`` builds one from integer rows through
+``Matrix._wrap``).  Matrices side by side, [B_1 | ... | B_N], are one
+matrix (``hstack``, ``hsplit``); a right factor of such a stack is
+I_N (x) R (``block_diagonal``), so N products are one.
 
 Everything is exact; nothing here ever touches floating point.
 """
@@ -95,9 +98,16 @@ class Matrix:
         g = gcd(den, *(v for row in entries for _, v in row)) if den != 1 else 1
         if g != 1:
             entries = [[(j, v // g) for j, v in row] for row in entries]
+        return cls._canonical(entries, den // g, cols)
+
+    @classmethod
+    def _canonical(cls, entries: Sequence[Sequence[tuple[int, int]]], den: int,
+                   cols: int) -> "Matrix":
+        """The matrix entries / den, for rows and den already in lowest
+        terms."""
         self = object.__new__(cls)
         self._entries = tuple(map(tuple, entries))
-        self._den = den // g
+        self._den = den
         self.rows = len(entries)
         self.cols = cols
         return self
@@ -113,6 +123,47 @@ class Matrix:
         if rows < 1 or cols < 1:
             raise InputError("a matrix needs at least one row and column")
         return cls._wrap([()] * rows, 1, cols)
+
+    @classmethod
+    def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
+        """[B_1 | ... | B_N] over the lcm of the block denominators, for
+        blocks with one row count.  That is lowest terms: a prime power that
+        divides the lcm exactly divides some block's denominator, and that
+        block has a numerator it does not divide."""
+        if not blocks or any(b.rows != blocks[0].rows for b in blocks):
+            raise InputError("hstack needs blocks with one row count")
+        d = lcm(*(b._den for b in blocks))
+        rows = [[] for _ in range(blocks[0].rows)]
+        offset = 0
+        for b in blocks:
+            s = d // b._den
+            for row, brow in zip(rows, b._entries):
+                row.extend([(j + offset, v * s) for j, v in brow])
+            offset += b.cols
+        return cls._canonical(rows, d, offset)
+
+    @classmethod
+    def block_diagonal(cls, block: "Matrix", copies: int) -> "Matrix":
+        """I_copies (x) block: ``copies`` of ``block`` down the diagonal."""
+        if copies == 1:
+            return block
+        w = block.cols
+        return cls._canonical([[(j + k * w, v) for j, v in row]
+                               for k in range(copies) for row in block._entries],
+                              block._den, w * copies)
+
+    def hsplit(self, count: int) -> list["Matrix"]:
+        """The blocks B_1, ..., B_count of [B_1 | ... | B_count], each in
+        lowest terms."""
+        if count < 1 or self.cols % count:
+            raise InputError(f"cannot split {self.cols} columns into {count} blocks")
+        w = self.cols // count
+        parts = [[[] for _ in range(self.rows)] for _ in range(count)]
+        for r, row in enumerate(self._entries):
+            for j, v in row:
+                k, c = divmod(j, w)
+                parts[k][r].append((c, v))
+        return [Matrix._wrap(rows, self._den, w) for rows in parts]
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "Matrix":
@@ -432,7 +483,9 @@ class Factorization:
     the solution with the free parameters set to zero, the matrix that
     reducing [P^T | C^T] on its own gives (a reduced echelon form is
     unique).  For the same reason N is the reduced echelon form of the
-    kernel basis as rows.  Nothing is kept outside the object: a caller
+    kernel basis as rows.  A C of N blocks side by side is divided block
+    by block in the same two products, against I_N (x) N^T and I_N (x) G.
+    Nothing is kept outside the object: a caller
     builds one per P and drops it with P.
     """
 
@@ -452,17 +505,18 @@ class Factorization:
         """The kernel basis as the columns of a matrix K; P must be singular."""
         return Matrix(list(zip(*self.kernel)))
 
-    def kernel_coordinates(self, image: Matrix) -> Optional[list[Vector]]:
+    def kernel_coordinates(self, image: Matrix) -> Optional[Matrix]:
         """Kernel-basis coordinates of the columns of ``image``, one row per
         basis vector; None when a column leaves the kernel (P image != 0).
+        P must be singular.
 
         Each kernel basis vector is 1 at its free (non-pivot) column and 0
         at the others, so a kernel vector's coordinates are its free rows.
         """
         if not (self.P * image).is_zero():
             return None
-        rows = image.row_list()
-        return [tuple(rows[c]) for c in self._free]
+        return Matrix._wrap([image._entries[c] for c in self._free],
+                            image._den, image.cols)
 
     @cached_property
     def _free(self) -> list[int]:
@@ -495,11 +549,18 @@ class Factorization:
         return self._division[2], self._division[3]
 
     def right_divide(self, C: Matrix) -> Optional[Matrix]:
-        """Deterministic X with X P = C, or None; free parameters set to zero."""
+        """Deterministic X with X (I_N (x) P) = C, or None; free parameters
+        set to zero.  C is N blocks of n columns, so X is the N solutions of
+        X_k P = C_k side by side, and N = 1 is X P = C."""
+        n = self.P.rows
+        if C.cols % n:
+            raise InputError(f"cannot divide {C.cols} columns by {n}x{n}")
+        copies = C.cols // n
         G, null_t, _, _ = self._division
-        if null_t is not None and not (C * null_t).is_zero():
+        if null_t is not None and not (
+                C * Matrix.block_diagonal(null_t, copies)).is_zero():
             return None
-        return C * G
+        return C * Matrix.block_diagonal(G, copies)
 
 
 def range_member(m: Matrix, f: Sequence) -> bool:

@@ -394,55 +394,62 @@ def cmd_symmetry(job: JobSpec) -> dict:
     kernel = fact.kernel
     raw_s = job.raw.get("symmetry")
     explicit = raw_s is not None
-    basis = ([job._matrix(raw_s, "symmetry")] if explicit
-             else enumerate_formal_symmetries(p_full, fact))
+    if explicit:
+        S = job._matrix(raw_s, "symmetry")
+        if not (S.is_square() and S.rows == inst.dimension):
+            raise InputError("the 'symmetry' matrix must be square, of the "
+                             "instance dimension")
+        basis = [S]
+    else:
+        basis = enumerate_formal_symmetries(p_full, fact)
     splitting = Splitting.of(cert, factors, inst)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
     out["symmetry_space_dimension"] = (None if explicit else len(basis))
 
+    # The basis passes as one stack [S_1 | ... | S_N] (an explicit S is the
+    # stack with N = 1): its witness, and every slice and fold with its
+    # identity, take a fixed number of products whatever N is.
+    count = len(basis)
+    stack = Matrix.hstack(basis)
+    witness = is_formal_symmetry(stack, p_full, fact)
+    if witness is None:
+        raise VerificationError("the supplied matrix is not a formal symmetry")
+    reports = [{"index": idx, "identities_hold": True,
+                "reconstructions_hold": True} for idx in range(count)]
+    if explicit:
+        reports[0].update(S=S.to_strings(), S_prime=witness.to_strings(),
+                          generalized=[])
+    out["decompositions"] = reports
+
     # The generation check compares the maps that the basis and the
     # reconstructions induce on the kernel: the image of S is S K, and the
-    # image of a reconstruction S_ij Pr_j is S_ij (Pr_j K).
+    # image of a reconstruction S_ij Pr_j is S_ij (Pr_j K); on the stack
+    # they are S (I_N (x) K) and S_ij (I_N (x) Pr_j K), read block by block.
+    def induced_on_kernel(stacked: Matrix, right: Matrix) -> list[tuple]:
+        coordinates = fact.kernel_coordinates(
+            stacked * Matrix.block_diagonal(right, count))
+        if coordinates is None:
+            raise VerificationError(
+                "internal error: a verified symmetry left the kernel")
+        return [tuple(chain.from_iterable(block.row_list()))
+                for block in coordinates.hsplit(count)]
+
     generation = bool(kernel) and not explicit
     if generation:
         K = fact.kernel_matrix
         sliced_kernels = [pr * K for pr in splitting.projectors]
-    induced, rebuilt = [], []
-
-    def induced_on_kernel(image: Matrix) -> tuple:
-        coordinates = fact.kernel_coordinates(image)
-        if coordinates is None:
-            raise VerificationError(
-                "internal error: a verified symmetry left the kernel")
-        return tuple(chain.from_iterable(coordinates))
-
-    reports = []
-    for idx, S in enumerate(basis):
-        witness = is_formal_symmetry(S, p_full, fact)
-        if witness is None:
-            raise VerificationError("the supplied matrix is not a formal symmetry")
-        sym = FormalSymmetry(S, witness)
-        entry = {"index": idx, "identities_hold": True,
-                 "reconstructions_hold": True}
-        if explicit:
-            entry["S"] = S.to_strings()
-            entry["S_prime"] = witness.to_strings()
-            entry["generalized"] = []
+        induced, rebuilt = induced_on_kernel(stack, K), []
+    for gen, _ in splitting.decompose(FormalSymmetry(stack, witness)):
         if generation:
-            induced.append(induced_on_kernel(S * K))
-        for gen, _ in splitting.decompose(sym):
-            if generation:
-                rebuilt.append(induced_on_kernel(gen.S_ij * sliced_kernels[gen.j]))
-            if explicit:
-                entry["generalized"].append({
-                    "i": gen.i, "j": gen.j,
-                    "S_ij": gen.S_ij.to_strings(),
-                    "S_prime_ij": gen.S_prime_ij.to_strings(),
-                    "verified": True,
-                })
-        reports.append(entry)
-    out["decompositions"] = reports
+            rebuilt.extend(induced_on_kernel(gen.S_ij, sliced_kernels[gen.j]))
+        if explicit:
+            reports[0]["generalized"].append({
+                "i": gen.i, "j": gen.j,
+                "S_ij": gen.S_ij.to_strings(),
+                "S_prime_ij": gen.S_prime_ij.to_strings(),
+                "verified": True,
+            })
 
     if generation:
         # Zero maps span nothing, and many reconstructions induce zero on

@@ -11,21 +11,27 @@ back into a formal symmetry of the product.
 A symmetry job eliminates P twice, whatever the size of its symmetry space:
 a ``backend.Factorization`` of P holds the reduced echelon form of P (and
 so the kernel basis K) and one right division by P (the reduced form of
-[P^T | I]).  Every witness is then a product with the division, the
-enumerated basis is read off the two reduced forms (the Kronecker structure
-of the constraint system), and maps induced on the kernel are products
-with K.  A ``Splitting`` verifies its certificate once and shares the
-products of its slices across the pairs (i, j).  Every identity built here
-is checked once with exact matrix equality, and the public functions check
-their inputs at the boundary.
+[P^T | I]).  The enumerated basis is read off the two reduced forms (the
+Kronecker structure of the constraint system) as one stack
+[S_1 | ... | S_N] of n x n blocks.  Every witness, slice, fold and
+identity is linear in (S, S'), so a stack passes through them whole: a
+right factor R becomes I_N (x) R (``Matrix.block_diagonal``), the identity
+P S = S' P becomes P S = S' (I_N (x) P), and the work is a fixed number of
+products whatever N is, with the multiply-adds of N separate ones.  A
+witness is a product with the division, and maps induced on the kernel
+are products with K.  A ``Splitting`` verifies its certificate once and
+shares the products of its slices across the pairs (i, j).  Every identity
+built here is checked once with exact matrix equality, every block of a
+stack in one comparison, and the public functions check their inputs at
+the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from math import lcm
+from typing import Iterator, Optional, Sequence
 
 from .backend import Factorization, Matrix, OperatorInstance, instantiate
 from .certify import (Certificate, _require_verified, _singleton_cofactors,
@@ -36,20 +42,27 @@ from .poly import Polynomial
 SYMMETRY_DIMENSION_CAP = 12
 
 
+def _diagonal(R: Matrix, stack: Matrix) -> Matrix:
+    """I_N (x) R, for a stack of N blocks as wide as R."""
+    return Matrix.block_diagonal(R, stack.cols // R.cols)
+
+
 @dataclass(frozen=True)
 class FormalSymmetry:
-    """S with witness S' such that P S = S' P exactly."""
+    """S with witness S' such that P S = S' P exactly; or a stack of N of
+    them, S = [S_1 | ... | S_N] and S' likewise, with P S = S' (I_N (x) P)."""
 
     S: Matrix
     S_prime: Matrix
 
     def holds_for(self, P: Matrix) -> bool:
-        return P * self.S == self.S_prime * P
+        return P * self.S == self.S_prime * _diagonal(P, self.S)
 
 
 @dataclass(frozen=True)
 class GeneralizedSymmetry:
-    """S_ij with witness S'_ij such that P_i S_ij = S'_ij P_j exactly."""
+    """S_ij with witness S'_ij such that P_i S_ij = S'_ij P_j exactly; or a
+    stack of N of them, with P_i S_ij = S'_ij (I_N (x) P_j)."""
 
     i: int
     j: int
@@ -57,7 +70,7 @@ class GeneralizedSymmetry:
     S_prime_ij: Matrix
 
     def holds_for(self, P_i: Matrix, P_j: Matrix) -> bool:
-        return P_i * self.S_ij == self.S_prime_ij * P_j
+        return P_i * self.S_ij == self.S_prime_ij * _diagonal(P_j, self.S_ij)
 
 
 def _factorization(P: Matrix,
@@ -76,14 +89,17 @@ def is_formal_symmetry(S: Matrix, P: Matrix,
 
     Solvable exactly when S maps the kernel of P into itself; the witness
     is the deterministic free-parameters-zero solution and is not unique
-    for singular P.  ``factorization`` is ``Factorization(P)`` when the
-    caller already has one, so P is not eliminated again.
+    for singular P.  S may be a stack [S_1 | ... | S_N] of n x n blocks:
+    the witness is then the stack of theirs, P S = S' (I_N (x) P), and None
+    when any block has none.  ``factorization`` is ``Factorization(P)``
+    when the caller already has one, so P is not eliminated again.
     """
-    if not (S.is_square() and P.is_square() and S.rows == P.rows):
-        raise InputError("S and P must be square matrices of equal size")
+    if not (P.is_square() and S.rows == P.rows and S.cols % P.cols == 0):
+        raise InputError("S must be square, or square blocks side by side, "
+                         "of the size of square P")
     PS = P * S
     witness = _factorization(P, factorization).right_divide(PS)
-    if witness is not None and PS != witness * P:
+    if witness is not None and PS != witness * _diagonal(P, S):
         raise VerificationError("internal error: symmetry witness failed its check")
     return witness
 
@@ -123,31 +139,39 @@ class Splitting:
         return tuple(t * q for t, q in zip(self._slice_right, self.cofactors))
 
     def slice(self, sym: FormalSymmetry, i: int, j: int) -> GeneralizedSymmetry:
-        """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for sym checked on P."""
+        """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for one sym checked
+        on P."""
         return self._generalized(i, j, self.projectors[i] * sym.S * self.projectors[j],
                                  self.cofactors[i] * sym.S_prime * self._slice_right[j])
 
     def fold(self, gen: GeneralizedSymmetry) -> FormalSymmetry:
-        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for gen checked on P_i, P_j."""
+        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for one gen checked on
+        P_i, P_j."""
         return self._formal(
             gen.S_ij * self.projectors[gen.j],
             self.complements[gen.i] * gen.S_prime_ij * self.cofactors[gen.j])
 
     def decompose(self, sym: FormalSymmetry
-                  ) -> list[tuple[GeneralizedSymmetry, FormalSymmetry]]:
-        """``slice(sym, i, j)`` and its ``fold`` for every pair (i, j), in
-        order, with Pr_i S, Q_i S' and P^i Q_i S' computed once per i."""
-        out = []
+                  ) -> Iterator[tuple[GeneralizedSymmetry, FormalSymmetry]]:
+        """Yield ``slice(sym, i, j)`` and its ``fold`` for every pair
+        (i, j), in order, for sym checked on P; for a stack of N
+        symmetries, each is the stack of the N slices or folds.
+
+        Pr_i S, Q_i S' and P^i Q_i S' are one product per i; each slice,
+        witness and fold is one product per (i, j) with I_N (x) R for its
+        right factor R, and each identity one equality per (i, j), checked
+        before the pair is yielded.  A caller that drops each pair as it
+        goes holds the stacks of one pair at a time.
+        """
+        right = [tuple(_diagonal(m, sym.S) for m in factors) for factors in
+                 zip(self.projectors, self._slice_right, self._fold_right)]
         for i in range(len(self.factors)):
             left = self.projectors[i] * sym.S
             left_prime = self.cofactors[i] * sym.S_prime
             fold_prime = self.complements[i] * left_prime
-            for j, pr in enumerate(self.projectors):
-                gen = self._generalized(i, j, left * pr,
-                                        left_prime * self._slice_right[j])
-                out.append((gen, self._formal(
-                    gen.S_ij * pr, fold_prime * self._fold_right[j])))
-        return out
+            for j, (pr, slice_right, fold_right) in enumerate(right):
+                gen = self._generalized(i, j, left * pr, left_prime * slice_right)
+                yield gen, self._formal(gen.S_ij * pr, fold_prime * fold_right)
 
     def _generalized(self, i: int, j: int, S_ij: Matrix,
                      S_prime_ij: Matrix) -> GeneralizedSymmetry:
@@ -200,7 +224,8 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
 def enumerate_formal_symmetries(
         P: Matrix,
         factorization: Optional[Factorization] = None) -> list[Matrix]:
-    """Exact basis of the space {S | some S' gives P S = S' P}.
+    """Exact basis of the space {S | some S' gives P S = S' P}, as the
+    blocks of one stack [S_1 | ... | S_N].
 
     The space is cut out by the linear condition that S maps the kernel of
     P into itself: P S v = 0 for every kernel basis vector v.  In the
@@ -209,10 +234,12 @@ def enumerate_formal_symmetries(
     rref(P) (x) rref(K^T), with pivots at the pairs of pivot columns.  The
     basis is the nullspace basis of that form in the reduced-echelon
     convention, one element per free pair (b, c) in order, reshaped: 1 at
-    (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.
-    ``factorization`` is ``Factorization(P)`` when the caller already has
-    one, so P is not eliminated again.  A P past ``SYMMETRY_DIMENSION_CAP``
-    is refused before any elimination.
+    (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.  The
+    stack is built as integer rows over the product of the two forms'
+    common denominators, then split.  ``factorization`` is
+    ``Factorization(P)`` when the caller already has one, so P is not
+    eliminated again.  A P past ``SYMMETRY_DIMENSION_CAP`` is refused
+    before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
@@ -224,33 +251,43 @@ def enumerate_formal_symmetries(
     fact = _factorization(P, factorization)
     rref, pivots = fact.echelon
     null, null_pivots = fact.null_echelon
+    # Column b of rref(P) and column c of rref(K^T) as (pivot, integer)
+    # pairs, over the denominators d1 and d2.
+    d1 = lcm(*(x.denominator for row in rref for x in row))
+    d2 = lcm(*(x.denominator for row in null for x in row))
+    p_cols = [[(p, row[b].numerator * (d1 // row[b].denominator))
+               for row, p in zip(rref, pivots) if row[b]] for b in range(n)]
+    k_cols = [[(q, row[c].numerator * (d2 // row[c].denominator))
+               for row, q in zip(null, null_pivots) if row[c]]
+              for c in range(n)]
     pivot_set, null_set = set(pivots), set(null_pivots)
-    zero = Fraction(0)
-    basis = []
+    rows = [[] for _ in range(n)]
+    offset = 0
     for b in range(n):
         for c in range(n):
             if b in pivot_set and c in null_set:
                 continue
-            rows = [[zero] * n for _ in range(n)]
-            rows[b][c] = 1
-            for row, p in zip(rref, pivots):
-                x = row[b]
-                if x:
-                    for null_row, q in zip(null, null_pivots):
-                        if null_row[c]:
-                            rows[p][q] = -x * null_row[c]
-            basis.append(Matrix(rows))
-    return basis
+            rows[b].append((offset + c, d1 * d2))
+            for p, x in p_cols[b]:
+                for q, y in k_cols[c]:
+                    rows[p].append((offset + q, -x * y))
+            offset += n
+    for row in rows:
+        row.sort()
+    return Matrix._wrap(rows, d1 * d2, offset).hsplit(offset // n)
 
 
-def induced_kernel_map(S: Matrix, P: Matrix) -> Optional[Matrix]:
+def induced_kernel_map(S: Matrix, P: Matrix,
+                       factorization: Optional[Factorization] = None
+                       ) -> Optional[Matrix]:
     """Matrix of S acting on the kernel of P, in kernel-basis coordinates.
 
     None when S does not preserve the kernel; a 0x0 placeholder is never
     produced (an invertible P raises instead, there is nothing to induce).
+    ``factorization`` is ``Factorization(P)`` when the caller already has
+    one, so P is not eliminated again.
     """
-    fact = Factorization(P)
+    fact = _factorization(P, factorization)
     if not fact.kernel:
         raise InputError("P has trivial kernel; no induced map exists")
-    coordinates = fact.kernel_coordinates(S * fact.kernel_matrix)
-    return None if coordinates is None else Matrix(coordinates)
+    return fact.kernel_coordinates(S * fact.kernel_matrix)

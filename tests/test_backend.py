@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -105,6 +106,49 @@ class TestMatrixFormat:
     def test_size_zero_is_refused(self, build):
         with pytest.raises(InputError):
             build()
+
+
+class TestBlocks:
+    """hstack, block_diagonal and hsplit against Fraction grid loops."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_match_grid_loops(self, seed):
+        rng = random.Random(700 + seed)
+        denominators = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 4)
+        rows, width = rng.randint(1, 4), rng.randint(1, 4)
+        grids = [fraction_grid(rng, rows, width, denominators)
+                 for _ in range(rng.randint(1, 5))]
+        grids.append([[Fraction(0)] * width for _ in range(rows)])
+        blocks = [Matrix(g) for g in grids]
+        stack = Matrix.hstack(blocks)
+        assert_same_matrix(stack, Matrix(
+            [list(chain.from_iterable(g[r] for g in grids))
+             for r in range(rows)]))
+        for got, want in zip(stack.hsplit(len(blocks)), blocks):
+            assert_same_matrix(got, want)
+        copies = rng.randint(1, 4)
+        square = Matrix(fraction_grid(rng, width, width, denominators))
+        kron = [[square.entry(r % width, c % width) if r // width == c // width
+                 else Fraction(0) for c in range(width * copies)]
+                for r in range(width * copies)]
+        diagonal = Matrix.block_diagonal(square, copies)
+        assert_same_matrix(diagonal, Matrix(kron))
+        # A stack times I_N (x) R is the stack of the block products.
+        chosen = (blocks * copies)[:copies]
+        products = Matrix.hstack(chosen) * diagonal
+        for got, block in zip(products.hsplit(copies), chosen):
+            assert_same_matrix(got, block * square)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(InputError):
+            Matrix.hstack([])
+        with pytest.raises(InputError):
+            Matrix.hstack([Matrix.identity(2), Matrix.identity(3)])
+        for count in (0, 4):
+            with pytest.raises(InputError):
+                Matrix.identity(6).hsplit(count)
+        m = Matrix.identity(3)
+        assert Matrix.block_diagonal(m, 1) is m
 
 
 class TestInstantiate:

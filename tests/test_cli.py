@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -258,7 +259,10 @@ class TestVerifyOnce:
         m = report["symmetry_space_dimension"]
         pairs = len(report["factors"]) ** 2
         assert calls["verify"] == 2 * certify_checks + 1
-        assert calls["formal"] == calls["generalized"] == m * pairs
+        # The m basis elements pass as one stack, so each identity of a
+        # pair (i, j) is one check that covers all m blocks.
+        assert m == 27
+        assert calls["formal"] == calls["generalized"] == pairs
         assert calls["solve"] == 0
         assert calls["span"] == 2  # one canonical basis per side
         # the public induced_kernel_map reads coordinates off the kernel too
@@ -962,11 +966,13 @@ class TestSymmetryMode:
 
     def test_products_at_the_cap_are_sparse(self, capsys, tmp_path,
                                             monkeypatch):
-        # The enumerated job at dimension 12, the symmetry cap, does about
-        # 6,900 products of matrices with one nonzero entry each.  Counted
-        # in multiply-adds (len(b[k]) for each entry (k, x) of a row of a),
-        # sparse products do about 51,000 in all; dense 12x12 products
-        # would do about 9.6 million.
+        # The enumerated job at dimension 12, the symmetry cap, passes its
+        # 133 basis elements, each with one nonzero entry, as one stack: a
+        # fixed number of products whatever the basis size (61 here; one
+        # product per element took about 6,900).  Counted in multiply-adds
+        # (len(b[k]) for each entry (k, x) of a row of a), the products do
+        # about 51,000 in all, as many as one element at a time; dense
+        # 12x12 products would do about 9.6 million.
         import opkit.kernels
         mat_mul = opkit.kernels.mat_mul
         counts = {"calls": 0, "madds": 0}
@@ -984,8 +990,111 @@ class TestSymmetryMode:
                                write_job(tmp_path, job))
         assert code == 0
         assert json.loads(out)["symmetry_space_dimension"] == 133
-        assert counts["calls"] > 6000
+        assert counts["calls"] <= 80
         assert counts["madds"] <= 100_000
+
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("target", ["witness", "slice", "fold"])
+    def test_each_block_identity_is_checked(self, capsys, tmp_path,
+                                            monkeypatch, target, position):
+        # One entry of one element's witness, slice S_00 or fold of S_00 is
+        # changed inside the stack; the identity of that block alone then
+        # fails where it is built, and the job exits 4.
+        from opkit.backend import Factorization, Matrix
+        from opkit.symmetry import Splitting
+        count, n = 27, 6
+        k = {"first": 0, "middle": count // 2, "last": count - 1}[position]
+
+        def bump(m, r, c):
+            return m + Matrix([[int((a, b) == (r, c)) for b in range(m.cols)]
+                               for a in range(m.rows)])
+
+        def nonzero_column(m):
+            return next(c for c, col in enumerate(zip(*m.row_list()))
+                        if any(col))
+
+        if target == "witness":
+            right_divide = Factorization.right_divide
+
+            def perturbed(self, C):
+                # Row c of P is nonzero, so S' (I (x) P) changes in block k.
+                c = next(r for r, row in enumerate(self.P.row_list())
+                         if any(row))
+                return bump(right_divide(self, C), 0, k * n + c)
+
+            monkeypatch.setattr(Factorization, "right_divide", perturbed)
+            message = "symmetry witness failed its check"
+        elif target == "slice":
+            generalized = Splitting._generalized
+
+            def perturbed(self, i, j, S_ij, S_prime_ij):
+                if (i, j) == (0, 0):
+                    # Column r of P_0 is nonzero, so P_0 S_00 changes in
+                    # block k.
+                    S_ij = bump(S_ij, nonzero_column(self.factors[0]), k * n)
+                return generalized(self, i, j, S_ij, S_prime_ij)
+
+            monkeypatch.setattr(Splitting, "_generalized", perturbed)
+            message = "generalized symmetry identity failed"
+        else:
+            formal = Splitting._formal
+            folds = []
+
+            def perturbed(self, S, S_prime):
+                if not folds:
+                    S = bump(S, nonzero_column(self.P), k * n)
+                folds.append(1)
+                return formal(self, S, S_prime)
+
+            monkeypatch.setattr(Splitting, "_formal", perturbed)
+            message = "reconstructed symmetry failed"
+        code, out, err = run_cli(capsys, "symmetry", "--job",
+                                 write_job(tmp_path, SYMMETRY_ENUMERATED_JOB))
+        assert code == 4 and out == ""
+        assert f"internal error: {message}" in err
+
+    def test_explicit_job_matches_single_element_slices(self, capsys,
+                                                        tmp_path):
+        # An explicit S is the stack of one element: its reported witness,
+        # slices and slice witnesses are those of Splitting.slice on S, for
+        # three factors.
+        import opkit
+        from opkit.backend import Factorization, Matrix
+        from opkit.symmetry import (FormalSymmetry, Splitting,
+                                    enumerate_formal_symmetries,
+                                    is_formal_symmetry)
+        job = {"variables": ["x"], "lambdas": ["1", "2", "-1/2"],
+               "instance": {"kind": "matrices", "generators": [[
+                   ["-1", "1", "0", "0"], ["0", "-1", "0", "0"],
+                   ["0", "0", "-2", "0"], ["0", "0", "0", "1/2"]]]}}
+        spec = opkit.UnivariateSpec.of([Fraction(1), Fraction(2),
+                                        Fraction(-1, 2)])
+        factors = opkit.univariate_factors(spec)
+        inst = opkit.OperatorInstance.of(
+            [Matrix(job["instance"]["generators"][0])])
+        splitting = Splitting.of(opkit.univariate_certificate(spec),
+                                 factors, inst)
+        P = splitting.P
+        S = Matrix.zeros(4, 4)
+        for c, element in enumerate(enumerate_formal_symmetries(P)):
+            S = S + element.scale(Fraction(c % 5 - 2, 1 + c % 3))
+        job["symmetry"] = S.to_strings()
+        code, out, _ = run_cli(capsys, "symmetry", "--job",
+                               write_job(tmp_path, job))
+        assert code == 0
+        entry = json.loads(out)["decompositions"][0]
+        sym = FormalSymmetry(S, is_formal_symmetry(S, P, Factorization(P)))
+        assert entry["S"] == S.to_strings()
+        assert entry["S_prime"] == sym.S_prime.to_strings()
+        assert [(g["i"], g["j"]) for g in entry["generalized"]] == [
+            (i, j) for i in range(3) for j in range(3)]
+        for g in entry["generalized"]:
+            one = splitting.slice(sym, g["i"], g["j"])
+            assert g["S_ij"] == one.S_ij.to_strings()
+            assert g["S_prime_ij"] == one.S_prime_ij.to_strings()
+        assert sum(not Matrix(g["S_ij"]).is_zero()
+                   for g in entry["generalized"]) >= 3
 
 
 class TestSystemMode:

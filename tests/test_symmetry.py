@@ -11,7 +11,7 @@ from opkit.certify import (UnivariateSpec, factor_product_complement,
                            univariate_certificate, univariate_factors)
 from opkit.errors import InputError, ResourceLimitError, VerificationError
 from opkit.poly import product
-from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
+from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry, Splitting,
                             enumerate_formal_symmetries,
                             formal_from_generalized,
                             generalized_from_formal, induced_kernel_map,
@@ -135,6 +135,39 @@ class TestIsFormalSymmetry:
                                    solve_right_factor_reference(P, P * S))
         assert {(True, True, False), (False, False, False),
                 (False, True, False), (False, True, True)} <= seen
+
+    def test_stack_divides_block_by_block(self, rng):
+        # A stack [C_1 | ... | C_N] divides to the stack of the blocks'
+        # quotients, or None when any block has none; is_formal_symmetry on
+        # a stack gives the stack of the witnesses.
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            P = random_rank(rng, n, rng.choice([n, rng.randint(0, n)]))
+            fact = Factorization(P)
+            blocks = [random_grid(rng, n, n) * P if rng.random() < 0.7
+                      else random_grid(rng, n, n)
+                      for _ in range(rng.randint(1, 4))]
+            quotients = [fact.right_divide(C) for C in blocks]
+            got = fact.right_divide(Matrix.hstack(blocks))
+            if None in quotients:
+                assert got is None
+            else:
+                assert same_matrix(got, Matrix.hstack(quotients))
+            S = [random_grid(rng, n, n) for _ in blocks]
+            witnesses = [is_formal_symmetry(s, P, fact) for s in S]
+            got = is_formal_symmetry(Matrix.hstack(S), P, fact)
+            if None in witnesses:
+                assert got is None
+            else:
+                assert same_matrix(got, Matrix.hstack(witnesses))
+                assert FormalSymmetry(Matrix.hstack(S), got).holds_for(P)
+            outcomes.add((len(blocks) > 1, None in quotients))
+        assert {(True, True), (True, False)} <= outcomes
+        with pytest.raises(InputError):
+            Factorization(Matrix.identity(2)).right_divide(Matrix.zeros(2, 3))
+        with pytest.raises(InputError):
+            is_formal_symmetry(Matrix.zeros(2, 3), Matrix.identity(2))
 
     def test_factorization_of_another_matrix_is_refused(self):
         fact = Factorization(Matrix.diagonal([0, 1]))
@@ -392,6 +425,63 @@ class TestReconstruction:
         assert simple.holds_for(p_full)
 
 
+def random_splitting(rng, factor_count, dim):
+    """The Splitting of a singleton-certified product of ``factor_count``
+    linear factors on a V D V^-1 instance of side ``dim`` whose eigenvalues
+    are mostly roots of the factors."""
+    lambdas = distinct_fractions(rng, factor_count, bound=3)
+    spec = UnivariateSpec.of(lambdas)
+    cert = univariate_certificate(spec)
+    factors = univariate_factors(spec)
+    eigs = [-rng.choice(lambdas) for _ in range(dim - 1)]
+    eigs.append(rng.choice([Fraction(9), -lambdas[0]]))
+    inst = OperatorInstance.of([conjugated_diagonal(rng, eigs)])
+    return Splitting.of(cert, factors, inst)
+
+
+class TestStackedDecomposition:
+    def test_blocks_match_single_element_slices_and_folds(self, rng):
+        # Every block of the stacked decomposition is Splitting.slice and
+        # Splitting.fold on that element alone, in value and stored form,
+        # on the enumerated basis, a rational combination of it and a
+        # scaled element (so the blocks have different denominators).
+        shapes = set()
+        for trial in range(12):
+            factor_count = 2 if trial % 2 else 3
+            splitting = random_splitting(rng, factor_count, rng.randint(2, 6))
+            P = splitting.P
+            fact = Factorization(P)
+            basis = enumerate_formal_symmetries(P, fact)
+            combination = Matrix.zeros(P.rows, P.rows)
+            for S in basis:
+                combination = combination + S.scale(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            elements = basis + [combination,
+                                basis[-1].scale(Fraction(-2, 7))]
+            stack = Matrix.hstack(elements)
+            witness = is_formal_symmetry(stack, P, fact)
+            singles = [FormalSymmetry(S, is_formal_symmetry(S, P, fact))
+                       for S in elements]
+            for got, one in zip(witness.hsplit(len(elements)), singles):
+                assert same_matrix(got, one.S_prime)
+            pieces = list(splitting.decompose(FormalSymmetry(stack, witness)))
+            assert [(g.i, g.j) for g, _ in pieces] == [
+                (i, j) for i in range(factor_count)
+                for j in range(factor_count)]
+            for gen, back in pieces:
+                columns = [m.hsplit(len(elements)) for m in
+                           (gen.S_ij, gen.S_prime_ij, back.S, back.S_prime)]
+                for k, one in enumerate(singles):
+                    sliced = splitting.slice(one, gen.i, gen.j)
+                    folded = splitting.fold(sliced)
+                    want = (sliced.S_ij, sliced.S_prime_ij, folded.S,
+                            folded.S_prime)
+                    for blocks, w in zip(columns, want):
+                        assert same_matrix(blocks[k], w)
+            shapes.add((factor_count, len(fact.kernel) > 0))
+        assert {(2, True), (3, True)} <= shapes
+
+
 class TestGeneration:
     def test_span_of_reconstructions_covers_induced_maps(self, rng):
         for _ in range(5):
@@ -404,22 +494,41 @@ class TestGeneration:
             eigs.append(Fraction(9))
             inst = OperatorInstance.of([conjugated_diagonal(rng, eigs)])
             p_full = instantiate(product(factors, 1), inst)
-            kernel = kernel_basis(p_full)
+            fact = Factorization(p_full)
+            kernel = fact.kernel
             assert kernel
-            basis = enumerate_formal_symmetries(p_full)
+            basis = enumerate_formal_symmetries(p_full, fact)
             induced = []
             rebuilt = []
             for s in basis:
-                sym = FormalSymmetry(s, is_formal_symmetry(s, p_full))
-                induced.append(induced_kernel_map(s, p_full))
+                sym = FormalSymmetry(s, is_formal_symmetry(s, p_full, fact))
+                induced.append(induced_kernel_map(s, p_full, fact))
                 for i in range(2):
                     for j in range(2):
                         gen = generalized_from_formal(sym, cert, i, j,
                                                       factors, inst)
                         back = formal_from_generalized(gen, cert, factors, inst)
-                        rebuilt.append(induced_kernel_map(back.S, p_full))
+                        rebuilt.append(induced_kernel_map(back.S, p_full, fact))
             flat = lambda ms: [tuple(v for row in m.row_list() for v in row)
                                for m in ms]
             d = len(kernel)
             assert len(span_basis(flat(induced))) == d * d
             assert spans_equal(flat(induced), flat(rebuilt))
+
+    def test_induced_map_takes_the_factorization(self, monkeypatch):
+        import opkit.backend
+        P = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 2)]])
+        fact = Factorization(P)
+        S = enumerate_formal_symmetries(P, fact)[0]
+        want = induced_kernel_map(S, P)
+        calls = []
+        rref = opkit.backend._rref
+        monkeypatch.setattr(opkit.backend, "_rref",
+                            lambda rows: calls.append(1) or rref(rows))
+        assert same_matrix(induced_kernel_map(S, P, fact), want)
+        assert calls == []
+        with pytest.raises(InputError):
+            induced_kernel_map(S, P, Factorization(Matrix.identity(3)))
+        with pytest.raises(InputError):
+            induced_kernel_map(Matrix.identity(2), Matrix.identity(2),
+                               Factorization(Matrix.identity(2)))
