@@ -14,8 +14,9 @@ lowest terms; products, sums and instantiation work on those rows,
 elimination takes them dense, values leave as ``Fraction``s, and no other
 module reads the fields (``symmetry`` builds one from integer rows through
 ``Matrix._wrap``).  Matrices side by side, [B_1 | ... | B_N], are one
-matrix (``hstack``, ``hsplit``); a right factor of such a stack is
-I_N (x) R (``block_diagonal``), so N products are one.
+matrix, split by ``hsplit``; ``stack_mul`` multiplies such a stack by
+I_N (x) R in one product, reading the rows of R for each block
+(``kernels.stack_mul``) and never forming the nN x nN diagonal.
 
 Everything is exact; nothing here ever touches floating point.
 """
@@ -124,34 +125,6 @@ class Matrix:
             raise InputError("a matrix needs at least one row and column")
         return cls._wrap([()] * rows, 1, cols)
 
-    @classmethod
-    def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
-        """[B_1 | ... | B_N] over the lcm of the block denominators, for
-        blocks with one row count.  That is lowest terms: a prime power that
-        divides the lcm exactly divides some block's denominator, and that
-        block has a numerator it does not divide."""
-        if not blocks or any(b.rows != blocks[0].rows for b in blocks):
-            raise InputError("hstack needs blocks with one row count")
-        d = lcm(*(b._den for b in blocks))
-        rows = [[] for _ in range(blocks[0].rows)]
-        offset = 0
-        for b in blocks:
-            s = d // b._den
-            for row, brow in zip(rows, b._entries):
-                row.extend([(j + offset, v * s) for j, v in brow])
-            offset += b.cols
-        return cls._canonical(rows, d, offset)
-
-    @classmethod
-    def block_diagonal(cls, block: "Matrix", copies: int) -> "Matrix":
-        """I_copies (x) block: ``copies`` of ``block`` down the diagonal."""
-        if copies == 1:
-            return block
-        w = block.cols
-        return cls._canonical([[(j + k * w, v) for j, v in row]
-                               for k in range(copies) for row in block._entries],
-                              block._den, w * copies)
-
     def hsplit(self, count: int) -> list["Matrix"]:
         """The blocks B_1, ..., B_count of [B_1 | ... | B_count], each in
         lowest terms."""
@@ -164,6 +137,18 @@ class Matrix:
                 k, c = divmod(j, w)
                 parts[k][r].append((c, v))
         return [Matrix._wrap(rows, self._den, w) for rows in parts]
+
+    def block_vectors(self, count: int) -> list[Vector]:
+        """The entries of each block of [B_1 | ... | B_count], row by row,
+        one vector per block, read off the stack without building a block."""
+        if count < 1 or self.cols % count:
+            raise InputError(f"cannot split {self.cols} columns into {count} blocks")
+        w = self.cols // count
+        d = self._den
+        rows = [[Fraction(v, d) if v else _ZERO for v in _dense(row, self.cols)]
+                for row in self._entries]
+        return [tuple(chain.from_iterable(row[k:k + w] for row in rows))
+                for k in range(0, self.cols, w)]
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "Matrix":
@@ -238,6 +223,17 @@ class Matrix:
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         return NotImplemented
+
+    def stack_mul(self, R: "Matrix") -> "Matrix":
+        """This stack [A_1 | ... | A_N] times I_N (x) R, that is
+        [A_1 R | ... | A_N R], for blocks R.rows wide; I_N (x) R is never
+        formed."""
+        if self.cols % R.rows:
+            raise InputError(f"cannot split {self.cols} columns into blocks "
+                             f"of {R.rows}")
+        return Matrix._wrap(
+            kernels.stack_mul(self._entries, R._entries, R.cols),
+            self._den * R._den, self.cols // R.rows * R.cols)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
@@ -484,7 +480,8 @@ class Factorization:
     reducing [P^T | C^T] on its own gives (a reduced echelon form is
     unique).  For the same reason N is the reduced echelon form of the
     kernel basis as rows.  A C of N blocks side by side is divided block
-    by block in the same two products, against I_N (x) N^T and I_N (x) G.
+    by block in the same two products, C (I_N (x) N^T) and C (I_N (x) G),
+    each a ``Matrix.stack_mul`` that reads N^T or G once per block.
     Nothing is kept outside the object: a caller
     builds one per P and drops it with P.
     """
@@ -551,16 +548,13 @@ class Factorization:
     def right_divide(self, C: Matrix) -> Optional[Matrix]:
         """Deterministic X with X (I_N (x) P) = C, or None; free parameters
         set to zero.  C is N blocks of n columns, so X is the N solutions of
-        X_k P = C_k side by side, and N = 1 is X P = C."""
-        n = self.P.rows
-        if C.cols % n:
-            raise InputError(f"cannot divide {C.cols} columns by {n}x{n}")
-        copies = C.cols // n
+        X_k P = C_k side by side, and N = 1 is X P = C: the null check is
+        C (I_N (x) N^T) = 0 and X is C (I_N (x) G), both ``stack_mul``, which
+        refuses a C whose width is not a multiple of n."""
         G, null_t, _, _ = self._division
-        if null_t is not None and not (
-                C * Matrix.block_diagonal(null_t, copies)).is_zero():
+        if null_t is not None and not C.stack_mul(null_t).is_zero():
             return None
-        return C * Matrix.block_diagonal(G, copies)
+        return C.stack_mul(G)
 
 
 def range_member(m: Matrix, f: Sequence) -> bool:

@@ -32,7 +32,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence
 
 from .backend import (Factorization, Matrix, OperatorInstance,
@@ -55,7 +54,7 @@ from .reducer import (_system_split, find_system_certificate,
                       integrability_violations, recombined_solution_set, split,
                       system_map_B, system_map_F)
 from .symmetry import (SYMMETRY_DIMENSION_CAP, FormalSymmetry, Splitting,
-                       enumerate_formal_symmetries, is_formal_symmetry)
+                       formal_symmetry_stack, is_formal_symmetry)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -392,48 +391,45 @@ def cmd_symmetry(job: JobSpec) -> dict:
     p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
     fact = Factorization(p_full)
     kernel = fact.kernel
+    # The basis is one stack [S_1 | ... | S_N], as enumeration builds it (an
+    # explicit S is the stack with N = 1): its witness, and every slice and
+    # fold with its identity, take a fixed number of products whatever N is.
     raw_s = job.raw.get("symmetry")
     explicit = raw_s is not None
     if explicit:
-        S = job._matrix(raw_s, "symmetry")
-        if not (S.is_square() and S.rows == inst.dimension):
+        stack = job._matrix(raw_s, "symmetry")
+        if not (stack.is_square() and stack.rows == inst.dimension):
             raise InputError("the 'symmetry' matrix must be square, of the "
                              "instance dimension")
-        basis = [S]
     else:
-        basis = enumerate_formal_symmetries(p_full, fact)
+        stack = formal_symmetry_stack(p_full, fact)
+    count = stack.cols // inst.dimension
     splitting = Splitting.of(cert, factors, inst)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
-    out["symmetry_space_dimension"] = (None if explicit else len(basis))
-
-    # The basis passes as one stack [S_1 | ... | S_N] (an explicit S is the
-    # stack with N = 1): its witness, and every slice and fold with its
-    # identity, take a fixed number of products whatever N is.
-    count = len(basis)
-    stack = Matrix.hstack(basis)
+    out["symmetry_space_dimension"] = None if explicit else count
     witness = is_formal_symmetry(stack, p_full, fact)
     if witness is None:
         raise VerificationError("the supplied matrix is not a formal symmetry")
     reports = [{"index": idx, "identities_hold": True,
                 "reconstructions_hold": True} for idx in range(count)]
     if explicit:
-        reports[0].update(S=S.to_strings(), S_prime=witness.to_strings(),
+        reports[0].update(S=stack.to_strings(), S_prime=witness.to_strings(),
                           generalized=[])
     out["decompositions"] = reports
 
     # The generation check compares the maps that the basis and the
     # reconstructions induce on the kernel: the image of S is S K, and the
     # image of a reconstruction S_ij Pr_j is S_ij (Pr_j K); on the stack
-    # they are S (I_N (x) K) and S_ij (I_N (x) Pr_j K), read block by block.
+    # they are S (I_N (x) K) and S_ij (I_N (x) Pr_j K), each one
+    # ``stack_mul`` by an n x d right factor, and the d x d maps are read
+    # off the stack of coordinates block by block.
     def induced_on_kernel(stacked: Matrix, right: Matrix) -> list[tuple]:
-        coordinates = fact.kernel_coordinates(
-            stacked * Matrix.block_diagonal(right, count))
+        coordinates = fact.kernel_coordinates(stacked.stack_mul(right))
         if coordinates is None:
             raise VerificationError(
                 "internal error: a verified symmetry left the kernel")
-        return [tuple(chain.from_iterable(block.row_list()))
-                for block in coordinates.hsplit(count)]
+        return coordinates.block_vectors(count)
 
     generation = bool(kernel) and not explicit
     if generation:

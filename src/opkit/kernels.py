@@ -3,8 +3,9 @@
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
 Fractions, and the integer reduction step of fraction-free Buchberger on
 integer term maps keyed by packed-int monomials), the integer matrix
-product and apply on the sparse integer rows of a ``backend.Matrix``, and
-the dense integer row operation used by fraction-free elimination.
+product and apply on the sparse integer rows of a ``backend.Matrix`` (and
+the product of a stack of blocks by I_N (x) B), and the dense integer row
+operation used by fraction-free elimination.
 Callers reach the kernels by attribute (``kernels.mat_mul``), so a test or
 a tracer can substitute one.
 
@@ -127,6 +128,29 @@ def mat_mul(a: list, b: list) -> list:
         acc: dict = {}
         for k, x in row:
             for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple([(j, v) for j, v in sorted(acc.items()) if v]))
+    return out
+
+
+def stack_mul(a: list, b: list, cols: int) -> list:
+    """Multiply a stack [A_1 | ... | A_N] by I_N (x) B, with B never formed.
+
+    ``a`` is the sparse rows of the stack, its blocks len(b) columns wide;
+    ``b`` is the sparse rows of B, ``cols`` columns wide.  Entry (k, x) of a
+    row lies in block k // len(b), at column k % len(b) of it, so it adds
+    x * (that row of b) to the same block of the product, which is ``cols``
+    wide.  The rows are sparse rows of the form ``mat_mul`` returns.
+    """
+    m = len(b)
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row:
+            block, c = divmod(k, m)
+            offset = block * cols
+            for j, y in b[c]:
+                j += offset
                 acc[j] = acc.get(j, 0) + x * y
         out.append(tuple([(j, v) for j, v in sorted(acc.items()) if v]))
     return out

@@ -13,17 +13,19 @@ a ``backend.Factorization`` of P holds the reduced echelon form of P (and
 so the kernel basis K) and one right division by P (the reduced form of
 [P^T | I]).  The enumerated basis is read off the two reduced forms (the
 Kronecker structure of the constraint system) as one stack
-[S_1 | ... | S_N] of n x n blocks.  Every witness, slice, fold and
-identity is linear in (S, S'), so a stack passes through them whole: a
-right factor R becomes I_N (x) R (``Matrix.block_diagonal``), the identity
-P S = S' P becomes P S = S' (I_N (x) P), and the work is a fixed number of
-products whatever N is, with the multiply-adds of N separate ones.  A
-witness is a product with the division, and maps induced on the kernel
-are products with K.  A ``Splitting`` verifies its certificate once and
-shares the products of its slices across the pairs (i, j).  Every identity
-built here is checked once with exact matrix equality, every block of a
-stack in one comparison, and the public functions check their inputs at
-the boundary.
+[S_1 | ... | S_N] of n x n blocks (``formal_symmetry_stack``), which a
+caller runs on as it is.  Every witness, slice, fold and identity is
+linear in (S, S'), so a stack passes through them whole: a right factor R
+becomes I_N (x) R, the identity P S = S' P becomes P S = S' (I_N (x) P),
+and the work is a fixed number of products whatever N is, with the
+multiply-adds of N separate ones.  A left factor is an ordinary product;
+a right one is ``Matrix.stack_mul``, which reads the rows of R once per
+block and never forms the nN x nN diagonal.  A witness is a product with
+the division, and maps induced on the kernel are products with K.  A
+``Splitting`` verifies its certificate once and shares the products of
+its slices across the pairs (i, j).  Every identity built here is checked
+once with exact matrix equality, every block of a stack in one
+comparison, and the public functions check their inputs at the boundary.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ from .poly import Polynomial
 SYMMETRY_DIMENSION_CAP = 12
 
 
-def _diagonal(R: Matrix, stack: Matrix) -> Matrix:
-    """I_N (x) R, for a stack of N blocks as wide as R."""
-    return Matrix.block_diagonal(R, stack.cols // R.cols)
-
-
 @dataclass(frozen=True)
 class FormalSymmetry:
     """S with witness S' such that P S = S' P exactly; or a stack of N of
@@ -56,7 +53,7 @@ class FormalSymmetry:
     S_prime: Matrix
 
     def holds_for(self, P: Matrix) -> bool:
-        return P * self.S == self.S_prime * _diagonal(P, self.S)
+        return P * self.S == self.S_prime.stack_mul(P)
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class GeneralizedSymmetry:
     S_prime_ij: Matrix
 
     def holds_for(self, P_i: Matrix, P_j: Matrix) -> bool:
-        return P_i * self.S_ij == self.S_prime_ij * _diagonal(P_j, self.S_ij)
+        return P_i * self.S_ij == self.S_prime_ij.stack_mul(P_j)
 
 
 def _factorization(P: Matrix,
@@ -99,7 +96,7 @@ def is_formal_symmetry(S: Matrix, P: Matrix,
                          "of the size of square P")
     PS = P * S
     witness = _factorization(P, factorization).right_divide(PS)
-    if witness is not None and PS != witness * _diagonal(P, S):
+    if witness is not None and PS != witness.stack_mul(P):
         raise VerificationError("internal error: symmetry witness failed its check")
     return witness
 
@@ -158,20 +155,22 @@ class Splitting:
         symmetries, each is the stack of the N slices or folds.
 
         Pr_i S, Q_i S' and P^i Q_i S' are one product per i; each slice,
-        witness and fold is one product per (i, j) with I_N (x) R for its
-        right factor R, and each identity one equality per (i, j), checked
-        before the pair is yielded.  A caller that drops each pair as it
-        goes holds the stacks of one pair at a time.
+        witness and fold is one ``stack_mul`` per (i, j) by its right
+        factor R, that is the product by I_N (x) R, and each identity one
+        equality per (i, j), checked before the pair is yielded.  A caller
+        that drops each pair as it goes holds the stacks of one pair at a
+        time.
         """
-        right = [tuple(_diagonal(m, sym.S) for m in factors) for factors in
-                 zip(self.projectors, self._slice_right, self._fold_right)]
+        right = list(zip(self.projectors, self._slice_right, self._fold_right))
         for i in range(len(self.factors)):
             left = self.projectors[i] * sym.S
             left_prime = self.cofactors[i] * sym.S_prime
             fold_prime = self.complements[i] * left_prime
             for j, (pr, slice_right, fold_right) in enumerate(right):
-                gen = self._generalized(i, j, left * pr, left_prime * slice_right)
-                yield gen, self._formal(gen.S_ij * pr, fold_prime * fold_right)
+                gen = self._generalized(i, j, left.stack_mul(pr),
+                                        left_prime.stack_mul(slice_right))
+                yield gen, self._formal(gen.S_ij.stack_mul(pr),
+                                        fold_prime.stack_mul(fold_right))
 
     def _generalized(self, i: int, j: int, S_ij: Matrix,
                      S_prime_ij: Matrix) -> GeneralizedSymmetry:
@@ -221,11 +220,10 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
     return splitting.fold(gen)
 
 
-def enumerate_formal_symmetries(
-        P: Matrix,
-        factorization: Optional[Factorization] = None) -> list[Matrix]:
-    """Exact basis of the space {S | some S' gives P S = S' P}, as the
-    blocks of one stack [S_1 | ... | S_N].
+def formal_symmetry_stack(
+        P: Matrix, factorization: Optional[Factorization] = None) -> Matrix:
+    """Exact basis of the space {S | some S' gives P S = S' P}, as one
+    stack [S_1 | ... | S_N] of n x n blocks.
 
     The space is cut out by the linear condition that S maps the kernel of
     P into itself: P S v = 0 for every kernel basis vector v.  In the
@@ -236,10 +234,9 @@ def enumerate_formal_symmetries(
     convention, one element per free pair (b, c) in order, reshaped: 1 at
     (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.  The
     stack is built as integer rows over the product of the two forms'
-    common denominators, then split.  ``factorization`` is
-    ``Factorization(P)`` when the caller already has one, so P is not
-    eliminated again.  A P past ``SYMMETRY_DIMENSION_CAP`` is refused
-    before any elimination.
+    common denominators.  ``factorization`` is ``Factorization(P)`` when
+    the caller already has one, so P is not eliminated again.  A P past
+    ``SYMMETRY_DIMENSION_CAP`` is refused before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
@@ -274,7 +271,16 @@ def enumerate_formal_symmetries(
             offset += n
     for row in rows:
         row.sort()
-    return Matrix._wrap(rows, d1 * d2, offset).hsplit(offset // n)
+    return Matrix._wrap(rows, d1 * d2, offset)
+
+
+def enumerate_formal_symmetries(
+        P: Matrix,
+        factorization: Optional[Factorization] = None) -> list[Matrix]:
+    """The blocks S_1, ..., S_N of ``formal_symmetry_stack(P,
+    factorization)``, each in lowest terms."""
+    stack = formal_symmetry_stack(P, factorization)
+    return stack.hsplit(stack.cols // P.rows)
 
 
 def induced_kernel_map(S: Matrix, P: Matrix,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -99,6 +100,26 @@ def has_canonical_fields(m) -> bool:
             and all(type(v) is int and v for v in values)
             and all(cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
                     for cols in columns))
+
+
+def hstack(blocks):
+    """Reference stack [B_1 | ... | B_N], built from the blocks' values."""
+    from opkit.backend import Matrix
+
+    grids = [b.row_list() for b in blocks]
+    return Matrix([list(chain.from_iterable(g[r] for g in grids))
+                   for r in range(blocks[0].rows)])
+
+
+def block_diagonal(R, copies):
+    """I_copies (x) R, materialised: the reference right factor of a stack
+    of ``copies`` blocks, R.rows wide, that ``Matrix.stack_mul`` never
+    builds."""
+    from opkit.backend import Matrix
+
+    grid, n, d = R.row_list(), R.rows, R.cols
+    return Matrix([[grid[r % n][c % d] if r // n == c // d else 0
+                    for c in range(d * copies)] for r in range(n * copies)])
 
 
 def solve_right_factor_reference(P, C):

@@ -15,8 +15,8 @@ from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
                            solve_affine, span_basis, spans_equal)
 from opkit.poly import Polynomial, parse_polynomial, product
 
-from conftest import (BIG_DENOMINATORS, distinct_fractions,
-                      has_canonical_fields, invert, random_polynomial,
+from conftest import (BIG_DENOMINATORS, block_diagonal, distinct_fractions,
+                      has_canonical_fields, hstack, invert, random_polynomial,
                       random_vector)
 
 
@@ -109,7 +109,8 @@ class TestMatrixFormat:
 
 
 class TestBlocks:
-    """hstack, block_diagonal and hsplit against Fraction grid loops."""
+    """hsplit, block_vectors and stack_mul against Fraction grid loops and
+    a materialised I_N (x) R."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_match_grid_loops(self, seed):
@@ -120,35 +121,63 @@ class TestBlocks:
                  for _ in range(rng.randint(1, 5))]
         grids.append([[Fraction(0)] * width for _ in range(rows)])
         blocks = [Matrix(g) for g in grids]
-        stack = Matrix.hstack(blocks)
-        assert_same_matrix(stack, Matrix(
-            [list(chain.from_iterable(g[r] for g in grids))
-             for r in range(rows)]))
+        stack = Matrix([list(chain.from_iterable(g[r] for g in grids))
+                        for r in range(rows)])
+        assert_same_matrix(hstack(blocks), stack)
         for got, want in zip(stack.hsplit(len(blocks)), blocks):
             assert_same_matrix(got, want)
+        assert stack.block_vectors(len(blocks)) == [
+            tuple(chain.from_iterable(g)) for g in grids]
         copies = rng.randint(1, 4)
         square = Matrix(fraction_grid(rng, width, width, denominators))
         kron = [[square.entry(r % width, c % width) if r // width == c // width
                  else Fraction(0) for c in range(width * copies)]
                 for r in range(width * copies)]
-        diagonal = Matrix.block_diagonal(square, copies)
-        assert_same_matrix(diagonal, Matrix(kron))
+        assert_same_matrix(block_diagonal(square, copies), Matrix(kron))
         # A stack times I_N (x) R is the stack of the block products.
         chosen = (blocks * copies)[:copies]
-        products = Matrix.hstack(chosen) * diagonal
+        products = hstack(chosen).stack_mul(square)
         for got, block in zip(products.hsplit(copies), chosen):
             assert_same_matrix(got, block * square)
 
+    @pytest.mark.parametrize("copies", [1, 2, 7])
+    @pytest.mark.parametrize("shape", ["square", "tall"])
+    def test_stack_mul_matches_the_materialised_diagonal(self, copies, shape):
+        # Random sparse stacks with empty rows and all-zero blocks, negative
+        # entries and non-unit denominators, times a square R or an n x d R
+        # (such as a kernel basis K), against the product by I_N (x) R.
+        rng = random.Random(800 + 10 * copies + len(shape))
+        for trial in range(6):
+            denominators = BIG_DENOMINATORS if trial % 2 else (1, 2, 3, 4)
+            n = rng.randint(1, 5)
+            d = n if shape == "square" else rng.randint(1, n)
+            rows = rng.randint(1, 4)
+            grid = [[Fraction(rng.randint(-9, 9), rng.choice(denominators))
+                     if rng.random() < 0.35 else Fraction(0)
+                     for _ in range(n * copies)] for _ in range(rows)]
+            grid[rng.randrange(rows)] = [Fraction(0)] * (n * copies)
+            zero_block = rng.randrange(copies)
+            for row in grid:
+                row[zero_block * n:(zero_block + 1) * n] = [Fraction(0)] * n
+            stack = Matrix(grid)
+            R = Matrix(fraction_grid(rng, n, d, denominators))
+            got = stack.stack_mul(R)
+            want = stack * block_diagonal(R, copies)
+            assert_same_matrix(got, want)
+            assert (got.rows, got.cols) == (rows, d * copies)
+            assert got.hsplit(copies)[zero_block].is_zero()
+
     def test_shapes_are_checked(self):
-        with pytest.raises(InputError):
-            Matrix.hstack([])
-        with pytest.raises(InputError):
-            Matrix.hstack([Matrix.identity(2), Matrix.identity(3)])
         for count in (0, 4):
             with pytest.raises(InputError):
                 Matrix.identity(6).hsplit(count)
-        m = Matrix.identity(3)
-        assert Matrix.block_diagonal(m, 1) is m
+            with pytest.raises(InputError):
+                Matrix.identity(6).block_vectors(count)
+        # The stack width must be a multiple of R.rows, whatever R.cols is.
+        for R in (Matrix.identity(4), Matrix.zeros(4, 6), Matrix.zeros(5, 1)):
+            with pytest.raises(InputError):
+                Matrix.identity(6).stack_mul(R)
+        assert Matrix.identity(6).stack_mul(Matrix.zeros(3, 2)).cols == 4
 
 
 class TestInstantiate:

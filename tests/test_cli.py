@@ -824,6 +824,105 @@ class TestFactorFuzz:
         assert "Traceback" not in err.getvalue()
 
 
+# Index entries: mostly in range for up to three factors, sometimes out of
+# range (negative or huge) or no integer at all.
+FUZZ_INDICES = st.one_of(
+    st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([-1, 3, 10**30, True, False, 0.0, 1.5, "0", None, [0]]),
+)
+# Cofactor expressions: small ones that may or may not verify, ones with
+# huge exponents or literals, malformed text, and values that are no string.
+FUZZ_COFACTORS = st.one_of(
+    st.sampled_from(["1", "-1", "0", "x", "-x", "x+1", "1/2", "2*x - 3/4",
+                     "y"]),
+    st.builds("x^{}".format, st.sampled_from(
+        [DEGREE_CAP, DEGREE_CAP + 1, 10**40])),
+    st.builds("{}*x".format, st.sampled_from([2**4094, 2**4097,
+                                              "1" + "0" * 5000])),
+    st.sampled_from(["1/0", "x^-1", "x^1.5", "", "x +", "(x+1", "1e3",
+                     "x^99999999999999999999"]),
+    NOT_STRINGS,
+)
+
+
+@st.composite
+def fuzz_index_family(draw):
+    """An index family: mostly a list of index lists, with duplicate
+    members and indices, empty sets and out-of-range or malformed indices;
+    sometimes a value that is no list of lists."""
+    if rarely(draw):
+        return draw(st.one_of(NOT_STRINGS, FUZZ_INDICES,
+                              st.lists(FUZZ_INDICES, max_size=2)))
+    family = draw(st.lists(st.lists(FUZZ_INDICES, max_size=3), max_size=3))
+    if family and rarely(draw):
+        family.append(list(draw(st.sampled_from(family))))
+    return family
+
+
+@st.composite
+def fuzz_certificate(draw, dual):
+    """A ``certificate`` (or, when dual, a ``dual_certificate``) object:
+    mostly a family with one cofactor per member (one per index of each
+    member for the dual), sometimes with counts that do not match, keys
+    missing or misspelt, or a value that is no object."""
+    if rarely(draw):
+        return draw(st.one_of(NOT_STRINGS, FUZZ_COFACTORS,
+                              st.lists(FUZZ_COFACTORS, max_size=2)))
+    family = draw(fuzz_index_family())
+    key = "beta" if dual else "alpha"
+    members = family if isinstance(family, list) else []
+    if dual:
+        cofactors = [draw(st.lists(FUZZ_COFACTORS, min_size=len(J),
+                                   max_size=len(J)))
+                     if isinstance(J, list) and not rarely(draw)
+                     else draw(st.one_of(FUZZ_COFACTORS,
+                                         st.lists(FUZZ_COFACTORS, max_size=2)))
+                     for J in members]
+    else:
+        cofactors = [draw(FUZZ_COFACTORS) for _ in members]
+    if rarely(draw):
+        cofactors = draw(st.one_of(
+            st.just(cofactors[:-1]), st.just(cofactors + ["1"]),
+            NOT_STRINGS, st.lists(st.lists(FUZZ_COFACTORS, max_size=2),
+                                  max_size=2)))
+    out = {key: family, "cofactors": cofactors}
+    if rarely(draw):
+        out.pop(draw(st.sampled_from([key, "cofactors"])))
+        out[draw(st.sampled_from(["Alpha", "beta", "alpha", "cofactor"]))] = \
+            family
+    return out
+
+
+class TestVerifyFuzz:
+    """Any ``certificate`` and ``dual_certificate`` keep the exit-code
+    contract in verify mode: 0, 2, 3 or 4, never a traceback."""
+
+    # The 300 jobs take about 1 s on a 2-CPU x86-64 VM.  Budget: 3 s.
+    @given(st.sampled_from([(["x"], ["x", "x+1"]),
+                            (["x"], ["x", "x+1", "x+2"]),
+                            (["x", "y"], ["x", "y", "x+y+1"])]),
+           st.sampled_from(["certificate", "dual", "both", "neither"]),
+           st.data())
+    @settings(max_examples=300, deadline=timedelta(seconds=10),
+              derandomize=True)
+    def test_exit_code_contract(self, problem, fields, data):
+        variables, factors = problem
+        job = {"variables": variables, "factors": factors}
+        if fields in ("certificate", "both"):
+            job["certificate"] = data.draw(fuzz_certificate(dual=False))
+        if fields in ("dual", "both"):
+            job["dual_certificate"] = data.draw(fuzz_certificate(dual=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "job.json"
+            path.write_text(json.dumps(job))
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = main(["verify", "--job", str(path)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
 class TestPlan:
     def test_invertible_constant_factor_shortcut(self, capsys, tmp_path):
         # a nonzero constant factor is invertible: the empty index set
@@ -964,35 +1063,70 @@ class TestSymmetryMode:
         report = json.loads(out)
         assert report["decompositions"][0]["reconstructions_hold"]
 
+    @staticmethod
+    def count_products(capsys, tmp_path, monkeypatch, max_degree):
+        """Run the enumerated job for factors x, x+1 on the one-variable
+        truncated derivative of the given dimension, counting the calls of
+        kernels.mat_mul and kernels.stack_mul, their multiply-adds (for each
+        entry (k, x) of a row of the left operand, the length of the row of
+        the right operand that it scales) and the row counts of the right
+        operands; returns the counts and the basis size."""
+        import opkit.kernels
+        counts = {"mat_mul": 0, "stack_mul": 0, "madds": 0,
+                  "right_rows": []}
+
+        def counted(name):
+            kernel = getattr(opkit.kernels, name)
+
+            def wrapper(a, b, *rest):
+                # Entry (k, x) scales row k % len(b) of b in both kernels.
+                counts[name] += 1
+                counts["madds"] += sum(len(b[k % len(b)]) for row in a
+                                       for k, _ in row)
+                counts["right_rows"].append(len(b))
+                return kernel(a, b, *rest)
+            return wrapper
+
+        for name in ("mat_mul", "stack_mul"):
+            monkeypatch.setattr(opkit.kernels, name, counted(name))
+        job = {"variables": ["x"], "factors": ["x", "x+1"],
+               "instance": {"kind": "truncated_derivative",
+                            "max_degree": max_degree}}
+        code, out, _ = run_cli(capsys, "symmetry", "--job",
+                               write_job(tmp_path, job, f"job{max_degree}.json"))
+        monkeypatch.undo()
+        assert code == 0
+        return counts, json.loads(out)["symmetry_space_dimension"]
+
     def test_products_at_the_cap_are_sparse(self, capsys, tmp_path,
                                             monkeypatch):
         # The enumerated job at dimension 12, the symmetry cap, passes its
         # 133 basis elements, each with one nonzero entry, as one stack: a
-        # fixed number of products whatever the basis size (61 here; one
-        # product per element took about 6,900).  Counted in multiply-adds
-        # (len(b[k]) for each entry (k, x) of a row of a), the products do
-        # about 51,000 in all, as many as one element at a time; dense
-        # 12x12 products would do about 9.6 million.
-        import opkit.kernels
-        mat_mul = opkit.kernels.mat_mul
-        counts = {"calls": 0, "madds": 0}
-
-        def counted(a, b):
-            counts["calls"] += 1
-            counts["madds"] += sum(len(b[k]) for row in a for k, _ in row)
-            return mat_mul(a, b)
-
-        monkeypatch.setattr(opkit.kernels, "mat_mul", counted)
-        job = {"variables": ["x"], "factors": ["x", "x+1"],
-               "instance": {"kind": "truncated_derivative",
-                            "max_degree": 12}}
-        code, out, _ = run_cli(capsys, "symmetry", "--job",
-                               write_job(tmp_path, job))
-        assert code == 0
-        assert json.loads(out)["symmetry_space_dimension"] == 133
-        assert counts["calls"] <= 80
+        # fixed number of products whatever the basis size (one product per
+        # element took about 6,900).  The products by I_N (x) R are
+        # stack_mul calls, which read R's own rows, so the multiply-adds are
+        # those of the sparse blocks, about 51,000 in all; dense 12x12
+        # products would do about 9.6 million.
+        counts, size = self.count_products(capsys, tmp_path, monkeypatch, 12)
+        assert size == 133
+        assert counts["mat_mul"] + counts["stack_mul"] <= 80
         assert counts["madds"] <= 100_000
 
+    def test_product_counts_do_not_grow_with_the_basis(self, capsys,
+                                                       tmp_path, monkeypatch):
+        # At dimension 6 and at 12 (31 and 133 basis elements) the job makes
+        # the same calls of each product kernel, and no right operand has
+        # more than n rows: I_N (x) R is never formed.
+        small, small_size = self.count_products(capsys, tmp_path,
+                                                monkeypatch, 6)
+        large, large_size = self.count_products(capsys, tmp_path,
+                                                monkeypatch, 12)
+        assert (small_size, large_size) == (31, 133)
+        assert max(small["right_rows"]) <= 6
+        assert max(large["right_rows"]) <= 12
+        assert small["stack_mul"] > 0
+        assert ((small["mat_mul"], small["stack_mul"])
+                == (large["mat_mul"], large["stack_mul"]))
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     @pytest.mark.parametrize("target", ["witness", "slice", "fold"])

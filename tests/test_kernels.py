@@ -270,6 +270,34 @@ def test_matrix_kernels_edge_cases(a, b):
     assert all(type(x) is int for x in kernels.mat_apply(sa, v))
 
 
+def ref_block_diagonal(b, copies):
+    """I_copies (x) b as dense integer rows."""
+    m, p = len(b), len(b[0])
+    return [[b[r % m][c % p] if r // m == c // p else 0
+             for c in range(p * copies)] for r in range(m * copies)]
+
+
+@pytest.mark.parametrize("copies", [1, 2, 7])
+@pytest.mark.parametrize("shape", [(3, 4, 4), (2, 5, 2), (4, 1, 1),
+                                   (1, 3, 5)])
+def test_stack_mul_exact(shape, copies):
+    # [A_1 | ... | A_N] (I_N (x) B) against the dense product by the
+    # materialised diagonal, with an empty row and an all-zero block.
+    rng = random.Random(17 * copies + sum(shape))
+    n, m, p = shape
+    for density in (0.3, 0.8):
+        a = random_int_matrix(rng, n, m * copies, density=density)
+        a[rng.randrange(n)] = [0] * (m * copies)
+        k = rng.randrange(copies)
+        for row in a:
+            row[k * m:(k + 1) * m] = [0] * m
+        b = random_int_matrix(rng, m, p, density=density)
+        got = kernels.stack_mul(sparse(a), sparse(b), p)
+        assert got == sparse(ref_mat_mul(a, ref_block_diagonal(b, copies)))
+        assert all(type(v) is int and v for row in got for _, v in row)
+        assert kernels.stack_mul(tuple(sparse(a)), tuple(sparse(b)), p) == got
+
+
 def test_matrix_zero_outputs_are_the_shared_zero():
     half, third = Fraction(1, 2), Fraction(1, 3)
     # Row 0 cancels to zero, row 1 is all zeros, row 2 is not zero.

@@ -18,7 +18,8 @@ from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry, Splitting,
                             is_formal_symmetry, projector)
 
 from conftest import (conjugated_diagonal, distinct_fractions,
-                      has_canonical_fields, solve_right_factor_reference)
+                      has_canonical_fields, hstack,
+                      solve_right_factor_reference)
 
 
 def formal_from_generalized_simple(gen, factors, inst):
@@ -149,19 +150,19 @@ class TestIsFormalSymmetry:
                       else random_grid(rng, n, n)
                       for _ in range(rng.randint(1, 4))]
             quotients = [fact.right_divide(C) for C in blocks]
-            got = fact.right_divide(Matrix.hstack(blocks))
+            got = fact.right_divide(hstack(blocks))
             if None in quotients:
                 assert got is None
             else:
-                assert same_matrix(got, Matrix.hstack(quotients))
+                assert same_matrix(got, hstack(quotients))
             S = [random_grid(rng, n, n) for _ in blocks]
             witnesses = [is_formal_symmetry(s, P, fact) for s in S]
-            got = is_formal_symmetry(Matrix.hstack(S), P, fact)
+            got = is_formal_symmetry(hstack(S), P, fact)
             if None in witnesses:
                 assert got is None
             else:
-                assert same_matrix(got, Matrix.hstack(witnesses))
-                assert FormalSymmetry(Matrix.hstack(S), got).holds_for(P)
+                assert same_matrix(got, hstack(witnesses))
+                assert FormalSymmetry(hstack(S), got).holds_for(P)
             outcomes.add((len(blocks) > 1, None in quotients))
         assert {(True, True), (True, False)} <= outcomes
         with pytest.raises(InputError):
@@ -458,7 +459,7 @@ class TestStackedDecomposition:
                     Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
             elements = basis + [combination,
                                 basis[-1].scale(Fraction(-2, 7))]
-            stack = Matrix.hstack(elements)
+            stack = hstack(elements)
             witness = is_formal_symmetry(stack, P, fact)
             singles = [FormalSymmetry(S, is_formal_symmetry(S, P, fact))
                        for S in elements]
