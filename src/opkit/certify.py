@@ -24,7 +24,8 @@ from .groebner import BezoutCertificate, contains_one
 from .planner import (DecompositionPlan, IndexSet, SetSystem, _check_atoms,
                       max_elements)
 from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
-                   _check_certificate_bits, product, resolve_term_cap)
+                   _check_certificate_bits, product, resolve_term_cap,
+                   sum_of_products)
 
 
 @dataclass(frozen=True)
@@ -84,21 +85,21 @@ def verify_certificate(cert, factors: Sequence[Polynomial]
 
     Accepts either certificate kind.  For a dual certificate the residual
     reported is the first nonzero per-J residual (zero when all hold).
+    Each identity's left side is one :func:`~opkit.poly.sum_of_products`
+    call, on integers over packed monomials: the alpha identity's groups
+    are the factors of P^J then Q_J, a dual identity's are P_j then Q_{J,j}.
     """
     nvars = _check_atoms(factors)
     one = Polynomial.one(nvars)
     if isinstance(cert, Certificate):
-        acc = Polynomial.zero(nvars)
-        for J, q in cert.sorted_items():
-            acc = acc + q * factor_product_complement(factors, J)
-        residual = acc - one
+        residual = sum_of_products(
+            ([f for i, f in enumerate(factors) if i not in J] + [q]
+             for J, q in cert.sorted_items()), nvars) - one
         return residual.is_zero(), residual
     if isinstance(cert, DualCertificate):
         for J, items in cert.sorted_items():
-            acc = Polynomial.zero(nvars)
-            for j, q in items:
-                acc = acc + q * factors[j]
-            residual = acc - one
+            residual = sum_of_products(
+                ([factors[j], q] for j, q in items), nvars) - one
             if not residual.is_zero():
                 return False, residual
         return True, Polynomial.zero(nvars)
@@ -285,15 +286,15 @@ def alpha_to_dual(cert: Certificate, I: Iterable[int],
                 f"I = {sorted(I)} minus alpha member {sorted(J)} is empty; "
                 f"the rewriting requires a free index for every member")
     L = frozenset(range(ell + 1))
-    grouped: dict[int, Polynomial] = {}
+    groups: dict[int, list[list[Polynomial]]] = {}
     for J, q in cert.sorted_items():
         i_j = min(I - J)
         rest = (L - J) - {i_j}
-        contribution = q * factor_product(factors, rest)
-        grouped[i_j] = grouped.get(i_j, Polynomial.zero(nvars)) + contribution
+        groups.setdefault(i_j, []).append(
+            [factors[i] for i in sorted(rest)] + [q])
     out = DualCertificate(
         SetSystem.of(ell, [sorted(I)]),
-        {I: grouped})
+        {I: {i: sum_of_products(g, nvars) for i, g in groups.items()}})
     return _verified(out, factors, "dual rewrite")
 
 

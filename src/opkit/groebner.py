@@ -71,7 +71,7 @@ from . import kernels
 from .errors import InputError, ResourceLimitError, VerificationError
 from .poly import (CERTIFICATE_BITS_CAP, DEFAULT_ORDER, TERM_CAP_ENV,
                    MonomialOrder, Polynomial, _check_certificate_bits,
-                   resolve_term_cap)
+                   resolve_term_cap, sum_of_products)
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,12 @@ class BezoutCertificate:
     cofactors: tuple[Polynomial, ...]
 
     def verify(self, generators: Sequence[Polynomial]) -> bool:
+        """Exact check that sum cofactor_i * generator_i is 1, as one
+        ``poly.sum_of_products`` call on integers over packed monomials."""
         nvars = generators[0].variable_count
-        acc = Polynomial.zero(nvars)
-        for cof, gen in zip(self.cofactors, generators):
-            acc = acc + cof * gen
-        return acc == Polynomial.one(nvars)
+        return sum_of_products(
+            ([gen, cof] for cof, gen in zip(self.cofactors, generators)),
+            nvars) == Polynomial.one(nvars)
 
 
 def _check_cap(terms: dict, cap: int) -> None:

@@ -9,12 +9,18 @@ operation used by fraction-free elimination.
 Callers reach the kernels by attribute (``kernels.mat_mul``), so a test or
 a tracer can substitute one.
 
+Binary ``*`` (``poly_mul``) stays on Fractions.  A product of several
+factors, and every identity check (a sum of such products), is one call
+of ``poly_sum_of_products``, which runs on integers over packed-int
+monomials and builds a Fraction only for each term of the result.
+
 All polynomial kernels keep the canonical-form invariant: no zero
 coefficient is ever stored.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 IMPLEMENTATION = "pure-python"
@@ -70,6 +76,84 @@ def poly_mul(a: dict, b: dict) -> dict:
             else:
                 out.pop(exp, None)
     return out
+
+
+def poly_sum_of_products(groups, nvars: int) -> dict:
+    """Return the term map of sum over g in groups of prod over t in g of t.
+
+    ``groups`` is a sequence of sequences of term maps in ``nvars``
+    variables; an empty group is 1, an empty sequence of groups 0.  Each
+    factor is cleared to integers over the lcm of its denominators, and
+    its monomials are packed into ints whose fields are wide enough for
+    the largest sum of total degrees over a group, so adding packed ints
+    multiplies monomials and no field can carry into the next.  Each group
+    is multiplied on ints in the order given, the groups are summed over
+    one common denominator, and each surviving term is divided out once.
+    The inputs are left unmodified.
+    """
+    factors = {id(t): t for g in groups for t in g}
+    degrees = {k: max(map(sum, t), default=0) for k, t in factors.items()}
+    width = max((sum(degrees[id(t)] for t in g) for g in groups),
+                default=0).bit_length() or 1
+    cleared = {k: _clear(t, width) for k, t in factors.items()}
+    products = []
+    for g in groups:
+        acc, den = {0: 1}, 1
+        for i, t in enumerate(g):
+            terms, d = cleared[id(t)]
+            acc = _int_mul(acc, terms) if i else terms
+            den *= d
+            if not acc:
+                break
+        if acc:
+            products.append((acc, den))
+    if not products:
+        return {}
+    if len(products) == 1:
+        total, den = products[0]
+    else:
+        den = math.lcm(*[d for _, d in products])
+        total = {}
+        get = total.get
+        for terms, d in products:
+            s = den // d
+            for m, v in terms.items():
+                total[m] = get(m, 0) + v * s
+    mask = (1 << width) - 1
+    out = {}
+    for m, v in total.items():
+        if v:
+            exp = [0] * nvars
+            for i in range(nvars - 1, -1, -1):
+                exp[i] = m & mask
+                m >>= width
+            out[tuple(exp)] = Fraction(v, den)
+    return out
+
+
+def _clear(terms: dict, width: int) -> tuple[dict, int]:
+    """A term map as (packed-int monomial -> int, denominator), variable 0
+    in the highest field."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    out = {}
+    for exp, c in terms.items():
+        m = 0
+        for e in exp:
+            m = (m << width) | e
+        out[m] = c.numerator * (den // c.denominator)
+    return out, den
+
+
+def _int_mul(a: dict, b: dict) -> dict:
+    """The product of two integer term maps on packed monomials."""
+    out: dict = {}
+    get = out.get
+    a_items = list(a.items())
+    for mb, cb in b.items():
+        for ma, ca in a_items:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return {m: v for m, v in out.items() if v}
 
 
 def poly_term_mul(a: dict, coeff: Fraction, shift: tuple) -> dict:

@@ -263,12 +263,33 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self, names)!r}, {self._nvars})"
 
 
+def sum_of_products(groups: Iterable[Iterable[Polynomial]],
+                    variable_count: int) -> Polynomial:
+    """The sum over the groups of the product of each group, in one integer
+    pass (``kernels.poly_sum_of_products``); an empty group is 1.
+
+    Raises InputError if a polynomial has another variable count.
+    """
+    maps = []
+    for g in groups:
+        row = []
+        for p in g:
+            if p._nvars != variable_count:
+                raise InputError(
+                    f"variable-count mismatch: {variable_count} vs {p._nvars}")
+            row.append(p._terms)
+        maps.append(row)
+    return Polynomial._wrap(
+        kernels.poly_sum_of_products(maps, variable_count), variable_count)
+
+
 def product(polys: Iterable[Polynomial], variable_count: int) -> Polynomial:
-    """Product of a (possibly empty) collection; the empty product is 1."""
-    result = Polynomial.one(variable_count)
-    for p in polys:
-        result = result * p
-    return result
+    """Product of a (possibly empty) collection; the empty product is 1.
+
+    Formed in one integer pass over packed monomials, like every identity
+    check (:func:`sum_of_products`); binary ``*`` stays on Fractions.
+    """
+    return sum_of_products([polys], variable_count)
 
 
 def divide_multi(
@@ -537,24 +558,23 @@ def format_polynomial(p: Polynomial, variables: Sequence[str]) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    key = DEFAULT_ORDER.sort_key
-    for exp in sorted(p.terms, key=key, reverse=True):
-        coeff = p.terms[exp]
-        factors = []
-        for name, e in zip(variables, exp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+    terms = p._terms
+    for exp in sorted(terms, key=DEFAULT_ORDER.sort_key, reverse=True):
+        # The coefficient is printed from its numerator and denominator,
+        # as str(abs(coeff)) would print it.
+        num, den = terms[exp].numerator, terms[exp].denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(variables, exp) if e]
+        if den != 1:
+            factors.insert(0, f"{num}/{den}")
+        elif num != 1 or not factors:
+            factors.insert(0, str(num))
+        body = "*".join(factors)
         if not pieces:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if negative else body)
         else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(pieces)

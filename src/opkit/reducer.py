@@ -26,7 +26,8 @@ from .certify import (Certificate, _require_verified, factor_product,
 from .errors import (InputError, IntegrabilityError, VerificationError)
 from .groebner import contains_one
 from .planner import IndexSet, SetSystem
-from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, format_polynomial, product
+from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, format_polynomial,
+                   product, sum_of_products)
 from .symmetry import Splitting
 
 
@@ -274,12 +275,10 @@ def verify_system_certificate(sys_cert: SystemCertificate,
         raise InputError("one Q cofactor per factor is required")
     if len(sys_cert.s_cofactors) != len(constraints):
         raise InputError("one S cofactor per constraint is required")
-    acc = Polynomial.zero(nvars)
-    for i, q in enumerate(sys_cert.q_cofactors):
-        acc = acc + q * factor_product_complement(factors, frozenset((i,)))
-    for s, r in zip(sys_cert.s_cofactors, constraints):
-        acc = acc + s * r
-    residual = acc - Polynomial.one(nvars)
+    groups = [[f for k, f in enumerate(factors) if k != i] + [q]
+              for i, q in enumerate(sys_cert.q_cofactors)]
+    groups.extend([r, s] for s, r in zip(sys_cert.s_cofactors, constraints))
+    residual = sum_of_products(groups, nvars) - Polynomial.one(nvars)
     return residual.is_zero(), residual
 
 

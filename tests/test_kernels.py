@@ -37,6 +37,16 @@ def ref_term_mul(a, coeff, shift):
     return ref_mul(a, {shift: coeff} if coeff else {})
 
 
+def ref_sum_of_products(groups, nvars):
+    out = {}
+    for group in groups:
+        acc = {(0,) * nvars: Fraction(1)}
+        for t in group:
+            acc = ref_mul(acc, t)
+        out = ref_combine(out, acc, 1)
+    return out
+
+
 def ref_mat_mul(a, b):
     out = [[0] * len(b[0]) for _ in a]
     for i in range(len(a)):
@@ -116,6 +126,68 @@ def test_poly_kernels_exact(seed):
     for name, (got, want) in results.items():
         assert got == want, name
         assert_canonical(got)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_poly_sum_of_products_exact(seed):
+    # Groups of 0 to 4 factors in 1-4 variables, and in 12 on seeds 10-11.
+    rng = random.Random(200 + seed)
+    nvars = 12 if seed >= 10 else rng.randint(1, 4)
+    denominators = BIG_DENOMINATORS if seed % 2 else (1, 2, 3, 5, 7)
+    groups = [[random_terms(rng, nvars, rng.randint(1, 5), denominators)
+               for _ in range(size)]
+              for size in [0, 1, 2, 3, 4] + [rng.randint(0, 4)] * 2]
+    rng.shuffle(groups)
+    before = [[dict(t) for t in g] for g in groups]
+    got = kernels.poly_sum_of_products(groups, nvars)
+    assert got == ref_sum_of_products(groups, nvars)
+    assert_canonical(got)
+    assert groups == before
+
+
+def test_poly_sum_of_products_edges():
+    x, one = {(1, 0): Fraction(1)}, {(0, 0): Fraction(1)}
+    a = {(1, 0): Fraction(1, 3), (0, 1): Fraction(-2), (0, 0): Fraction(5, 7)}
+    b = {(2, 1): Fraction(-4, 9), (0, 0): Fraction(1)}
+    neg_a = kernels.poly_neg(a)
+    assert kernels.poly_sum_of_products([], 2) == {}
+    assert kernels.poly_sum_of_products([[]], 2) == one
+    assert kernels.poly_sum_of_products([[], []], 2) == {(0, 0): Fraction(2)}
+    # A zero factor zeroes its group only.
+    assert kernels.poly_sum_of_products([[a, {}, b], [x]], 2) == x
+    assert kernels.poly_sum_of_products([[{}]], 2) == {}
+    # a*b + b*(-a) cancels to zero, and so does a - a with an extra 1 - 1.
+    assert kernels.poly_sum_of_products([[a, b], [b, neg_a]], 2) == {}
+    assert kernels.poly_sum_of_products(
+        [[a], [neg_a], [one], [{(0, 0): Fraction(-1)}]], 2) == {}
+    # The same map as several factors: (x + 1)^3 in one group.
+    cube = kernels.poly_sum_of_products([[a, a, a]], 2)
+    assert cube == ref_mul(ref_mul(a, a), a)
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 12])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64])
+def test_poly_sum_of_products_degree_bound(nvars, bound):
+    # The largest group degree sum is exactly 2^k - 1 or 2^k, and every
+    # variable reaches it in the product, so each packed field is full.
+    rng = random.Random(bound * 31 + nvars)
+    first = bound // 2
+
+    def powers(e):
+        out = {(0,) * nvars: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))}
+        for v in range(nvars):
+            out[tuple(e if i == v else 0 for i in range(nvars))] = \
+                Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 5, 3**40)))
+        return out
+
+    groups = [[powers(first), powers(bound - first)],
+              [random_terms(rng, nvars, 4, (1, 2, 3)) for _ in range(2)]]
+    groups[1] = [{e: c for e, c in t.items() if sum(e) <= bound // 2}
+                 for t in groups[1]]
+    got = kernels.poly_sum_of_products(groups, nvars)
+    assert got == ref_sum_of_products(groups, nvars)
+    assert all(tuple(bound if i == v else 0 for i in range(nvars)) in got
+               for v in range(nvars))
 
 
 def test_poly_kernels_leave_inputs_alone():

@@ -200,6 +200,22 @@ class TestParsePrint:
         assert format_polynomial(P("3/2*x^2*y - y"), V2) == "3/2*x^2*y - y"
         assert format_polynomial(Polynomial.constant(1, 2), V2) == "1"
 
+    @pytest.mark.parametrize("terms, text", [
+        ({(2, 0): Fraction(-1), (0, 1): Fraction(1)}, "-x^2 + y"),
+        ({(1, 1): Fraction(-7, 3), (0, 0): Fraction(-1)}, "-7/3*x*y - 1"),
+        ({(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 5)}, "1/2*x - 1/5*y"),
+        ({(3, 0): Fraction(-12), (0, 2): Fraction(12)}, "-12*x^3 + 12*y^2"),
+        ({(0, 0): Fraction(-5, 2)}, "-5/2"),
+        ({(0, 0): Fraction(-1)}, "-1"),
+        ({(0, 0): Fraction(10**20 + 39, 3)}, f"{10**20 + 39}/3"),
+    ], ids=["negative-lead", "rational-lead", "unit-numerators",
+            "non-unit-ints", "constant-rational", "constant-minus-one",
+            "constant-big"])
+    def test_print_coefficients(self, terms, text):
+        p = Polynomial(terms, 2)
+        assert format_polynomial(p, V2) == text
+        assert parse_polynomial(text, V2) == p
+
     @given(st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_print_parse_roundtrip(self, data):
