@@ -150,12 +150,6 @@ class Matrix:
         return [tuple(chain.from_iterable(row[k:k + w] for row in rows))
                 for k in range(0, self.cols, w)]
 
-    @classmethod
-    def diagonal(cls, values: Iterable) -> "Matrix":
-        vals = list(values)
-        return cls([[vals[i] if i == j else 0 for j in range(len(vals))]
-                    for i in range(len(vals))])
-
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.row_list()]
 
@@ -576,16 +570,6 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
         return []
     rref, pivots = _rref(_int_rows(vectors))
     return [tuple(row) for row in rref[: len(pivots)]]
-
-
-def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
-    """Exact membership of v in the span of the given vectors."""
-    basis = span_basis(vectors)
-    return len(span_basis(basis + [tuple(v)])) == len(basis)
-
-
-def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    return span_basis(a) == span_basis(b)
 
 
 def affine_sets_equal(s1: AffineSolutionSet, s2: AffineSolutionSet) -> bool:

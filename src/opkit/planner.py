@@ -51,10 +51,6 @@ class SetSystem:
         """Deterministic listing: members sorted, family sorted lexicographically."""
         return sorted([sorted(s) for s in self.sets])
 
-    def is_antichain(self) -> bool:
-        members = list(self.sets)
-        return not any(a < b for a in members for b in members)
-
     def __iter__(self):
         return iter(sorted(self.sets, key=lambda s: sorted(s)))
 

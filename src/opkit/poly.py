@@ -176,14 +176,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise InputError("polynomial is not constant")
-        return next(iter(self._terms.values()), Fraction(0))
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(exp) for exp in self._terms), default=-1)

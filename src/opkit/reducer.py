@@ -173,18 +173,6 @@ def recombined_solution_set(cert: Certificate, factors: Sequence[Polynomial],
     return AffineSolutionSet(particular, tuple(span_basis(span)))
 
 
-def recombination_is_identity(cert: Certificate, factors: Sequence[Polynomial],
-                              inst: OperatorInstance) -> bool:
-    """Exact check that sum Q_J P^J instantiates to the identity matrix."""
-    n = inst.dimension
-    acc = Matrix.zeros(n, n)
-    for J in cert.alpha:
-        q = instantiate(cert.cofactors[J], inst)
-        pj = instantiate(factor_product_complement(factors, J), inst)
-        acc = acc + q * pj
-    return acc == Matrix.identity(n)
-
-
 @dataclass(frozen=True)
 class KernelStructureReport:
     """Exact kernel bookkeeping for a singleton-family certificate."""
@@ -196,12 +184,6 @@ class KernelStructureReport:
     projectors_idempotent: bool
     projectors_land_in_factor_kernels: bool
     projectors_sum_to_identity: bool
-
-    def all_hold(self) -> bool:
-        return (self.dims_add_up and self.pairwise_trivial
-                and self.projectors_idempotent
-                and self.projectors_land_in_factor_kernels
-                and self.projectors_sum_to_identity)
 
 
 def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],

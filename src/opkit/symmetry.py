@@ -21,11 +21,13 @@ and the work is a fixed number of products whatever N is, with the
 multiply-adds of N separate ones.  A left factor is an ordinary product;
 a right one is ``Matrix.stack_mul``, which reads the rows of R once per
 block and never forms the nN x nN diagonal.  A witness is a product with
-the division, and maps induced on the kernel are products with K.  A
-``Splitting`` verifies its certificate once and shares the products of
-its slices across the pairs (i, j).  Every identity built here is checked
-once with exact matrix equality, every block of a stack in one
-comparison, and the public functions check their inputs at the boundary.
+the division.  A ``Splitting`` verifies its certificate once.  Its
+``slice`` and ``fold`` are the one slice and the one fold, and each takes
+one element or a stack alike; ``decompose`` forms Pr_i S and Q_i S' once
+per i and shares them across every j.  Every identity built here is
+checked once with exact matrix equality, every block of a stack in one
+comparison, and the public functions check their inputs, factor indices
+included, at the boundary.
 """
 
 from __future__ import annotations
@@ -130,47 +132,42 @@ class Splitting:
         """Pr_j P^j, the right factor of a sliced witness."""
         return tuple(pr * c for pr, c in zip(self.projectors, self.complements))
 
-    @cached_property
-    def _fold_right(self) -> tuple[Matrix, ...]:
-        """Pr_j P^j Q_j, the right factor of a sliced witness folded back."""
-        return tuple(t * q for t, q in zip(self._slice_right, self.cofactors))
-
     def slice(self, sym: FormalSymmetry, i: int, j: int) -> GeneralizedSymmetry:
-        """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for one sym checked
-        on P."""
-        return self._generalized(i, j, self.projectors[i] * sym.S * self.projectors[j],
-                                 self.cofactors[i] * sym.S_prime * self._slice_right[j])
+        """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for sym checked on
+        P; for a stack of N symmetries, the stack of the N slices."""
+        return self._slice(i, j, self.projectors[i] * sym.S,
+                           self.cofactors[i] * sym.S_prime)
+
+    def _slice(self, i: int, j: int, left: Matrix,
+               left_prime: Matrix) -> GeneralizedSymmetry:
+        """The slice (i, j) from left = Pr_i S and left_prime = Q_i S'."""
+        return self._generalized(i, j, left.stack_mul(self.projectors[j]),
+                                 left_prime.stack_mul(self._slice_right[j]))
 
     def fold(self, gen: GeneralizedSymmetry) -> FormalSymmetry:
-        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for one gen checked on
-        P_i, P_j."""
+        """S = S_ij Pr_j, witness P^i S'_ij Q_j, for gen checked on P_i,
+        P_j; for a stack of N, the stack of the N folds."""
         return self._formal(
-            gen.S_ij * self.projectors[gen.j],
-            self.complements[gen.i] * gen.S_prime_ij * self.cofactors[gen.j])
+            gen.S_ij.stack_mul(self.projectors[gen.j]),
+            (self.complements[gen.i] * gen.S_prime_ij).stack_mul(
+                self.cofactors[gen.j]))
 
     def decompose(self, sym: FormalSymmetry
                   ) -> Iterator[tuple[GeneralizedSymmetry, FormalSymmetry]]:
         """Yield ``slice(sym, i, j)`` and its ``fold`` for every pair
-        (i, j), in order, for sym checked on P; for a stack of N
-        symmetries, each is the stack of the N slices or folds.
+        (i, j), in order, for sym checked on P.
 
-        Pr_i S, Q_i S' and P^i Q_i S' are one product per i; each slice,
-        witness and fold is one ``stack_mul`` per (i, j) by its right
-        factor R, that is the product by I_N (x) R, and each identity one
-        equality per (i, j), checked before the pair is yielded.  A caller
-        that drops each pair as it goes holds the stacks of one pair at a
-        time.
+        Pr_i S and Q_i S' are one product per i, shared by every j.  Each
+        identity is one equality per (i, j), checked before the pair is
+        yielded.  A caller that drops each pair as it goes holds the stacks
+        of one pair at a time.
         """
-        right = list(zip(self.projectors, self._slice_right, self._fold_right))
         for i in range(len(self.factors)):
             left = self.projectors[i] * sym.S
             left_prime = self.cofactors[i] * sym.S_prime
-            fold_prime = self.complements[i] * left_prime
-            for j, (pr, slice_right, fold_right) in enumerate(right):
-                gen = self._generalized(i, j, left.stack_mul(pr),
-                                        left_prime.stack_mul(slice_right))
-                yield gen, self._formal(gen.S_ij.stack_mul(pr),
-                                        fold_prime.stack_mul(fold_right))
+            for j in range(len(self.factors)):
+                gen = self._slice(i, j, left, left_prime)
+                yield gen, self.fold(gen)
 
     def _generalized(self, i: int, j: int, S_ij: Matrix,
                      S_prime_ij: Matrix) -> GeneralizedSymmetry:
@@ -187,10 +184,18 @@ class Splitting:
         return out
 
 
+def _require_indices(factors: Sequence[Polynomial], *indices: int) -> None:
+    count = len(factors)
+    for k in indices:
+        if not (isinstance(k, int) and 0 <= k < count):
+            raise InputError(f"factor index {k!r} is not in 0..{count - 1}")
+
+
 def projector(cert: Certificate, i: int, factors: Sequence[Polynomial],
               inst: OperatorInstance) -> Matrix:
     """Instantiate Pr_i = Q_i * P^i; a projection onto the kernel of P_i
     once restricted to the kernel of the product."""
+    _require_indices(factors, i)
     return Splitting.of(cert, factors, inst).projectors[i]
 
 
@@ -203,6 +208,7 @@ def generalized_from_formal(sym: FormalSymmetry, cert: Certificate,
     The witness is Q_i S' Pr_j P^j; the defining identity is checked
     exactly before returning.
     """
+    _require_indices(factors, i, j)
     splitting = Splitting.of(cert, factors, inst)
     if not sym.holds_for(splitting.P):
         raise InputError("S is not a formal symmetry of the instantiated product")
@@ -214,6 +220,7 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
                             inst: OperatorInstance) -> FormalSymmetry:
     """Fold a generalized symmetry back: S = S_ij Pr_j with witness
     P^i S'_ij Q_j."""
+    _require_indices(factors, gen.i, gen.j)
     splitting = Splitting.of(cert, factors, inst)
     if not gen.holds_for(splitting.factors[gen.i], splitting.factors[gen.j]):
         raise InputError("the generalized symmetry identity does not hold")
@@ -281,19 +288,3 @@ def enumerate_formal_symmetries(
     factorization)``, each in lowest terms."""
     stack = formal_symmetry_stack(P, factorization)
     return stack.hsplit(stack.cols // P.rows)
-
-
-def induced_kernel_map(S: Matrix, P: Matrix,
-                       factorization: Optional[Factorization] = None
-                       ) -> Optional[Matrix]:
-    """Matrix of S acting on the kernel of P, in kernel-basis coordinates.
-
-    None when S does not preserve the kernel; a 0x0 placeholder is never
-    produced (an invertible P raises instead, there is nothing to induce).
-    ``factorization`` is ``Factorization(P)`` when the caller already has
-    one, so P is not eliminated again.
-    """
-    fact = _factorization(P, factorization)
-    if not fact.kernel:
-        raise InputError("P has trivial kernel; no induced map exists")
-    return fact.kernel_coordinates(S * fact.kernel_matrix)

@@ -66,6 +66,15 @@ def invert(m):
     return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
+def diagonal(values):
+    """The diagonal matrix of the given values."""
+    from opkit.backend import Matrix
+
+    vals = list(values)
+    return Matrix([[vals[i] if i == j else 0 for j in range(len(vals))]
+                   for i in range(len(vals))])
+
+
 def conjugated_diagonal(rng: random.Random, eigenvalues):
     """A random exact matrix similar to diag(eigenvalues)."""
     from opkit.backend import Matrix
@@ -76,7 +85,7 @@ def conjugated_diagonal(rng: random.Random, eigenvalues):
                     for _ in range(n)])
         v_inv = invert(v)
         if v_inv is not None:
-            return v * Matrix.diagonal(eigenvalues) * v_inv
+            return v * diagonal(eigenvalues) * v_inv
 
 
 def dense_rows(m):
@@ -100,6 +109,15 @@ def has_canonical_fields(m) -> bool:
             and all(type(v) is int and v for v in values)
             and all(cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
                     for cols in columns))
+
+
+def same_matrix(a, b):
+    """Equal in value, in the stored fields and in the hash, or both None."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (a == b and a.cols == b.cols and a._entries == b._entries
+            and a._den == b._den and has_canonical_fields(a)
+            and hash(a) == hash(b) and a.to_strings() == b.to_strings())
 
 
 def hstack(blocks):
@@ -155,3 +173,89 @@ def distinct_fractions(rng: random.Random, count: int, bound: int = 8):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of checks that only tests use
+# ---------------------------------------------------------------------------
+
+def in_span(vectors, v) -> bool:
+    """Exact membership of v in the span of the given vectors."""
+    from opkit.backend import span_basis
+
+    basis = span_basis(vectors)
+    return len(span_basis(basis + [tuple(v)])) == len(basis)
+
+
+def spans_equal(a, b) -> bool:
+    from opkit.backend import span_basis
+
+    return span_basis(a) == span_basis(b)
+
+
+def is_constant(p: Polynomial) -> bool:
+    return all(not any(exp) for exp in p.terms)
+
+
+def constant_value(p: Polynomial) -> Fraction:
+    """The value of a constant polynomial."""
+    from opkit.errors import InputError
+
+    if not is_constant(p):
+        raise InputError("polynomial is not constant")
+    return next(iter(p.terms.values()), Fraction(0))
+
+
+def recombination_is_identity(cert, factors, inst) -> bool:
+    """Exact check that sum Q_J P^J instantiates to the identity matrix."""
+    from opkit.backend import Matrix, instantiate
+    from opkit.certify import factor_product_complement
+
+    n = inst.dimension
+    acc = Matrix.zeros(n, n)
+    for J in cert.alpha:
+        q = instantiate(cert.cofactors[J], inst)
+        pj = instantiate(factor_product_complement(factors, J), inst)
+        acc = acc + q * pj
+    return acc == Matrix.identity(n)
+
+
+def all_hold(report) -> bool:
+    """Every check of a ``reducer.KernelStructureReport`` holds."""
+    return (report.dims_add_up and report.pairwise_trivial
+            and report.projectors_idempotent
+            and report.projectors_land_in_factor_kernels
+            and report.projectors_sum_to_identity)
+
+
+def induced_kernel_map(S, P, factorization=None):
+    """Matrix of S acting on the kernel of P, in kernel-basis coordinates.
+
+    None when S does not preserve the kernel; an invertible P raises
+    ``InputError``, there is nothing to induce.  ``factorization`` is
+    ``Factorization(P)`` when the caller already has one, so P is not
+    eliminated again.
+    """
+    from opkit.backend import Factorization
+    from opkit.errors import InputError
+
+    fact = Factorization(P) if factorization is None else factorization
+    if fact.P != P:
+        raise InputError("the factorization is of another matrix")
+    if not fact.kernel:
+        raise InputError("P has trivial kernel; no induced map exists")
+    return fact.kernel_coordinates(S * fact.kernel_matrix)
+
+
+def slice_reference(splitting, S, S_prime, i, j):
+    """S_ij = Pr_i S Pr_j and its witness Q_i S' Pr_j P^j, for one element
+    S, S' by plain products of the splitting's instantiated matrices."""
+    pr, q, comp = splitting.projectors, splitting.cofactors, splitting.complements
+    return pr[i] * S * pr[j], q[i] * S_prime * pr[j] * comp[j]
+
+
+def fold_reference(splitting, i, j, S_ij, S_prime_ij):
+    """S = S_ij Pr_j and its witness P^i S'_ij Q_j, for one element, by
+    plain products."""
+    pr, q, comp = splitting.projectors, splitting.cofactors, splitting.complements
+    return S_ij * pr[j], comp[i] * S_prime_ij * q[j]

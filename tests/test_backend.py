@@ -9,15 +9,14 @@ import pytest
 from opkit.errors import InputError, ResourceLimitError
 from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
                            affine_sets_equal,
-                           graded_monomials, in_span,
-                           instantiate, kernel_basis,
+                           graded_monomials, instantiate, kernel_basis,
                            make_truncated_derivative_instance, range_member,
-                           solve_affine, span_basis, spans_equal)
+                           solve_affine, span_basis)
 from opkit.poly import Polynomial, parse_polynomial, product
 
-from conftest import (BIG_DENOMINATORS, block_diagonal, distinct_fractions,
-                      has_canonical_fields, hstack, invert, random_polynomial,
-                      random_vector)
+from conftest import (BIG_DENOMINATORS, block_diagonal, diagonal,
+                      distinct_fractions, has_canonical_fields, hstack, in_span, invert,
+                      random_polynomial, random_vector, spans_equal)
 
 
 def P(text, variables=("x",)):
@@ -80,7 +79,7 @@ class TestMatrixFormat:
     def test_equal_values_give_equal_matrices(self):
         half = Matrix([[Fraction(1, 2), Fraction(-1, 2)], [0, Fraction(3, 2)]])
         whole = Matrix([[1, -1], [0, 3]])
-        for m in (half + half, half.scale(2), half * Matrix.diagonal([2, 2]),
+        for m in (half + half, half.scale(2), half * diagonal([2, 2]),
                   Matrix([["2/2", "-4/4"], [0, "6/2"]])):
             assert m == whole and hash(m) == hash(whole)
             assert m.to_strings() == [["1", "-1"], ["0", "3"]]
@@ -89,7 +88,7 @@ class TestMatrixFormat:
             assert m == zero and hash(m) == hash(zero) and m.is_zero()
         assert half.scale(Fraction(-1, 3)) == Matrix(
             [[Fraction(-1, 6), Fraction(1, 6)], [0, Fraction(-1, 2)]])
-        assert Matrix.identity(2) != Matrix.diagonal([1, Fraction(1, 2)])
+        assert Matrix.identity(2) != diagonal([1, Fraction(1, 2)])
 
     def test_shape_is_part_of_the_value(self):
         # Zero rows are stored empty, so only cols tells these apart.
@@ -102,7 +101,7 @@ class TestMatrixFormat:
         lambda: Matrix.identity(0), lambda: Matrix.identity(-1),
         lambda: Matrix.zeros(0, 2), lambda: Matrix.zeros(2, 0),
         lambda: Matrix.zeros(0, 0), lambda: Matrix([]), lambda: Matrix([[]]),
-        lambda: Matrix.diagonal([])])
+        lambda: diagonal([])])
     def test_size_zero_is_refused(self, build):
         with pytest.raises(InputError):
             build()
@@ -182,20 +181,20 @@ class TestBlocks:
 
 class TestInstantiate:
     def test_unital(self):
-        inst = OperatorInstance.of([Matrix.diagonal([-1, -2])])
+        inst = OperatorInstance.of([diagonal([-1, -2])])
         assert instantiate(Polynomial.one(1), inst) == Matrix.identity(2)
 
     def test_variable_maps_to_generator(self):
-        d = Matrix.diagonal([-1, -2])
+        d = diagonal([-1, -2])
         inst = OperatorInstance.of([d])
         assert instantiate(P("x"), inst) == d
 
     def test_annihilating_polynomial(self):
-        inst = OperatorInstance.of([Matrix.diagonal([-1, -2])])
+        inst = OperatorInstance.of([diagonal([-1, -2])])
         assert instantiate(P("(x+1)*(x+2)"), inst).is_zero()
 
     def test_variable_count_mismatch(self):
-        inst = OperatorInstance.of([Matrix.diagonal([1, 2])])
+        inst = OperatorInstance.of([diagonal([1, 2])])
         with pytest.raises(InputError):
             instantiate(parse_polynomial("x+y", ["x", "y"]), inst)
 
@@ -263,7 +262,7 @@ def commuting_rationals(rng, n):
         v_inv = invert(v)
         if v_inv is not None:
             break
-    d, e = (Matrix.diagonal(distinct_fractions(rng, n)) for _ in range(2))
+    d, e = (diagonal(distinct_fractions(rng, n)) for _ in range(2))
     # V D V^-1 + I/2 has a non-integer entry: if its diagonal were all
     # integers, V D V^-1 would have a diagonal of halves.
     half = Matrix.identity(n).scale(Fraction(1, 2))
@@ -345,7 +344,7 @@ class TestInstanceContext:
             del inst
 
     def test_memo_is_not_part_of_the_value(self):
-        d = Matrix.diagonal([-1, 2])
+        d = diagonal([-1, 2])
         used = OperatorInstance.of([d])
         fresh = OperatorInstance.of([d])
         instantiate(P("x^2 + 1"), used)
@@ -372,11 +371,11 @@ class TestKernelAndSolve:
         assert kernel_basis(Matrix.identity(3)) == []
 
     def test_kernel_of_diag01(self):
-        assert kernel_basis(Matrix.diagonal([0, 1])) == [
+        assert kernel_basis(diagonal([0, 1])) == [
             (Fraction(1), Fraction(0))]
 
     def test_kernel_of_zero_matrix(self):
-        inst = OperatorInstance.of([Matrix.diagonal([-1, -2])])
+        inst = OperatorInstance.of([diagonal([-1, -2])])
         zero = instantiate(P("(x+1)*(x+2)"), inst)
         assert len(kernel_basis(zero)) == 2
 
@@ -386,16 +385,16 @@ class TestKernelAndSolve:
         assert sol.kernel_vectors == ()
 
     def test_solve_infeasible(self):
-        assert solve_affine(Matrix.diagonal([0, 1]), [1, 0]).is_empty()
+        assert solve_affine(diagonal([0, 1]), [1, 0]).is_empty()
 
     def test_solve_with_kernel(self):
-        sol = solve_affine(Matrix.diagonal([0, 1]), [0, 3])
+        sol = solve_affine(diagonal([0, 1]), [0, 3])
         assert sol.particular == (Fraction(0), Fraction(3))
         assert sol.kernel_vectors == ((Fraction(1), Fraction(0)),)
 
     def test_range_member(self):
         assert range_member(Matrix.identity(2), [7, 9])
-        assert not range_member(Matrix.diagonal([0, 1]), [1, 0])
+        assert not range_member(diagonal([0, 1]), [1, 0])
 
     def test_elimination_stress(self):
         rng = random.Random(101)
@@ -535,7 +534,7 @@ class TestTruncatedDerivative:
     def test_range_intersection_law(self, rng):
         # range of a product equals the intersection of factor ranges for a
         # pairwise-unit family, brute-forced on random vectors
-        inst = OperatorInstance.of([Matrix.diagonal([0, -1, 3, 0])])
+        inst = OperatorInstance.of([diagonal([0, -1, 3, 0])])
         factors = [P("x"), P("x+1")]
         full = instantiate(product(factors, 1), inst)
         mats = [instantiate(f, inst) for f in factors]

@@ -226,8 +226,8 @@ class TestVerifyOnce:
         import opkit.certify
         from opkit.backend import instantiate
         from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
-                                    enumerate_formal_symmetries,
-                                    induced_kernel_map)
+                                    enumerate_formal_symmetries)
+        from conftest import induced_kernel_map
         calls = {"verify": 0, "formal": 0, "generalized": 0, "solve": 0,
                  "span": 0}
 
@@ -265,7 +265,7 @@ class TestVerifyOnce:
         assert calls["formal"] == calls["generalized"] == pairs
         assert calls["solve"] == 0
         assert calls["span"] == 2  # one canonical basis per side
-        # the public induced_kernel_map reads coordinates off the kernel too
+        # an induced map reads coordinates off the kernel too
         factors = [opkit.parse_polynomial(s, ["x", "y"])
                    for s in report["factors"]]
         inst = opkit.make_truncated_derivative_instance(2, 3)
@@ -1191,13 +1191,15 @@ class TestSymmetryMode:
     def test_explicit_job_matches_single_element_slices(self, capsys,
                                                         tmp_path):
         # An explicit S is the stack of one element: its reported witness,
-        # slices and slice witnesses are those of Splitting.slice on S, for
-        # three factors.
+        # slices and slice witnesses are Pr_i S Pr_j and Q_i S' Pr_j P^j by
+        # plain products on S, and those of Splitting.slice on S, for three
+        # factors.
         import opkit
         from opkit.backend import Factorization, Matrix
         from opkit.symmetry import (FormalSymmetry, Splitting,
                                     enumerate_formal_symmetries,
                                     is_formal_symmetry)
+        from conftest import same_matrix, slice_reference
         job = {"variables": ["x"], "lambdas": ["1", "2", "-1/2"],
                "instance": {"kind": "matrices", "generators": [[
                    ["-1", "1", "0", "0"], ["0", "-1", "0", "0"],
@@ -1227,6 +1229,9 @@ class TestSymmetryMode:
             one = splitting.slice(sym, g["i"], g["j"])
             assert g["S_ij"] == one.S_ij.to_strings()
             assert g["S_prime_ij"] == one.S_prime_ij.to_strings()
+            want = slice_reference(splitting, S, sym.S_prime, g["i"], g["j"])
+            assert same_matrix(one.S_ij, want[0])
+            assert same_matrix(one.S_prime_ij, want[1])
         assert sum(not Matrix(g["S_ij"]).is_zero()
                    for g in entry["generalized"]) >= 3
 

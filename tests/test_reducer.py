@@ -15,12 +15,13 @@ from opkit.planner import SetSystem
 from opkit.poly import Polynomial, parse_polynomial, product
 from opkit.reducer import (build_report, find_system_certificate,
                            integrability_violations, kernel_structure, map_B,
-                           map_F, recombination_is_identity,
-                           recombined_solution_set, split, system_map_B,
-                           system_map_F, system_split,
+                           map_F, recombined_solution_set, split,
+                           system_map_B, system_map_F, system_split,
                            verify_system_certificate)
 
-from conftest import conjugated_diagonal, distinct_fractions, random_vector
+from conftest import (all_hold, conjugated_diagonal, diagonal,
+                      distinct_fractions, random_vector,
+                      recombination_is_identity)
 
 
 def P(text, variables=("x",)):
@@ -28,7 +29,7 @@ def P(text, variables=("x",)):
 
 
 def diag_instance():
-    return OperatorInstance.of([Matrix.diagonal([-1, -2])])
+    return OperatorInstance.of([diagonal([-1, -2])])
 
 
 def univariate_setup(lambdas=(1, 2)):
@@ -104,7 +105,7 @@ class TestMaps:
     def test_recombined_zeros_are_the_shared_zero(self):
         from opkit.backend import _ZERO
         cert, factors = univariate_setup((0, 1))
-        inst = OperatorInstance.of([Matrix.diagonal([0, -1, 5, 2])])
+        inst = OperatorInstance.of([diagonal([0, -1, 5, 2])])
         u = (Fraction(3), Fraction(0), Fraction(-2), Fraction(0))
         out = map_B(cert, factors, inst, map_F(cert, factors, inst, u))
         assert out == u
@@ -172,13 +173,13 @@ class TestKernelStructure:
         report = kernel_structure(cert, factors, diag_instance())
         assert report.kernel_dim == 2
         assert report.factor_kernel_dims == (1, 1)
-        assert report.all_hold()
+        assert all_hold(report)
 
     def test_invertible_product(self):
         cert, factors = univariate_setup((5, 7))
         report = kernel_structure(cert, factors, diag_instance())
         assert report.kernel_dim == 0
-        assert report.all_hold()
+        assert all_hold(report)
 
     def test_not_true_decomposition_rejected(self):
         cert, factors = univariate_setup()
@@ -208,7 +209,7 @@ class TestKernelStructure:
             eigs.append(Fraction(rng.randint(9, 12)))
             inst = OperatorInstance.of([conjugated_diagonal(rng, eigs)])
             report = kernel_structure(cert, factors, inst)
-            assert report.all_hold()
+            assert all_hold(report)
 
 
 def constrained_setup(rng, k_constraints=1, dim=3):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from opkit.backend import (Factorization, Matrix, OperatorInstance,
-                           instantiate, kernel_basis, solve_affine, span_basis,
-                           spans_equal)
+                           instantiate, kernel_basis, solve_affine, span_basis)
 from opkit.certify import (UnivariateSpec, factor_product_complement,
                            univariate_certificate, univariate_factors)
 from opkit.errors import InputError, ResourceLimitError, VerificationError
@@ -14,12 +13,13 @@ from opkit.poly import product
 from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry, Splitting,
                             enumerate_formal_symmetries,
                             formal_from_generalized,
-                            generalized_from_formal, induced_kernel_map,
-                            is_formal_symmetry, projector)
+                            generalized_from_formal, is_formal_symmetry,
+                            projector)
 
-from conftest import (conjugated_diagonal, distinct_fractions,
-                      has_canonical_fields, hstack,
-                      solve_right_factor_reference)
+from conftest import (conjugated_diagonal, diagonal, distinct_fractions,
+                      fold_reference, hstack, in_span, induced_kernel_map,
+                      same_matrix, slice_reference,
+                      solve_right_factor_reference, spans_equal)
 
 
 def formal_from_generalized_simple(gen, factors, inst):
@@ -41,7 +41,7 @@ def diag_setup(lambdas=(1, 2)):
     spec = UnivariateSpec.of(list(lambdas))
     cert = univariate_certificate(spec)
     factors = univariate_factors(spec)
-    inst = OperatorInstance.of([Matrix.diagonal([-1, -2])])
+    inst = OperatorInstance.of([diagonal([-1, -2])])
     p_full = instantiate(product(factors, 1), inst)
     return cert, factors, inst, p_full
 
@@ -71,15 +71,6 @@ def random_rank(rng, n, rank, bound=3):
     return random_grid(rng, n, rank, bound) * random_grid(rng, rank, n, bound)
 
 
-def same_matrix(a, b):
-    """Equal in value, in the stored fields and in the hash, or both None."""
-    if a is None or b is None:
-        return a is None and b is None
-    return (a == b and a.cols == b.cols and a._entries == b._entries
-            and a._den == b._den and has_canonical_fields(a)
-            and hash(a) == hash(b) and a.to_strings() == b.to_strings())
-
-
 class TestIsFormalSymmetry:
     def test_one_elimination_matches_column_solves(self, rng):
         outcomes = set()
@@ -98,7 +89,7 @@ class TestIsFormalSymmetry:
 
     def test_negative_last_pivot_gives_the_canonical_matrix(self):
         # Eliminating [P^T | I] for P = diag(1, -1) meets the pivot -1.
-        P = Matrix.diagonal([1, -1])
+        P = diagonal([1, -1])
         C = Matrix([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]])
         got = Factorization(P).right_divide(C)
         want = Matrix([[Fraction(1, 2), -3], [0, Fraction(5, 7)]])
@@ -111,8 +102,8 @@ class TestIsFormalSymmetry:
         # matrix as eliminating [P^T | C^T] for each C: singular,
         # invertible and zero P, negative pivots and determinants, C inside
         # and outside the row space of P.
-        fixed = [Matrix.zeros(3, 3), Matrix.diagonal([1, -1]),
-                 Matrix.diagonal([-3, 0, Fraction(-1, 2)]),
+        fixed = [Matrix.zeros(3, 3), diagonal([1, -1]),
+                 diagonal([-3, 0, Fraction(-1, 2)]),
                  Matrix([[0, -2], [Fraction(-3, 5), 0]]),
                  Matrix([[1, 1], [1, 1]])]
         cases = fixed + [random_rank(rng, n, rng.randint(0, n))
@@ -171,34 +162,34 @@ class TestIsFormalSymmetry:
             is_formal_symmetry(Matrix.zeros(2, 3), Matrix.identity(2))
 
     def test_factorization_of_another_matrix_is_refused(self):
-        fact = Factorization(Matrix.diagonal([0, 1]))
+        fact = Factorization(diagonal([0, 1]))
         with pytest.raises(InputError):
             is_formal_symmetry(Matrix.identity(2), Matrix.identity(2), fact)
 
     def test_identity_always_works(self):
-        for p in (Matrix.identity(2), Matrix.diagonal([0, 1]), Matrix.zeros(2, 2)):
+        for p in (Matrix.identity(2), diagonal([0, 1]), Matrix.zeros(2, 2)):
             w = is_formal_symmetry(Matrix.identity(2), p)
             assert w is not None
             assert p * Matrix.identity(2) == w * p
 
     def test_identity_witness_unique_for_invertible(self):
-        p = Matrix.diagonal([1, 2])
+        p = diagonal([1, 2])
         assert is_formal_symmetry(Matrix.identity(2), p) == Matrix.identity(2)
 
     def test_p_is_its_own_symmetry(self):
-        p = Matrix.diagonal([0, 1])
+        p = diagonal([0, 1])
         w = is_formal_symmetry(p, p)
         assert w is not None and p * p == w * p
 
     def test_kernel_containment_criterion(self):
-        p = Matrix.diagonal([0, 1])
+        p = diagonal([0, 1])
         # S e0 = 0 lies in the kernel: solvable
         assert is_formal_symmetry(Matrix([[0, 1], [0, 0]]), p) is not None
         # S e0 = e1 leaves the kernel: no witness
         assert is_formal_symmetry(Matrix([[0, 0], [1, 0]]), p) is None
 
     def test_random_agreement_with_enumeration(self, rng):
-        p = Matrix.diagonal([0, 0, 2])
+        p = diagonal([0, 0, 2])
         basis = enumerate_formal_symmetries(p)
         for s in basis:
             assert is_formal_symmetry(s, p) is not None
@@ -206,7 +197,6 @@ class TestIsFormalSymmetry:
         outside = Matrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
         flat_basis = [tuple(v for row in m.row_list() for v in row) for m in basis]
         flat_out = tuple(v for row in outside.row_list() for v in row)
-        from opkit.backend import in_span
         assert not in_span(flat_basis, flat_out)
         assert is_formal_symmetry(outside, p) is None
 
@@ -238,7 +228,7 @@ class TestEnumerate:
         nilpotent = Matrix([[int(j == i + 1) for j in range(5)]
                             for i in range(5)])
         cases = [Matrix.identity(3), Matrix.zeros(4, 4), nilpotent,
-                 Matrix.diagonal([Fraction(-2, 3), 0, 5, 0]),
+                 diagonal([Fraction(-2, 3), 0, 5, 0]),
                  random_rank(rng, 12, 1), random_rank(rng, 10, 7)]
         for _ in range(30):
             n = rng.randint(1, 6)
@@ -285,10 +275,10 @@ class TestEnumerate:
         assert len(enumerate_formal_symmetries(Matrix.zeros(2, 2))) == 4
 
     def test_diag01_dimension_three(self):
-        basis = enumerate_formal_symmetries(Matrix.diagonal([0, 1]))
+        basis = enumerate_formal_symmetries(diagonal([0, 1]))
         assert len(basis) == 3
         for s in basis:
-            assert is_formal_symmetry(s, Matrix.diagonal([0, 1])) is not None
+            assert is_formal_symmetry(s, diagonal([0, 1])) is not None
 
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -388,6 +378,30 @@ class TestGeneralized:
         projector(cert, 0, factors, inst)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("index", [-1, 2, 7])
+    @pytest.mark.parametrize("call, position", [
+        ("projector", 0), ("slice", 0), ("slice", 1), ("fold", 0),
+        ("fold", 1)])
+    def test_factor_index_outside_range_is_refused(self, call, position,
+                                                   index):
+        # Two factors: 0 and 1 are the only indices; -1 must not wrap
+        # round to the last factor.
+        cert, factors, inst, p_full = diag_setup()
+        pair = [0, 1]
+        pair[position] = index
+        zero = Matrix.zeros(2, 2)
+        sym = FormalSymmetry(Matrix.identity(2),
+                             is_formal_symmetry(Matrix.identity(2), p_full))
+        with pytest.raises(InputError, match="factor index"):
+            if call == "projector":
+                projector(cert, index, factors, inst)
+            elif call == "slice":
+                generalized_from_formal(sym, cert, *pair, factors, inst)
+            else:
+                formal_from_generalized(
+                    GeneralizedSymmetry(*pair, zero, zero), cert, factors,
+                    inst)
+
     def test_requires_formal_symmetry(self):
         cert, factors, inst, p_full = diag_setup((0, 1))
         bad = Matrix([[0, 0], [1, 0]])  # moves the kernel of P
@@ -442,10 +456,12 @@ def random_splitting(rng, factor_count, dim):
 
 class TestStackedDecomposition:
     def test_blocks_match_single_element_slices_and_folds(self, rng):
-        # Every block of the stacked decomposition is Splitting.slice and
-        # Splitting.fold on that element alone, in value and stored form,
-        # on the enumerated basis, a rational combination of it and a
-        # scaled element (so the blocks have different denominators).
+        # Every block of the stacked decomposition, and Splitting.slice and
+        # Splitting.fold on that element alone, are the plain products
+        # Pr_i S Pr_j, Q_i S' Pr_j P^j, S_ij Pr_j and P^i S'_ij Q_j on the
+        # element, in value and stored form, on the enumerated basis, a
+        # rational combination of it and a scaled element (so the blocks
+        # have different denominators).
         shapes = set()
         for trial in range(12):
             factor_count = 2 if trial % 2 else 3
@@ -473,12 +489,16 @@ class TestStackedDecomposition:
                 columns = [m.hsplit(len(elements)) for m in
                            (gen.S_ij, gen.S_prime_ij, back.S, back.S_prime)]
                 for k, one in enumerate(singles):
+                    want = slice_reference(splitting, one.S, one.S_prime,
+                                           gen.i, gen.j)
+                    want += fold_reference(splitting, gen.i, gen.j, *want)
                     sliced = splitting.slice(one, gen.i, gen.j)
                     folded = splitting.fold(sliced)
-                    want = (sliced.S_ij, sliced.S_prime_ij, folded.S,
-                            folded.S_prime)
-                    for blocks, w in zip(columns, want):
+                    got = (sliced.S_ij, sliced.S_prime_ij, folded.S,
+                           folded.S_prime)
+                    for blocks, g, w in zip(columns, got, want):
                         assert same_matrix(blocks[k], w)
+                        assert same_matrix(g, w)
             shapes.add((factor_count, len(fact.kernel) > 0))
         assert {(2, True), (3, True)} <= shapes
 
