@@ -5,9 +5,10 @@ polynomials are instantiated through the evaluation homomorphism, and
 kernel/solve/range questions are answered by fraction-free Gaussian
 elimination over the integers (Bareiss updates) followed by
 back-substitution, which keeps intermediate growth polynomial and the
-pivoting fully deterministic.  A ``Factorization`` keeps the eliminations
-of one matrix, so that many questions about it eliminate it once for each
-kind of question.
+pivoting fully deterministic.  Each ``Matrix`` owns one
+``Factorization``, built on first use and kept for the matrix's life, so
+the kernel, the reduced echelon form and the right division of a matrix
+are each eliminated at most once, however many callers ask.
 
 A ``Matrix`` is sparse integer rows over one positive denominator, in
 lowest terms; products, sums and instantiation work on those rows,
@@ -74,9 +75,10 @@ class Matrix:
     """Immutable sparse matrix of exact rationals: each row of ``_entries``
     is the ``(col, value)`` pairs of its nonzero integer entries, sorted by
     column, over one denominator ``_den`` > 0, in lowest terms, so equal
-    values of one shape hash equal."""
+    values of one shape hash equal.  ``_fact`` holds the ``factorization``
+    once it is built."""
 
-    __slots__ = ("rows", "cols", "_entries", "_den")
+    __slots__ = ("rows", "cols", "_entries", "_den", "_fact")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [[_frac(v) for v in row] for row in entries]
@@ -152,9 +154,6 @@ class Matrix:
 
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.row_list()]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(_dense(self._entries[i], self.cols)[j], self._den)
 
     def row_list(self) -> list[list[Fraction]]:
         d = self._den
@@ -236,6 +235,20 @@ class Matrix:
         d *= self._den
         return tuple(Fraction(s, d) if s else _ZERO
                      for s in kernels.mat_apply(self._entries, nums))
+
+    @property
+    def factorization(self) -> "Factorization":
+        """The eliminations of this matrix, built on first use and kept.
+
+        The factorization holds a twin of this matrix (the same rows in
+        another object), so the two form no reference cycle and are freed
+        together, when the matrix is."""
+        try:
+            return self._fact
+        except AttributeError:
+            twin = Matrix._canonical(self._entries, self._den, self.cols)
+            self._fact = Factorization(twin)
+            return self._fact
 
     def _dense_rows(self) -> list[list[int]]:
         """The dense integer rows, the input of elimination."""
@@ -420,9 +433,9 @@ def _kernel_from_rref(rref: Sequence[Sequence[Fraction]], pivots: Sequence[int],
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
-    """Deterministic exact nullspace basis (reduced-echelon convention)."""
-    rref, pivots = _rref(m._dense_rows())
-    return _kernel_from_rref(rref, pivots, m.cols)
+    """Deterministic exact nullspace basis (reduced-echelon convention),
+    from the echelon form that ``m.factorization`` keeps."""
+    return list(m.factorization.kernel)
 
 
 @dataclass(frozen=True)
@@ -476,8 +489,9 @@ class Factorization:
     kernel basis as rows.  A C of N blocks side by side is divided block
     by block in the same two products, C (I_N (x) N^T) and C (I_N (x) G),
     each a ``Matrix.stack_mul`` that reads N^T or G once per block.
-    Nothing is kept outside the object: a caller
-    builds one per P and drops it with P.
+    ``P.factorization`` is the one factorization of P, and every caller
+    in the package reaches it that way; nothing is kept outside the
+    object, which lives exactly as long as P.
     """
 
     def __init__(self, P: Matrix):

@@ -198,8 +198,8 @@ def _dual_from_bezout(factors: Sequence[Polynomial], beta: SetSystem,
     return _verified(cert, factors, "dual certificate")
 
 
-def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
-                  term_cap: Optional[int] = None) -> Certificate:
+def dual_to_alpha(dual: DualCertificate,
+                  factors: Sequence[Polynomial]) -> Certificate:
     """Multiply the per-J identities of a dual certificate into one identity.
 
     Expanding the product over all choice functions c (one index per J)
@@ -217,7 +217,7 @@ def dual_to_alpha(dual: DualCertificate, factors: Sequence[Polynomial],
     family).
     """
     nvars = _check_atoms(factors)
-    cap = resolve_term_cap(term_cap)
+    cap = resolve_term_cap()
     ell = len(factors) - 1
     if dual.beta.ground != ell:
         raise InputError("dual certificate ground does not match factor count")
@@ -312,7 +312,6 @@ def alpha_to_dual_system(cert: Certificate, beta: SetSystem,
 def true_decomposition_certificate(
     factors: Sequence[Polynomial],
     order: MonomialOrder = DEFAULT_ORDER,
-    term_cap: Optional[int] = None,
 ) -> Certificate:
     """Certificate over the singleton family, from all pairwise identities.
 
@@ -330,7 +329,7 @@ def true_decomposition_certificate(
     from itertools import combinations
     beta = SetSystem.of(ell, [list(c) for c in combinations(range(ell + 1), 2)])
     dual = dual_certificate(factors, beta, order)
-    cert = dual_to_alpha(dual, factors, term_cap)
+    cert = dual_to_alpha(dual, factors)
     cofactors = dict(cert.cofactors)
     for i in range(ell + 1):
         cofactors.setdefault(frozenset((i,)), Polynomial.zero(nvars))

@@ -34,10 +34,9 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backend import (Factorization, Matrix, OperatorInstance,
-                      affine_sets_equal, as_vector, instantiate,
-                      make_truncated_derivative_instance, solve_affine,
-                      span_basis)
+from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
+                      instantiate, make_truncated_derivative_instance,
+                      solve_affine, span_basis)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
                       dual_to_alpha, factor_product_complement,
                       plan_dual_certificate,
@@ -385,11 +384,11 @@ def cmd_symmetry(job: JobSpec) -> dict:
         raise VerificationError(
             "symmetry mode needs a singleton-family certificate; "
             "regroup the factors first")
-    # P is eliminated twice per job, whatever the size of the basis: its
-    # reduced form gives the kernel and the basis, and one right division
-    # gives every witness.
+    # P is eliminated twice per job, whatever the size of the basis: the
+    # reduced form kept by its factorization gives the kernel and the
+    # basis, and one right division gives every witness.
     p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
-    fact = Factorization(p_full)
+    fact = p_full.factorization
     kernel = fact.kernel
     # The basis is one stack [S_1 | ... | S_N], as enumeration builds it (an
     # explicit S is the stack with N = 1): its witness, and every slice and
@@ -402,13 +401,13 @@ def cmd_symmetry(job: JobSpec) -> dict:
             raise InputError("the 'symmetry' matrix must be square, of the "
                              "instance dimension")
     else:
-        stack = formal_symmetry_stack(p_full, fact)
+        stack = formal_symmetry_stack(p_full)
     count = stack.cols // inst.dimension
     splitting = Splitting.of(cert, factors, inst)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
     out["symmetry_space_dimension"] = None if explicit else count
-    witness = is_formal_symmetry(stack, p_full, fact)
+    witness = is_formal_symmetry(stack, p_full)
     if witness is None:
         raise VerificationError("the supplied matrix is not a formal symmetry")
     reports = [{"index": idx, "identities_hold": True,
@@ -420,12 +419,12 @@ def cmd_symmetry(job: JobSpec) -> dict:
 
     # The generation check compares the maps that the basis and the
     # reconstructions induce on the kernel: the image of S is S K, and the
-    # image of a reconstruction S_ij Pr_j is S_ij (Pr_j K); on the stack
-    # they are S (I_N (x) K) and S_ij (I_N (x) Pr_j K), each one
-    # ``stack_mul`` by an n x d right factor, and the d x d maps are read
+    # image of a reconstruction is its fold times K; on the stack each is
+    # one ``stack_mul`` by the n x d matrix K, and the d x d maps are read
     # off the stack of coordinates block by block.
-    def induced_on_kernel(stacked: Matrix, right: Matrix) -> list[tuple]:
-        coordinates = fact.kernel_coordinates(stacked.stack_mul(right))
+    def induced_on_kernel(stacked: Matrix) -> list[tuple]:
+        image = stacked.stack_mul(fact.kernel_matrix)
+        coordinates = fact.kernel_coordinates(image)
         if coordinates is None:
             raise VerificationError(
                 "internal error: a verified symmetry left the kernel")
@@ -433,12 +432,10 @@ def cmd_symmetry(job: JobSpec) -> dict:
 
     generation = bool(kernel) and not explicit
     if generation:
-        K = fact.kernel_matrix
-        sliced_kernels = [pr * K for pr in splitting.projectors]
-        induced, rebuilt = induced_on_kernel(stack, K), []
-    for gen, _ in splitting.decompose(FormalSymmetry(stack, witness)):
+        induced, rebuilt = induced_on_kernel(stack), []
+    for gen, back in splitting.decompose(FormalSymmetry(stack, witness)):
         if generation:
-            rebuilt.extend(induced_on_kernel(gen.S_ij, sliced_kernels[gen.j]))
+            rebuilt.extend(induced_on_kernel(back.S))
         if explicit:
             reports[0]["generalized"].append({
                 "i": gen.i, "j": gen.j,

@@ -377,7 +377,6 @@ def _run_at_width(gens: list[Polynomial], packing: _Packing, cap: int,
 def contains_one(
     generators: Sequence[Polynomial],
     order: MonomialOrder = DEFAULT_ORDER,
-    term_cap: Optional[int] = None,
 ) -> Optional[BezoutCertificate]:
     """Decide 1 in <generators> over Q with an explicit certificate.
 
@@ -394,7 +393,7 @@ def contains_one(
     cofactor coefficient passes ``poly.CERTIFICATE_BITS_CAP``.  Either run
     raises it when a value coefficient passes that cap.
     """
-    cap = resolve_term_cap(term_cap)
+    cap = resolve_term_cap()
     probe, _ = _run_buchberger(generators, order, cap, track=False)
     if probe[-1].lead:  # a run stopped on 1 ends with that constant, packed 0
         return None

@@ -64,10 +64,9 @@ CERTIFICATE_BITS_CAP = 14_000
 TERM_CAP_ENV = "OPKIT_TERM_CAP"
 
 
-def resolve_term_cap(term_cap: int | None = None) -> int:
-    """The per-polynomial term-count cap: the argument, else OPKIT_TERM_CAP."""
-    if term_cap is not None:
-        return term_cap
+def resolve_term_cap() -> int:
+    """The per-polynomial term-count cap: OPKIT_TERM_CAP, else
+    DEFAULT_TERM_CAP."""
     env = os.environ.get(TERM_CAP_ENV)
     if env:
         try:

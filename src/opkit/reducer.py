@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
-                      Vector, as_vector, instantiate, kernel_basis,
-                      solve_affine, span_basis)
+                      Vector, as_vector, instantiate, solve_affine,
+                      span_basis)
 from .certify import (Certificate, _require_verified, factor_product,
                       factor_product_complement)
 from .errors import (InputError, IntegrabilityError, VerificationError)
@@ -192,41 +192,36 @@ def kernel_structure(cert: Certificate, factors: Sequence[Polynomial],
 
     The kernel of the product is the direct sum of the factor kernels, and
     each instantiated Q_i * P^i acts on it as the projection onto its
-    factor's kernel.
+    factor's kernel.  The kernels come from each matrix's factorization.
+    With K the kernel basis of P as columns, each projector Pr_i is checked
+    on all of it at once through Pr_i K: Pr_i (Pr_i K) = Pr_i K,
+    P_i (Pr_i K) = 0, and the Pr_i K sum to K.  A trivial kernel passes
+    all three.
     """
     splitting = Splitting.of(cert, factors, inst)
-    kernel_p = kernel_basis(splitting.P)
-    factor_kernels = [kernel_basis(m) for m in splitting.factors]
-    dims_add_up = len(kernel_p) == sum(len(k) for k in factor_kernels)
+    fact = splitting.P.factorization
+    factor_kernels = [m.factorization.kernel for m in splitting.factors]
+    dims_add_up = len(fact.kernel) == sum(len(k) for k in factor_kernels)
 
     pairwise_trivial = True
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            stacked = list(factor_kernels[i]) + list(factor_kernels[j])
+            stacked = factor_kernels[i] + factor_kernels[j]
             if len(span_basis(stacked)) != len(stacked):
                 pairwise_trivial = False
 
-    idempotent = True
-    lands = True
-    for p_i, pr in zip(splitting.factors, splitting.projectors):
-        diff = pr * pr - pr
-        for v in kernel_p:
-            if any(x != 0 for x in diff.apply(v)):
-                idempotent = False
-            image = pr.apply(v)
-            if any(x != 0 for x in p_i.apply(image)):
-                lands = False
-
-    total = Matrix.zeros(inst.dimension, inst.dimension)
-    for pr in splitting.projectors:
-        total = total + pr
-    sums_to_id = True
-    for v in kernel_p:
-        if list(total.apply(v)) != list(v):
-            sums_to_id = False
+    idempotent = lands = sums_to_id = True
+    if fact.kernel:
+        K = fact.kernel_matrix
+        images = [pr * K for pr in splitting.projectors]
+        idempotent = all(pr * image == image
+                         for pr, image in zip(splitting.projectors, images))
+        lands = all((p_i * image).is_zero()
+                    for p_i, image in zip(splitting.factors, images))
+        sums_to_id = sum(images[1:], images[0]) == K
 
     return KernelStructureReport(
-        kernel_dim=len(kernel_p),
+        kernel_dim=len(fact.kernel),
         factor_kernel_dims=tuple(len(k) for k in factor_kernels),
         dims_add_up=dims_add_up,
         pairwise_trivial=pairwise_trivial,

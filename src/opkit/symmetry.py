@@ -9,12 +9,13 @@ kernel of P_j into the kernel of P_i), and any generalized symmetry folds
 back into a formal symmetry of the product.
 
 A symmetry job eliminates P twice, whatever the size of its symmetry space:
-a ``backend.Factorization`` of P holds the reduced echelon form of P (and
-so the kernel basis K) and one right division by P (the reduced form of
-[P^T | I]).  The enumerated basis is read off the two reduced forms (the
-Kronecker structure of the constraint system) as one stack
-[S_1 | ... | S_N] of n x n blocks (``formal_symmetry_stack``), which a
-caller runs on as it is.  Every witness, slice, fold and identity is
+``P.factorization``, the one ``backend.Factorization`` of P, holds the
+reduced echelon form of P (and so the kernel basis K) and one right
+division by P (the reduced form of [P^T | I]), and every function here
+that needs either reads it there.  The enumerated basis is read off the
+two reduced forms (the Kronecker structure of the constraint system) as
+one stack [S_1 | ... | S_N] of n x n blocks (``formal_symmetry_stack``),
+which a caller runs on as it is.  Every witness, slice, fold and identity is
 linear in (S, S'), so a stack passes through them whole: a right factor R
 becomes I_N (x) R, the identity P S = S' P becomes P S = S' (I_N (x) P),
 and the work is a fixed number of products whatever N is, with the
@@ -37,7 +38,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .backend import Factorization, Matrix, OperatorInstance, instantiate
+from .backend import Matrix, OperatorInstance, instantiate
 from .certify import (Certificate, _require_verified, _singleton_cofactors,
                       factor_product_complement)
 from .errors import InputError, ResourceLimitError, VerificationError
@@ -72,32 +73,20 @@ class GeneralizedSymmetry:
         return P_i * self.S_ij == self.S_prime_ij.stack_mul(P_j)
 
 
-def _factorization(P: Matrix,
-                   factorization: Optional[Factorization]) -> Factorization:
-    if factorization is None:
-        return Factorization(P)
-    if factorization.P != P:
-        raise InputError("the factorization is of another matrix")
-    return factorization
-
-
-def is_formal_symmetry(S: Matrix, P: Matrix,
-                       factorization: Optional[Factorization] = None
-                       ) -> Optional[Matrix]:
+def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
     """Return a witness S' with P S = S' P when one exists, else None.
 
     Solvable exactly when S maps the kernel of P into itself; the witness
     is the deterministic free-parameters-zero solution and is not unique
     for singular P.  S may be a stack [S_1 | ... | S_N] of n x n blocks:
     the witness is then the stack of theirs, P S = S' (I_N (x) P), and None
-    when any block has none.  ``factorization`` is ``Factorization(P)``
-    when the caller already has one, so P is not eliminated again.
+    when any block has none.
     """
     if not (P.is_square() and S.rows == P.rows and S.cols % P.cols == 0):
         raise InputError("S must be square, or square blocks side by side, "
                          "of the size of square P")
     PS = P * S
-    witness = _factorization(P, factorization).right_divide(PS)
+    witness = P.factorization.right_divide(PS)
     if witness is not None and PS != witness.stack_mul(P):
         raise VerificationError("internal error: symmetry witness failed its check")
     return witness
@@ -227,8 +216,7 @@ def formal_from_generalized(gen: GeneralizedSymmetry, cert: Certificate,
     return splitting.fold(gen)
 
 
-def formal_symmetry_stack(
-        P: Matrix, factorization: Optional[Factorization] = None) -> Matrix:
+def formal_symmetry_stack(P: Matrix) -> Matrix:
     """Exact basis of the space {S | some S' gives P S = S' P}, as one
     stack [S_1 | ... | S_N] of n x n blocks.
 
@@ -241,9 +229,8 @@ def formal_symmetry_stack(
     convention, one element per free pair (b, c) in order, reshaped: 1 at
     (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.  The
     stack is built as integer rows over the product of the two forms'
-    common denominators.  ``factorization`` is ``Factorization(P)`` when
-    the caller already has one, so P is not eliminated again.  A P past
-    ``SYMMETRY_DIMENSION_CAP`` is refused before any elimination.
+    common denominators.  A P past ``SYMMETRY_DIMENSION_CAP`` is refused
+    before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
@@ -252,7 +239,7 @@ def formal_symmetry_stack(
         raise ResourceLimitError(
             f"symmetry enumeration capped at dimension {SYMMETRY_DIMENSION_CAP}, "
             f"got {n}")
-    fact = _factorization(P, factorization)
+    fact = P.factorization
     rref, pivots = fact.echelon
     null, null_pivots = fact.null_echelon
     # Column b of rref(P) and column c of rref(K^T) as (pivot, integer)
@@ -281,10 +268,8 @@ def formal_symmetry_stack(
     return Matrix._wrap(rows, d1 * d2, offset)
 
 
-def enumerate_formal_symmetries(
-        P: Matrix,
-        factorization: Optional[Factorization] = None) -> list[Matrix]:
-    """The blocks S_1, ..., S_N of ``formal_symmetry_stack(P,
-    factorization)``, each in lowest terms."""
-    stack = formal_symmetry_stack(P, factorization)
+def enumerate_formal_symmetries(P: Matrix) -> list[Matrix]:
+    """The blocks S_1, ..., S_N of ``formal_symmetry_stack(P)``, each in
+    lowest terms."""
+    stack = formal_symmetry_stack(P)
     return stack.hsplit(stack.cols // P.rows)

@@ -88,6 +88,11 @@ def conjugated_diagonal(rng: random.Random, eigenvalues):
             return v * diagonal(eigenvalues) * v_inv
 
 
+def entry(m, i, j) -> Fraction:
+    """Entry (i, j) of a Matrix, read off its stored rows."""
+    return Fraction(dict(m._entries[i]).get(j, 0), m._den)
+
+
 def dense_rows(m):
     """The integer rows of a Matrix, dense: entry (i, j) of m is
     dense_rows(m)[i][j] / m._den."""
@@ -228,20 +233,16 @@ def all_hold(report) -> bool:
             and report.projectors_sum_to_identity)
 
 
-def induced_kernel_map(S, P, factorization=None):
-    """Matrix of S acting on the kernel of P, in kernel-basis coordinates.
+def induced_kernel_map(S, P):
+    """Matrix of S acting on the kernel of P, in kernel-basis coordinates,
+    from ``P.factorization``.
 
     None when S does not preserve the kernel; an invertible P raises
-    ``InputError``, there is nothing to induce.  ``factorization`` is
-    ``Factorization(P)`` when the caller already has one, so P is not
-    eliminated again.
+    ``InputError``, there is nothing to induce.
     """
-    from opkit.backend import Factorization
     from opkit.errors import InputError
 
-    fact = Factorization(P) if factorization is None else factorization
-    if fact.P != P:
-        raise InputError("the factorization is of another matrix")
+    fact = P.factorization
     if not fact.kernel:
         raise InputError("P has trivial kernel; no induced map exists")
     return fact.kernel_coordinates(S * fact.kernel_matrix)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from opkit.backend import (Factorization, OperatorInstance, affine_sets_equal,
+from opkit.backend import (OperatorInstance, affine_sets_equal,
                            instantiate, range_member, solve_affine,
                            span_basis, make_truncated_derivative_instance)
 from opkit.certify import (DualCertificate, UnivariateSpec, alpha_to_dual_system,
@@ -306,26 +306,25 @@ def test_criterion_8_symmetry_suite():
         inst, factors, cert, names = shift_family_instance(rng, dim, n_factors, 1)
         nvars = factors[0].variable_count
         p_full = instantiate(product(factors, nvars), inst)
-        fact = Factorization(p_full)
-        kernel = fact.kernel
+        kernel = p_full.factorization.kernel
         if not kernel:
             ok = False
             break
-        basis = enumerate_formal_symmetries(p_full, fact)
+        basis = enumerate_formal_symmetries(p_full)
         induced = []
         rebuilt = []
         for s in basis:
-            witness = is_formal_symmetry(s, p_full, fact)
+            witness = is_formal_symmetry(s, p_full)
             ok = ok and witness is not None
             sym = FormalSymmetry(s, witness)
             ok = ok and sym.holds_for(p_full)
-            induced.append(induced_kernel_map(s, p_full, fact))
+            induced.append(induced_kernel_map(s, p_full))
             for i in range(n_factors):
                 for j in range(n_factors):
                     gen = generalized_from_formal(sym, cert, i, j, factors, inst)
                     back = formal_from_generalized(gen, cert, factors, inst)
                     ok = ok and back.holds_for(p_full)
-                    rebuilt.append(induced_kernel_map(back.S, p_full, fact))
+                    rebuilt.append(induced_kernel_map(back.S, p_full))
         flat = [tuple(v for row in m.row_list() for v in row) for m in induced]
         flat_re = [tuple(v for row in m.row_list() for v in row) for m in rebuilt]
         d = len(kernel)

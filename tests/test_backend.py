@@ -15,8 +15,9 @@ from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
 from opkit.poly import Polynomial, parse_polynomial, product
 
 from conftest import (BIG_DENOMINATORS, block_diagonal, diagonal,
-                      distinct_fractions, has_canonical_fields, hstack, in_span, invert,
-                      random_polynomial, random_vector, spans_equal)
+                      distinct_fractions, entry, has_canonical_fields, hstack,
+                      in_span, invert, random_polynomial, random_vector,
+                      spans_equal)
 
 
 def P(text, variables=("x",)):
@@ -71,7 +72,7 @@ class TestMatrixFormat:
         assert c * A == A * c == got["scale"]
         assert A.apply(v) == tuple(sum((x * y for x, y in zip(r, v)),
                                        Fraction(0)) for r in a)
-        assert all(A.entry(i, j) == a[i][j]
+        assert all(entry(A, i, j) == a[i][j]
                    for i in range(n) for j in range(m))
         assert A.to_strings() == [[str(x) for x in r] for r in a]
         assert repr(A) == f"Matrix({[[str(x) for x in r] for r in a]!r})"
@@ -129,7 +130,7 @@ class TestBlocks:
             tuple(chain.from_iterable(g)) for g in grids]
         copies = rng.randint(1, 4)
         square = Matrix(fraction_grid(rng, width, width, denominators))
-        kron = [[square.entry(r % width, c % width) if r // width == c // width
+        kron = [[entry(square, r % width, c % width) if r // width == c // width
                  else Fraction(0) for c in range(width * copies)]
                 for r in range(width * copies)]
         assert_same_matrix(block_diagonal(square, copies), Matrix(kron))

@@ -9,6 +9,7 @@ import tempfile
 import time
 from datetime import timedelta
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -722,6 +723,81 @@ class TestExplicitSymmetryFuzz:
             assert S_prime == solve_right_factor_reference(P, P * S)
 
 
+# Vectors as a job states them: of the right length (1 to 3 for the small
+# instances drawn below) or not, with exact or malformed entries, or a
+# value that is no list.
+FUZZ_VECTORS = st.one_of(
+    st.lists(EXACT_RATIONALS, max_size=4),
+    st.lists(FUZZ_RATIONALS, max_size=4),
+    st.sampled_from(["random-in-range", "1", {}]),
+)
+# Constraint lists: expressions in x and y, good and bad (one past
+# DEGREE_CAP), or no list.
+FUZZ_CONSTRAINTS = st.one_of(
+    st.lists(st.one_of(st.sampled_from(["x", "x+2", "y", "x*y-1", "2", "0",
+                                        "x^", "", "z", "x^10001"]),
+                       st.integers(-2, 2), st.none(), st.booleans()),
+             max_size=3),
+    st.sampled_from(["x", {}]),
+)
+
+
+@st.composite
+def fuzz_data_job(draw):
+    """A reduce, system or symmetry job with every data field drawn: f, g,
+    constraints, instance and symmetry, each well formed or not, present
+    or absent.  Vectors and grids are often of the side n of the drawn
+    truncated-derivative instance, and f = 0 with g = 0 is integrable."""
+    variables = draw(st.sampled_from([["x"], ["x", "y"]]))
+    k = len(variables)
+    job = {"variables": variables, "factors": draw(st.sampled_from(
+        [["x", "x+1"], ["x+1", "x+2", "x"]] if k == 1
+        else [["x", "x+1"], ["x+y", "x+y+1"]]))}
+    degree = draw(st.integers(1, 3))
+    n = comb(degree - 1 + k, k)
+    vector = st.one_of(st.just([0] * n),
+                       st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                       FUZZ_VECTORS)
+    fields = {
+        "instance": st.one_of(
+            st.just({"kind": "truncated_derivative", "max_degree": degree}),
+            fuzz_instance(k)),
+        "f": st.one_of(st.just("random-in-range"), vector),
+        "g": st.one_of(st.lists(vector, min_size=1, max_size=2),
+                       FUZZ_VECTORS),
+        "constraints": st.one_of(
+            st.lists(st.sampled_from(["x", "x+2", "x*y-1"]), min_size=1,
+                     max_size=2),
+            FUZZ_CONSTRAINTS),
+        "symmetry": st.one_of(fuzz_grid(st.integers(-2, 2), n),
+                              fuzz_grid(MALFORMED_ENTRIES)),
+    }
+    for key, values in fields.items():
+        if draw(st.sampled_from([True, True, True, False])):
+            job[key] = draw(values)
+    return job
+
+
+class TestJobDataFuzz:
+    """The data fields of reduce, system and symmetry jobs (f, g,
+    constraints, instance and symmetry) keep the exit-code contract: 0, 2,
+    3 or 4, never a traceback."""
+
+    @given(st.sampled_from(["reduce", "system", "symmetry"]), fuzz_data_job())
+    @settings(max_examples=150, deadline=timedelta(seconds=10),
+              derandomize=True)
+    def test_exit_code_contract(self, mode, job):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "job.json"
+            path.write_text(json.dumps(job))
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = main([mode, "--job", str(path)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
 # Values that are no string: numbers, bools, null and nested lists.
 NOT_STRINGS = st.one_of(
     st.integers(-9, 9), st.floats(), st.booleans(), st.none(),
@@ -1195,7 +1271,7 @@ class TestSymmetryMode:
         # plain products on S, and those of Splitting.slice on S, for three
         # factors.
         import opkit
-        from opkit.backend import Factorization, Matrix
+        from opkit.backend import Matrix
         from opkit.symmetry import (FormalSymmetry, Splitting,
                                     enumerate_formal_symmetries,
                                     is_formal_symmetry)
@@ -1220,7 +1296,7 @@ class TestSymmetryMode:
                                write_job(tmp_path, job))
         assert code == 0
         entry = json.loads(out)["decompositions"][0]
-        sym = FormalSymmetry(S, is_formal_symmetry(S, P, Factorization(P)))
+        sym = FormalSymmetry(S, is_formal_symmetry(S, P))
         assert entry["S"] == S.to_strings()
         assert entry["S_prime"] == sym.S_prime.to_strings()
         assert [(g["i"], g["j"]) for g in entry["generalized"]] == [

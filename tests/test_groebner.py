@@ -46,11 +46,12 @@ def s_polynomial(p, q, order=DEFAULT_ORDER):
     return shifted(pexp, pc, p) - shifted(qexp, qc, q)
 
 
-def run(gens, track=True, order=DEFAULT_ORDER, term_cap=None):
-    """The basis of one Buchberger run as (value, cofactors) pairs."""
+def run(gens, track=True, order=DEFAULT_ORDER):
+    """The basis of one Buchberger run as (value, cofactors) pairs, under
+    the cap that OPKIT_TERM_CAP sets."""
     nvars = gens[0].variable_count
     basis, packing = groebner._run_buchberger(
-        gens, order, resolve_term_cap(term_cap), track=track)
+        gens, order, resolve_term_cap(), track=track)
     return [(monic(e.terms, e.lc, nvars, packing),
              tuple(monic(c, e.lc, nvars, packing) for c in e.cofs))
             for e in basis]
@@ -142,11 +143,12 @@ class TestBuchberger:
         gens = [P("x^2+y"), P("x*y-1"), P("y^2+x")]
         assert run(gens) == run(gens)
 
-    def test_term_cap_aborts(self):
+    def test_term_cap_aborts(self, monkeypatch):
         gens = [P("x^7*y^3 - 3*x^2 + 1"), P("x^3*y^7 + y^4 - 2")]
+        monkeypatch.setenv("OPKIT_TERM_CAP", "3")
         for track in (False, True):
             with pytest.raises(ResourceLimitError):
-                run(gens, track, term_cap=3)
+                run(gens, track)
 
 
 class TestContainsOne:
@@ -212,10 +214,10 @@ class TestContainsOne:
         assert cert is not None and cert.verify([P("5"), P("x")])
 
 
-def tracked_contains_one(generators, order=DEFAULT_ORDER, term_cap=None):
+def tracked_contains_one(generators, order=DEFAULT_ORDER):
     """Reference: one Buchberger run that tracks cofactors throughout."""
     basis, packing = groebner._run_buchberger(
-        generators, order, resolve_term_cap(term_cap), track=True)
+        generators, order, resolve_term_cap(), track=True)
     nvars = generators[0].variable_count
     for elem in basis:
         if not any(packing.unpack(elem.lead)):
@@ -537,7 +539,7 @@ class TestPrunedProbe:
         def values_and_reductions(gens, track):
             calls.clear()
             basis, packing = groebner._run_buchberger(
-                gens, DEFAULT_ORDER, resolve_term_cap(None), track)
+                gens, DEFAULT_ORDER, resolve_term_cap(), track)
             nvars = gens[0].variable_count
             return ([(monic(e.terms, e.lc, nvars, packing),
                       packing.unpack(e.lead)) for e in basis], len(calls))
@@ -570,7 +572,7 @@ class TestFractionReference:
         nvars = gens[0].variable_count
         for track in (False, True):
             got, packing = groebner._run_buchberger(
-                gens, order, resolve_term_cap(None), track)
+                gens, order, resolve_term_cap(), track)
             want = reference_buchberger(gens, order, track)
             assert [(monic(e.terms, e.lc, nvars, packing),
                      [monic(c, e.lc, nvars, packing) for c in e.cofs],
@@ -594,24 +596,28 @@ class TestTermCapInReplay:
     # and a cap of 3 stops the probe.
     UNIT = ("-2/3*x^2*y + 4/3*y^2", "3/2*y^2 + y", "-1/3*x*y^2 - 2/3*x*y + 1")
 
-    def test_unit_search_stops_at_the_cap_in_the_replay(self):
+    def test_unit_search_stops_at_the_cap_in_the_replay(self, monkeypatch):
         gens = [P(g) for g in self.UNIT]
         probe, packing = groebner._run_buchberger(gens, DEFAULT_ORDER, 4,
                                                   track=False)
         assert not any(packing.unpack(probe[-1].lead))
+        monkeypatch.setenv("OPKIT_TERM_CAP", "4")
         with pytest.raises(ResourceLimitError):
-            contains_one(gens, term_cap=4)
-        assert contains_one(gens, term_cap=5).verify(gens)
+            contains_one(gens)
+        monkeypatch.setenv("OPKIT_TERM_CAP", "5")
+        assert contains_one(gens).verify(gens)
 
-    def test_non_unit_search_runs_past_cofactor_growth(self):
+    def test_non_unit_search_runs_past_cofactor_growth(self, monkeypatch):
         gens = non_unit_family(random.Random(0), 2)
         assert [format_polynomial(g, V) for g in gens] == [
             "-x^2 + 3/2*x*y - 1/2", "x^2*y - 1"]
+        monkeypatch.setenv("OPKIT_TERM_CAP", "5")
         with pytest.raises(ResourceLimitError):
-            tracked_contains_one(gens, term_cap=5)
-        assert contains_one(gens, term_cap=5) is None
+            tracked_contains_one(gens)
+        assert contains_one(gens) is None
+        monkeypatch.setenv("OPKIT_TERM_CAP", "3")
         with pytest.raises(ResourceLimitError):
-            contains_one(gens, term_cap=3)
+            contains_one(gens)
 
     def test_replay_stops_at_the_certificate_bits_cap(self):
         # 1 = q (x^4 + 1) + r (x - b) with q = 1/(b^4 + 1): for b = 3^2500
@@ -801,7 +807,7 @@ def packed_run_events(monkeypatch, gens, order, track):
         patch.setattr(groebner, "heapq", types.SimpleNamespace(
             heappush=heapq.heappush, heappop=heappop))
         basis, packing = groebner._run_buchberger(
-            gens, order, resolve_term_cap(None), track)
+            gens, order, resolve_term_cap(), track)
     return events, [packing.unpack(e.lead) for e in basis]
 
 

@@ -1,12 +1,13 @@
 """Splitting problems with certificates: maps B and F, kernel structure,
 constrained systems."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from opkit.backend import (Matrix, OperatorInstance, affine_sets_equal,
-                           instantiate, solve_affine)
+                           instantiate, kernel_basis, solve_affine)
 from opkit.certify import (Certificate, UnivariateSpec,
                            univariate_certificate, univariate_factors,
                            verify_certificate)
@@ -18,6 +19,7 @@ from opkit.reducer import (build_report, find_system_certificate,
                            map_F, recombined_solution_set, split,
                            system_map_B, system_map_F, system_split,
                            verify_system_certificate)
+from opkit.symmetry import Splitting
 
 from conftest import (all_hold, conjugated_diagonal, diagonal,
                       distinct_fractions, random_vector,
@@ -210,6 +212,65 @@ class TestKernelStructure:
             inst = OperatorInstance.of([conjugated_diagonal(rng, eigs)])
             report = kernel_structure(cert, factors, inst)
             assert all_hold(report)
+
+
+    def test_projector_checks_match_vector_by_vector(self, rng,
+                                                     monkeypatch):
+        # The three projector checks, made with one product each against
+        # the kernel matrix K, give the values of checking every kernel
+        # basis vector apart, also when a projector is replaced so that a
+        # check fails, and for a trivial kernel.
+        import opkit.reducer
+        of = Splitting.of
+        seen = set()
+        for trial in range(24):
+            lambdas = distinct_fractions(rng, rng.randint(2, 3), bound=4)
+            cert, factors = univariate_setup(lambdas)
+            dim = rng.randint(2, 4)
+            eigs = [-rng.choice(lambdas) for _ in range(dim - 1)]
+            eigs.append(Fraction(rng.choice([9, -lambdas[0]])))
+            if trial % 8 == 0:
+                eigs = [Fraction(9 + i) for i in range(dim)]
+            inst = OperatorInstance.of([conjugated_diagonal(rng, eigs)])
+            splitting = of(cert, factors, inst)
+            pr = list(splitting.projectors)
+            change = trial % 4
+            if change == 1:
+                pr[0] = pr[0].scale(2)
+            elif change == 2:
+                pr[0], pr[1] = pr[1], pr[0]
+            elif change == 3:
+                pr[0] = Matrix.identity(dim)
+            changed = dataclasses.replace(splitting, projectors=tuple(pr))
+            monkeypatch.setattr(opkit.reducer.Splitting, "of",
+                                lambda *args: changed)
+            report = kernel_structure(cert, factors, inst)
+            monkeypatch.setattr(opkit.reducer.Splitting, "of", of)
+            want = projector_checks_by_vectors(changed)
+            got = (report.projectors_idempotent,
+                   report.projectors_land_in_factor_kernels,
+                   report.projectors_sum_to_identity)
+            assert got == want
+            seen.add((report.kernel_dim == 0, got))
+        assert {(True, (True, True, True)), (False, (True, True, True)),
+                (False, (False, True, False)), (False, (True, False, True)),
+                (False, (True, False, False))} <= seen
+
+
+def projector_checks_by_vectors(splitting):
+    """Reference: idempotence, landing and sum-to-identity of the
+    projectors, checked on each kernel basis vector of P apart."""
+    kernel = kernel_basis(splitting.P)
+    idempotent = lands = True
+    for p_i, pr in zip(splitting.factors, splitting.projectors):
+        for v in kernel:
+            image = pr.apply(v)
+            idempotent &= pr.apply(image) == image
+            lands &= not any(p_i.apply(image))
+    total = Matrix.zeros(splitting.P.rows, splitting.P.rows)
+    for pr in splitting.projectors:
+        total = total + pr
+    return idempotent, lands, all(total.apply(v) == v for v in kernel)
 
 
 def constrained_setup(rng, k_constraints=1, dim=3):

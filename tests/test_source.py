@@ -2,8 +2,10 @@
 
 Every public function and method in ``src/opkit`` is referenced somewhere
 in the package outside its own definition, or exported from
-``opkit/__init__.py``.  A helper that only tests call belongs in
-``tests/`` as a reference copy.
+``opkit/__init__.py``.  A function counts as used when its name is read as
+a variable or an attribute; a method only when it is read as an attribute,
+so a function of the same name elsewhere does not hide an unused method.
+A helper that only tests call belongs in ``tests/`` as a reference copy.
 """
 
 import ast
@@ -18,31 +20,44 @@ UNUSED_ALLOWED = {("kernels", "poly_term_mul")}
 
 
 def public_definitions(tree):
-    """(name, node) for each public module-level function and each public
-    method of a module-level class."""
+    """(name, node, is_method) for each public module-level function and
+    each public method of a module-level class."""
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for member in members:
+        is_method = isinstance(node, ast.ClassDef)
+        for member in node.body if is_method else [node]:
             if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not member.name.startswith("_")):
-                yield member.name, member
+                yield member.name, member, is_method
 
 
-def referenced_names(tree, skip):
-    """Names read as a variable or an attribute anywhere in tree outside
-    the node ``skip``."""
+def referenced_names(tree, skip, attributes_only=False):
+    """Names read as an attribute, and unless ``attributes_only`` as a
+    variable, anywhere in tree outside the node ``skip``."""
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def unused_definitions(trees, exported=frozenset()):
+    """(module, name, line) of each public definition in ``trees`` (module
+    name -> parsed source) that nothing outside itself reads and
+    ``exported`` does not hold."""
+    for module, tree in trees.items():
+        for name, node, is_method in public_definitions(tree):
+            if name in exported or (module, name) in UNUSED_ALLOWED:
+                continue
+            if not any(name in referenced_names(other, node, is_method)
+                       for other in trees.values()):
+                yield module, name, node.lineno
 
 
 def test_every_public_function_is_used_or_exported():
@@ -51,14 +66,8 @@ def test_every_public_function_is_used_or_exported():
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees["__init__"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    unused = []
-    for module, tree in trees.items():
-        for name, node in public_definitions(tree):
-            if name in exported or (module, name) in UNUSED_ALLOWED:
-                continue
-            if not any(name in referenced_names(other, node)
-                       for other in trees.values()):
-                unused.append(f"{module}.{name} (line {node.lineno})")
+    unused = [f"{module}.{name} (line {line})"
+              for module, name, line in unused_definitions(trees, exported)]
     assert unused == []
 
 
@@ -67,6 +76,19 @@ def test_the_check_finds_an_unused_function():
                      "def unused():\n    return used()\n\n"
                      "class C:\n    def method(self):\n"
                      "        return self.method()\n")
-    found = {name for name, node in public_definitions(tree)
-             if name not in referenced_names(tree, node)}
+    found = {name for _, name, _ in unused_definitions({"m": tree})}
     assert found == {"unused", "method"}
+
+
+def test_a_function_of_the_same_name_does_not_hide_a_method():
+    # entry() is called by name in b, so the function is used, but nothing
+    # reads .entry, so the method is not; a read of .called is a use.
+    trees = {"a": ast.parse("class C:\n    def entry(self):\n"
+                            "        return 1\n\n"
+                            "    def called(self):\n        return 2\n"),
+             "b": ast.parse("def entry():\n    return 3\n\n"
+                            "def main(c):\n    return c.called()\n\n"
+                            "if __name__ == '__main__':\n"
+                            "    main(entry())\n")}
+    found = {(module, name) for module, name, _ in unused_definitions(trees)}
+    assert found == {("a", "entry")}

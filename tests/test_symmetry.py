@@ -12,13 +12,13 @@ from opkit.errors import InputError, ResourceLimitError, VerificationError
 from opkit.poly import product
 from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry, Splitting,
                             enumerate_formal_symmetries,
-                            formal_from_generalized,
+                            formal_from_generalized, formal_symmetry_stack,
                             generalized_from_formal, is_formal_symmetry,
                             projector)
 
 from conftest import (conjugated_diagonal, diagonal, distinct_fractions,
-                      fold_reference, hstack, in_span, induced_kernel_map,
-                      same_matrix, slice_reference,
+                      entry, fold_reference, hstack, in_span,
+                      induced_kernel_map, same_matrix, slice_reference,
                       solve_right_factor_reference, spans_equal)
 
 
@@ -49,10 +49,10 @@ def diag_setup(lambdas=(1, 2)):
 def solve_right_factor_by_columns(P, C):
     """Reference: X with X P = C from one solve of P^T x = c per row of C."""
     n = P.rows
-    pt = Matrix([[P.entry(j, i) for j in range(n)] for i in range(n)])
+    pt = Matrix([[entry(P, j, i) for j in range(n)] for i in range(n)])
     rows = []
     for r in range(n):
-        sol = solve_affine(pt, [C.entry(r, j) for j in range(n)])
+        sol = solve_affine(pt, [entry(C, r, j) for j in range(n)])
         if sol.is_empty():
             return None
         rows.append(list(sol.particular))
@@ -111,7 +111,7 @@ class TestIsFormalSymmetry:
         seen = set()
         for P in cases:
             n = P.rows
-            division = Factorization(P)
+            division = P.factorization
             for _ in range(6):
                 kind = rng.choice(["inside", "outside", "zero"])
                 C = {"inside": lambda: random_grid(rng, n, n) * P,
@@ -123,7 +123,7 @@ class TestIsFormalSymmetry:
                     assert got is not None and got * P == C
                 seen.add((P.is_zero(), bool(kernel_basis(P)), got is None))
                 S = random_grid(rng, n, n)
-                assert same_matrix(is_formal_symmetry(S, P, division),
+                assert same_matrix(is_formal_symmetry(S, P),
                                    solve_right_factor_reference(P, P * S))
         assert {(True, True, False), (False, False, False),
                 (False, True, False), (False, True, True)} <= seen
@@ -136,7 +136,7 @@ class TestIsFormalSymmetry:
         for _ in range(40):
             n = rng.randint(1, 5)
             P = random_rank(rng, n, rng.choice([n, rng.randint(0, n)]))
-            fact = Factorization(P)
+            fact = P.factorization
             blocks = [random_grid(rng, n, n) * P if rng.random() < 0.7
                       else random_grid(rng, n, n)
                       for _ in range(rng.randint(1, 4))]
@@ -147,8 +147,8 @@ class TestIsFormalSymmetry:
             else:
                 assert same_matrix(got, hstack(quotients))
             S = [random_grid(rng, n, n) for _ in blocks]
-            witnesses = [is_formal_symmetry(s, P, fact) for s in S]
-            got = is_formal_symmetry(hstack(S), P, fact)
+            witnesses = [is_formal_symmetry(s, P) for s in S]
+            got = is_formal_symmetry(hstack(S), P)
             if None in witnesses:
                 assert got is None
             else:
@@ -160,11 +160,6 @@ class TestIsFormalSymmetry:
             Factorization(Matrix.identity(2)).right_divide(Matrix.zeros(2, 3))
         with pytest.raises(InputError):
             is_formal_symmetry(Matrix.zeros(2, 3), Matrix.identity(2))
-
-    def test_factorization_of_another_matrix_is_refused(self):
-        fact = Factorization(diagonal([0, 1]))
-        with pytest.raises(InputError):
-            is_formal_symmetry(Matrix.identity(2), Matrix.identity(2), fact)
 
     def test_identity_always_works(self):
         for p in (Matrix.identity(2), diagonal([0, 1]), Matrix.zeros(2, 2)):
@@ -211,7 +206,7 @@ def enumerate_by_constraints(P):
         for a in range(n):
             row = [0] * (n * n)
             for b in range(n):
-                pab = P.entry(a, b)
+                pab = entry(P, a, b)
                 if pab:
                     for c in range(n):
                         if v[c]:
@@ -249,9 +244,11 @@ class TestEnumerate:
 
     def test_one_factorization_serves_kernel_basis_and_witnesses(
             self, monkeypatch):
+        # P's one factorization, built on first use, serves its kernel,
+        # kernel_basis, the basis and every witness: P is eliminated once
+        # for the echelon form (3 columns) and once for the division (6).
         import opkit.backend
         P = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 2)]])
-        fact = Factorization(P)
         calls = []
         rref = opkit.backend._rref
 
@@ -260,13 +257,20 @@ class TestEnumerate:
             return rref(rows)
 
         monkeypatch.setattr(opkit.backend, "_rref", counted)
-        assert fact.kernel == kernel_basis(P)
-        basis = enumerate_formal_symmetries(P, fact)
+        assert P.factorization is P.factorization
+        assert P.factorization.kernel == kernel_basis(P)
+        stack = formal_symmetry_stack(P)
+        assert is_formal_symmetry(stack, P) is not None
+        basis = enumerate_formal_symmetries(P)
         for S in basis:
-            assert is_formal_symmetry(S, P, fact) is not None
-        assert sorted(calls[1:]) == [3, 6]  # kernel_basis above aside
-        with pytest.raises(InputError):
-            enumerate_formal_symmetries(P, Factorization(Matrix.identity(3)))
+            assert is_formal_symmetry(S, P) is not None
+        assert sorted(calls) == [3, 6]
+        assert same_matrix(stack, hstack(basis))
+        # A matrix equal to P but built apart has its own factorization.
+        twin = Matrix(P.row_list())
+        assert twin == P and twin.factorization is not P.factorization
+        assert twin.factorization.kernel == P.factorization.kernel
+        assert sorted(calls) == [3, 3, 6]
 
     def test_invertible_gives_full_space(self):
         assert len(enumerate_formal_symmetries(Matrix.identity(2))) == 4
@@ -467,8 +471,8 @@ class TestStackedDecomposition:
             factor_count = 2 if trial % 2 else 3
             splitting = random_splitting(rng, factor_count, rng.randint(2, 6))
             P = splitting.P
-            fact = Factorization(P)
-            basis = enumerate_formal_symmetries(P, fact)
+            fact = P.factorization
+            basis = enumerate_formal_symmetries(P)
             combination = Matrix.zeros(P.rows, P.rows)
             for S in basis:
                 combination = combination + S.scale(
@@ -476,8 +480,8 @@ class TestStackedDecomposition:
             elements = basis + [combination,
                                 basis[-1].scale(Fraction(-2, 7))]
             stack = hstack(elements)
-            witness = is_formal_symmetry(stack, P, fact)
-            singles = [FormalSymmetry(S, is_formal_symmetry(S, P, fact))
+            witness = is_formal_symmetry(stack, P)
+            singles = [FormalSymmetry(S, is_formal_symmetry(S, P))
                        for S in elements]
             for got, one in zip(witness.hsplit(len(elements)), singles):
                 assert same_matrix(got, one.S_prime)
@@ -515,21 +519,20 @@ class TestGeneration:
             eigs.append(Fraction(9))
             inst = OperatorInstance.of([conjugated_diagonal(rng, eigs)])
             p_full = instantiate(product(factors, 1), inst)
-            fact = Factorization(p_full)
-            kernel = fact.kernel
+            kernel = p_full.factorization.kernel
             assert kernel
-            basis = enumerate_formal_symmetries(p_full, fact)
+            basis = enumerate_formal_symmetries(p_full)
             induced = []
             rebuilt = []
             for s in basis:
-                sym = FormalSymmetry(s, is_formal_symmetry(s, p_full, fact))
-                induced.append(induced_kernel_map(s, p_full, fact))
+                sym = FormalSymmetry(s, is_formal_symmetry(s, p_full))
+                induced.append(induced_kernel_map(s, p_full))
                 for i in range(2):
                     for j in range(2):
                         gen = generalized_from_formal(sym, cert, i, j,
                                                       factors, inst)
                         back = formal_from_generalized(gen, cert, factors, inst)
-                        rebuilt.append(induced_kernel_map(back.S, p_full, fact))
+                        rebuilt.append(induced_kernel_map(back.S, p_full))
             flat = lambda ms: [tuple(v for row in m.row_list() for v in row)
                                for m in ms]
             d = len(kernel)
@@ -537,19 +540,17 @@ class TestGeneration:
             assert spans_equal(flat(induced), flat(rebuilt))
 
     def test_induced_map_takes_the_factorization(self, monkeypatch):
+        # The induced map reads P's kept factorization: once the basis is
+        # built, it eliminates nothing more.
         import opkit.backend
         P = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 2)]])
-        fact = Factorization(P)
-        S = enumerate_formal_symmetries(P, fact)[0]
-        want = induced_kernel_map(S, P)
+        S = enumerate_formal_symmetries(P)[0]
+        want = induced_kernel_map(S, Matrix(P.row_list()))
         calls = []
         rref = opkit.backend._rref
         monkeypatch.setattr(opkit.backend, "_rref",
                             lambda rows: calls.append(1) or rref(rows))
-        assert same_matrix(induced_kernel_map(S, P, fact), want)
+        assert same_matrix(induced_kernel_map(S, P), want)
         assert calls == []
         with pytest.raises(InputError):
-            induced_kernel_map(S, P, Factorization(Matrix.identity(3)))
-        with pytest.raises(InputError):
-            induced_kernel_map(Matrix.identity(2), Matrix.identity(2),
-                               Factorization(Matrix.identity(2)))
+            induced_kernel_map(Matrix.identity(2), Matrix.identity(2))
