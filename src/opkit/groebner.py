@@ -1,12 +1,15 @@
 """Buchberger's algorithm over Q[x], for deciding whether 1 is in an ideal.
 
-:func:`contains_one` is the only entry point.  It probes the ideal with a
-run on the values alone, and only when the probe finds 1 does it replay a
-run that carries cofactors over the input generators through S-polynomial
-formation and reduction, so membership of 1 comes with a
-machine-checkable Bezout certificate instead of a bare yes/no.  Every run
-stops as soon as a nonzero constant enters the basis, and ends on a
-complete Groebner basis otherwise.
+There are two kinds of run.  The probe, :func:`is_unit`, runs on the values
+alone and answers yes or no.  The tracked run, :func:`bezout_certificate`,
+replays the probe while it carries cofactors over the input generators
+through S-polynomial formation and reduction, so membership of 1 comes with
+a machine-checkable Bezout certificate instead of a bare yes/no; it is
+checked exactly before it is handed out.  A caller that searches many
+ideals (``planner``) probes each one and runs the tracked run only on the
+ones it keeps; :func:`contains_one` does both for one ideal, the tracked
+run only when the probe finds 1.  Every run stops as soon as a nonzero
+constant enters the basis, and ends on a complete Groebner basis otherwise.
 
 Both runs take one pair policy and are deterministic for a fixed input and
 order.  Pairs are pruned by the Gebauer-Moller criteria (Gebauer & Moller
@@ -68,7 +71,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import kernels
-from .errors import InputError, ResourceLimitError, VerificationError
+from .errors import (InputError, MembershipError, ResourceLimitError,
+                     VerificationError)
 from .poly import (CERTIFICATE_BITS_CAP, DEFAULT_ORDER, TERM_CAP_ENV,
                    MonomialOrder, Polynomial, _check_certificate_bits,
                    resolve_term_cap, sum_of_products)
@@ -374,31 +378,39 @@ def _run_at_width(gens: list[Polynomial], packing: _Packing, cap: int,
     return basis
 
 
-def contains_one(
-    generators: Sequence[Polynomial],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> Optional[BezoutCertificate]:
-    """Decide 1 in <generators> over Q with an explicit certificate.
+def is_unit(generators: Sequence[Polynomial],
+            order: MonomialOrder = DEFAULT_ORDER) -> bool:
+    """The probe: whether 1 is in <generators> over Q, from a Buchberger run
+    on the values alone.
 
-    Probes with a Buchberger run on the values alone until a nonzero
-    constant enters the basis or the basis is complete (then 1 is not a
-    member, and None is returned).  When it finds 1, the same run is
-    replayed with cofactors; the tracked cofactors, rescaled, are the
-    certificate.  The returned certificate is checked exactly before being
-    handed out, never trusted.
-
-    The term cap bounds cofactors only in the replay, so a search that ends
-    without 1 may finish under a cap that its cofactors would pass; one that
-    finds 1 raises ResourceLimitError in the replay, as it does when a
-    cofactor coefficient passes ``poly.CERTIFICATE_BITS_CAP``.  Either run
-    raises it when a value coefficient passes that cap.
+    The run stops as soon as a nonzero constant enters the basis, and ends
+    on a complete Groebner basis otherwise.  It carries no cofactors, so the
+    term cap bounds only its values: a search that ends without 1 may
+    finish under a cap that its cofactors would pass.  It raises
+    ResourceLimitError when a value passes the term cap or a value
+    coefficient passes ``poly.CERTIFICATE_BITS_CAP``.
     """
-    cap = resolve_term_cap()
-    probe, _ = _run_buchberger(generators, order, cap, track=False)
-    if probe[-1].lead:  # a run stopped on 1 ends with that constant, packed 0
-        return None
-    basis, packing = _run_buchberger(generators, order, cap, track=True)
+    probe, _ = _run_buchberger(generators, order, resolve_term_cap(),
+                               track=False)
+    # A run stopped on 1 ends with that constant, packed 0.
+    return not probe[-1].lead
+
+
+def bezout_certificate(generators: Sequence[Polynomial],
+                       order: MonomialOrder = DEFAULT_ORDER) -> BezoutCertificate:
+    """The tracked run: the probe of :func:`is_unit` replayed with cofactors.
+
+    The tracked cofactors of the constant the run stops on, rescaled, are
+    the certificate, checked exactly before being handed out, never
+    trusted.  Raises MembershipError when 1 is not in <generators>, and
+    ResourceLimitError when a value or cofactor passes the term cap or a
+    coefficient passes ``poly.CERTIFICATE_BITS_CAP``.
+    """
+    basis, packing = _run_buchberger(generators, order, resolve_term_cap(),
+                                     track=True)
     unit = basis[-1]
+    if unit.lead:
+        raise MembershipError("1 is not in the ideal of the generators")
     nvars = generators[0].variable_count
     cert = BezoutCertificate(tuple(
         Polynomial._wrap({packing.unpack(m): Fraction(c, unit.lc)
@@ -408,3 +420,15 @@ def contains_one(
         raise VerificationError(
             "internal error: tracked Bezout certificate failed its exact check")
     return cert
+
+
+def contains_one(
+    generators: Sequence[Polynomial],
+    order: MonomialOrder = DEFAULT_ORDER,
+) -> Optional[BezoutCertificate]:
+    """Decide 1 in <generators> over Q with an explicit certificate: the
+    probe, and the tracked run only when the probe finds 1.  Returns None
+    when 1 is not a member."""
+    if not is_unit(generators, order):
+        return None
+    return bezout_certificate(generators, order)

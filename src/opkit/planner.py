@@ -1,14 +1,22 @@
 """Set-system combinatorics on subsets of L = {0..l} and decomposition planning.
 
-The planning pipeline: build the coincidence graph of the factor atoms
-(edge where the pair ideal does not contain 1), regroup atoms by connected
-component, locate the inclusion-minimal index sets whose factor ideal
-contains 1, and derive from them the largest antichain of index sets usable
-on the other side of the duality.
+The planning pipeline: locate the inclusion-minimal index sets whose factor
+ideal contains 1 (``beta_min``), read off them the coincidence graph of the
+factor atoms (edge where the pair ideal does not contain 1), regroup atoms
+by connected component, and derive from ``beta_min`` the largest antichain
+of index sets usable on the other side of the duality.
+
+One search finds ``beta_min``, by probes that answer yes or no
+(``groebner.is_unit``).  It probes L and each co-atom L \\ {i} first, and
+then walks by size only the sets that contain every i whose co-atom is not
+a unit; every other answer follows from monotonicity.  Only the members of
+``beta_min`` get the tracked run that builds a Bezout certificate
+(``groebner.bezout_certificate``).
 
 Everything here enumerates subsets of L exactly; ground sets are capped at
-desk scale (l <= 20 for power-set sweeps, l <= 12 for the membership search).
-All values are immutable and all functions pure.
+desk scale (l <= 20 for power-set sweeps, l <= 12 for the membership search,
+refused before the first probe).  All values are immutable and all
+functions pure.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .groebner import BezoutCertificate, contains_one
+from .groebner import BezoutCertificate, bezout_certificate, is_unit
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, product
 
 IndexSet = frozenset[int]
@@ -176,68 +184,85 @@ def _check_atoms(atoms: Sequence[Polynomial]) -> int:
     return nvars
 
 
-MembershipTest = Callable[[tuple[int, ...]], Optional[BezoutCertificate]]
+Probe = Callable[[tuple[int, ...]], bool]
 
 
-def _membership_tests(atoms: Sequence[Polynomial],
-                      order: MonomialOrder) -> MembershipTest:
-    """A membership test on index tuples that runs each search only once.
+def _probes(atoms: Sequence[Polynomial], order: MonomialOrder) -> Probe:
+    """A unit probe on index tuples that runs each search only once.
 
-    The results live as long as the returned function, so one planning call
-    never searches the same ideal twice and nothing outlives it.
+    The answers live as long as the returned function, so one planning call
+    never probes the same ideal twice and nothing outlives it.
     """
-    known: dict[tuple[int, ...], Optional[BezoutCertificate]] = {}
+    known: dict[tuple[int, ...], bool] = {}
 
-    def test(combo: tuple[int, ...]) -> Optional[BezoutCertificate]:
+    def probe(combo: tuple[int, ...]) -> bool:
         if combo not in known:
-            known[combo] = contains_one([atoms[i] for i in combo], order)
+            known[combo] = is_unit([atoms[i] for i in combo], order)
         return known[combo]
 
-    return test
+    return probe
 
 
-def _coincidence_graph(count: int, test: MembershipTest) -> Graph:
-    edges = frozenset(frozenset(pair) for pair in combinations(range(count), 2)
-                      if test(pair) is None)
+def _unit_sets(count: int, probe: Probe) -> list[IndexSet]:
+    """The inclusion-minimal unit index sets, in the order they are found.
+
+    Unit membership is monotone under adding generators.  So the search
+    probes L first: when L is not a unit, no subset is.  Then it probes
+    each co-atom L \\ {i}: when that is not a unit, every unit set contains
+    i.  The indices found so make up R, and the walk goes by size over the
+    sets that contain R, skipping the supersets of a hit.  It makes at most
+    l + 2 more probes than a walk over all subsets, and skips every set
+    that misses part of R.  The ground cap is checked before the first
+    probe.
+    """
+    ell = count - 1
+    if ell > MEMBERSHIP_GROUND_CAP:
+        raise ResourceLimitError(
+            f"membership search capped at l <= {MEMBERSHIP_GROUND_CAP}, got {ell}")
+    universe = tuple(range(count))
+    if not probe(universe):
+        return []
+    required = tuple(i for i in universe
+                     if count == 1 or not probe(universe[:i] + universe[i + 1:]))
+    free = [i for i in universe if i not in required]
+    hits: list[IndexSet] = []
+    for size in range(max(len(required), 1), count + 1):
+        for extra in combinations(free, size - len(required)):
+            J = frozenset(required + extra)
+            if not any(h <= J for h in hits) and probe(tuple(sorted(J))):
+                hits.append(J)
+    return hits
+
+
+def _coincidence_graph(count: int, hits: Sequence[IndexSet]) -> Graph:
+    """Edge {p, q} where no unit set lies inside {p, q}."""
+    pairs = map(frozenset, combinations(range(count), 2))
+    edges = frozenset(pair for pair in pairs
+                      if not any(h <= pair for h in hits))
     return Graph(count, edges)
 
 
 def coincidence_graph(atoms: Sequence[Polynomial],
                       order: MonomialOrder = DEFAULT_ORDER) -> Graph:
-    """Edge {p, q} exactly when 1 is not in the ideal <atoms[p], atoms[q]>."""
+    """Edge {p, q} exactly when 1 is not in the ideal <atoms[p], atoms[q]>.
+
+    Read off the minimal unit sets, so it runs the search of
+    :func:`beta_min`, under the same cap.
+    """
     _check_atoms(atoms)
-    return _coincidence_graph(len(atoms), _membership_tests(atoms, order))
-
-
-def _unit_sets(count: int,
-               test: MembershipTest) -> dict[IndexSet, BezoutCertificate]:
-    """The Bezout certificate of every inclusion-minimal unit index set."""
-    ell = count - 1
-    if ell > MEMBERSHIP_GROUND_CAP:
-        raise ResourceLimitError(
-            f"membership search capped at l <= {MEMBERSHIP_GROUND_CAP}, got {ell}")
-    hits: dict[IndexSet, BezoutCertificate] = {}
-    for size in range(1, count + 1):
-        for combo in combinations(range(count), size):
-            J = frozenset(combo)
-            if any(h <= J for h in hits):
-                continue
-            bez = test(combo)
-            if bez is not None:
-                hits[J] = bez
-    return hits
+    return _coincidence_graph(
+        len(atoms), _unit_sets(len(atoms), _probes(atoms, order)))
 
 
 def beta_min(factors: Sequence[Polynomial],
              order: MonomialOrder = DEFAULT_ORDER) -> SetSystem:
     """Inclusion-minimal nonempty J with 1 in <factors[j] : j in J>.
 
-    Supersets of a hit are skipped (membership is monotone under adding
-    generators).  The full family of valid index sets is the upper closure
-    of this antichain.
+    Found by probes alone (see :func:`_unit_sets`).  The full family of
+    valid index sets is the upper closure of this antichain.
     """
     _check_atoms(factors)
-    hits = _unit_sets(len(factors), _membership_tests(factors, order))
+    hits = _unit_sets(len(factors), _probes(factors, order))
     return SetSystem(len(factors) - 1, frozenset(hits))
 
 
@@ -274,16 +299,18 @@ def plan_decomposition(atoms: Sequence[Polynomial],
                        order: MonomialOrder = DEFAULT_ORDER) -> DecompositionPlan:
     """Run the whole planning pipeline on the given atoms.
 
-    Each index set's membership search runs once: the pairs the coincidence
-    graph tests are not searched again for ``beta_min``, and the plan keeps
-    the Bezout certificate of every ``beta_min`` member.
+    One search serves the plan: each index set is probed at most once, the
+    coincidence graph is read off the minimal unit sets, and the tracked
+    run that builds a Bezout certificate runs once per ``beta_min`` member,
+    on its factors in increasing index order.
     """
     nvars = _check_atoms(atoms)
-    test = _membership_tests(atoms, order)
-    graph = _coincidence_graph(len(atoms), test)
+    hits = _unit_sets(len(atoms), _probes(atoms, order))
+    graph = _coincidence_graph(len(atoms), hits)
     components = tuple(graph.connected_components())
     grouped = tuple(product([atoms[i] for i in comp], nvars) for comp in components)
-    certificates = _unit_sets(len(atoms), test)
+    certificates = {J: bezout_certificate([atoms[i] for i in sorted(J)], order)
+                    for J in hits}
     beta = SetSystem(len(atoms) - 1, frozenset(certificates))
     alpha = optimal_alpha(beta) if beta.sets else None
     return DecompositionPlan(tuple(atoms), graph, components, grouped, beta,

@@ -24,16 +24,19 @@ syntax error), and '/' only appears inside rational literals.
 Parsing is bounded by the term cap (default 100000, override with
 OPKIT_TERM_CAP): a product of a t-term and a u-term polynomial forms t*u
 terms, and one that would form more than the cap raises ResourceLimitError
-before it is expanded.  Powers are built from such products, so
-"(x+y+1)^3000" is refused after a few small squarings, and no single
-product costs more than cap multiply-adds.  A product whose total degree
-would pass DEGREE_CAP (10000, fixed) raises ResourceLimitError too: the
-term cap does not bound "x^100000000", but Buchberger would then reduce
-its leading term one degree at a time.  So does a literal, product or sum
-with a coefficient whose numerator or denominator would pass
-COEFFICIENT_BITS_CAP (4096 bits, fixed): "2^10000000" is refused after a
-dozen squarings, and a literal too long for the cap is refused before it
-is converted.  Digits are ASCII only.  Certificates built from capped
+before it is expanded.  Powers of a polynomial with two or more terms are
+built from such products, so "(x+y+1)^3000" is refused after a few small
+squarings, and no single product costs more than cap multiply-adds.  A
+product or power whose total degree would pass DEGREE_CAP (10000, fixed)
+raises ResourceLimitError too: the term cap does not bound "x^100000000",
+but Buchberger would then reduce its leading term one degree at a time.
+So does a literal, product, power or sum with a coefficient whose
+numerator or denominator would pass COEFFICIENT_BITS_CAP (4096 bits,
+fixed).  A monomial times a monomial, and a monomial to a power, are
+formed directly; such a power is refused from its degree and from the bit
+length of its coefficient before it is formed, so "2^10000000" is never
+computed.  A literal too long for the cap is refused before it is
+converted.  Digits are ASCII only.  Certificates built from capped
 inputs have their own cap, CERTIFICATE_BITS_CAP (14000 bits, fixed), which
 groebner and certify check on the cofactors they build, and groebner on the
 values its runs carry: every coefficient within it prints.
@@ -430,7 +433,8 @@ class _Parser:
         """a * b, refused before expansion if it forms more terms than the
         cap or has a total degree above DEGREE_CAP, and after it if a
         coefficient passes COEFFICIENT_BITS_CAP.  Both factors are within
-        the caps, so forming the product is bounded work."""
+        the caps, so forming the product is bounded work.  A monomial times
+        a monomial is formed directly."""
         formed = a.term_count() * b.term_count()
         if formed > self.cap:
             raise ResourceLimitError(
@@ -441,7 +445,36 @@ class _Parser:
             raise ResourceLimitError(
                 f"product at position {pos} has total degree {degree}, more "
                 f"than the cap {DEGREE_CAP}")
+        if formed == 1:
+            (ea, ca), = a._terms.items()
+            (eb, cb), = b._terms.items()
+            value = Polynomial._wrap(
+                {tuple(i + j for i, j in zip(ea, eb)): ca * cb}, self.nvars)
+            return _check_bits(value, "product", pos)
         return _check_bits(a * b, "product", pos)
+
+    def monomial_power(self, m: Polynomial, k: int, pos: int) -> Polynomial:
+        """m^k for a one-term m, formed directly.  It is refused before it
+        is formed if its total degree passes DEGREE_CAP, or if its
+        coefficient must pass COEFFICIENT_BITS_CAP: a nonzero integer of b
+        bits has a k-th power of at least (b - 1) * k + 1 bits.  Otherwise
+        the power has at most twice the cap's bits, and it is checked
+        exactly once formed."""
+        (exp, coeff), = m._terms.items()
+        degree = sum(exp) * k
+        if degree > DEGREE_CAP:
+            raise ResourceLimitError(
+                f"power at position {pos} has total degree {degree}, more "
+                f"than the cap {DEGREE_CAP}")
+        bits = max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
+        least = (bits - 1) * k + 1
+        if least > COEFFICIENT_BITS_CAP:
+            raise ResourceLimitError(
+                f"power at position {pos} has an at least {least}-bit "
+                f"coefficient, more than the cap {COEFFICIENT_BITS_CAP}")
+        value = Polynomial._wrap({tuple(e * k for e in exp): coeff ** k},
+                                 self.nvars)
+        return _check_bits(value, "power", pos)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -504,6 +537,9 @@ class _Parser:
             kind, val, pos = self.advance()
             if kind != "number" or not isinstance(val, Fraction) or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a non-negative integer", pos)
+            if value.term_count() == 1:
+                value = self.monomial_power(value, int(val), pos)
+                continue
             # Binary powering here rather than **, so that every product is
             # checked against the cap before it is formed.
             base, value = value, Polynomial.one(self.nvars)

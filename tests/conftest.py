@@ -176,6 +176,30 @@ def distinct_fractions(rng: random.Random, count: int, bound: int = 8):
 
 
 @pytest.fixture
+def buchberger_runs(monkeypatch):
+    """Every Buchberger run, in order, as ``(track, generators)``: a probe
+    has ``track`` False and a tracked run True.  A run that restarts at a
+    wider field counts once."""
+    from opkit import groebner
+
+    runs = []
+    run = groebner._run_buchberger
+
+    def counted(generators, *args, track):
+        runs.append((track, tuple(generators)))
+        return run(generators, *args, track=track)
+
+    monkeypatch.setattr(groebner, "_run_buchberger", counted)
+    return runs
+
+
+def run_counts(runs) -> tuple[int, int]:
+    """(probes, tracked runs) among the runs ``buchberger_runs`` recorded."""
+    tracked = sum(track for track, _ in runs)
+    return len(runs) - tracked, tracked
+
+
+@pytest.fixture
 def rng():
     return random.Random(20240817)
 

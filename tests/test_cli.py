@@ -19,6 +19,8 @@ from opkit.cli import main
 from opkit.poly import (CERTIFICATE_BITS_CAP, DEGREE_CAP, _coefficient_bits,
                         parse_polynomial)
 
+from conftest import run_counts
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_JOB = ROOT / "src" / "opkit" / "data" / "demo_job.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -117,23 +119,71 @@ class TestGolden:
 
 
 class TestMembershipReuse:
-    def test_demo_certify_searches_each_ideal_once(self, capsys, monkeypatch):
-        import opkit.certify
-        import opkit.planner
-        import opkit.reducer
-        from opkit.groebner import contains_one
-        calls = []
-
-        def counted(generators, *args, **kwargs):
-            calls.append(tuple(generators))
-            return contains_one(generators, *args, **kwargs)
-
-        for module in (opkit.planner, opkit.certify, opkit.reducer):
-            monkeypatch.setattr(module, "contains_one", counted)
+    def test_demo_certify_searches_each_ideal_once(self, capsys,
+                                                   buchberger_runs):
         code, _, _ = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
         assert code == 0
-        assert len(calls) == 11
-        assert len(set(calls)) == len(calls)
+        probes = [gens for track, gens in buchberger_runs if not track]
+        tracked = [gens for track, gens in buchberger_runs if track]
+        # L, its 4 co-atoms, and the 4 singletons and 6 pairs below them:
+        # every nonempty subset once.  One tracked run per beta_min member.
+        assert len(probes) == len(set(probes)) == 15
+        assert len(tracked) == len(set(tracked)) == 4
+        assert set(tracked) <= set(probes)
+
+
+class TestMembershipCap:
+    """The membership search at and past l = MEMBERSHIP_GROUND_CAP (12)."""
+
+    def test_plan_past_the_cap_is_3_before_any_search(self, capsys, tmp_path,
+                                                      buchberger_runs):
+        # 150 quadrics: the search refuses l = 149 before its first probe,
+        # so none of the 11,175 pair searches of the coincidence graph runs.
+        path = write_job(tmp_path, {
+            "variables": ["x", "y", "z"],
+            "factors": [f"x^2+{k}*y*z+{k + 1}*z^2-{k + 2}" for k in range(150)],
+        })
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "plan", "--job", path)
+        assert code == 3
+        assert "membership search capped" in err
+        assert buchberger_runs == []
+        assert time.perf_counter() - start < 2
+
+    def test_certify_at_the_cap_within_budget(self, capsys, tmp_path,
+                                              buchberger_runs):
+        # The 13 atoms prod_{j != i} (x - j): only the whole family
+        # generates 1.  L and its 13 co-atoms settle the search, in about
+        # 0.2 s on a 2-CPU x86-64 VM (a walk over all 8191 subsets takes
+        # 3.2 s).  Budget: 2 s.
+        path = write_job(tmp_path, {
+            "variables": ["x"],
+            "factors": ["*".join(f"(x-{j})" for j in range(13) if j != i)
+                        for i in range(13)],
+        })
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "certify", "--job", path)
+        assert code == 0
+        assert json.loads(out)["beta_min"] == [list(range(13))]
+        assert run_counts(buchberger_runs) == (14, 1)
+        assert time.perf_counter() - start < 2
+
+    def test_plan_at_the_cap_with_no_unit_subset_within_budget(
+            self, capsys, tmp_path, buchberger_runs):
+        # 13 lines through the origin: L is not a unit, so no subset is.
+        # About 0.1 s on a 2-CPU x86-64 VM (1 s when every subset is
+        # probed).  Budget: 2 s.
+        path = write_job(tmp_path, {
+            "variables": ["x", "y"],
+            "factors": [f"x+{k}*y" for k in range(13)],
+        })
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "plan", "--job", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["beta_min"] == [] and len(report["coincidence_edges"]) == 78
+        assert run_counts(buchberger_runs) == (1, 0)
+        assert time.perf_counter() - start < 2
 
 
 class TestVerifyOnce:
@@ -451,9 +501,9 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
 
     def test_huge_degree_is_3_within_budget(self, capsys, tmp_path):
-        # Refused by the parser's degree cap after 14 squarings of x, in
-        # under 0.01 s on a 2-CPU x86-64 VM.  Budget: 2 s.  Without the cap,
-        # Buchberger reduces x^N by x+1 one degree per step.
+        # Refused by the parser's degree cap before x^100000000 is formed,
+        # in under 0.01 s on a 2-CPU x86-64 VM.  Budget: 2 s.  Without the
+        # cap, Buchberger reduces x^N by x+1 one degree per step.
         path = write_job(tmp_path, {
             "variables": ["x", "y"],
             "factors": ["x^100000000+y", "x+1"],
@@ -482,8 +532,9 @@ class TestExitCodes:
         assert message in err
 
     def test_huge_coefficient_is_3_within_budget(self, capsys, tmp_path):
-        # Refused by the parser's coefficient cap after a dozen squarings
-        # of 2, in under 0.01 s on a 2-CPU x86-64 VM.  Budget: 2 s.
+        # Refused by the parser's coefficient cap from the bit length of 2,
+        # before 2^10000000 is formed, in under 0.01 s on a 2-CPU x86-64
+        # VM.  Budget: 2 s.
         # Without the cap, printing the factor fails on its digit count.
         path = write_job(tmp_path, {"variables": ["x"],
                                     "factors": ["2^10000000", "x"]})

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from opkit import groebner
 from opkit.cli import main
-from opkit.errors import InputError, ResourceLimitError, VerificationError
+from opkit.errors import (InputError, MembershipError, ResourceLimitError,
+                          VerificationError)
 from opkit.groebner import BezoutCertificate, contains_one
 from opkit.poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, divide_multi,
                         format_polynomial, parse_polynomial, resolve_term_cap)
 
-from conftest import is_constant, random_polynomial, to_sympy
+from conftest import is_constant, random_polynomial, run_counts, to_sympy
 
 V = ["x", "y"]
 
@@ -382,26 +383,6 @@ DEMO_JOB = (Path(__file__).resolve().parent.parent / "src" / "opkit" / "data"
             / "demo_job.json")
 
 
-def count_runs(monkeypatch, modules):
-    """Record the track flag of every Buchberger run and every search result."""
-    runs, hits = [], []
-    run = groebner._run_buchberger
-
-    def counted_run(*args, track, **kwargs):
-        runs.append(track)
-        return run(*args, track=track, **kwargs)
-
-    def counted_search(generators, *args, **kwargs):
-        cert = contains_one(generators, *args, **kwargs)
-        hits.append(cert is not None)
-        return cert
-
-    monkeypatch.setattr(groebner, "_run_buchberger", counted_run)
-    for module in modules:
-        monkeypatch.setattr(module, "contains_one", counted_search)
-    return runs, hits
-
-
 def certify_ideal_family(rng):
     """Three quadrics in x, y, z and 1 + sum c_k * x_v(k) * P_k: only the
     whole family generates 1."""
@@ -448,22 +429,22 @@ class TestValueFirst:
             hits += cert is not None
         assert 0 < hits < 40
 
-    def test_tracked_runs_equal_unit_hits_demo(self, capsys, monkeypatch):
-        import opkit.certify
-        import opkit.planner
-        import opkit.reducer
-        runs, hits = count_runs(monkeypatch,
-                                (opkit.planner, opkit.certify, opkit.reducer))
+    def test_tracked_run_refuses_a_non_unit(self):
+        with pytest.raises(MembershipError):
+            groebner.bezout_certificate([P("x"), P("x*y")])
+        assert groebner.is_unit([P("x"), P("x+1")])
+        assert not groebner.is_unit([P("x"), P("x*y")])
+
+    def test_tracked_runs_equal_unit_hits_demo(self, capsys, buchberger_runs):
         assert main(["certify", "--job", str(DEMO_JOB)]) == 0
         capsys.readouterr()
-        assert len(hits) == 11
-        assert runs.count(False) == 11
-        assert runs.count(True) == sum(hits) == 4
+        # Every nonempty subset of the 4 atoms is probed once; beta_min has
+        # 4 members.
+        assert run_counts(buchberger_runs) == (15, 4)
 
     def test_tracked_runs_equal_unit_hits_certify_ideal(self, capsys,
-                                                        monkeypatch, tmp_path):
-        import opkit.planner
-        runs, hits = count_runs(monkeypatch, (opkit.planner,))
+                                                        buchberger_runs,
+                                                        tmp_path):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({
             "variables": list("xyz"),
@@ -471,9 +452,20 @@ class TestValueFirst:
                         for p in certify_ideal_family(random.Random(1))]}))
         assert main(["certify", "--job", str(job)]) == 0
         capsys.readouterr()
-        assert len(hits) == 15
-        assert runs.count(False) == 15
-        assert runs.count(True) == sum(hits) == 1
+        # L and its 4 co-atoms, none of which is a unit, settle every other
+        # subset; only L gets the tracked run.
+        assert run_counts(buchberger_runs) == (5, 1)
+
+    def test_tracked_runs_equal_unit_hits_no_unit_subset(self, capsys,
+                                                         buchberger_runs,
+                                                         tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"variables": V,
+                                   "factors": ["x", "y", "x+y", "x*y"]}))
+        assert main(["certify", "--job", str(job)]) == 4
+        capsys.readouterr()
+        # L is not a unit, so no subset is.
+        assert run_counts(buchberger_runs) == (1, 0)
 
 
 def assert_groebner_basis(values, generators, order):
@@ -632,15 +624,15 @@ class TestTermCapInReplay:
         gens = [P("x^3+1"), P("x-3^2500")]
         assert contains_one(gens).verify(gens)
 
-    def test_cli_exit_code_is_3(self, capsys, monkeypatch, tmp_path):
-        import opkit.planner
-        runs, _ = count_runs(monkeypatch, (opkit.planner,))
+    def test_cli_exit_code_is_3(self, capsys, monkeypatch, tmp_path,
+                                buchberger_runs):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"variables": V, "factors": list(self.UNIT)}))
         monkeypatch.setenv("OPKIT_TERM_CAP", "4")
         assert main(["certify", "--job", str(job)]) == 3
         assert "resource limit" in capsys.readouterr().err
-        assert runs[-2:] == [False, True]  # the probe found 1, the replay raised
+        # The probes found 1, and the tracked run raised.
+        assert [track for track, _ in buchberger_runs][-2:] == [False, True]
 
 
 def inter_reduced(polys, order=DEFAULT_ORDER):

@@ -9,7 +9,6 @@ import random
 import pytest
 
 import opkit.kernels
-import opkit.planner
 from opkit.certify import (Certificate, DualCertificate, alpha_to_dual,
                            dual_to_alpha, plan_dual_certificate, verify_certificate)
 from opkit.errors import InputError
@@ -19,7 +18,7 @@ from opkit.poly import Polynomial, parse_polynomial, product, sum_of_products
 from opkit.reducer import (SystemCertificate, find_system_certificate,
                            verify_system_certificate)
 
-from conftest import random_polynomial
+from conftest import random_polynomial, run_counts
 
 V = ["x", "y"]
 
@@ -247,22 +246,14 @@ def test_demo_verification_counts(kernel_calls):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_planning_counts(kernel_calls, monkeypatch, seed):
+def test_planning_counts(kernel_calls, buchberger_runs, seed):
     atoms = ideal_shaped_atoms(random.Random(seed))
-    found = []
-
-    def counted(generators, *args, **kwargs):
-        bez = contains_one(generators, *args, **kwargs)
-        found.append(bez is not None)
-        return bez
-
-    monkeypatch.setattr(opkit.planner, "contains_one", counted)
     kernel_calls.update(poly_mul=0, poly_sum_of_products=0)
     plan = plan_decomposition(atoms)
     assert plan.beta_min.canonical() == [[0, 1, 2, 3]]
-    # Each certificate found is checked once, and each component is one
-    # product.
-    assert kernel_calls == {
-        "poly_mul": 0,
-        "poly_sum_of_products": sum(found) + len(plan.components)}
+    # Five probes, one certificate; the certificate is checked once, and
+    # each component is one product.
+    assert run_counts(buchberger_runs) == (5, 1)
+    assert kernel_calls == {"poly_mul": 0,
+                            "poly_sum_of_products": 1 + len(plan.components)}
 

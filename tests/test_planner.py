@@ -1,15 +1,18 @@
 """Set-system operations and decomposition planning."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opkit import planner
 from opkit.errors import InputError, ResourceLimitError
 from opkit.groebner import contains_one
-from opkit.planner import (SetSystem, alpha_l, alpha_u, beta_min,
-                           coincidence_graph, lower_set, max_elements,
-                           min_elements, optimal_alpha, plan_decomposition,
-                           upper_set)
+from opkit.planner import (MEMBERSHIP_GROUND_CAP, SetSystem, alpha_l,
+                           alpha_u, beta_min, coincidence_graph, lower_set,
+                           max_elements, min_elements, optimal_alpha,
+                           plan_decomposition, upper_set)
 from opkit.poly import Polynomial, parse_polynomial
 
 V = ["x", "y"]
@@ -149,9 +152,78 @@ class TestBetaMin:
                     if J <= frozenset(combo):
                         assert contains_one([factors[i] for i in combo]) is not None
 
-    def test_ground_cap(self):
-        with pytest.raises(ResourceLimitError):
-            beta_min([P("x", U)] * 14)
+    def test_ground_cap(self, buchberger_runs):
+        # Refused before the first probe, by each function that searches.
+        for search in (beta_min, coincidence_graph, plan_decomposition):
+            with pytest.raises(ResourceLimitError):
+                search([P("x", U)] * (MEMBERSHIP_GROUND_CAP + 2))
+        assert buchberger_runs == []
+
+
+def reference_search(count, probe):
+    """The planner's search before L and its co-atoms were probed first:
+    the coincidence graph probes every pair, then a walk by size probes
+    every subset that is not a superset of a hit."""
+    edges = frozenset(frozenset(pair) for pair in combinations(range(count), 2)
+                      if not probe(pair))
+    hits = []
+    for size in range(1, count + 1):
+        for combo in combinations(range(count), size):
+            J = frozenset(combo)
+            if not any(h <= J for h in hits) and probe(combo):
+                hits.append(J)
+    return frozenset(hits), edges
+
+
+def counted_probe(generators):
+    """A memoized unit probe of the monotone set function whose minimal
+    true sets lie among ``generators``, and the list of sets it probed."""
+    probed = {}
+
+    def probe(combo):
+        if combo not in probed:
+            probed[combo] = any(g <= frozenset(combo) for g in generators)
+        return probed[combo]
+
+    return probe, probed
+
+
+@st.composite
+def monotone_functions(draw):
+    count = draw(st.integers(1, 7))
+    subsets = st.frozensets(st.integers(0, count - 1), min_size=1)
+    return count, draw(st.lists(subsets, max_size=6))
+
+
+class TestSearchMatchesReference:
+    """The search by L and its co-atoms against the old bottom-up walk, on
+    monotone set functions with no Buchberger run behind them."""
+
+    @given(monotone_functions())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_beta_min_and_edges(self, function):
+        count, generators = function
+        probe, probed = counted_probe(generators)
+        hits = planner._unit_sets(count, probe)
+        graph = planner._coincidence_graph(count, hits)
+        ref_probe, ref_probed = counted_probe(generators)
+        ref_hits, ref_edges = reference_search(count, ref_probe)
+        assert len(hits) == len(set(hits))
+        assert frozenset(hits) == ref_hits == min_elements(
+            SetSystem(count - 1, frozenset(generators))).sets
+        assert graph.edges == ref_edges
+        assert len(probed) <= len(ref_probed) + count + 1
+
+    @pytest.mark.parametrize("count", [1, 4, 13])
+    def test_only_the_whole_family(self, count):
+        probe, probed = counted_probe([frozenset(range(count))])
+        assert planner._unit_sets(count, probe) == [frozenset(range(count))]
+        assert len(probed) == count + (count > 1)
+
+    def test_no_unit_subset(self):
+        probe, probed = counted_probe([])
+        assert planner._unit_sets(13, probe) == []
+        assert list(probed) == [tuple(range(13))]
 
 
 class TestOptimalAlpha:

@@ -152,10 +152,20 @@ class TestParsePrint:
 
     @pytest.mark.parametrize("text, exponent", [
         ("x+y+1", 0), ("x+y+1", 1), ("x+y+1", 13), ("2*x-y", 8), ("x", 10**4),
-        ("0", 0), ("0", 3),
+        ("0", 0), ("0", 3), ("3/2*x^2*y", 5), ("-2", 7), ("-1/3*y", 0),
+        ("-1", 10**30 + 1),
     ])
     def test_power_matches_pow(self, text, exponent):
         assert P(f"({text})^{exponent}") == P(text) ** exponent
+
+    def test_coefficient_cap_refuses_power_from_bit_length(self):
+        assert P("2^4095") == Polynomial.constant(2**4095, 2)    # 4096 bits
+        assert P("(1/3*x)^2584").terms[(2584, 0)] == Fraction(1, 3**2584)
+        # 4097 bits by the bound; 3^2585 has 4098 bits, found once formed.
+        for text in ("2^4096", "3^2585", "(2/3)^" + "9" * 1000):
+            with pytest.raises(ResourceLimitError) as err:
+                P(text)
+            assert "-bit coefficient" in str(err.value)
 
     def test_term_cap_refuses_power_before_expanding(self, monkeypatch):
         monkeypatch.setenv("OPKIT_TERM_CAP", "100")
