@@ -2,22 +2,30 @@
 
 Commuting families of rational matrices realize the abstract operators;
 polynomials are instantiated through the evaluation homomorphism, and
-kernel/solve/range questions are answered by fraction-free Gaussian
-elimination over the integers (Bareiss updates) followed by
-back-substitution, which keeps intermediate growth polynomial and the
-pivoting fully deterministic.  Each ``Matrix`` owns one
-``Factorization``, built on first use and kept for the matrix's life, so
-the kernel, the reduced echelon form and the right division of a matrix
-are each eliminated at most once, however many callers ask.
+kernel/solve/range questions are answered by fraction-free elimination
+over the integers, with fully deterministic pivoting.  Two eliminations
+return the same reduced echelon form, which is unique.
+``_sparse_rref``, a Gauss-Jordan pass on sparse ``{col: int}`` rows whose
+work follows their nonzero entries, serves ``span_basis`` (so the
+symmetry generation check, ``affine_sets_equal`` and the reducer's
+comparisons) and every ``Factorization``.  ``_rref``, dense Bareiss
+updates followed by a ``Fraction`` back-substitution, serves
+``solve_affine`` alone, until the benchmark worker stops keeping every
+output: faster solves let it finish, and keep, more outputs than its
+memory bound allows.  Each ``Matrix`` owns one ``Factorization``, built
+on first use and kept for the matrix's life, so the kernel, the reduced
+echelon form and the right division of a matrix are each eliminated at
+most once, however many callers ask.
 
 A ``Matrix`` is sparse integer rows over one positive denominator, in
-lowest terms; products, sums and instantiation work on those rows,
-elimination takes them dense, values leave as ``Fraction``s, and no other
-module reads the fields (``symmetry`` builds one from integer rows through
-``Matrix._wrap``).  Matrices side by side, [B_1 | ... | B_N], are one
-matrix, split by ``hsplit``; ``stack_mul`` multiplies such a stack by
-I_N (x) R in one product, reading the rows of R for each block
-(``kernels.stack_mul``) and never forming the nN x nN diagonal.
+lowest terms; products, sums, instantiation and ``_sparse_rref`` work on
+those rows, only ``solve_affine`` takes them dense, values leave as
+``Fraction``s, and no other module reads the fields (``symmetry`` builds
+one from integer rows through ``Matrix._wrap``).  Matrices side by side,
+[B_1 | ... | B_N], are one matrix, split by ``hsplit``; ``stack_mul``
+multiplies such a stack by I_N (x) R in one product, reading the rows of
+R for each block (``kernels.stack_mul``) and never forming the nN x nN
+diagonal.
 
 Everything is exact; nothing here ever touches floating point.
 """
@@ -410,6 +418,78 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int
     return [[v or _ZERO for v in row] for row in frows], pivots
 
 
+def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]], cols: int
+                 ) -> tuple[list[list[Fraction]], list[int]]:
+    """What ``_rref`` returns for the integer matrix ``cols`` wide whose
+    rows are given as ``(col, value)`` pairs of their nonzero entries: the
+    pivot rows of the reduced row echelon form in column order, then the
+    zero rows, with the pivot columns.
+
+    Fraction-free Gauss-Jordan on sparse rows.  Each row, as a
+    ``{col: int}`` map, is reduced by the pivot rows already placed (each
+    step ``a row - b pivot_row``, a and b the two entries over their gcd)
+    and made primitive: content divided out, leading entry positive.  Its
+    leading column becomes a pivot and is cleared from every other pivot
+    row, which is then made primitive again.  Every pivot row so stays
+    zero at the other pivot columns, and dividing it by its pivot gives
+    its row of the reduced echelon form, which is unique.  Only the output
+    is dense: the elimination touches nonzero entries alone, beside one
+    lookup per placed row for each new pivot.
+    """
+    placed: dict[int, dict[int, int]] = {}
+    zero_rows = 0
+    for pairs in rows:
+        row = dict(pairs)
+        for c in [c for c in row if c in placed]:
+            row = _cancel(row, placed[c], c)
+        if not row:
+            zero_rows += 1
+            continue
+        lead = min(row)
+        row = _primitive(row, row[lead])
+        for c, other in placed.items():
+            if lead in other:
+                placed[c] = _primitive(_cancel(other, row, lead), 1)
+        placed[lead] = row
+    pivots = sorted(placed)
+    out = []
+    for c in pivots:
+        row = placed[c]
+        piv = row[c]
+        dense = [_ZERO] * cols
+        for j, v in row.items():
+            dense[j] = Fraction(v, piv)
+        dense[c] = _ONE
+        out.append(dense)
+    out.extend([_ZERO] * cols for _ in range(zero_rows))
+    return out, pivots
+
+
+def _cancel(row: dict[int, int], pivot_row: dict[int, int],
+            col: int) -> dict[int, int]:
+    """``a row - b pivot_row``, for the coprime a > 0 and b that make it
+    zero at ``col``; ``pivot_row[col]`` must be positive."""
+    v, p = row[col], pivot_row[col]
+    g = gcd(v, p)
+    a, b = p // g, v // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
+def _primitive(row: dict[int, int], sign: int) -> dict[int, int]:
+    """``row`` over its content, negated too when ``sign`` < 0."""
+    g = gcd(*row.values())
+    if sign < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
 def _kernel_from_rref(rref: Sequence[Sequence[Fraction]], pivots: Sequence[int],
                       cols: int) -> list[Vector]:
     """Nullspace basis of the first ``cols`` columns of a reduced echelon form.
@@ -499,7 +579,7 @@ class Factorization:
 
     @cached_property
     def echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        return _rref(self.P._dense_rows())
+        return _sparse_rref(self.P._entries, self.P.cols)
 
     @cached_property
     def kernel(self) -> list[Vector]:
@@ -535,9 +615,13 @@ class Factorization:
         P = self.P
         n = P.rows
         # Row k is column k of P beside e_k, both times P._den.
-        rref, pivots = _rref([list(col) + [P._den if j == k else 0
-                                           for j in range(n)]
-                              for k, col in enumerate(zip(*P._dense_rows()))])
+        transposed = [[] for _ in range(n)]
+        for i, row in enumerate(P._entries):
+            for j, v in row:
+                transposed[j].append((i, v))
+        rref, pivots = _sparse_rref(
+            [col + [(n + k, P._den)] for k, col in enumerate(transposed)],
+            2 * n)
         rank = sum(1 for p in pivots if p < n)
         g = [[_ZERO] * n for _ in range(n)]
         for k in range(rank):
@@ -582,7 +666,9 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """
     if not vectors:
         return []
-    rref, pivots = _rref(_int_rows(vectors))
+    rows = [[(j, v) for j, v in enumerate(row) if v]
+            for row in _int_rows(vectors)]
+    rref, pivots = _sparse_rref(rows, len(vectors[0]))
     return [tuple(row) for row in rref[: len(pivots)]]
 
 

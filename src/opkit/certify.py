@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (InputError, MembershipError, ResourceLimitError,
                      VerificationError)
-from .groebner import BezoutCertificate, contains_one
+from .groebner import BezoutCertificate, bezout_certificate, contains_one
 from .planner import (DecompositionPlan, IndexSet, SetSystem, _check_atoms,
                       max_elements)
 from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
@@ -170,11 +170,14 @@ def dual_certificate(factors: Sequence[Polynomial], beta: SetSystem,
 
 
 def plan_dual_certificate(plan: DecompositionPlan) -> DualCertificate:
-    """The dual certificate over ``plan.beta_min``, built from the Bezout
-    certificates the planner kept, so no membership search runs again."""
+    """The dual certificate over ``plan.beta_min``: one tracked run per
+    member, on its factors in increasing index order, and no probe, since
+    the plan's search found every member a unit."""
+    atoms = plan.atoms
     return _dual_from_bezout(
-        plan.atoms, plan.beta_min,
-        lambda indices: plan.certificates.get(frozenset(indices)))
+        atoms, plan.beta_min,
+        lambda indices: bezout_certificate([atoms[j] for j in indices],
+                                           plan.order))
 
 
 def _dual_from_bezout(factors: Sequence[Polynomial], beta: SetSystem,

@@ -9,9 +9,10 @@ of index sets usable on the other side of the duality.
 One search finds ``beta_min``, by probes that answer yes or no
 (``groebner.is_unit``).  It probes L and each co-atom L \\ {i} first, and
 then walks by size only the sets that contain every i whose co-atom is not
-a unit; every other answer follows from monotonicity.  Only the members of
-``beta_min`` get the tracked run that builds a Bezout certificate
-(``groebner.bezout_certificate``).
+a unit; every other answer follows from monotonicity.  A plan builds no
+Bezout certificate: ``certify.plan_dual_certificate`` runs the tracked
+search (``groebner.bezout_certificate``) once per member of ``beta_min``,
+for the callers that print one.
 
 Everything here enumerates subsets of L exactly; ground sets are capped at
 desk scale (l <= 20 for power-set sweeps, l <= 12 for the membership search,
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .groebner import BezoutCertificate, bezout_certificate, is_unit
+from .groebner import is_unit
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, product
 
 IndexSet = frozenset[int]
@@ -279,12 +279,8 @@ def optimal_alpha(beta: SetSystem) -> SetSystem:
 
 @dataclass(frozen=True)
 class DecompositionPlan:
-    """Full planning result for a list of factor atoms.
-
-    ``certificates`` holds the Bezout certificate found for each member of
-    ``beta_min``, with cofactors in increasing index order, so the dual
-    certificate over ``beta_min`` needs no further membership search.
-    """
+    """Full planning result for a list of factor atoms, with the monomial
+    order its search ran in."""
 
     atoms: tuple[Polynomial, ...]
     graph: Graph
@@ -292,26 +288,23 @@ class DecompositionPlan:
     grouped_factors: tuple[Polynomial, ...]
     beta_min: SetSystem
     alpha_opt: Optional[SetSystem]  # None when no membership hit exists
-    certificates: Mapping[IndexSet, BezoutCertificate]
+    order: MonomialOrder
 
 
 def plan_decomposition(atoms: Sequence[Polynomial],
                        order: MonomialOrder = DEFAULT_ORDER) -> DecompositionPlan:
     """Run the whole planning pipeline on the given atoms.
 
-    One search serves the plan: each index set is probed at most once, the
-    coincidence graph is read off the minimal unit sets, and the tracked
-    run that builds a Bezout certificate runs once per ``beta_min`` member,
-    on its factors in increasing index order.
+    One search serves the plan: each index set is probed at most once and
+    the coincidence graph is read off the minimal unit sets.  No tracked
+    run is made here (see ``certify.plan_dual_certificate``).
     """
     nvars = _check_atoms(atoms)
     hits = _unit_sets(len(atoms), _probes(atoms, order))
     graph = _coincidence_graph(len(atoms), hits)
     components = tuple(graph.connected_components())
     grouped = tuple(product([atoms[i] for i in comp], nvars) for comp in components)
-    certificates = {J: bezout_certificate([atoms[i] for i in sorted(J)], order)
-                    for J in hits}
-    beta = SetSystem(len(atoms) - 1, frozenset(certificates))
+    beta = SetSystem(len(atoms) - 1, frozenset(hits))
     alpha = optimal_alpha(beta) if beta.sets else None
     return DecompositionPlan(tuple(atoms), graph, components, grouped, beta,
-                             alpha, MappingProxyType(certificates))
+                             alpha, order)

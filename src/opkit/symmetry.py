@@ -12,10 +12,14 @@ A symmetry job eliminates P twice, whatever the size of its symmetry space:
 ``P.factorization``, the one ``backend.Factorization`` of P, holds the
 reduced echelon form of P (and so the kernel basis K) and one right
 division by P (the reduced form of [P^T | I]), and every function here
-that needs either reads it there.  The enumerated basis is read off the
-two reduced forms (the Kronecker structure of the constraint system) as
-one stack [S_1 | ... | S_N] of n x n blocks (``formal_symmetry_stack``),
-which a caller runs on as it is.  Every witness, slice, fold and identity is
+that needs either reads it there.  Both are sparse eliminations
+(``backend._sparse_rref``), as are the two ``span_basis`` calls of the
+CLI's generation check, so a job's elimination work follows the nonzero
+entries of P and of the induced maps, most of which are matrix units.
+The enumerated basis is read off the two reduced forms (the Kronecker
+structure of the constraint system) as one stack [S_1 | ... | S_N] of
+n x n blocks (``formal_symmetry_stack``), which a caller runs on as it
+is.  Every witness, slice, fold and identity is
 linear in (S, S'), so a stack passes through them whole: a right factor R
 becomes I_N (x) R, the identity P S = S' P becomes P S = S' (I_N (x) P),
 and the work is a fixed number of products whatever N is, with the

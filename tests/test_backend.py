@@ -1,13 +1,15 @@
 """Exact matrices, instantiation, elimination, truncated-derivative instances."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 
 from opkit.errors import InputError, ResourceLimitError
-from opkit.backend import (_ZERO, AffineSolutionSet, Matrix, OperatorInstance,
+from opkit.backend import (_ONE, _ZERO, AffineSolutionSet, Matrix,
+                           OperatorInstance, _int_rows, _rref, _sparse_rref,
                            affine_sets_equal,
                            graded_monomials, instantiate, kernel_basis,
                            make_truncated_derivative_instance, range_member,
@@ -367,6 +369,93 @@ class TestInstanceContext:
         assert zeros and all(v is _ZERO for v in zeros)
 
 
+def assert_same_elimination(rows, cols):
+    """The sparse elimination of integer ``rows`` returns what the dense one
+    does, every zero the shared _ZERO and every pivot the shared _ONE."""
+    want = _rref([list(r) for r in rows])
+    got = _sparse_rref([[(j, v) for j, v in enumerate(r) if v] for r in rows],
+                       cols)
+    assert got == want
+    echelon, pivots = got
+    assert len(echelon) == len(rows)
+    for k, row in enumerate(echelon):
+        assert all(v is _ZERO for v in row if not v)
+        if k < len(pivots):
+            assert row[pivots[k]] is _ONE
+        else:
+            assert not any(row)
+
+
+def integer_rows(rng, rows, cols, density, rank=None):
+    """Random integer rows; with ``rank`` set, the rows past it are
+    integer combinations of the first ``rank``."""
+    out = [[rng.randint(-6, 6) if rng.random() < density else 0
+            for _ in range(cols)] for _ in range(rows)]
+    if rank is not None:
+        for i in range(rank, rows):
+            coeffs = [rng.randint(-3, 3) for _ in range(rank)]
+            out[i] = [sum(c * r[j] for c, r in zip(coeffs, out[:rank]))
+                      for j in range(cols)]
+    return out
+
+
+class TestSparseElimination:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_elimination(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            assert_same_elimination(
+                integer_rows(rng, rows, cols, rng.random()), cols)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(80):
+            rows, cols = rng.randint(2, 9), rng.randint(1, 9)
+            rank = rng.randint(0, min(rows, cols) - 1)
+            m = integer_rows(rng, rows, cols, rng.random(), rank)
+            assert_same_elimination(m, cols)
+            assert len(_sparse_rref(
+                [[(j, v) for j, v in enumerate(r) if v] for r in m],
+                cols)[1]) <= rank
+
+    def test_dense_rows_cleared_from_rationals(self, rng):
+        for _ in range(60):
+            cols = rng.randint(1, 7)
+            grid = fraction_grid(rng, rng.randint(1, 7), cols,
+                                 BIG_DENOMINATORS)
+            assert_same_elimination(_int_rows(grid), cols)
+
+    def test_zero_rows_and_zero_columns(self, rng):
+        for _ in range(60):
+            rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+            m = integer_rows(rng, rows, cols, 0.8)
+            m[rng.randrange(rows)] = [0] * cols
+            dead = rng.randrange(cols)
+            for row in m:
+                row[dead] = 0
+            assert_same_elimination(m, cols)
+        assert_same_elimination([[0, 0, 0], [0, 0, 0]], 3)
+
+    def test_single_row_and_single_column(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            assert_same_elimination(integer_rows(rng, 1, n, 0.6), n)
+            assert_same_elimination(integer_rows(rng, n, 1, 0.6), 1)
+
+    def test_transpose_beside_identity(self, rng):
+        # [P^T | d I], the shape of the right division, for square P of
+        # every rank.
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            p = integer_rows(rng, n, n, rng.random(), rng.randint(0, n))
+            d = rng.randint(1, 4)
+            assert_same_elimination(
+                [list(col) + [d * (j == k) for j in range(n)]
+                 for k, col in enumerate(zip(*p))], 2 * n)
+
+
 class TestKernelAndSolve:
     def test_kernel_of_identity(self):
         assert kernel_basis(Matrix.identity(3)) == []
@@ -426,6 +515,19 @@ class TestKernelAndSolve:
         m = random_matrix(rng, 5, 7)
         assert kernel_basis(m) == kernel_basis(m)
 
+    def test_kernel_basis_under_the_dimension_cap_within_budget(self):
+        # x*y + x on the two-variable truncated derivative at dimension
+        # 1953, just under DIMENSION_CAP: the kernel is the 62 polynomials
+        # in y alone.  About 0.2 to 0.4 s on a 2-CPU x86-64 VM (the dense
+        # elimination took 331 s).  Budget: 5 s.
+        inst = make_truncated_derivative_instance(2, 62)
+        m = instantiate(P("x*y + x", ("x", "y")), inst)
+        start = time.perf_counter()
+        kernel = kernel_basis(m)
+        assert time.perf_counter() - start < 5
+        assert inst.dimension == 1953 and len(kernel) == 62
+        assert all(not any(m.apply(v)) for v in kernel)
+
     def test_sympy_oracle_rank_and_nullspace(self, rng):
         import sympy
 
@@ -478,13 +580,13 @@ class TestSubspaces:
         # elimination per side, and an affine one adds one for the offset.
         import opkit.backend
         calls = []
-        rref = opkit.backend._rref
+        rref = opkit.backend._sparse_rref
 
-        def counted(rows):
+        def counted(rows, cols):
             calls.append(len(rows))
-            return rref(rows)
+            return rref(rows, cols)
 
-        monkeypatch.setattr(opkit.backend, "_rref", counted)
+        monkeypatch.setattr(opkit.backend, "_sparse_rref", counted)
         rng = random.Random(3)
         kernel = [random_vector(rng, 4) for _ in range(2)]
         mixed = [tuple(a + 2 * b for a, b in zip(*kernel)), kernel[1]]

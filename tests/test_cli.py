@@ -131,6 +131,17 @@ class TestMembershipReuse:
         assert len(tracked) == len(set(tracked)) == 4
         assert set(tracked) <= set(probes)
 
+    def test_demo_plan_builds_no_certificate(self, capsys, buchberger_runs):
+        # plan prints no certificate, so it makes the same 15 probes as
+        # certify and none of certify's 4 tracked runs.
+        code, _, _ = run_cli(capsys, "plan", "--job", str(DEMO_JOB))
+        assert code == 0
+        assert run_counts(buchberger_runs) == (15, 0)
+        buchberger_runs.clear()
+        code, _, _ = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
+        assert code == 0
+        assert run_counts(buchberger_runs) == (15, 4)
+
 
 class TestMembershipCap:
     """The membership search at and past l = MEMBERSHIP_GROUND_CAP (12)."""
@@ -242,7 +253,7 @@ class TestVerifyOnce:
         dim10 = {"variables": ["x"], "factors": ["x", "x+1"],
                  "instance": {"kind": "truncated_derivative",
                               "max_degree": 10}}
-        rref = opkit.backend._rref
+        rref = opkit.backend._sparse_rref
         for job, k, degree, size in ((SYMMETRY_ENUMERATED_JOB, 2, 3, 27),
                                      (dim10, 1, 10, 91)):
             factors = [opkit.parse_polynomial(s, job["variables"])
@@ -256,17 +267,18 @@ class TestVerifyOnce:
                           for i, col in enumerate(zip(*p_rows))]
             eliminations = []
 
-            def counted(rows):
-                rows = [list(r) for r in rows]
-                eliminations.append("P" if rows == p_rows
-                                    else "division" if rows == transposed
+            def counted(rows, cols):
+                rows = [dict(r) for r in rows]
+                dense = [[r.get(j, 0) for j in range(cols)] for r in rows]
+                eliminations.append("P" if dense == p_rows
+                                    else "division" if dense == transposed
                                     else "span")
-                return rref(rows)
+                return rref(rows, cols)
 
-            monkeypatch.setattr(opkit.backend, "_rref", counted)
+            monkeypatch.setattr(opkit.backend, "_sparse_rref", counted)
             code, out, _ = run_cli(capsys, "symmetry", "--job",
                                    write_job(tmp_path, job))
-            monkeypatch.setattr(opkit.backend, "_rref", rref)
+            monkeypatch.setattr(opkit.backend, "_sparse_rref", rref)
             assert code == 0
             assert json.loads(out)["symmetry_space_dimension"] == size
             assert sorted(eliminations) == ["P", "division", "span", "span"]
@@ -374,6 +386,26 @@ class TestExitCodes:
         assert code == 3
         assert "capped at dimension 12, got 406" in err
         assert time.perf_counter() - start < 1
+
+    def test_large_kernel_at_the_cap_within_budget(self, capsys, tmp_path):
+        # (x)(x+1)(x+2) vanishes on diag(0 x 4, -1 x 4, -2 x 4), so at
+        # dimension 12 P = 0 and all 144 matrices are formal symmetries;
+        # the generation check eliminates 144 induced maps of 144 entries
+        # each.  About 0.05 s on a 2-CPU x86-64 VM (0.25 s with dense
+        # elimination).  Budget: 1 s.
+        values = ["0"] * 4 + ["-1"] * 4 + ["-2"] * 4
+        path = write_job(tmp_path, {
+            "variables": ["x"], "lambdas": ["0", "1", "2"],
+            "instance": {"kind": "matrices", "generators": [
+                [[v if i == j else "0" for j in range(12)]
+                 for i, v in enumerate(values)]]}})
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "symmetry", "--job", path)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        report = json.loads(out)
+        assert report["symmetry_space_dimension"] == 144
+        assert report["generation"]["equal"] is True
 
     def test_explicit_symmetry_past_the_cap_is_3(self, capsys, tmp_path):
         # The same cap holds for an explicit S: the identity at dimension

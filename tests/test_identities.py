@@ -251,9 +251,14 @@ def test_planning_counts(kernel_calls, buchberger_runs, seed):
     kernel_calls.update(poly_mul=0, poly_sum_of_products=0)
     plan = plan_decomposition(atoms)
     assert plan.beta_min.canonical() == [[0, 1, 2, 3]]
-    # Five probes, one certificate; the certificate is checked once, and
-    # each component is one product.
-    assert run_counts(buchberger_runs) == (5, 1)
+    # Five probes and no certificate; each component is one product.
+    assert run_counts(buchberger_runs) == (5, 0)
     assert kernel_calls == {"poly_mul": 0,
-                            "poly_sum_of_products": 1 + len(plan.components)}
+                            "poly_sum_of_products": len(plan.components)}
+    # The dual certificate makes the one tracked run: its Bezout identity
+    # is checked where it is built, and the dual once more as a whole.
+    kernel_calls.update(poly_mul=0, poly_sum_of_products=0)
+    plan_dual_certificate(plan)
+    assert run_counts(buchberger_runs) == (5, 1)
+    assert kernel_calls == {"poly_mul": 0, "poly_sum_of_products": 2}
 

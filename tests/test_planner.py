@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from opkit import planner
 from opkit.errors import InputError, ResourceLimitError
-from opkit.groebner import contains_one
+from opkit.certify import plan_dual_certificate
+from opkit.groebner import BezoutCertificate, contains_one
 from opkit.planner import (MEMBERSHIP_GROUND_CAP, SetSystem, alpha_l,
                            alpha_u, beta_min, coincidence_graph, lower_set,
                            max_elements, min_elements, optimal_alpha,
@@ -270,11 +271,17 @@ class TestPlan:
         assert plan.beta_min.canonical() == [[0, 1], [0, 2], [0, 3], [1, 2, 3]]
         assert plan.alpha_opt.canonical() == [[0], [1, 2], [1, 3], [2, 3]]
 
-    def test_keeps_a_certificate_per_beta_min_member(self):
+    def test_dual_certificate_covers_each_beta_min_member(self):
+        # The plan keeps no certificate; the dual certificate built from it
+        # holds one Bezout identity per beta_min member, its cofactors in
+        # increasing index order.
         atoms = demo_atoms()
         plan = plan_decomposition(atoms)
-        assert set(plan.certificates) == set(plan.beta_min.sets)
-        for J, bez in plan.certificates.items():
+        dual = plan_dual_certificate(plan)
+        assert set(dual.cofactors) == set(plan.beta_min.sets)
+        for J, cofactors in dual.cofactors.items():
+            assert list(cofactors) == sorted(J)
+            bez = BezoutCertificate(tuple(cofactors.values()))
             assert bez.verify([atoms[j] for j in sorted(J)])
 
     def test_single_factor_no_decomposition(self):

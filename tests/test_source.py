@@ -6,6 +6,9 @@ in the package outside its own definition, or exported from
 a variable or an attribute; a method only when it is read as an attribute,
 so a function of the same name elsewhere does not hide an unused method.
 A helper that only tests call belongs in ``tests/`` as a reference copy.
+
+``backend._rref``, the dense elimination, is read only by
+``solve_affine``; every other elimination is ``backend._sparse_rref``.
 """
 
 import ast
@@ -47,6 +50,33 @@ def referenced_names(tree, skip, attributes_only=False):
     return names
 
 
+def readers(trees, name):
+    """(module, function) for each module-level function and method of a
+    module-level class in ``trees`` that reads or imports ``name``, other
+    than ``name`` itself, and (module, None) for a read anywhere else."""
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if not any(isinstance(n, ast.Name) and n.id == name
+                           or isinstance(n, ast.Attribute) and n.attr == name
+                           or isinstance(n, ast.alias) and n.name == name
+                           for n in ast.walk(member)):
+                    continue
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if member.name != name:
+                        found.add((module, member.name))
+                else:
+                    found.add((module, None))
+    return found
+
+
+def source_trees():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
 def unused_definitions(trees, exported=frozenset()):
     """(module, name, line) of each public definition in ``trees`` (module
     name -> parsed source) that nothing outside itself reads and
@@ -61,8 +91,7 @@ def unused_definitions(trees, exported=frozenset()):
 
 
 def test_every_public_function_is_used_or_exported():
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SOURCE.glob("*.py"))}
+    trees = source_trees()
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees["__init__"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -92,3 +121,20 @@ def test_a_function_of_the_same_name_does_not_hide_a_method():
                             "    main(entry())\n")}
     found = {(module, name) for module, name, _ in unused_definitions(trees)}
     assert found == {("a", "entry")}
+
+
+def test_solve_affine_is_the_only_dense_elimination():
+    # Every other caller eliminates through backend._sparse_rref; the dense
+    # path stays behind solve_affine alone until that moves too.
+    assert readers(source_trees(), "_rref") == {("backend", "solve_affine")}
+
+
+def test_the_check_finds_every_reader():
+    tree = ast.parse("from b import helper\n\n"
+                     "def helper():\n    return helper()\n\n"
+                     "def direct():\n    return helper()\n\n"
+                     "class C:\n    def method(self):\n"
+                     "        return mod.helper\n\n"
+                     "ALIAS = helper\n")
+    assert readers({"m": tree}, "helper") == {
+        ("m", None), ("m", "direct"), ("m", "method")}

@@ -250,13 +250,13 @@ class TestEnumerate:
         import opkit.backend
         P = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 2)]])
         calls = []
-        rref = opkit.backend._rref
+        rref = opkit.backend._sparse_rref
 
-        def counted(rows):
-            calls.append(len(rows[0]))
-            return rref(rows)
+        def counted(rows, cols):
+            calls.append(cols)
+            return rref(rows, cols)
 
-        monkeypatch.setattr(opkit.backend, "_rref", counted)
+        monkeypatch.setattr(opkit.backend, "_sparse_rref", counted)
         assert P.factorization is P.factorization
         assert P.factorization.kernel == kernel_basis(P)
         stack = formal_symmetry_stack(P)
@@ -547,9 +547,10 @@ class TestGeneration:
         S = enumerate_formal_symmetries(P)[0]
         want = induced_kernel_map(S, Matrix(P.row_list()))
         calls = []
-        rref = opkit.backend._rref
-        monkeypatch.setattr(opkit.backend, "_rref",
-                            lambda rows: calls.append(1) or rref(rows))
+        rref = opkit.backend._sparse_rref
+        monkeypatch.setattr(
+            opkit.backend, "_sparse_rref",
+            lambda rows, cols: calls.append(1) or rref(rows, cols))
         assert same_matrix(induced_kernel_map(S, P), want)
         assert calls == []
         with pytest.raises(InputError):
