@@ -3,25 +3,27 @@
 Commuting families of rational matrices realize the abstract operators;
 polynomials are instantiated through the evaluation homomorphism, and
 kernel/solve/range questions are answered by fraction-free elimination
-over the integers, with fully deterministic pivoting.  Two eliminations
-return the same reduced echelon form, which is unique.
+over the integers, with fully deterministic pivoting.
 ``_sparse_rref``, a Gauss-Jordan pass on sparse ``{col: int}`` rows whose
-work follows their nonzero entries, serves ``span_basis`` (so the
-symmetry generation check, ``affine_sets_equal`` and the reducer's
-comparisons) and every ``Factorization``.  ``_rref``, dense Bareiss
-updates followed by a ``Fraction`` back-substitution, serves
-``solve_affine`` alone, until the benchmark worker stops keeping every
-output: faster solves let it finish, and keep, more outputs than its
-memory bound allows.  Each ``Matrix`` owns one ``Factorization``, built
-on first use and kept for the matrix's life, so the kernel, the reduced
-echelon form and the right division of a matrix are each eliminated at
-most once, however many callers ask.
+work follows their nonzero entries, gives the one echelon format: the
+nonzero rows of the reduced echelon form, each primitive with a positive
+pivot, and the pivot columns.  It serves every ``Factorization`` (the
+kernel, ``kernel_basis``, the right division, the symmetry basis),
+``span_basis`` (so ``affine_sets_equal`` and the reducer's comparisons)
+and ``block_span`` (the symmetry generation check).  Each ``Matrix`` owns
+one ``Factorization``, built on first use and kept for the matrix's life,
+so each of its eliminations runs at most once, however many callers ask.
+``solve_affine`` takes its kernel from there too, and reads only the last
+column of ``_rref``, dense Bareiss updates with a ``Fraction``
+back-substitution, for consistency and the particular solution.  That
+pass waits on ROADMAP item 1: the benchmark worker keeps every output,
+and faster solves make it keep more than its memory bound allows.
 
 A ``Matrix`` is sparse integer rows over one positive denominator, in
 lowest terms; products, sums, instantiation and ``_sparse_rref`` work on
-those rows, only ``solve_affine`` takes them dense, values leave as
-``Fraction``s, and no other module reads the fields (``symmetry`` builds
-one from integer rows through ``Matrix._wrap``).  Matrices side by side,
+those rows, only ``solve_affine`` takes them dense, and values leave as
+``Fraction``s.  No other module reads the fields or echelon rows, or
+builds a ``Matrix`` from rows.  Matrices side by side,
 [B_1 | ... | B_N], are one matrix, split by ``hsplit``; ``stack_mul``
 multiplies such a stack by I_N (x) R in one product, reading the rows of
 R for each block (``kernels.stack_mul``) and never forming the nN x nN
@@ -148,18 +150,6 @@ class Matrix:
                 parts[k][r].append((c, v))
         return [Matrix._wrap(rows, self._den, w) for rows in parts]
 
-    def block_vectors(self, count: int) -> list[Vector]:
-        """The entries of each block of [B_1 | ... | B_count], row by row,
-        one vector per block, read off the stack without building a block."""
-        if count < 1 or self.cols % count:
-            raise InputError(f"cannot split {self.cols} columns into {count} blocks")
-        w = self.cols // count
-        d = self._den
-        rows = [[Fraction(v, d) if v else _ZERO for v in _dense(row, self.cols)]
-                for row in self._entries]
-        return [tuple(chain.from_iterable(row[k:k + w] for row in rows))
-                for k in range(0, self.cols, w)]
-
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.row_list()]
 
@@ -257,10 +247,6 @@ class Matrix:
             twin = Matrix._canonical(self._entries, self._den, self.cols)
             self._fact = Factorization(twin)
             return self._fact
-
-    def _dense_rows(self) -> list[list[int]]:
-        """The dense integer rows, the input of elimination."""
-        return [_dense(row, self.cols) for row in self._entries]
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -367,11 +353,6 @@ def _evaluate(p: Polynomial, inst: OperatorInstance) -> Matrix:
 # Exact elimination
 # ---------------------------------------------------------------------------
 
-def _int_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators vector by vector (row scaling preserves row space)."""
-    return [_integer_form(v)[0] for v in vectors]
-
-
 def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of an integer matrix, with pivot columns,
     fully deterministic.
@@ -418,12 +399,12 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int
     return [[v or _ZERO for v in row] for row in frows], pivots
 
 
-def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]], cols: int
-                 ) -> tuple[list[list[Fraction]], list[int]]:
-    """What ``_rref`` returns for the integer matrix ``cols`` wide whose
-    rows are given as ``(col, value)`` pairs of their nonzero entries: the
-    pivot rows of the reduced row echelon form in column order, then the
-    zero rows, with the pivot columns.
+def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]]
+                 ) -> tuple[list[dict[int, int]], list[int]]:
+    """The reduced row echelon form of the integer matrix whose rows are
+    given as ``(col, value)`` pairs of their nonzero entries, which is
+    unique: its nonzero rows in pivot-column order, each a primitive
+    ``{col: int}`` map with a positive pivot, and the pivot columns.
 
     Fraction-free Gauss-Jordan on sparse rows.  Each row, as a
     ``{col: int}`` map, is reduced by the pivot rows already placed (each
@@ -431,19 +412,15 @@ def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]], cols: int
     and made primitive: content divided out, leading entry positive.  Its
     leading column becomes a pivot and is cleared from every other pivot
     row, which is then made primitive again.  Every pivot row so stays
-    zero at the other pivot columns, and dividing it by its pivot gives
-    its row of the reduced echelon form, which is unique.  Only the output
-    is dense: the elimination touches nonzero entries alone, beside one
-    lookup per placed row for each new pivot.
+    zero at the other pivot columns.  The elimination touches nonzero
+    entries alone, beside one lookup per placed row for each new pivot.
     """
     placed: dict[int, dict[int, int]] = {}
-    zero_rows = 0
     for pairs in rows:
         row = dict(pairs)
         for c in [c for c in row if c in placed]:
             row = _cancel(row, placed[c], c)
         if not row:
-            zero_rows += 1
             continue
         lead = min(row)
         row = _primitive(row, row[lead])
@@ -452,17 +429,7 @@ def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]], cols: int
                 placed[c] = _primitive(_cancel(other, row, lead), 1)
         placed[lead] = row
     pivots = sorted(placed)
-    out = []
-    for c in pivots:
-        row = placed[c]
-        piv = row[c]
-        dense = [_ZERO] * cols
-        for j, v in row.items():
-            dense[j] = Fraction(v, piv)
-        dense[c] = _ONE
-        out.append(dense)
-    out.extend([_ZERO] * cols for _ in range(zero_rows))
-    return out, pivots
+    return [placed[c] for c in pivots], pivots
 
 
 def _cancel(row: dict[int, int], pivot_row: dict[int, int],
@@ -488,28 +455,6 @@ def _primitive(row: dict[int, int], sign: int) -> dict[int, int]:
     if sign < 0:
         g = -g
     return row if g == 1 else {j: x // g for j, x in row.items()}
-
-
-def _kernel_from_rref(rref: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-                      cols: int) -> list[Vector]:
-    """Nullspace basis of the first ``cols`` columns of a reduced echelon form.
-
-    One basis vector per free column, with a 1 in the free position and the
-    negated reduced-echelon entries in the pivot positions.
-    """
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for j in range(cols):
-        if j in pivot_set:
-            continue
-        v = [_ZERO] * cols
-        v[j] = _ONE
-        for r, pc in enumerate(pivots):
-            x = rref[r][j]
-            if x:
-                v[pc] = -x
-        basis.append(tuple(v))
-    return basis
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -540,35 +485,36 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
     if len(f) != m.rows:
         raise InputError(f"rhs length {len(f)} != row count {m.rows}")
     # Row i of [m | f] times m._den * (denominator of m._den * f_i) is integer.
-    rref, pivots = _rref([[x * r.denominator for x in row] + [r.numerator]
-                          for row, r in zip(m._dense_rows(),
-                                           (v * m._den for v in f))])
+    rref, pivots = _rref([[x * r.denominator for x in _dense(row, m.cols)]
+                          + [r.numerator]
+                          for row, r in zip(m._entries, (v * m._den for v in f))])
     if pivots and pivots[-1] == m.cols:
         return AffineSolutionSet(None, ())
     particular = [_ZERO] * m.cols
     for r, pc in enumerate(pivots):
         particular[pc] = rref[r][m.cols]
-    # Kernel from the same elimination: the rref of m is the rref of the
-    # augmented matrix without its last column.
-    return AffineSolutionSet(tuple(particular),
-                             tuple(_kernel_from_rref(rref, pivots, m.cols)))
+    # The kernel is m's own, eliminated once for every right side.
+    return AffineSolutionSet(tuple(particular), tuple(m.factorization.kernel))
 
 
 class Factorization:
     """The eliminations of one matrix P, each done once, when first needed.
 
-    ``echelon`` is the reduced echelon form of P with its pivot columns;
-    ``kernel`` is ``kernel_basis(P)``, read off it.  ``right_divide`` solves
-    X P = C for square P from one elimination of [P^T | I] to its reduced
-    form [R | E]: E P^T = R, so the first rank(P) rows of E give the
-    witness matrix G and the other rows N span the kernel of P as row
-    vectors.  X P = C is solvable exactly when C N^T = 0, and then C G is
+    ``echelon`` is the reduced echelon form of P in ``_sparse_rref``'s
+    format; ``kernel`` is ``kernel_basis(P)``, read off it, one vector per
+    free column, as are ``kernel_matrix`` and ``kernel_coordinates``.
+    ``right_divide`` solves X P = C for square P from one elimination of
+    [P^T | I] to its reduced form [R | E]: E P^T = R, so the first rank(P)
+    rows of E give the witness matrix G and the other rows N span the
+    kernel of P as row vectors.  X P = C is solvable exactly when C N^T = 0, and then C G is
     the solution with the free parameters set to zero, the matrix that
     reducing [P^T | C^T] on its own gives (a reduced echelon form is
     unique).  For the same reason N is the reduced echelon form of the
-    kernel basis as rows.  A C of N blocks side by side is divided block
-    by block in the same two products, C (I_N (x) N^T) and C (I_N (x) G),
-    each a ``Matrix.stack_mul`` that reads N^T or G once per block.
+    kernel basis as rows (``null_echelon``).  A C of N blocks side by
+    side is divided block by block in the same two products,
+    C (I_N (x) N^T) and C (I_N (x) G), each a ``Matrix.stack_mul`` that
+    reads N^T or G once per block.  Each matrix here is built from integer
+    echelon rows over the lcm of their pivots.
     ``P.factorization`` is the one factorization of P, and every caller
     in the package reaches it that way; nothing is kept outside the
     object, which lives exactly as long as P.
@@ -578,17 +524,31 @@ class Factorization:
         self.P = P
 
     @cached_property
-    def echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        return _sparse_rref(self.P._entries, self.P.cols)
+    def echelon(self) -> tuple[list[dict[int, int]], list[int]]:
+        return _sparse_rref(self.P._entries)
 
     @cached_property
     def kernel(self) -> list[Vector]:
-        return _kernel_from_rref(*self.echelon, self.P.cols)
+        basis = {j: [_ZERO] * self.P.cols for j in self._free}
+        for row, p in zip(*self.echelon):
+            for j, x in row.items():
+                if j != p:
+                    basis[j][p] = Fraction(-x, row[p])
+        for j, v in basis.items():
+            v[j] = _ONE
+        return [tuple(v) for v in basis.values()]
 
     @cached_property
     def kernel_matrix(self) -> Matrix:
         """The kernel basis as the columns of a matrix K; P must be singular."""
-        return Matrix(list(zip(*self.kernel)))
+        columns, d = _echelon_columns(*self.echelon, self.P.cols)
+        pivots = self.echelon[1]
+        out = [[] for _ in range(self.P.cols)]
+        for t, j in enumerate(self._free):
+            out[j].append((t, d))
+            for k, x in columns[j]:
+                out[pivots[k]].append((t, -x))
+        return Matrix._wrap(out, d, len(self._free))
 
     def kernel_coordinates(self, image: Matrix) -> Optional[Matrix]:
         """Kernel-basis coordinates of the columns of ``image``, one row per
@@ -610,8 +570,8 @@ class Factorization:
 
     @cached_property
     def _division(self) -> tuple[Matrix, Optional[Matrix],
-                                 list[list[Fraction]], list[int]]:
-        """(G, N^T or None, the rows of N, their pivot columns)."""
+                                 tuple[list[dict[int, int]], list[int]]]:
+        """(G, N^T or None, the rows of N with their pivot columns)."""
         P = self.P
         n = P.rows
         # Row k is column k of P beside e_k, both times P._den.
@@ -619,23 +579,23 @@ class Factorization:
         for i, row in enumerate(P._entries):
             for j, v in row:
                 transposed[j].append((i, v))
-        rref, pivots = _sparse_rref(
-            [col + [(n + k, P._den)] for k, col in enumerate(transposed)],
-            2 * n)
+        rows, pivots = _sparse_rref(
+            [col + [(n + k, P._den)] for k, col in enumerate(transposed)])
         rank = sum(1 for p in pivots if p < n)
-        g = [[_ZERO] * n for _ in range(n)]
-        for k in range(rank):
-            for j in range(n):
-                g[j][pivots[k]] = rref[k][n + j]
-        null = [row[n:] for row in rref[rank:]]
-        null_t = Matrix(list(zip(*null))) if null else None
-        return Matrix(g), null_t, null, [p - n for p in pivots[rank:]]
+        columns, d = _echelon_columns(rows[:rank], pivots, 2 * n)
+        G = Matrix._wrap([[(pivots[k], x) for k, x in col]
+                          for col in columns[n:]], d, n)
+        null = [{j - n: x for j, x in row.items()} for row in rows[rank:]]
+        null_pivots = [p - n for p in pivots[rank:]]
+        columns, d = _echelon_columns(null, null_pivots, n)
+        null_t = Matrix._wrap(columns, d, len(null)) if null else None
+        return G, null_t, (null, null_pivots)
 
     @property
-    def null_echelon(self) -> tuple[list[list[Fraction]], list[int]]:
+    def null_echelon(self) -> tuple[list[dict[int, int]], list[int]]:
         """The reduced echelon form of the kernel basis as rows, with its
         pivot columns, from the elimination behind ``right_divide``."""
-        return self._division[2], self._division[3]
+        return self._division[2]
 
     def right_divide(self, C: Matrix) -> Optional[Matrix]:
         """Deterministic X with X (I_N (x) P) = C, or None; free parameters
@@ -643,10 +603,49 @@ class Factorization:
         X_k P = C_k side by side, and N = 1 is X P = C: the null check is
         C (I_N (x) N^T) = 0 and X is C (I_N (x) G), both ``stack_mul``, which
         refuses a C whose width is not a multiple of n."""
-        G, null_t, _, _ = self._division
+        G, null_t, _ = self._division
         if null_t is not None and not C.stack_mul(null_t).is_zero():
             return None
         return C.stack_mul(G)
+
+    def symmetry_stack(self) -> Matrix:
+        """The basis that ``symmetry.formal_symmetry_stack`` describes, for
+        square P: the element of the free pair (b, c) is 1 at (b, c) and
+        -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair, read off the
+        integer rows of ``echelon`` and ``null_echelon``."""
+        n = self.P.rows
+        (rows, pivots), (null, null_pivots) = self.echelon, self.null_echelon
+        p_cols, d1 = _echelon_columns(rows, pivots, n)
+        k_cols, d2 = _echelon_columns(null, null_pivots, n)
+        pivot_set, null_set = set(pivots), set(null_pivots)
+        out = [[] for _ in range(n)]
+        offset = 0
+        for b in range(n):
+            for c in range(n):
+                if b in pivot_set and c in null_set:
+                    continue
+                out[b].append((offset + c, d1 * d2))
+                for i, x in p_cols[b]:
+                    for k, y in k_cols[c]:
+                        out[pivots[i]].append((offset + null_pivots[k], -x * y))
+                offset += n
+        for row in out:
+            row.sort()
+        return Matrix._wrap(out, d1 * d2, offset)
+
+
+def _echelon_columns(rows: Sequence[dict[int, int]], pivots: Sequence[int],
+                     cols: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The ``cols`` columns of the reduced echelon form with these integer
+    rows, over ``d``, the lcm of the pivots, and ``d``: column j is the
+    ``(k, value)`` pairs of its nonzero entries, k the row, in order."""
+    d = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    out = [[] for _ in range(cols)]
+    for k, (row, p) in enumerate(zip(rows, pivots)):
+        scale = d // row[p]
+        for j, x in row.items():
+            out[j].append((k, x * scale))
+    return out, d
 
 
 def range_member(m: Matrix, f: Sequence) -> bool:
@@ -666,10 +665,37 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """
     if not vectors:
         return []
-    rows = [[(j, v) for j, v in enumerate(row) if v]
-            for row in _int_rows(vectors)]
-    rref, pivots = _sparse_rref(rows, len(vectors[0]))
-    return [tuple(row) for row in rref[: len(pivots)]]
+    rows, pivots = _sparse_rref(
+        [(j, x) for j, x in enumerate(_integer_form(v)[0]) if x]
+        for v in vectors)
+    basis = []
+    for row, p in zip(rows, pivots):
+        out = [_ZERO] * len(vectors[0])
+        for j, x in row.items():
+            out[j] = Fraction(x, row[p])
+        out[p] = _ONE
+        basis.append(tuple(out))
+    return basis
+
+
+def block_span(stacks: Sequence[Matrix], width: int) -> list[dict[int, int]]:
+    """The span of the blocks, ``width`` columns wide and read row by row,
+    of every stack [B_1 | ... | B_N] in ``stacks``, as its reduced echelon
+    form in ``_sparse_rref``'s format.  That form is canonical, so two
+    spans are equal exactly when their outputs are, and the rank is the
+    length of the output.  No block is formed."""
+    vectors = []
+    for stack in stacks:
+        if width < 1 or stack.cols % width or stack.rows != stacks[0].rows:
+            raise InputError(f"cannot split a {stack.rows}x{stack.cols} stack "
+                             f"into blocks {width} wide")
+        blocks = [{} for _ in range(stack.cols // width)]
+        for r, row in enumerate(stack._entries):
+            for j, v in row:
+                k, c = divmod(j, width)
+                blocks[k][r * width + c] = v
+        vectors.extend(blocks)
+    return _sparse_rref(vectors)[0]
 
 
 def affine_sets_equal(s1: AffineSolutionSet, s2: AffineSolutionSet) -> bool:

@@ -35,11 +35,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
-                      instantiate, make_truncated_derivative_instance,
-                      solve_affine, span_basis)
+                      block_span, instantiate,
+                      make_truncated_derivative_instance, solve_affine)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
-                      dual_to_alpha, factor_product_complement,
-                      plan_dual_certificate,
+                      dual_to_alpha, plan_dual_certificate,
                       univariate_certificate, univariate_factors,
                       verify_certificate)
 from .errors import (InputError, IntegrabilityError, MembershipError,
@@ -384,11 +383,11 @@ def cmd_symmetry(job: JobSpec) -> dict:
         raise VerificationError(
             "symmetry mode needs a singleton-family certificate; "
             "regroup the factors first")
+    splitting = Splitting.of(cert, factors, inst)
     # P is eliminated twice per job, whatever the size of the basis: the
     # reduced form kept by its factorization gives the kernel and the
     # basis, and one right division gives every witness.
-    p_full = instantiate(factor_product_complement(factors, frozenset()), inst)
-    fact = p_full.factorization
+    fact = splitting.P.factorization
     kernel = fact.kernel
     # The basis is one stack [S_1 | ... | S_N], as enumeration builds it (an
     # explicit S is the stack with N = 1): its witness, and every slice and
@@ -401,13 +400,12 @@ def cmd_symmetry(job: JobSpec) -> dict:
             raise InputError("the 'symmetry' matrix must be square, of the "
                              "instance dimension")
     else:
-        stack = formal_symmetry_stack(p_full)
+        stack = formal_symmetry_stack(splitting.P)
     count = stack.cols // inst.dimension
-    splitting = Splitting.of(cert, factors, inst)
     out["instance"] = {"dimension": inst.dimension}
     out["operator_kernel_dim"] = len(kernel)
     out["symmetry_space_dimension"] = None if explicit else count
-    witness = is_formal_symmetry(stack, p_full)
+    witness = is_formal_symmetry(stack, splitting.P)
     if witness is None:
         raise VerificationError("the supplied matrix is not a formal symmetry")
     reports = [{"index": idx, "identities_hold": True,
@@ -420,22 +418,22 @@ def cmd_symmetry(job: JobSpec) -> dict:
     # The generation check compares the maps that the basis and the
     # reconstructions induce on the kernel: the image of S is S K, and the
     # image of a reconstruction is its fold times K; on the stack each is
-    # one ``stack_mul`` by the n x d matrix K, and the d x d maps are read
-    # off the stack of coordinates block by block.
-    def induced_on_kernel(stacked: Matrix) -> list[tuple]:
+    # one ``stack_mul`` by the n x d matrix K, and the d x d maps are the
+    # blocks of the stack of coordinates.
+    def induced_on_kernel(stacked: Matrix) -> Matrix:
         image = stacked.stack_mul(fact.kernel_matrix)
         coordinates = fact.kernel_coordinates(image)
         if coordinates is None:
             raise VerificationError(
                 "internal error: a verified symmetry left the kernel")
-        return coordinates.block_vectors(count)
+        return coordinates
 
     generation = bool(kernel) and not explicit
     if generation:
-        induced, rebuilt = induced_on_kernel(stack), []
+        induced, rebuilt = [induced_on_kernel(stack)], []
     for gen, back in splitting.decompose(FormalSymmetry(stack, witness)):
         if generation:
-            rebuilt.extend(induced_on_kernel(back.S))
+            rebuilt.append(induced_on_kernel(back.S))
         if explicit:
             reports[0]["generalized"].append({
                 "i": gen.i, "j": gen.j,
@@ -445,9 +443,7 @@ def cmd_symmetry(job: JobSpec) -> dict:
             })
 
     if generation:
-        # Zero maps span nothing, and many reconstructions induce zero on
-        # the kernel: every S_ij with i or j a factor of trivial kernel.
-        induced, rebuilt = (span_basis([v for v in maps if any(v)])
+        induced, rebuilt = (block_span(maps, len(kernel))
                             for maps in (induced, rebuilt))
         out["generation"] = {
             "induced_dimension": len(induced),

@@ -12,14 +12,15 @@ A symmetry job eliminates P twice, whatever the size of its symmetry space:
 ``P.factorization``, the one ``backend.Factorization`` of P, holds the
 reduced echelon form of P (and so the kernel basis K) and one right
 division by P (the reduced form of [P^T | I]), and every function here
-that needs either reads it there.  Both are sparse eliminations
-(``backend._sparse_rref``), as are the two ``span_basis`` calls of the
-CLI's generation check, so a job's elimination work follows the nonzero
-entries of P and of the induced maps, most of which are matrix units.
-The enumerated basis is read off the two reduced forms (the Kronecker
-structure of the constraint system) as one stack [S_1 | ... | S_N] of
-n x n blocks (``formal_symmetry_stack``), which a caller runs on as it
-is.  Every witness, slice, fold and identity is
+that needs either asks it.  Both are sparse eliminations
+(``backend._sparse_rref``), as are the two ``backend.block_span`` calls
+of the CLI's generation check, so a job's elimination work follows the
+nonzero entries of P and of the induced maps, most of which are matrix
+units; nothing here reads echelon rows or eliminates densely.  The
+factorization reads the enumerated basis off its two reduced forms (the
+Kronecker structure of the constraint system) as one stack
+[S_1 | ... | S_N] of n x n blocks (``formal_symmetry_stack``), which a
+caller runs on as it is.  Every witness, slice, fold and identity is
 linear in (S, S'), so a stack passes through them whole: a right factor R
 becomes I_N (x) R, the identity P S = S' P becomes P S = S' (I_N (x) P),
 and the work is a fixed number of products whatever N is, with the
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .backend import Matrix, OperatorInstance, instantiate
@@ -231,10 +231,10 @@ def formal_symmetry_stack(P: Matrix) -> Matrix:
     rref(P) (x) rref(K^T), with pivots at the pairs of pivot columns.  The
     basis is the nullspace basis of that form in the reduced-echelon
     convention, one element per free pair (b, c) in order, reshaped: 1 at
-    (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.  The
-    stack is built as integer rows over the product of the two forms'
-    common denominators.  A P past ``SYMMETRY_DIMENSION_CAP`` is refused
-    before any elimination.
+    (b, c) and -rref(P)[i][b] * rref(K^T)[k][c] at each pivot pair.
+    ``P.factorization`` builds the stack from the integer rows of the two
+    forms, over the product of the lcms of their pivots.  A P past
+    ``SYMMETRY_DIMENSION_CAP`` is refused before any elimination.
     """
     if not P.is_square():
         raise InputError("P must be square")
@@ -243,33 +243,7 @@ def formal_symmetry_stack(P: Matrix) -> Matrix:
         raise ResourceLimitError(
             f"symmetry enumeration capped at dimension {SYMMETRY_DIMENSION_CAP}, "
             f"got {n}")
-    fact = P.factorization
-    rref, pivots = fact.echelon
-    null, null_pivots = fact.null_echelon
-    # Column b of rref(P) and column c of rref(K^T) as (pivot, integer)
-    # pairs, over the denominators d1 and d2.
-    d1 = lcm(*(x.denominator for row in rref for x in row))
-    d2 = lcm(*(x.denominator for row in null for x in row))
-    p_cols = [[(p, row[b].numerator * (d1 // row[b].denominator))
-               for row, p in zip(rref, pivots) if row[b]] for b in range(n)]
-    k_cols = [[(q, row[c].numerator * (d2 // row[c].denominator))
-               for row, q in zip(null, null_pivots) if row[c]]
-              for c in range(n)]
-    pivot_set, null_set = set(pivots), set(null_pivots)
-    rows = [[] for _ in range(n)]
-    offset = 0
-    for b in range(n):
-        for c in range(n):
-            if b in pivot_set and c in null_set:
-                continue
-            rows[b].append((offset + c, d1 * d2))
-            for p, x in p_cols[b]:
-                for q, y in k_cols[c]:
-                    rows[p].append((offset + q, -x * y))
-            offset += n
-    for row in rows:
-        row.sort()
-    return Matrix._wrap(rows, d1 * d2, offset)
+    return P.factorization.symmetry_stack()
 
 
 def enumerate_formal_symmetries(P: Matrix) -> list[Matrix]:

@@ -4,13 +4,14 @@ import random
 import time
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 import pytest
 
 from opkit.errors import InputError, ResourceLimitError
 from opkit.backend import (_ONE, _ZERO, AffineSolutionSet, Matrix,
-                           OperatorInstance, _int_rows, _rref, _sparse_rref,
-                           affine_sets_equal,
+                           OperatorInstance, _integer_form, _rref,
+                           _sparse_rref, affine_sets_equal, block_span,
                            graded_monomials, instantiate, kernel_basis,
                            make_truncated_derivative_instance, range_member,
                            solve_affine, span_basis)
@@ -28,6 +29,13 @@ def P(text, variables=("x",)):
 
 def rank(m):
     return len(span_basis(m.row_list()))
+
+
+def echelon_maps(basis):
+    """``span_basis`` rows, each with pivot 1, in ``_sparse_rref``'s
+    format: primitive ``{col: int}`` maps."""
+    return [{j: x for j, x in enumerate(_integer_form(v)[0]) if x}
+            for v in basis]
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -111,8 +119,8 @@ class TestMatrixFormat:
 
 
 class TestBlocks:
-    """hsplit, block_vectors and stack_mul against Fraction grid loops and
-    a materialised I_N (x) R."""
+    """hsplit, block_span and stack_mul against Fraction grid loops, span
+    bases and a materialised I_N (x) R."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_match_grid_loops(self, seed):
@@ -128,8 +136,16 @@ class TestBlocks:
         assert_same_matrix(hstack(blocks), stack)
         for got, want in zip(stack.hsplit(len(blocks)), blocks):
             assert_same_matrix(got, want)
-        assert stack.block_vectors(len(blocks)) == [
-            tuple(chain.from_iterable(g)) for g in grids]
+        # The span of the blocks, each read row by row, zero block included.
+        flat = [tuple(chain.from_iterable(b.row_list()))
+                for b in stack.hsplit(len(blocks))]
+        assert block_span([stack], width) == echelon_maps(span_basis(flat))
+        other = Matrix(fraction_grid(rng, rows, 2 * width, denominators))
+        flat += [tuple(chain.from_iterable(b.row_list()))
+                 for b in other.hsplit(2)]
+        assert block_span([stack, other], width) == echelon_maps(
+            span_basis(flat))
+        assert block_span([Matrix.zeros(rows, width)], width) == []
         copies = rng.randint(1, 4)
         square = Matrix(fraction_grid(rng, width, width, denominators))
         kron = [[entry(square, r % width, c % width) if r // width == c // width
@@ -174,7 +190,10 @@ class TestBlocks:
             with pytest.raises(InputError):
                 Matrix.identity(6).hsplit(count)
             with pytest.raises(InputError):
-                Matrix.identity(6).block_vectors(count)
+                block_span([Matrix.identity(6)], count)
+        # Blocks of stacks with different row counts are not comparable.
+        with pytest.raises(InputError):
+            block_span([Matrix.identity(2), Matrix.zeros(3, 2)], 2)
         # The stack width must be a multiple of R.rows, whatever R.cols is.
         for R in (Matrix.identity(4), Matrix.zeros(4, 6), Matrix.zeros(5, 1)):
             with pytest.raises(InputError):
@@ -370,20 +389,33 @@ class TestInstanceContext:
 
 
 def assert_same_elimination(rows, cols):
-    """The sparse elimination of integer ``rows`` returns what the dense one
-    does, every zero the shared _ZERO and every pivot the shared _ONE."""
-    want = _rref([list(r) for r in rows])
-    got = _sparse_rref([[(j, v) for j, v in enumerate(r) if v] for r in rows],
-                       cols)
-    assert got == want
-    echelon, pivots = got
-    assert len(echelon) == len(rows)
-    for k, row in enumerate(echelon):
-        assert all(v is _ZERO for v in row if not v)
-        if k < len(pivots):
-            assert row[pivots[k]] is _ONE
-        else:
-            assert not any(row)
+    """The sparse elimination of integer ``rows`` gives the reduced echelon
+    form that the dense one does: its nonzero rows, each a primitive map
+    with a positive pivot that divides to the dense row, and the same
+    pivots.  ``span_basis``, ``kernel_basis`` and ``solve_affine`` on the
+    rows give every zero as the shared _ZERO, and every pivot and every
+    free-column one as the shared _ONE."""
+    want, want_pivots = _rref([list(r) for r in rows])
+    got, pivots = _sparse_rref([(j, v) for j, v in enumerate(r) if v]
+                               for r in rows)
+    assert pivots == want_pivots and len(got) == len(pivots)
+    for row, p, dense in zip(got, pivots, want):
+        assert min(row) == p and row[p] > 0 and all(row.values())
+        assert gcd(*row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[p]) for j in range(cols)] == dense
+    assert not any(any(row) for row in want[len(pivots):])
+    basis = span_basis([tuple(Fraction(v) for v in r) for r in rows])
+    assert basis == [tuple(row) for row in want[:len(pivots)]]
+    assert all(v[p] is _ONE for v, p in zip(basis, pivots))
+    m = Matrix(rows)
+    kernel = kernel_basis(m)
+    free = [j for j in range(cols) if j not in pivots]
+    assert len(kernel) == len(free)
+    assert all(v[j] is _ONE for v, j in zip(kernel, free))
+    sol = solve_affine(m, m.apply([Fraction(j) for j in range(cols)]))
+    assert list(sol.kernel_vectors) == kernel
+    vectors = basis + kernel + [sol.particular]
+    assert all(x is _ZERO for v in vectors for x in v if not x)
 
 
 def integer_rows(rng, rows, cols, density, rank=None):
@@ -417,15 +449,15 @@ class TestSparseElimination:
             m = integer_rows(rng, rows, cols, rng.random(), rank)
             assert_same_elimination(m, cols)
             assert len(_sparse_rref(
-                [[(j, v) for j, v in enumerate(r) if v] for r in m],
-                cols)[1]) <= rank
+                [(j, v) for j, v in enumerate(r) if v] for r in m)[1]) <= rank
 
     def test_dense_rows_cleared_from_rationals(self, rng):
         for _ in range(60):
             cols = rng.randint(1, 7)
             grid = fraction_grid(rng, rng.randint(1, 7), cols,
                                  BIG_DENOMINATORS)
-            assert_same_elimination(_int_rows(grid), cols)
+            assert_same_elimination([_integer_form(v)[0] for v in grid],
+                                    cols)
 
     def test_zero_rows_and_zero_columns(self, rng):
         for _ in range(60):
@@ -511,6 +543,28 @@ class TestKernelAndSolve:
             assert sol.particular == tuple(Fraction(0) for _ in range(m.cols))
             assert list(sol.kernel_vectors) == kernel_basis(m)
 
+    def test_right_sides_share_one_kernel_elimination(self, monkeypatch):
+        # The dense pass per right side gives only the particular solution;
+        # the kernel is the matrix's own, eliminated once for every f.
+        import opkit.backend
+        calls = []
+        rref = opkit.backend._sparse_rref
+        monkeypatch.setattr(opkit.backend, "_sparse_rref",
+                            lambda rows: calls.append(1) or rref(rows))
+        inst = make_truncated_derivative_instance(2, 4)
+        m = instantiate(P("x*y + x", "xy"), inst)
+        rng = random.Random(17)
+        fs = [m.apply(random_vector(rng, m.cols)) for _ in range(4)]
+        assert len(set(fs)) == len(fs)
+        solutions = [solve_affine(m, f) for f in fs]
+        assert calls == [1]
+        kernel = m.factorization.kernel
+        assert kernel and calls == [1]
+        for sol, f in zip(solutions, fs):
+            assert m.apply(sol.particular) == f
+            assert len(sol.kernel_vectors) == len(kernel)
+            assert all(v is w for v, w in zip(sol.kernel_vectors, kernel))
+
     def test_determinism(self, rng):
         m = random_matrix(rng, 5, 7)
         assert kernel_basis(m) == kernel_basis(m)
@@ -582,9 +636,10 @@ class TestSubspaces:
         calls = []
         rref = opkit.backend._sparse_rref
 
-        def counted(rows, cols):
+        def counted(rows):
+            rows = list(rows)
             calls.append(len(rows))
-            return rref(rows, cols)
+            return rref(rows)
 
         monkeypatch.setattr(opkit.backend, "_sparse_rref", counted)
         rng = random.Random(3)

@@ -267,13 +267,16 @@ class TestVerifyOnce:
                           for i, col in enumerate(zip(*p_rows))]
             eliminations = []
 
-            def counted(rows, cols):
+            p_maps, division_maps = (
+                [{j: v for j, v in enumerate(r) if v} for r in dense]
+                for dense in (p_rows, transposed))
+
+            def counted(rows):
                 rows = [dict(r) for r in rows]
-                dense = [[r.get(j, 0) for j in range(cols)] for r in rows]
-                eliminations.append("P" if dense == p_rows
-                                    else "division" if dense == transposed
+                eliminations.append("P" if rows == p_maps
+                                    else "division" if rows == division_maps
                                     else "span")
-                return rref(rows, cols)
+                return rref(rows)
 
             monkeypatch.setattr(opkit.backend, "_sparse_rref", counted)
             code, out, _ = run_cli(capsys, "symmetry", "--job",
@@ -310,8 +313,8 @@ class TestVerifyOnce:
             if name.startswith("opkit") and hasattr(module, "solve_affine"):
                 monkeypatch.setattr(module, "solve_affine", counted(
                     "solve", module.solve_affine))
-        monkeypatch.setattr(opkit.cli, "span_basis", counted(
-            "span", opkit.cli.span_basis))
+        monkeypatch.setattr(opkit.cli, "block_span", counted(
+            "span", opkit.cli.block_span))
         path = write_job(tmp_path, SYMMETRY_ENUMERATED_JOB)
         code, _, _ = run_cli(capsys, "certify", "--job", path)
         assert code == 0

@@ -393,7 +393,7 @@ def test_common_denominator():
     assert all(type(x) is int for x in nums)
     assert [Fraction(x, d) for x in nums] == v
     assert backend._integer_form([]) == ([], 1)
-    assert backend._int_rows([v, [Fraction(0)]]) == [nums, [0]]
+    assert backend._integer_form([Fraction(0)]) == ([0], 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

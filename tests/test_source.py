@@ -9,6 +9,8 @@ A helper that only tests call belongs in ``tests/`` as a reference copy.
 
 ``backend._rref``, the dense elimination, is read only by
 ``solve_affine``; every other elimination is ``backend._sparse_rref``.
+Only ``backend`` reads a matrix's fields or echelon rows, or builds a
+``Matrix`` from integer rows.
 """
 
 import ast
@@ -50,6 +52,17 @@ def referenced_names(tree, skip, attributes_only=False):
     return names
 
 
+def reads(node, name):
+    """True when ``node`` reads or imports ``name``; a dotted
+    ``Owner.attr`` is only the attribute read on the name ``Owner``."""
+    owner, _, attr = name.rpartition(".")
+    if isinstance(node, ast.Attribute) and node.attr == attr:
+        return not owner or (isinstance(node.value, ast.Name)
+                             and node.value.id == owner)
+    return not owner and (isinstance(node, ast.Name) and node.id == name
+                          or isinstance(node, ast.alias) and node.name == name)
+
+
 def readers(trees, name):
     """(module, function) for each module-level function and method of a
     module-level class in ``trees`` that reads or imports ``name``, other
@@ -59,13 +72,10 @@ def readers(trees, name):
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             for member in members:
-                if not any(isinstance(n, ast.Name) and n.id == name
-                           or isinstance(n, ast.Attribute) and n.attr == name
-                           or isinstance(n, ast.alias) and n.name == name
-                           for n in ast.walk(member)):
+                if not any(reads(n, name) for n in ast.walk(member)):
                     continue
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if member.name != name:
+                    if member.name != name.rpartition(".")[2]:
                         found.add((module, member.name))
                 else:
                     found.add((module, None))
@@ -127,6 +137,27 @@ def test_solve_affine_is_the_only_dense_elimination():
     # Every other caller eliminates through backend._sparse_rref; the dense
     # path stays behind solve_affine alone until that moves too.
     assert readers(source_trees(), "_rref") == {("backend", "solve_affine")}
+
+
+def test_only_backend_reads_matrix_fields_and_echelon_rows():
+    # Matrices and echelon forms leave backend as values: Fractions, kernel
+    # vectors, matrices built by backend, or a canonical span to compare.
+    trees = source_trees()
+    outside = {(name, module, function)
+               for name in ("_entries", "_den", "echelon", "null_echelon",
+                            "Matrix._wrap", "Matrix._canonical")
+               for module, function in readers(trees, name)
+               if module != "backend"}
+    assert outside == set()
+
+
+def test_a_dotted_name_is_read_on_its_owner_only():
+    tree = ast.parse("def build(rows):\n    return Matrix._wrap(rows, 1, 2)\n\n"
+                     "def poly(terms):\n    return Polynomial._wrap(terms, 1)\n\n"
+                     "def imported():\n    from m import _wrap\n")
+    assert readers({"m": tree}, "Matrix._wrap") == {("m", "build")}
+    assert readers({"m": tree}, "_wrap") == {
+        ("m", "build"), ("m", "poly"), ("m", "imported")}
 
 
 def test_the_check_finds_every_reader():
