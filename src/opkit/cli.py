@@ -143,19 +143,21 @@ class JobSpec:
             return OperatorInstance.of(mats)
         raise InputError(f"unknown instance kind {kind!r}")
 
-    def vector(self, key: str, dimension: int, rng: random.Random,
-               in_range_of: Optional[Matrix] = None) -> Optional[tuple]:
-        raw = self.raw.get(key)
+    def f(self, p_full: Matrix) -> Optional[tuple]:
+        """The right side 'f' of ``p_full u = f``, None when the job has
+        none; "random-in-range" applies ``p_full`` to a vector drawn from
+        the job's seed."""
+        raw = self.raw.get("f")
         if raw is None:
             return None
+        dimension = p_full.cols
         if raw == "random-in-range":
-            if in_range_of is None:
-                raise InputError(f"'{key}': random-in-range needs an instance")
-            u = [Fraction(rng.randint(-9, 9)) for _ in range(dimension)]
-            return in_range_of.apply(u)
+            rng = random.Random(self.seed)
+            return p_full.apply(
+                [Fraction(rng.randint(-9, 9)) for _ in range(dimension)])
         if not isinstance(raw, list) or len(raw) != dimension:
-            raise InputError(f"'{key}' must be a vector of length {dimension}")
-        return as_vector([self._rational(v, key) for v in raw])
+            raise InputError(f"'f' must be a vector of length {dimension}")
+        return as_vector([self._rational(v, "f") for v in raw])
 
     def index_family(self, raw, what: str) -> SetSystem:
         factors = self.require_factors()
@@ -275,8 +277,7 @@ def cmd_reduce(job: JobSpec) -> dict:
     if inst is not None:
         nvars = factors[0].variable_count
         p_full = instantiate(product(factors, nvars), inst)
-        rng = random.Random(job.seed)
-        f = job.vector("f", inst.dimension, rng, in_range_of=p_full)
+        f = job.f(p_full)
         if f is None:
             raise InputError("reduce with an instance needs 'f'")
     report, subsolutions = split(cert, factors, job.variables, inst, f)
@@ -487,8 +488,7 @@ def cmd_system(job: JobSpec) -> dict:
         return out
     nvars = factors[0].variable_count
     p_full = instantiate(product(factors, nvars), inst)
-    rng = random.Random(job.seed)
-    f = job.vector("f", inst.dimension, rng, in_range_of=p_full)
+    f = job.f(p_full)
     raw_g = job.raw.get("g")
     if f is None or raw_g is None:
         raise InputError("system mode with an instance needs 'f' and 'g'")

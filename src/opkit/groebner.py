@@ -19,25 +19,13 @@ homogenized generators (Giovini et al. 1991); ties go by creation index,
 and reduction uses the first applicable divisor.  So the replay repeats the
 probe step for step and only adds the cofactors.
 
-Inside a run every monomial is one packed int (Bachmann & Schonemann,
-"Monomial representations for Groebner bases computations", ISSAC 1998): a
-total-degree field and one field per variable, each field ``bits`` value
-bits under one guard bit that a valid monomial keeps clear.  Multiplying
-monomials is adding ints, ``a`` divides ``b`` exactly when ``(b - a)`` has
-no guard bit set, and the lcm is a per-field max under a mask.  The field
-order follows the monomial order: lex puts x_1 highest and the degree
-lowest, grlex the degree highest and then x_1 .. x_n, so under both the int
-itself is the sort key; grevlex puts the degree highest and then
-x_n .. x_1, and its key is the int with the variable fields complemented,
-``flip ^ m`` (which is ``flip + 2*deg_part - m``).  The generators are
-packed when a run starts, and only what leaves the run (cofactors, and the
-basis a test reads) is unpacked.  Every exponent is at most its monomial's
-degree, so a field can only wrap if the degree field does: each element
-keeps the largest degree among its terms and cofactors, and packing, every
-lcm, every S-pair shift and every reduction shift check the degree field's
-guard bit.  A set guard bit stops the run, which starts over with fields
-twice as wide; the first run's fields fit the input degrees with room to
-double, and all of them in one 30-bit int digit when they can.
+A run packs its monomials with a ``poly.Packing`` for its order, packs
+the generators when it starts, and unpacks only what leaves it.  Each
+element keeps the largest degree among its terms and cofactors, and
+packing, every lcm, S-pair shift and reduction shift check the degree
+field's guard bit.  A set guard bit (``poly.FieldOverflow``) restarts the
+run with fields twice as wide; the first run's fields fit the input
+degrees with room to double, in one 30-bit int digit when they can.
 
 The arithmetic is fraction-free: every polynomial is an integer term map.
 A basis element is divided by the content of its terms and cofactors
@@ -70,12 +58,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import kernels
+from . import kernels, poly
 from .errors import (InputError, MembershipError, ResourceLimitError,
                      VerificationError)
 from .poly import (CERTIFICATE_BITS_CAP, DEFAULT_ORDER, TERM_CAP_ENV,
-                   MonomialOrder, Polynomial, _check_certificate_bits,
-                   resolve_term_cap, sum_of_products)
+                   MonomialOrder, Packing, Polynomial,
+                   _check_certificate_bits, resolve_term_cap,
+                   sum_of_products)
 
 
 @dataclass(frozen=True)
@@ -100,73 +89,8 @@ def _check_cap(terms: dict, cap: int) -> None:
             f"raise {TERM_CAP_ENV} to continue")
 
 
-class _FieldOverflow(Exception):
-    """A degree reached its field's guard bit: the run starts over with
-    wider fields."""
-
-
-class _Packing:
-    """The packed-int monomials of one run: field layout, masks and key."""
-
-    __slots__ = ("bits", "shifts", "deg_shift", "guards", "deg_guard",
-                 "exp_guards", "exp_values", "exp_low", "ones", "sum_shift",
-                 "key")
-
-    def __init__(self, nvars: int, order: MonomialOrder, bits: int):
-        width = bits + 1
-        if order is MonomialOrder.LEX:
-            fields, deg_field = range(nvars, 0, -1), 0
-        elif order is MonomialOrder.GRLEX:
-            fields, deg_field = range(nvars - 1, -1, -1), nvars
-        else:
-            fields, deg_field = range(nvars), nvars
-        field = (1 << bits) - 1
-        self.bits = bits
-        self.shifts = tuple(f * width for f in fields)
-        self.deg_shift = deg_field * width
-        self.deg_guard = 1 << (self.deg_shift + bits)
-        self.exp_guards = sum(1 << (s + bits) for s in self.shifts)
-        self.guards = self.exp_guards | self.deg_guard
-        self.exp_values = sum(field << s for s in self.shifts)
-        self.exp_low = min(self.shifts)
-        self.ones = sum(1 << (k * width) for k in range(nvars))
-        self.sum_shift = (nvars - 1) * width
-        self.key = (self.exp_values.__xor__
-                    if order is MonomialOrder.GREVLEX else None)
-
-    def pack(self, exp: tuple) -> int:
-        degree = sum(exp)
-        if degree >> self.bits:
-            raise _FieldOverflow("packing")
-        m = degree << self.deg_shift
-        for e, s in zip(exp, self.shifts):
-            m |= e << s
-        return m
-
-    def unpack(self, m: int) -> tuple:
-        field = (1 << self.bits) - 1
-        return tuple((m >> s) & field for s in self.shifts)
-
-    def degree(self, m: int) -> int:
-        return (m >> self.deg_shift) & ((1 << self.bits) - 1)
-
-    def lcm(self, a: int, b: int) -> int:
-        # The guard stays set in the variable fields where a >= b, and no
-        # field borrows from its neighbour; those fields take a, the rest b.
-        wins = ((a | self.guards) - b) & self.exp_guards
-        keep = wins - (wins >> self.bits)
-        m = (a & keep) | (b & (self.exp_values ^ keep))
-        # Multiplying by one 1 per field sums the fields into the top one;
-        # no partial sum passes deg a + deg b, so none carries.
-        degree = ((((m >> self.exp_low) * self.ones) >> self.sum_shift)
-                  & ((2 << self.bits) - 1))
-        if degree >> self.bits:
-            raise _FieldOverflow("lcm")
-        return m | (degree << self.deg_shift)
-
-
 def _reduce(terms: dict, cofs: list[dict], scale: int,
-            basis: list["_BasisElem"], packing: _Packing, cap: int) -> dict:
+            basis: list["_BasisElem"], packing: Packing, cap: int) -> dict:
     """Full normal form of ``terms / scale`` against basis.
 
     ``terms`` and each of ``cofs`` are integer term maps over the one
@@ -184,7 +108,7 @@ def _reduce(terms: dict, cofs: list[dict], scale: int,
             if shift & guards:
                 continue
             if (elem.top + shift) & deg_guard:
-                raise _FieldOverflow("reduction shift")
+                raise poly.FieldOverflow("reduction shift")
             coeff = terms[m]
             if (coeff.bit_length() > CERTIFICATE_BITS_CAP
                     or scale.bit_length() > CERTIFICATE_BITS_CAP):
@@ -230,7 +154,7 @@ class _BasisElem:
 
 
 def _gebauer_moller(leads: list[int], queued: dict[tuple[int, int], int],
-                    packing: _Packing) -> list[int]:
+                    packing: Packing) -> list[int]:
     """Pairs for the newest element, ``leads[-1]``, by the Gebauer-Moller
     criteria; returns the indices of the elements it is paired with.
 
@@ -267,7 +191,7 @@ def _start_bits(generators: Sequence[Polynomial]) -> int:
 
 
 def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
-                    cap: int, track: bool) -> tuple[list[_BasisElem], _Packing]:
+                    cap: int, track: bool) -> tuple[list[_BasisElem], Packing]:
     """One Buchberger run, stopped as soon as a nonzero constant enters.
 
     The run ends with that constant when the generators reach 1, and with a
@@ -288,18 +212,18 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         raise InputError("all generators are zero")
     bits = _start_bits(gens)
     while True:
-        packing = _Packing(nvars, order, bits)
+        packing = Packing(nvars, order, bits)
         try:
             return _run_at_width(gens, packing, cap, track), packing
-        except _FieldOverflow:
+        except poly.FieldOverflow:
             bits *= 2
 
 
-def _run_at_width(gens: list[Polynomial], packing: _Packing, cap: int,
+def _run_at_width(gens: list[Polynomial], packing: Packing, cap: int,
                   track: bool) -> list[_BasisElem]:
     """The run of :func:`_run_buchberger` at one field width."""
     ngens = len(gens)
-    key, degree, pack = packing.key, packing.degree, packing.pack
+    key, degree = packing.key, packing.degree
     deg_guard = packing.deg_guard
     deg_values = deg_guard - (1 << packing.deg_shift)
 
@@ -344,13 +268,11 @@ def _run_at_width(gens: list[Polynomial], packing: _Packing, cap: int,
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        den = math.lcm(*(c.denominator for c in g._terms.values()))
+        terms, den = packing.pack_terms(g._terms)
         cofs: list[dict] = []
         if track:
             cofs = [{} for _ in range(ngens)]
             cofs[i] = {0: den}  # 0 packs the constant monomial
-        terms = {pack(e): c.numerator * (den // c.denominator)
-                 for e, c in g._terms.items()}
         if push_elem(terms, cofs, g.total_degree()):
             return basis
 
@@ -362,7 +284,7 @@ def _run_at_width(gens: list[Polynomial], packing: _Packing, cap: int,
         ei, ej = basis[i], basis[j]
         ishift, jshift = lcm - ei.lead, lcm - ej.lead
         if (ei.top + ishift) & deg_guard or (ej.top + jshift) & deg_guard:
-            raise _FieldOverflow("S-pair shift")
+            raise poly.FieldOverflow("S-pair shift")
         g = math.gcd(ei.lc, ej.lc)
         a, c = ej.lc // g, ei.lc // g  # over the scale lcm(ei.lc, ej.lc)
         sterms = {m + ishift: a * v for m, v in ei.terms.items()}
@@ -413,8 +335,7 @@ def bezout_certificate(generators: Sequence[Polynomial],
         raise MembershipError("1 is not in the ideal of the generators")
     nvars = generators[0].variable_count
     cert = BezoutCertificate(tuple(
-        Polynomial._wrap({packing.unpack(m): Fraction(c, unit.lc)
-                          for m, c in cof.items()}, nvars)
+        Polynomial._wrap(packing.unpack_terms(cof, unit.lc), nvars)
         for cof in unit.cofs))
     if not cert.verify(generators):
         raise VerificationError(

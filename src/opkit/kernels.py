@@ -2,17 +2,19 @@
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
 Fractions, and the integer reduction step of fraction-free Buchberger on
-integer term maps keyed by packed-int monomials), the integer matrix
-product and apply on the sparse integer rows of a ``backend.Matrix`` (and
-the product of a stack of blocks by I_N (x) B), and the dense integer row
-operation used by fraction-free elimination.
+integer term maps keyed by the packed-int monomials of ``poly.Packing``),
+the integer matrix product and apply on the sparse integer rows of a
+``backend.Matrix`` (and the product of a stack of blocks by I_N (x) B),
+and the dense integer row operation used by fraction-free elimination.
 Callers reach the kernels by attribute (``kernels.mat_mul``), so a test or
 a tracer can substitute one.
 
 Binary ``*`` (``poly_mul``) stays on Fractions.  A product of several
 factors, and every identity check (a sum of such products), is one call
-of ``poly_sum_of_products``, which runs on integers over packed-int
-monomials and builds a Fraction only for each term of the result.
+of ``poly_sum_of_products``, which runs on integers over the packed-int
+monomials of a ``poly.Packing`` its caller sizes, and builds a Fraction
+only for each term of the result.  This module imports nothing from the
+package, so the packing is passed in.
 
 All polynomial kernels keep the canonical-form invariant: no zero
 coefficient is ever stored.
@@ -78,24 +80,20 @@ def poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def poly_sum_of_products(groups, nvars: int) -> dict:
+def poly_sum_of_products(groups, packing) -> dict:
     """Return the term map of sum over g in groups of prod over t in g of t.
 
-    ``groups`` is a sequence of sequences of term maps in ``nvars``
-    variables; an empty group is 1, an empty sequence of groups 0.  Each
-    factor is cleared to integers over the lcm of its denominators, and
-    its monomials are packed into ints whose fields are wide enough for
-    the largest sum of total degrees over a group, so adding packed ints
-    multiplies monomials and no field can carry into the next.  Each group
-    is multiplied on ints in the order given, the groups are summed over
-    one common denominator, and each surviving term is divided out once.
-    The inputs are left unmodified.
+    ``groups`` is a sequence of sequences of term maps; an empty group is
+    1, an empty sequence of groups 0.  ``packing`` is a ``poly.Packing``
+    whose fields fit the largest sum of total degrees over a group, so
+    adding packed ints multiplies monomials and no field can carry.  Each
+    factor is cleared to integers over the lcm of its denominators
+    (``packing.pack_terms``), each group is multiplied on ints in the order
+    given, the groups are summed over one common denominator, and each
+    surviving term is divided out once (``packing.unpack_terms``).  The
+    inputs are left unmodified.
     """
-    factors = {id(t): t for g in groups for t in g}
-    degrees = {k: max(map(sum, t), default=0) for k, t in factors.items()}
-    width = max((sum(degrees[id(t)] for t in g) for g in groups),
-                default=0).bit_length() or 1
-    cleared = {k: _clear(t, width) for k, t in factors.items()}
+    cleared = {id(t): packing.pack_terms(t) for g in groups for t in g}
     products = []
     for g in groups:
         acc, den = {0: 1}, 1
@@ -119,29 +117,7 @@ def poly_sum_of_products(groups, nvars: int) -> dict:
             s = den // d
             for m, v in terms.items():
                 total[m] = get(m, 0) + v * s
-    mask = (1 << width) - 1
-    out = {}
-    for m, v in total.items():
-        if v:
-            exp = [0] * nvars
-            for i in range(nvars - 1, -1, -1):
-                exp[i] = m & mask
-                m >>= width
-            out[tuple(exp)] = Fraction(v, den)
-    return out
-
-
-def _clear(terms: dict, width: int) -> tuple[dict, int]:
-    """A term map as (packed-int monomial -> int, denominator), variable 0
-    in the highest field."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    out = {}
-    for exp, c in terms.items():
-        m = 0
-        for e in exp:
-            m = (m << width) | e
-        out[m] = c.numerator * (den // c.denominator)
-    return out, den
+    return packing.unpack_terms(total, den)
 
 
 def _int_mul(a: dict, b: dict) -> dict:
@@ -185,7 +161,7 @@ def poly_isubmul_int(acc: dict, a: int, c: int, shift: int,
 
     The fraction-free reduction step: with acc over a scale s and q over
     its leading coefficient, the result is over the scale a * s.  The
-    monomials are packed ints (``groebner._Packing``), so x^shift * x^e is
+    monomials are packed ints (``poly.Packing``), so x^shift * x^e is
     ``e + shift``; the caller keeps every sum clear of the guard bits.
     """
     if a != 1:

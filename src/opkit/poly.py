@@ -40,11 +40,25 @@ converted.  Digits are ASCII only.  Certificates built from capped
 inputs have their own cap, CERTIFICATE_BITS_CAP (14000 bits, fixed), which
 groebner and certify check on the cofactors they build, and groebner on the
 values its runs carry: every coefficient within it prints.
+
+Buchberger (``groebner``) and ``kernels.poly_sum_of_products`` run on one
+packed form, :class:`Packing` (Bachmann & Schonemann, ISSAC 1998): a
+monomial is one int, a total-degree field and one field per variable, each
+``bits`` value bits under a guard bit.  Multiplying monomials is adding
+ints, ``a`` divides ``b`` exactly when ``(b - a)`` has no guard bit set,
+and the lcm is a per-field max under a mask.  Lex puts x_1 highest and the
+degree lowest, grlex the degree highest and then x_1 .. x_n, so the int is
+the sort key; grevlex puts the degree highest and then x_n .. x_1, and its
+key is the int with the variable fields complemented.  A field can only
+wrap if the degree field does, so packing and the lcm raise FieldOverflow
+when the degree reaches its guard bit.  ``pack_terms`` clears a Fraction
+term map over the lcm of its denominators; ``unpack_terms`` inverts it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 from fractions import Fraction
 from types import MappingProxyType
@@ -105,6 +119,87 @@ class MonomialOrder(enum.Enum):
 
 
 DEFAULT_ORDER = MonomialOrder.GREVLEX
+
+
+class FieldOverflow(Exception):
+    """A degree reached its field's guard bit: the packing is too narrow."""
+
+
+class Packing:
+    """Packed-int monomials in ``nvars`` variables under ``order``, with
+    ``bits`` value bits per field: the layout, masks and sort key, and the
+    conversions from and to Fraction term maps."""
+
+    __slots__ = ("bits", "mask", "shifts", "deg_shift", "guards", "deg_guard",
+                 "exp_guards", "exp_values", "exp_low", "ones", "sum_shift",
+                 "key")
+
+    def __init__(self, nvars: int, order: MonomialOrder, bits: int):
+        width = bits + 1
+        if order is MonomialOrder.LEX:
+            fields, deg_field = range(nvars, 0, -1), 0
+        elif order is MonomialOrder.GRLEX:
+            fields, deg_field = range(nvars - 1, -1, -1), nvars
+        else:
+            fields, deg_field = range(nvars), nvars
+        self.bits = bits
+        self.mask = mask = (1 << bits) - 1
+        self.shifts = tuple(f * width for f in fields)
+        self.deg_shift = deg_field * width
+        self.deg_guard = 1 << (self.deg_shift + bits)
+        self.exp_guards = sum(1 << (s + bits) for s in self.shifts)
+        self.guards = self.exp_guards | self.deg_guard
+        self.exp_values = sum(mask << s for s in self.shifts)
+        self.exp_low = min(self.shifts)
+        self.ones = sum(1 << (k * width) for k in range(nvars))
+        self.sum_shift = (nvars - 1) * width
+        self.key = (self.exp_values.__xor__
+                    if order is MonomialOrder.GREVLEX else None)
+
+    def pack(self, exp: tuple) -> int:
+        degree = sum(exp)
+        if degree >> self.bits:
+            raise FieldOverflow("packing")
+        m = degree << self.deg_shift
+        for e, s in zip(exp, self.shifts):
+            m |= e << s
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        mask = self.mask
+        return tuple([(m >> s) & mask for s in self.shifts])
+
+    def degree(self, m: int) -> int:
+        return (m >> self.deg_shift) & self.mask
+
+    def lcm(self, a: int, b: int) -> int:
+        # The guard stays set in the variable fields where a >= b, and no
+        # field borrows from its neighbour; those fields take a, the rest b.
+        wins = ((a | self.guards) - b) & self.exp_guards
+        keep = wins - (wins >> self.bits)
+        m = (a & keep) | (b & (self.exp_values ^ keep))
+        # Multiplying by one 1 per field sums the fields into the top one;
+        # no partial sum passes deg a + deg b, so none carries.
+        degree = ((((m >> self.exp_low) * self.ones) >> self.sum_shift)
+                  & ((2 << self.bits) - 1))
+        if degree >> self.bits:
+            raise FieldOverflow("lcm")
+        return m | (degree << self.deg_shift)
+
+    def pack_terms(self, terms: Mapping[Exponent, Fraction]
+                   ) -> tuple[dict, int]:
+        """A Fraction term map as (packed monomial -> int, den), cleared
+        over the lcm ``den`` of its denominators."""
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        pack = self.pack
+        return ({pack(e): c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}, den)
+
+    def unpack_terms(self, terms: Mapping[int, int], den: int) -> dict:
+        """The Fraction term map of an integer map over ``den``, its zero
+        entries dropped."""
+        unpack = self.unpack
+        return {unpack(m): Fraction(v, den) for m, v in terms.items() if v}
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -260,21 +355,26 @@ class Polynomial:
 def sum_of_products(groups: Iterable[Iterable[Polynomial]],
                     variable_count: int) -> Polynomial:
     """The sum over the groups of the product of each group, in one integer
-    pass (``kernels.poly_sum_of_products``); an empty group is 1.
+    pass (``kernels.poly_sum_of_products``); an empty group is 1.  Its
+    :class:`Packing` has fields wide enough for the largest sum of total
+    degrees over a group, so no product of a group can overflow one.
 
     Raises InputError if a polynomial has another variable count.
     """
-    maps = []
+    maps, degree = [], 0
     for g in groups:
-        row = []
+        row, total = [], 0
         for p in g:
             if p._nvars != variable_count:
                 raise InputError(
                     f"variable-count mismatch: {variable_count} vs {p._nvars}")
             row.append(p._terms)
+            total += max(p.total_degree(), 0)
         maps.append(row)
+        degree = max(degree, total)
+    packing = Packing(variable_count, DEFAULT_ORDER, degree.bit_length() or 1)
     return Polynomial._wrap(
-        kernels.poly_sum_of_products(maps, variable_count), variable_count)
+        kernels.poly_sum_of_products(maps, packing), variable_count)
 
 
 def product(polys: Iterable[Polynomial], variable_count: int) -> Polynomial:

@@ -501,6 +501,15 @@ class TestKernelAndSolve:
         zero = instantiate(P("(x+1)*(x+2)"), inst)
         assert len(kernel_basis(zero)) == 2
 
+    def test_kernel_coordinates(self):
+        # diag(0, 1) has the kernel basis e_0, free at column 0: a kernel
+        # image's coordinates are its row 0, and an image with a column
+        # outside the kernel has none.
+        fact = diagonal([0, 1]).factorization
+        assert fact.kernel_coordinates(Matrix([[3, -1], [0, 0]])) == \
+            Matrix([[3, -1]])
+        assert fact.kernel_coordinates(Matrix([[3, 0], [0, 1]])) is None
+
     def test_solve_identity(self):
         sol = solve_affine(Matrix.identity(2), [5, -3])
         assert sol.particular == (Fraction(5), Fraction(-3))

@@ -325,6 +325,15 @@ class TestTrueDecomposition:
         ok, _ = verify_certificate(cert, factors)
         assert ok
 
+    def test_one_factor_is_its_own_unit(self):
+        # With one factor P^{0} is the empty product, and 1 = 1 * 1.
+        factors = [P("x^2+1", ["x"])]
+        cert = true_decomposition_certificate(factors)
+        assert cert.alpha.canonical() == [[0]]
+        assert cert.cofactors == {frozenset((0,)): Polynomial.one(1)}
+        ok, _ = verify_certificate(cert, factors)
+        assert ok
+
     def test_non_coprime_pair_rejected(self):
         with pytest.raises(MembershipError):
             true_decomposition_certificate([P("x"), P("x*y+y+1")])

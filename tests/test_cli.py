@@ -197,50 +197,60 @@ class TestMembershipCap:
         assert time.perf_counter() - start < 2
 
 
+def count_identity_checks(monkeypatch):
+    """The kind of every exact identity check, in order: each
+    ``verify_certificate`` call by certificate type, and each
+    ``BezoutCertificate.verify`` call."""
+    import opkit.certify
+    import opkit.cli
+    from opkit.groebner import BezoutCertificate
+    calls = []
+    verify = opkit.certify.verify_certificate
+    bezout_verify = BezoutCertificate.verify
+
+    def counted(cert, factors):
+        calls.append(type(cert).__name__)
+        return verify(cert, factors)
+
+    def counted_bezout(cert, generators):
+        calls.append("BezoutCertificate")
+        return bezout_verify(cert, generators)
+
+    for module in (opkit.certify, opkit.cli):
+        monkeypatch.setattr(module, "verify_certificate", counted)
+    monkeypatch.setattr(BezoutCertificate, "verify", counted_bezout)
+    return calls
+
+
 class TestVerifyOnce:
+    # The demo's dual certificate is its four Bezout identities, each
+    # checked where the tracked run builds it; the alpha certificate is
+    # checked once as a whole.
     @pytest.mark.parametrize("job, checks", [
-        (demo_job_dict(), 2),   # the dual certificate, then the alpha one
-        ({"variables": ["x"], "lambdas": ["1", "2", "5"]}, 1),
+        (demo_job_dict(), ["BezoutCertificate"] * 4 + ["Certificate"]),
+        ({"variables": ["x"], "lambdas": ["1", "2", "5"]}, ["Certificate"]),
     ], ids=["demo", "lambdas"])
     def test_certify_checks_each_certificate_once(self, capsys, tmp_path,
                                                   monkeypatch, job, checks):
-        import opkit.certify
-        import opkit.cli
-        calls = []
-        verify = opkit.certify.verify_certificate
-
-        def counted(cert, factors):
-            calls.append(type(cert).__name__)
-            return verify(cert, factors)
-
-        for module in (opkit.certify, opkit.cli):
-            monkeypatch.setattr(module, "verify_certificate", counted)
+        calls = count_identity_checks(monkeypatch)
         code, out, _ = run_cli(capsys, "certify", "--job",
                                write_job(tmp_path, job))
         assert code == 0
         assert json.loads(out)["alpha_certificate"]["verified"] is True
-        assert len(calls) == checks
-        assert calls[-1] == "Certificate"
+        assert calls == checks
 
     def test_reduce_checks_the_certificate_once_more(self, capsys, tmp_path,
                                                     monkeypatch):
-        import opkit.certify
-        calls = []
-        verify = opkit.certify.verify_certificate
-
-        def counted(cert, factors):
-            calls.append(type(cert).__name__)
-            return verify(cert, factors)
-
-        monkeypatch.setattr(opkit.certify, "verify_certificate", counted)
+        calls = count_identity_checks(monkeypatch)
         path = str(DEMO_JOB)
         code, _, _ = run_cli(capsys, "certify", "--job", path)
-        assert code == 0 and len(calls) == 2
+        certify = ["BezoutCertificate"] * 4 + ["Certificate"]
+        assert code == 0 and calls == certify
         code, out, _ = run_cli(capsys, "reduce", "--job", path)
         assert code == 0
         assert json.loads(out)["solution_sets_equal"] is True
-        # certify's two checks, then one at the boundary of split
-        assert calls[2:] == ["DualCertificate", "Certificate", "Certificate"]
+        # certify's checks, then one at the boundary of split
+        assert calls[len(certify):] == certify + ["Certificate"]
 
     def test_symmetry_eliminates_p_once(self, capsys, tmp_path, monkeypatch):
         # A job runs the same four eliminations whatever its basis size:
@@ -1414,7 +1424,9 @@ class TestSystemMode:
                                                          tmp_path, monkeypatch):
         import opkit.cli
         import opkit.reducer
-        calls = {"verify_system_certificate": 0, "integrability_violations": 0}
+        from opkit.groebner import BezoutCertificate
+        calls = {"verify_system_certificate": 0, "integrability_violations": 0,
+                 "BezoutCertificate.verify": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1422,17 +1434,22 @@ class TestSystemMode:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in ("verify_system_certificate", "integrability_violations"):
             wrapper = counted(name, getattr(opkit.reducer, name))
             for module in (opkit.reducer, opkit.cli):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(BezoutCertificate, "verify", counted(
+            "BezoutCertificate.verify", BezoutCertificate.verify))
         code, out, _ = run_cli(capsys, "system", "--job",
                                write_job(tmp_path, CONSISTENT_SYSTEM_JOB))
         assert code == 0
         assert json.loads(out)["certificate"]["verified"] is True
-        assert calls == {"verify_system_certificate": 1,
-                         "integrability_violations": 1}
+        # The system identity is the Bezout identity of its search, checked
+        # where the tracked run builds it.
+        assert calls == {"verify_system_certificate": 0,
+                         "integrability_violations": 1,
+                         "BezoutCertificate.verify": 1}
 
     def test_inconsistent_data_is_4(self, capsys, tmp_path):
         path = write_job(tmp_path, {

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from opkit import backend, groebner, kernels
-from opkit.poly import MonomialOrder
+from opkit import backend, kernels, poly
+from opkit.poly import MonomialOrder, Packing, Polynomial
 
 from conftest import BIG_DENOMINATORS
 
@@ -87,12 +87,23 @@ def random_int_matrix(rng, rows, cols, scales=(1, 2, 3, 4), density=0.7):
 def isubmul_int(acc, a, c, shift, q, order=MonomialOrder.GREVLEX):
     """kernels.poly_isubmul_int on maps keyed by exponent tuples: packs the
     monomials of one run, takes the step and unpacks acc in place."""
-    packing = groebner._Packing(len(shift), order, 8)
-    packed = {packing.pack(e): v for e, v in acc.items()}
+    packing = Packing(len(shift), order, 8)
+    packed, _ = packing.pack_terms(acc)
     kernels.poly_isubmul_int(packed, a, c, packing.pack(shift),
-                             {packing.pack(e): v for e, v in q.items()})
+                             packing.pack_terms(q)[0])
     acc.clear()
+    # Monomial by monomial, not unpack_terms: the values stay the kernel's
+    # own ints, zeros included, for the caller to check.
     acc.update({packing.unpack(m): v for m, v in packed.items()})
+
+
+def sum_of_products(groups, nvars):
+    """kernels.poly_sum_of_products on term maps, under the packing that
+    poly.sum_of_products sizes for them: fields just wide enough for the
+    largest sum of total degrees over a group."""
+    return poly.sum_of_products(
+        [[Polynomial._wrap(t, nvars) for t in g] for g in groups],
+        nvars)._terms
 
 
 def assert_canonical(terms):
@@ -139,7 +150,7 @@ def test_poly_sum_of_products_exact(seed):
               for size in [0, 1, 2, 3, 4] + [rng.randint(0, 4)] * 2]
     rng.shuffle(groups)
     before = [[dict(t) for t in g] for g in groups]
-    got = kernels.poly_sum_of_products(groups, nvars)
+    got = sum_of_products(groups, nvars)
     assert got == ref_sum_of_products(groups, nvars)
     assert_canonical(got)
     assert groups == before
@@ -150,18 +161,18 @@ def test_poly_sum_of_products_edges():
     a = {(1, 0): Fraction(1, 3), (0, 1): Fraction(-2), (0, 0): Fraction(5, 7)}
     b = {(2, 1): Fraction(-4, 9), (0, 0): Fraction(1)}
     neg_a = kernels.poly_neg(a)
-    assert kernels.poly_sum_of_products([], 2) == {}
-    assert kernels.poly_sum_of_products([[]], 2) == one
-    assert kernels.poly_sum_of_products([[], []], 2) == {(0, 0): Fraction(2)}
+    assert sum_of_products([], 2) == {}
+    assert sum_of_products([[]], 2) == one
+    assert sum_of_products([[], []], 2) == {(0, 0): Fraction(2)}
     # A zero factor zeroes its group only.
-    assert kernels.poly_sum_of_products([[a, {}, b], [x]], 2) == x
-    assert kernels.poly_sum_of_products([[{}]], 2) == {}
+    assert sum_of_products([[a, {}, b], [x]], 2) == x
+    assert sum_of_products([[{}]], 2) == {}
     # a*b + b*(-a) cancels to zero, and so does a - a with an extra 1 - 1.
-    assert kernels.poly_sum_of_products([[a, b], [b, neg_a]], 2) == {}
-    assert kernels.poly_sum_of_products(
+    assert sum_of_products([[a, b], [b, neg_a]], 2) == {}
+    assert sum_of_products(
         [[a], [neg_a], [one], [{(0, 0): Fraction(-1)}]], 2) == {}
     # The same map as several factors: (x + 1)^3 in one group.
-    cube = kernels.poly_sum_of_products([[a, a, a]], 2)
+    cube = sum_of_products([[a, a, a]], 2)
     assert cube == ref_mul(ref_mul(a, a), a)
 
 
@@ -184,7 +195,7 @@ def test_poly_sum_of_products_degree_bound(nvars, bound):
               [random_terms(rng, nvars, 4, (1, 2, 3)) for _ in range(2)]]
     groups[1] = [{e: c for e, c in t.items() if sum(e) <= bound // 2}
                  for t in groups[1]]
-    got = kernels.poly_sum_of_products(groups, nvars)
+    got = sum_of_products(groups, nvars)
     assert got == ref_sum_of_products(groups, nvars)
     assert all(tuple(bound if i == v else 0 for i in range(nvars)) in got
                for v in range(nvars))

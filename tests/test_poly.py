@@ -66,6 +66,17 @@ class TestArithmetic:
             assert a + Polynomial.zero(nvars) == a
             assert a * Polynomial.one(nvars) == a
 
+    def test_scalar_products(self):
+        # Polynomial * Fraction, int * Polynomial, and no float either side.
+        p = P("x^2*y - 3*x + 1/2")
+        assert p * Fraction(2, 3) == P("2/3*x^2*y - 2*x + 1/3")
+        assert 3 * p == p * 3 == P("3*x^2*y - 9*x + 3/2")
+        assert 0 * p == Polynomial.zero(2)
+        with pytest.raises(TypeError):
+            p * 1.5
+        with pytest.raises(TypeError):
+            1.5 * p
+
     def test_pow(self):
         assert P("x+1") ** 2 == P("x^2+2*x+1")
         assert P("x+y") ** 0 == Polynomial.one(2)

@@ -78,6 +78,11 @@ class TestSplit:
             m = instantiate(product([factors[j] for j in sorted(J)], 1), inst)
             assert m.apply(sol.particular) == f
 
+    def test_instance_without_f_rejected(self):
+        cert, factors = univariate_setup()
+        with pytest.raises(InputError, match="without a right-hand side"):
+            split(cert, factors, ["x"], diag_instance())
+
     def test_bad_certificate_rejected(self):
         cert, factors = univariate_setup()
         tweaked = dict(cert.cofactors)
@@ -140,6 +145,8 @@ class TestMaps:
         parts = {frozenset((0,)): [1, 1], frozenset((1,)): [0, 0]}
         with pytest.raises(InputError):
             map_B(cert, factors, inst, parts, f=[0, 0])
+        with pytest.raises(InputError, match="cover alpha"):
+            map_B(cert, factors, inst, {frozenset((0,)): [1, 1]})
 
 
 class TestSolutionSets:
@@ -156,6 +163,18 @@ class TestSolutionSets:
             _, sols = split(cert, factors, ["x"], inst, f)
             recombined = recombined_solution_set(cert, factors, inst, sols)
             assert affine_sets_equal(direct, recombined)
+
+    def test_unsolvable_subproblem_leaves_no_solution(self):
+        # x and x + 1 on diag(-1, -2): P_{1} = diag(0, -1) misses f = (1, 0),
+        # and so does P = diag(0, 2).
+        cert, factors = univariate_setup((0, 1))
+        inst = diag_instance()
+        f = (Fraction(1), Fraction(0))
+        _, sols = split(cert, factors, ["x"], inst, f)
+        assert sols[frozenset((1,))].is_empty()
+        assert recombined_solution_set(cert, factors, inst, sols).is_empty()
+        p_full = instantiate(product(factors, 1), inst)
+        assert solve_affine(p_full, f).is_empty()
 
     def test_homogeneous_case(self, rng):
         cert, factors = univariate_setup((0, 2))
