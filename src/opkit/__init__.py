@@ -48,6 +48,7 @@ from .errors import (
 from .groebner import (
     BezoutCertificate,
     contains_one,
+    divide_multi,
 )
 from .planner import (
     DecompositionPlan,
@@ -67,7 +68,6 @@ from .poly import (
     DEFAULT_ORDER,
     MonomialOrder,
     Polynomial,
-    divide_multi,
     format_polynomial,
     parse_polynomial,
 )

@@ -320,15 +320,15 @@ def true_decomposition_certificate(
 
     Requires every factor pair to generate the unit ideal.  Missing
     singletons (cancelled cofactors) are padded with explicit zeros so the
-    family is exactly the singletons.
+    family is exactly the singletons.  The identity is the one
+    ``dual_to_alpha`` checked; one factor gives 1 = 1 * 1, with nothing to
+    check.
     """
     nvars = _check_atoms(factors)
     ell = len(factors) - 1
     if ell == 0:
-        cert = Certificate(
-            SetSystem.of(0, [[0]]),
-            {frozenset((0,)): Polynomial.one(nvars)})
-        return _verified(cert, factors, "trivial certificate")
+        return Certificate(SetSystem.of(0, [[0]]),
+                           {frozenset((0,)): Polynomial.one(nvars)})
     from itertools import combinations
     beta = SetSystem.of(ell, [list(c) for c in combinations(range(ell + 1), 2)])
     dual = dual_certificate(factors, beta, order)
@@ -339,6 +339,5 @@ def true_decomposition_certificate(
     if any(len(J) != 1 for J in cofactors):
         raise VerificationError(
             "internal error: pairwise conversion left a non-singleton set")
-    out = Certificate(
+    return Certificate(
         SetSystem.of(ell, [[i] for i in range(ell + 1)]), cofactors)
-    return _verified(out, factors, "true-decomposition certificate")

@@ -1,4 +1,5 @@
-"""Buchberger's algorithm over Q[x], for deciding whether 1 is in an ideal.
+"""Buchberger's algorithm over Q[x], for deciding whether 1 is in an ideal,
+and multivariate division on the same reduction step.
 
 There are two kinds of run.  The probe, :func:`is_unit`, runs on the values
 alone and answers yes or no.  The tracked run, :func:`bezout_certificate`,
@@ -32,19 +33,23 @@ A basis element is divided by the content of its terms and cofactors
 together and leads positive, so its monic value is ``terms / lc`` and its
 cofactors are ``cofs / lc``.  An S-polynomial under reduction, with its
 cofactors, is an integer term map over one integer scale, and a reduction
-step is ``acc = a*acc - c*x^shift*q`` (``kernels.poly_isubmul_int``) with
+step is ``acc = a*acc - c*x^shift*q`` (``kernels.poly_isubmul``) with
 ``a`` and ``c`` free of common factors.  The exact values are those of a
-run on monic Fraction polynomials.
+run on monic Fraction polynomials.  :func:`divide_multi` is the same
+reduction, on the same widening packings, with the divisors as the basis:
+one integer reduction step serves Buchberger and division.
 
 Coefficient growth is uncontrolled in exact arithmetic, so a per-polynomial
 term-count cap (default 100000, override with OPKIT_TERM_CAP) aborts
 runaway computations.  The cap applies to every polynomial a run carries:
-values always, cofactors only in the replay.  A membership search that
+values always, cofactors only in the replay; and in a division to the
+dividend under reduction and to the quotients.  A membership search that
 ends without 1 carries no cofactors, so it may finish under a cap that its
 cofactors would pass; a search that finds 1 still stops at the cap in its
 replay.  Coefficient size is capped by ``poly.CERTIFICATE_BITS_CAP``:
 both runs refuse a value coefficient past it, checked on the coefficient
-each reduction step cancels and on every new element's monic value, and
+each reduction step cancels (a division's too) and on every new element's
+monic value, and
 the replay also refuses a new element whose cofactors have a coefficient
 past it.  The cap is checked on the exact reduced Fractions, which are
 built only when an unreduced integer passes it.
@@ -90,14 +95,15 @@ def _check_cap(terms: dict, cap: int) -> None:
 
 
 def _reduce(terms: dict, cofs: list[dict], scale: int,
-            basis: list["_BasisElem"], packing: Packing, cap: int) -> dict:
+            basis: list["_BasisElem"], packing: Packing,
+            cap: int) -> tuple[dict, int]:
     """Full normal form of ``terms / scale`` against basis.
 
     ``terms`` and each of ``cofs`` are integer term maps over the one
     positive integer ``scale``.  ``terms`` is consumed and each of ``cofs``
     is updated in place with the same steps (none when the run does not
-    track cofactors); the returned remainder is over the scale the cofs end
-    on.
+    track cofactors).  Returns the remainder and the scale it and the cofs
+    end on.
     """
     key, guards, deg_guard = packing.key, packing.guards, packing.deg_guard
     remainder = []  # (monomial, coefficient, scale when it was set aside)
@@ -117,15 +123,15 @@ def _reduce(terms: dict, cofs: list[dict], scale: int,
             g = math.gcd(coeff, elem.lc)
             a, c = elem.lc // g, coeff // g
             scale *= a
-            kernels.poly_isubmul_int(terms, a, c, shift, elem.terms)
+            kernels.poly_isubmul(terms, a, c, shift, elem.terms)
             _check_cap(terms, cap)
             for wc, bc in zip(cofs, elem.cofs):
-                kernels.poly_isubmul_int(wc, a, c, shift, bc)
+                kernels.poly_isubmul(wc, a, c, shift, bc)
                 _check_cap(wc, cap)
             break
         else:
             remainder.append((m, terms.pop(m), scale))
-    return {m: v * (scale // at) for m, v, at in remainder}
+    return {m: v * (scale // at) for m, v, at in remainder}, scale
 
 
 def _check_value_bits(values, lc: int, what: str) -> None:
@@ -145,12 +151,23 @@ class _BasisElem:
 
     __slots__ = ("terms", "cofs", "lead", "lc", "top")
 
-    def __init__(self, terms: dict, cofs: list[dict], lead: int, top: int):
+    def __init__(self, terms: dict, cofs: list[dict], packing: Packing):
+        """The element of nonzero ``terms`` with ``cofs``, divided by their
+        common content and made to lead positive."""
+        lead = max(terms, key=packing.key)
+        content = math.gcd(*terms.values(), *(v for cof in cofs
+                                         for v in cof.values()))
+        if terms[lead] < 0:
+            content = -content
+        if content != 1:
+            terms = {m: v // content for m, v in terms.items()}
+            cofs = [{m: v // content for m, v in cof.items()} for cof in cofs]
+        deg_values = packing.deg_guard - (1 << packing.deg_shift)
         self.terms = terms
         self.cofs = cofs
         self.lead = lead
         self.lc = terms[lead]
-        self.top = top
+        self.top = max(m & deg_values for poly in (terms, *cofs) for m in poly)
 
 
 def _gebauer_moller(leads: list[int], queued: dict[tuple[int, int], int],
@@ -190,6 +207,19 @@ def _start_bits(generators: Sequence[Polynomial]) -> int:
     return max((2 * degree).bit_length(), 30 // (nvars + 1) - 1, 1)
 
 
+def _widening(polys: Sequence[Polynomial], order: MonomialOrder, run):
+    """``run(packing)`` on a packing for ``order`` whose fields start at
+    ``_start_bits(polys)`` and double each time a degree reaches a guard
+    bit; returns its result and the packing it ran on."""
+    bits = _start_bits(polys)
+    while True:
+        packing = Packing(polys[0].variable_count, order, bits)
+        try:
+            return run(packing), packing
+        except poly.FieldOverflow:
+            bits *= 2
+
+
 def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                     cap: int, track: bool) -> tuple[list[_BasisElem], Packing]:
     """One Buchberger run, stopped as soon as a nonzero constant enters.
@@ -210,22 +240,15 @@ def _run_buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             raise InputError("generators must share a variable count")
     if all(g.is_zero() for g in gens):
         raise InputError("all generators are zero")
-    bits = _start_bits(gens)
-    while True:
-        packing = Packing(nvars, order, bits)
-        try:
-            return _run_at_width(gens, packing, cap, track), packing
-        except poly.FieldOverflow:
-            bits *= 2
+    return _widening(gens, order,
+                     lambda packing: _run_at_width(gens, packing, cap, track))
 
 
 def _run_at_width(gens: list[Polynomial], packing: Packing, cap: int,
                   track: bool) -> list[_BasisElem]:
     """The run of :func:`_run_buchberger` at one field width."""
     ngens = len(gens)
-    key, degree = packing.key, packing.degree
-    deg_guard = packing.deg_guard
-    deg_values = deg_guard - (1 << packing.deg_shift)
+    degree, deg_guard = packing.degree, packing.deg_guard
 
     basis: list[_BasisElem] = []
     leads: list[int] = []
@@ -235,24 +258,16 @@ def _run_at_width(gens: list[Polynomial], packing: Packing, cap: int,
     counter = 0
 
     def push_elem(terms: dict, cofs: list[dict], sugar: int) -> bool:
-        """Append terms with cofs, divided by their common content and made
-        to lead positive; True if the element is a nonzero constant."""
+        """Append terms with cofs as an element; True if it is a nonzero
+        constant."""
         nonlocal counter
-        lead = max(terms, key=key)
-        content = math.gcd(*terms.values(), *(v for cof in cofs
-                                         for v in cof.values()))
-        if terms[lead] < 0:
-            content = -content
-        if content != 1:
-            terms = {m: v // content for m, v in terms.items()}
-            cofs = [{m: v // content for m, v in cof.items()} for cof in cofs]
-        lc = terms[lead]
-        _check_value_bits(terms.values(), lc, "a Buchberger value")
-        for cof in cofs:
-            _check_value_bits(cof.values(), lc, "a Bezout cofactor")
-        top = max(m & deg_values for poly in (terms, *cofs) for m in poly)
+        elem = _BasisElem(terms, cofs, packing)
+        _check_value_bits(elem.terms.values(), elem.lc, "a Buchberger value")
+        for cof in elem.cofs:
+            _check_value_bits(cof.values(), elem.lc, "a Bezout cofactor")
+        lead = elem.lead
         m = len(basis)
-        basis.append(_BasisElem(terms, cofs, lead, top))
+        basis.append(elem)
         leads.append(lead)
         sugars.append(sugar)
         lead_degree = degree(lead)
@@ -287,14 +302,14 @@ def _run_at_width(gens: list[Polynomial], packing: Packing, cap: int,
             raise poly.FieldOverflow("S-pair shift")
         g = math.gcd(ei.lc, ej.lc)
         a, c = ej.lc // g, ei.lc // g  # over the scale lcm(ei.lc, ej.lc)
-        sterms = {m + ishift: a * v for m, v in ei.terms.items()}
-        kernels.poly_isubmul_int(sterms, 1, c, jshift, ej.terms)
+        sterms = kernels.poly_term_mul(ei.terms, a, ishift)
+        kernels.poly_isubmul(sterms, 1, c, jshift, ej.terms)
         scofs = []
         for ci, cj in zip(ei.cofs, ej.cofs):
-            cof = {m + ishift: a * v for m, v in ci.items()}
-            kernels.poly_isubmul_int(cof, 1, c, jshift, cj)
+            cof = kernels.poly_term_mul(ci, a, ishift)
+            kernels.poly_isubmul(cof, 1, c, jshift, cj)
             scofs.append(cof)
-        remainder = _reduce(sterms, scofs, ei.lc * a, basis, packing, cap)
+        remainder, _ = _reduce(sterms, scofs, ei.lc * a, basis, packing, cap)
         if remainder and push_elem(remainder, scofs, rank):
             return basis
     return basis
@@ -353,3 +368,47 @@ def contains_one(
     if not is_unit(generators, order):
         return None
     return bezout_certificate(generators, order)
+
+
+def divide_multi(
+    p: Polynomial,
+    divisors: Sequence[Polynomial],
+    order: MonomialOrder = DEFAULT_ORDER,
+) -> tuple[list[Polynomial], Polynomial]:
+    """Multivariate division of p by an ordered list of divisors.
+
+    Returns (quotients, remainder) with p = sum(q_i * d_i) + r and no
+    monomial of r divisible by any divisor leading monomial.  Deterministic:
+    each step reduces by the first applicable divisor in list order.
+
+    It is Buchberger's reduction: divisor i is a basis element carrying the
+    cofactor e_i, so the cofactors the dividend ends on, over its final
+    scale, are minus the quotients.  Like every reduction it raises
+    ResourceLimitError when the dividend or a quotient passes the term cap
+    or a coefficient it cancels passes ``poly.CERTIFICATE_BITS_CAP``.
+    """
+    if not divisors:
+        raise InputError("need at least one divisor")
+    nvars = p.variable_count
+    for i, d in enumerate(divisors):
+        if d.is_zero():
+            raise InputError(f"divisor {i} is the zero polynomial")
+        if d.variable_count != nvars:
+            raise InputError("variable-count mismatch between dividend and divisors")
+    cap = resolve_term_cap()
+
+    def divide(packing: Packing) -> tuple[list[dict], dict, int]:
+        basis = []
+        for i, d in enumerate(divisors):
+            terms, den = packing.pack_terms(d._terms)
+            cofs: list[dict] = [{} for _ in divisors]
+            cofs[i] = {0: den}
+            basis.append(_BasisElem(terms, cofs, packing))
+        terms, scale = packing.pack_terms(p._terms)
+        cofs = [{} for _ in divisors]
+        return (cofs, *_reduce(terms, cofs, scale, basis, packing, cap))
+
+    (cofs, remainder, scale), packing = _widening([p, *divisors], order, divide)
+    return ([Polynomial._wrap(packing.unpack_terms(cof, -scale), nvars)
+             for cof in cofs],
+            Polynomial._wrap(packing.unpack_terms(remainder, scale), nvars))

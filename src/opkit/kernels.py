@@ -1,8 +1,9 @@
 """Exact kernels: the hot inner loops of the package, in pure Python.
 
 Sparse term-map arithmetic (dicts mapping exponent tuples to nonzero
-Fractions, and the integer reduction step of fraction-free Buchberger on
-integer term maps keyed by the packed-int monomials of ``poly.Packing``),
+Fractions, and on integer term maps keyed by the packed-int monomials of
+``poly.Packing`` the single-term product and the one reduction step that
+serves both fraction-free Buchberger and multivariate division),
 the integer matrix product and apply on the sparse integer rows of a
 ``backend.Matrix`` (and the product of a stack of blocks by I_N (x) B),
 and the dense integer row operation used by fraction-free elimination.
@@ -132,37 +133,21 @@ def _int_mul(a: dict, b: dict) -> dict:
     return {m: v for m, v in out.items() if v}
 
 
-def poly_term_mul(a: dict, coeff: Fraction, shift: tuple) -> dict:
-    """Return (coeff * x^shift) * a, the single-term product."""
-    if not coeff:
-        return {}
-    return {tuple(x + y for x, y in zip(exp, shift)): c * coeff
-            for exp, c in a.items()}
+def poly_term_mul(a: dict, coeff: int, shift: int) -> dict:
+    """Return (coeff * x^shift) * a on an integer term map: ``{m + shift:
+    coeff * v}``.  The monomials are packed ints (``poly.Packing``); the
+    caller keeps every sum clear of the guard bits and coeff nonzero."""
+    return {m + shift: coeff * v for m, v in a.items()}
 
 
-def poly_isubmul(acc: dict, coeff: Fraction, shift: tuple, q: dict) -> None:
-    """In place: acc -= (coeff * x^shift) * q.
-
-    This is the single reduction step of multivariate division and of
-    Buchberger's algorithm.
-    """
-    for exp, c in q.items():
-        key = tuple(x + y for x, y in zip(exp, shift))
-        new = acc.get(key, _ZERO) - coeff * c
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
-
-
-def poly_isubmul_int(acc: dict, a: int, c: int, shift: int,
-                     q: dict) -> None:
+def poly_isubmul(acc: dict, a: int, c: int, shift: int, q: dict) -> None:
     """In place on integer term maps: acc = a * acc - (c * x^shift) * q.
 
-    The fraction-free reduction step: with acc over a scale s and q over
-    its leading coefficient, the result is over the scale a * s.  The
-    monomials are packed ints (``poly.Packing``), so x^shift * x^e is
-    ``e + shift``; the caller keeps every sum clear of the guard bits.
+    The fraction-free reduction step of Buchberger's algorithm and of
+    multivariate division: with acc over a scale s and q over its leading
+    coefficient, the result is over the scale a * s.  The monomials are
+    packed ints (``poly.Packing``), so x^shift * x^e is ``e + shift``; the
+    caller keeps every sum clear of the guard bits.
     """
     if a != 1:
         for m, v in acc.items():

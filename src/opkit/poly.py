@@ -22,11 +22,12 @@ NUMBER is an integer or a contiguous rational literal ``a/b``; NAME matches
 syntax error), and '/' only appears inside rational literals.
 
 Parsing is bounded by the term cap (default 100000, override with
-OPKIT_TERM_CAP): a product of a t-term and a u-term polynomial forms t*u
-terms, and one that would form more than the cap raises ResourceLimitError
-before it is expanded.  Powers of a polynomial with two or more terms are
-built from such products, so "(x+y+1)^3000" is refused after a few small
-squarings, and no single product costs more than cap multiply-adds.  A
+OPKIT_TERM_CAP, a positive integer): a product of a t-term and a u-term
+polynomial forms t*u terms, and one that would form more than the cap
+raises ResourceLimitError before it is expanded.  Powers of a polynomial
+with two or more terms are built from such products, so "(x+y+1)^3000" is
+refused after a few small squarings, and no single product costs more
+than cap multiply-adds.  A
 product or power whose total degree would pass DEGREE_CAP (10000, fixed)
 raises ResourceLimitError too: the term cap does not bound "x^100000000",
 but Buchberger would then reduce its leading term one degree at a time.
@@ -82,15 +83,19 @@ TERM_CAP_ENV = "OPKIT_TERM_CAP"
 
 
 def resolve_term_cap() -> int:
-    """The per-polynomial term-count cap: OPKIT_TERM_CAP, else
-    DEFAULT_TERM_CAP."""
+    """The per-polynomial term-count cap: OPKIT_TERM_CAP, a positive
+    integer, else DEFAULT_TERM_CAP."""
     env = os.environ.get(TERM_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{TERM_CAP_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_TERM_CAP
+    if not env:
+        return DEFAULT_TERM_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0  # refused below, with the value as given
+    if cap < 1:
+        raise InputError(
+            f"{TERM_CAP_ENV} must be a positive integer, got {env!r}")
+    return cap
 
 
 class MonomialOrder(enum.Enum):
@@ -280,12 +285,6 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def leading_term(self, order: MonomialOrder = DEFAULT_ORDER) -> tuple[Exponent, Fraction]:
-        if not self._terms:
-            raise InputError("the zero polynomial has no leading term")
-        exp = max(self._terms, key=order.sort_key)
-        return exp, self._terms[exp]
-
     def _check_compatible(self, other: "Polynomial") -> None:
         if self._nvars != other._nvars:
             raise InputError(
@@ -384,53 +383,6 @@ def product(polys: Iterable[Polynomial], variable_count: int) -> Polynomial:
     check (:func:`sum_of_products`); binary ``*`` stays on Fractions.
     """
     return sum_of_products([polys], variable_count)
-
-
-def divide_multi(
-    p: Polynomial,
-    divisors: Sequence[Polynomial],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division of p by an ordered list of divisors.
-
-    Returns (quotients, remainder) with p = sum(q_i * d_i) + r and no
-    monomial of r divisible by any divisor leading monomial.  Deterministic:
-    each step reduces by the first applicable divisor in list order.
-    """
-    if not divisors:
-        raise InputError("need at least one divisor")
-    nvars = p.variable_count
-    leads = []
-    for i, d in enumerate(divisors):
-        if d.is_zero():
-            raise InputError(f"divisor {i} is the zero polynomial")
-        if d.variable_count != nvars:
-            raise InputError("variable-count mismatch between dividend and divisors")
-        leads.append(d.leading_term(order))
-    work = dict(p.terms)
-    remainder: dict = {}
-    quotients: list[dict] = [{} for _ in divisors]
-    key = order.sort_key
-    while work:
-        exp = max(work, key=key)
-        coeff = work[exp]
-        for i, (lexp, lcoeff) in enumerate(leads):
-            if all(e >= le for e, le in zip(exp, lexp)):
-                shift = tuple(e - le for e, le in zip(exp, lexp))
-                q = coeff / lcoeff
-                kernels.poly_isubmul(work, q, shift, divisors[i]._terms)
-                qterm = quotients[i]
-                new = qterm.get(shift, Fraction(0)) + q
-                if new:
-                    qterm[shift] = new
-                else:
-                    qterm.pop(shift, None)
-                break
-        else:
-            remainder[exp] = coeff
-            del work[exp]
-    return ([Polynomial._wrap(q, nvars) for q in quotients],
-            Polynomial._wrap(remainder, nvars))
 
 
 # ---------------------------------------------------------------------------

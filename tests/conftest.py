@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from opkit.poly import Polynomial
+from opkit.poly import DEFAULT_ORDER, Polynomial
 
 # Denominators large enough that a common denominator of a row is a big
 # integer, mixed with small ones.
@@ -220,6 +220,41 @@ def spans_equal(a, b) -> bool:
     from opkit.backend import span_basis
 
     return span_basis(a) == span_basis(b)
+
+
+def leading_term(p: Polynomial, order=DEFAULT_ORDER):
+    """(exponent, coefficient) of the leading term of a nonzero p."""
+    exp = max(p.terms, key=order.sort_key)
+    return exp, p.terms[exp]
+
+
+def reference_divide_multi(p: Polynomial, divisors, order=DEFAULT_ORDER):
+    """Reference multivariate division on plain Fraction term maps:
+    (quotients, remainder) with p = sum q_i d_i + r.  Each step takes the
+    largest monomial left and reduces it by the first divisor whose leading
+    monomial divides it, or sets it aside into the remainder."""
+    leads = [leading_term(d, order) for d in divisors]
+    work, remainder = dict(p.terms), {}
+    quotients = [{} for _ in divisors]
+    while work:
+        exp = max(work, key=order.sort_key)
+        coeff = work[exp]
+        for (lexp, lcoeff), d, quotient in zip(leads, divisors, quotients):
+            if all(e >= le for e, le in zip(exp, lexp)):
+                shift = tuple(e - le for e, le in zip(exp, lexp))
+                q = coeff / lcoeff
+                for dexp, c in d.terms.items():
+                    m = tuple(x + y for x, y in zip(dexp, shift))
+                    work[m] = work.get(m, 0) - q * c
+                    if not work[m]:
+                        del work[m]
+                quotient[shift] = q  # each step has its own shift
+                break
+        else:
+            remainder[exp] = work.pop(exp)
+    nvars = p.variable_count
+    return ([Polynomial(q, nvars) for q in quotients],
+            Polynomial(remainder, nvars))
 
 
 def is_constant(p: Polynomial) -> bool:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from opkit import certify
 from opkit.errors import InputError, MembershipError
 from opkit.certify import (Certificate, DualCertificate, UnivariateSpec,
                            alpha_to_dual, alpha_to_dual_system,
@@ -337,3 +338,19 @@ class TestTrueDecomposition:
     def test_non_coprime_pair_rejected(self):
         with pytest.raises(MembershipError):
             true_decomposition_certificate([P("x"), P("x*y+y+1")])
+
+    @pytest.mark.parametrize("factors, checks", [
+        (["x", "x+1", "x+2"], 1), (["x^2+1"], 0)])
+    def test_checks_the_identity_once(self, monkeypatch, factors, checks):
+        # dual_to_alpha checks the converted identity; padding it with zero
+        # cofactors changes nothing, and one factor has nothing to check.
+        calls = []
+        verify = certify.verify_certificate
+
+        def counted(cert, polys):
+            calls.append(cert)
+            return verify(cert, polys)
+
+        monkeypatch.setattr(certify, "verify_certificate", counted)
+        true_decomposition_certificate([P(f, ["x"]) for f in factors])
+        assert len(calls) == checks

@@ -371,6 +371,24 @@ class TestExitCodes:
         assert code == 3
         assert "resource" in err
 
+    @pytest.mark.parametrize("cap", ["-5", "0", "abc"])
+    def test_term_cap_must_be_a_positive_integer(self, capsys, monkeypatch,
+                                                 cap):
+        monkeypatch.setenv("OPKIT_TERM_CAP", cap)
+        code, out, err = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
+        assert code == 2 and out == ""
+        assert f"OPKIT_TERM_CAP must be a positive integer, got '{cap}'" in err
+        assert "Traceback" not in err
+
+    def test_cofactor_expansion_past_the_term_cap_is_3(self, capsys,
+                                                       monkeypatch):
+        # The demo's Buchberger runs fit a cap of 8; dual_to_alpha's
+        # expansion of their cofactors needs 9.
+        monkeypatch.setenv("OPKIT_TERM_CAP", "8")
+        code, out, err = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
+        assert code == 3 and out == ""
+        assert "cofactor expansion exceeded the term cap (8)" in err
+
     def test_huge_power_is_3_within_budget(self, capsys, tmp_path):
         # Refused after a few small squarings, in about 1 s on a 2-CPU
         # x86-64 VM.  Budget: 10 s.

@@ -18,11 +18,12 @@ from opkit import groebner, poly
 from opkit.cli import main
 from opkit.errors import (InputError, MembershipError, ResourceLimitError,
                           VerificationError)
-from opkit.groebner import BezoutCertificate, contains_one
-from opkit.poly import (DEFAULT_ORDER, MonomialOrder, Polynomial, divide_multi,
+from opkit.groebner import BezoutCertificate, contains_one, divide_multi
+from opkit.poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
                         format_polynomial, parse_polynomial, resolve_term_cap)
 
-from conftest import is_constant, random_polynomial, run_counts, to_sympy
+from conftest import (is_constant, leading_term, random_polynomial,
+                      reference_divide_multi, run_counts, to_sympy)
 
 V = ["x", "y"]
 
@@ -35,8 +36,8 @@ def s_polynomial(p, q, order=DEFAULT_ORDER):
     """Reference S(p, q) = (lcm/lt(p)) * p - (lcm/lt(q)) * q."""
     if p.is_zero() or q.is_zero():
         raise InputError("S-polynomial of a zero polynomial is undefined")
-    pexp, pc = p.leading_term(order)
-    qexp, qc = q.leading_term(order)
+    pexp, pc = leading_term(p, order)
+    qexp, qc = leading_term(q, order)
     lcm = tuple(max(a, b) for a, b in zip(pexp, qexp))
 
     def shifted(exp, coeff, poly):
@@ -135,7 +136,7 @@ class TestBuchberger:
                     s = s_polynomial(values[i], values[j])
                     if s.is_zero():
                         continue
-                    _, r = divide_multi(s, values, DEFAULT_ORDER)
+                    _, r = reference_divide_multi(s, values)
                     assert r.is_zero()
         assert non_units > 0
 
@@ -212,6 +213,14 @@ class TestContainsOne:
     def test_constant_generator_shortcut(self):
         cert = contains_one([P("5"), P("x")])
         assert cert is not None and cert.verify([P("5"), P("x")])
+
+    def test_zero_generator_among_nonzero_ones(self):
+        # A zero generator enters no basis element, so its cofactor is 0.
+        gens = [P("x"), P("0"), P("x+1")]
+        assert groebner.is_unit(gens)
+        cert = groebner.bezout_certificate(gens)
+        assert cert.cofactors[1].is_zero()
+        assert cert.verify(gens)
 
 
 def tracked_contains_one(generators, order=DEFAULT_ORDER):
@@ -473,9 +482,9 @@ def assert_groebner_basis(values, generators, order):
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             s = s_polynomial(values[i], values[j], order)
-            assert divide_multi(s, values, order)[1].is_zero()
+            assert reference_divide_multi(s, values, order)[1].is_zero()
     for g in generators:
-        assert divide_multi(g, values, order)[1].is_zero()
+        assert reference_divide_multi(g, values, order)[1].is_zero()
 
 
 def certify_ideal_triples(rng):
@@ -636,7 +645,7 @@ class TestTermCapInReplay:
 
 def inter_reduced(polys, order=DEFAULT_ORDER):
     """Reduced Groebner basis of the ideal of a Groebner basis."""
-    leads = [p.leading_term(order)[0] for p in polys]
+    leads = [leading_term(p, order)[0] for p in polys]
     # Minimalize: drop elements whose leading monomial is divisible by the
     # leading monomial of another kept element (earlier index wins ties).
     minimal = []
@@ -655,13 +664,13 @@ def inter_reduced(polys, order=DEFAULT_ORDER):
     for i, p in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         if others:
-            _, r = divide_multi(p, others, order)
+            _, r = reference_divide_multi(p, others, order)
         else:
             r = p
         if not r.is_zero():
-            lc = r.leading_term(order)[1]
+            lc = leading_term(r, order)[1]
             reduced.append(r.scale(Fraction(1) / lc))
-    reduced.sort(key=lambda q: order.sort_key(q.leading_term(order)[0]))
+    reduced.sort(key=lambda q: order.sort_key(leading_term(q, order)[0]))
     return tuple(reduced)
 
 
@@ -831,3 +840,63 @@ class TestPairCounts:
                 assert got.count(("reduce",)) == want.count(("reduce",))
                 kinds.update(event[0] for event in got)
         assert kinds == counts  # over the probe and the replay
+
+
+def dividends(nvars):
+    """Polynomials of up to six terms, exponents up to 4, zero included."""
+    coefficients = st.fractions(-9, 9, max_denominator=4).filter(bool)
+    return st.dictionaries(exponents(nvars, 4), coefficients,
+                           max_size=6).map(lambda t: Polynomial(t, nvars))
+
+
+class TestDivideMulti:
+    """divide_multi is Buchberger's reduction on packed integers; it returns
+    the quotients and remainder of the plain-Fraction reference."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               dividends(n), st.lists(polynomials(n), min_size=1,
+                                      max_size=3))),
+           st.sampled_from(list(MonomialOrder)))
+    @settings(max_examples=300, deadline=timedelta(seconds=5),
+              derandomize=True)
+    def test_matches_the_reference(self, case, order):
+        p, divisors = case
+        assert (divide_multi(p, divisors, order)
+                == reference_divide_multi(p, divisors, order))
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_zero_dividend(self, order):
+        zero = Polynomial.zero(2)
+        assert divide_multi(zero, [P("x+1"), P("y")], order) == (
+            [zero, zero], zero)
+
+    def test_division_that_widens_its_fields(self, monkeypatch):
+        # Under lex each step trades an x for y^500: the run starts with
+        # 10-bit fields, and the degree 1500 of y^1000 * (x - y^500)
+        # restarts it at 20.
+        sites = record_overflows(monkeypatch)
+        p, divisor = P("x^3"), P("x - y^500")
+        got = divide_multi(p, [divisor], MonomialOrder.LEX)
+        assert sites == ["reduction shift"]
+        assert got == ([P("x^2 + x*y^500 + y^1000")], P("y^1500"))
+        assert got == reference_divide_multi(p, [divisor], MonomialOrder.LEX)
+
+    def test_term_cap(self, monkeypatch):
+        # x^4 = (x^3 + x^2 + x + 1)(x - 1) + 1: the quotient, carried as a
+        # cofactor, grows to four terms.
+        p, divisors = P("x^4"), [P("x-1")]
+        monkeypatch.setenv("OPKIT_TERM_CAP", "3")
+        with pytest.raises(ResourceLimitError, match="exceeds cap 3"):
+            divide_multi(p, divisors)
+        monkeypatch.setenv("OPKIT_TERM_CAP", "4")
+        assert divide_multi(p, divisors) == ([P("x^3+x^2+x+1")], P("1"))
+
+    def test_certificate_bits_cap(self):
+        # Each step divides by 2^4000: x^k reaches the constant over
+        # 2^(4000 k), and the step that cancels the x of x^5 cancels a
+        # 16001-bit coefficient.
+        divisors = [P("2^4000*x + 1")]
+        with pytest.raises(ResourceLimitError, match="certificate cap 14000"):
+            divide_multi(P("x^5"), divisors)
+        assert (divide_multi(P("x^4"), divisors)
+                == reference_divide_multi(P("x^4"), divisors))

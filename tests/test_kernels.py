@@ -85,16 +85,25 @@ def random_int_matrix(rng, rows, cols, scales=(1, 2, 3, 4), density=0.7):
 
 
 def isubmul_int(acc, a, c, shift, q, order=MonomialOrder.GREVLEX):
-    """kernels.poly_isubmul_int on maps keyed by exponent tuples: packs the
+    """kernels.poly_isubmul on maps keyed by exponent tuples: packs the
     monomials of one run, takes the step and unpacks acc in place."""
     packing = Packing(len(shift), order, 8)
     packed, _ = packing.pack_terms(acc)
-    kernels.poly_isubmul_int(packed, a, c, packing.pack(shift),
-                             packing.pack_terms(q)[0])
+    kernels.poly_isubmul(packed, a, c, packing.pack(shift),
+                         packing.pack_terms(q)[0])
     acc.clear()
     # Monomial by monomial, not unpack_terms: the values stay the kernel's
     # own ints, zeros included, for the caller to check.
     acc.update({packing.unpack(m): v for m, v in packed.items()})
+
+
+def term_mul_int(a, coeff, shift, order=MonomialOrder.GREVLEX):
+    """kernels.poly_term_mul on a map keyed by exponent tuples, through the
+    packed monomials of one run."""
+    packing = Packing(len(shift), order, 8)
+    packed = kernels.poly_term_mul(packing.pack_terms(a)[0], coeff,
+                                   packing.pack(shift))
+    return {packing.unpack(m): v for m, v in packed.items()}
 
 
 def sum_of_products(groups, nvars):
@@ -120,7 +129,6 @@ def test_poly_kernels_exact(seed):
     a = random_terms(rng, nvars, 12, denominators)
     b = random_terms(rng, nvars, 12, denominators)
     coeff = Fraction(rng.randint(1, 9), rng.choice(denominators))
-    shift = tuple(rng.randint(0, 3) for _ in range(nvars))
 
     results = {
         "add": (kernels.poly_add(a, b), ref_combine(a, b, 1)),
@@ -128,12 +136,7 @@ def test_poly_kernels_exact(seed):
         "neg": (kernels.poly_neg(a), ref_combine({}, a, -1)),
         "scale": (kernels.poly_scale(a, coeff), ref_term_mul(a, coeff, (0,) * nvars)),
         "mul": (kernels.poly_mul(a, b), ref_mul(a, b)),
-        "term_mul": (kernels.poly_term_mul(a, coeff, shift),
-                     ref_term_mul(a, coeff, shift)),
     }
-    acc = dict(a)
-    kernels.poly_isubmul(acc, coeff, shift, b)
-    results["isubmul"] = (acc, ref_combine(a, ref_term_mul(b, coeff, shift), -1))
     for name, (got, want) in results.items():
         assert got == want, name
         assert_canonical(got)
@@ -208,7 +211,6 @@ def test_poly_kernels_leave_inputs_alone():
     kernels.poly_add(a, b)
     kernels.poly_sub(a, b)
     kernels.poly_mul(a, b)
-    kernels.poly_term_mul(a, Fraction(2), (1,))
     assert (a, b) == before
 
 
@@ -223,11 +225,6 @@ def test_cancellation_stores_no_zero():
             == {(2,): Fraction(1), (0,): Fraction(-1)})
     assert kernels.poly_mul({(0, 0): Fraction(3)}, {(0, 0): Fraction(1, 3)}) \
         == {(0, 0): Fraction(1)}
-    acc = dict(a)
-    kernels.poly_isubmul(acc, Fraction(1, 3), (1, 0), {(0, 0): Fraction(1)})
-    assert acc == {(0, 1): Fraction(2)}
-    kernels.poly_isubmul(acc, Fraction(2), (0, 1), {(0, 0): Fraction(1)})
-    assert acc == {}
 
 
 def test_empty_and_zero_operands():
@@ -238,16 +235,13 @@ def test_empty_and_zero_operands():
     assert kernels.poly_neg({}) == {}
     assert kernels.poly_mul(a, {}) == {} and kernels.poly_mul({}, a) == {}
     assert kernels.poly_scale(a, Fraction(0)) == {}
-    assert kernels.poly_term_mul(a, Fraction(0), (1,)) == {}
-    acc = dict(a)
-    kernels.poly_isubmul(acc, Fraction(3), (1,), {})
-    assert acc == a
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_poly_isubmul_int_exact(seed):
     # a * acc - (c * x^shift) * q on integer term maps equals the same step
-    # on Fractions; odd seeds take a = 1 and seeds 2 and 6 big integers.
+    # on Fractions, and so does (c * x^shift) * q; odd seeds take a = 1 and
+    # seeds 2 and 6 big integers.
     rng = random.Random(300 + seed)
     nvars = rng.randint(1, 3)
     big = 2**70 if seed % 4 == 2 else 1
@@ -258,10 +252,13 @@ def test_poly_isubmul_int_exact(seed):
     shift = tuple(rng.randint(0, 2) for _ in range(nvars))
     want = ref_combine(ref_term_mul(acc, Fraction(a), (0,) * nvars),
                        ref_term_mul(q, Fraction(c), shift), -1)
+    order = list(MonomialOrder)[seed % 3]
     got = dict(acc)
-    isubmul_int(got, a, c, shift, q, list(MonomialOrder)[seed % 3])
+    isubmul_int(got, a, c, shift, q, order)
     assert got == want
     assert all(type(v) is int and v != 0 for v in got.values())
+    assert term_mul_int(q, c, shift, order) == ref_term_mul(q, Fraction(c),
+                                                            shift)
 
 
 def test_poly_isubmul_int_cancels_and_empty_q():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opkit.errors import InputError, ParseError, ResourceLimitError
-from opkit.poly import (DEGREE_CAP, MonomialOrder, Polynomial, divide_multi,
+from opkit.groebner import divide_multi
+from opkit.poly import (DEGREE_CAP, MonomialOrder, Polynomial,
                         format_polynomial, parse_polynomial)
 
-from conftest import random_polynomial, to_sympy
+from conftest import leading_term, random_polynomial, to_sympy
 
 V2 = ["x", "y"]
 
@@ -117,7 +118,7 @@ class TestDivision:
             for q, d in zip(quotients, divisors):
                 acc = acc + q * d
             assert acc + r == p
-            leads = [d.leading_term(order)[0] for d in divisors]
+            leads = [leading_term(d, order)[0] for d in divisors]
             for exp in r.terms:
                 assert not any(all(e >= le for e, le in zip(exp, lexp))
                                for lexp in leads)

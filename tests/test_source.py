@@ -18,11 +18,6 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "opkit"
 
-# perfbench/tracer.py patches kernels.poly_term_mul by name (its
-# KERNEL_LAYER), so removing it breaks every traced benchmark run; it goes
-# when the tracer's kernel list changes.
-UNUSED_ALLOWED = {("kernels", "poly_term_mul")}
-
 
 def public_definitions(tree):
     """(name, node, is_method) for each public module-level function and
@@ -93,7 +88,7 @@ def unused_definitions(trees, exported=frozenset()):
     ``exported`` does not hold."""
     for module, tree in trees.items():
         for name, node, is_method in public_definitions(tree):
-            if name in exported or (module, name) in UNUSED_ALLOWED:
+            if name in exported:
                 continue
             if not any(name in referenced_names(other, node, is_method)
                        for other in trees.values()):

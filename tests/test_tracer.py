@@ -1,7 +1,8 @@
 """The benchmark's trace mode (``perfbench/tracer.py``, behind
 ``perfbench/run.py --trace``) still fits the package: every kernel it
-patches by name exists in ``opkit.kernels``, and it installs and
-uninstalls.  The tracer is loaded from its file and left unchanged."""
+patches by name exists in ``opkit.kernels`` and is called from the
+package, and it installs and uninstalls.  The tracer is loaded from its
+file and left unchanged."""
 
 import importlib.util
 import inspect
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 from opkit import kernels
+
+from test_source import readers, source_trees
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,6 +37,16 @@ def test_every_traced_kernel_exists():
     missing = [name for name in load_tracer().KERNEL_LAYER
                if not hasattr(kernels, name)]
     assert missing == []
+
+
+def test_every_traced_kernel_is_live():
+    # A kernel counts as live when some module other than kernels reads it
+    # as kernels.<name>; a dead one would trace no calls.
+    trees = source_trees()
+    del trees["kernels"]
+    dead = [name for name in load_tracer().KERNEL_LAYER
+            if not readers(trees, f"kernels.{name}")]
+    assert dead == []
 
 
 def test_tracer_installs_and_uninstalls():
