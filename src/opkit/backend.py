@@ -34,6 +34,7 @@ Everything is exact; nothing here ever touches floating point.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -412,10 +413,13 @@ def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]]
     and made primitive: content divided out, leading entry positive.  Its
     leading column becomes a pivot and is cleared from every other pivot
     row, which is then made primitive again.  Every pivot row so stays
-    zero at the other pivot columns.  The elimination touches nonzero
-    entries alone, beside one lookup per placed row for each new pivot.
+    zero at the other pivot columns.  An index from each column to the
+    pivot rows nonzero there finds the rows to clear, so the elimination
+    touches nonzero entries alone.
     """
     placed: dict[int, dict[int, int]] = {}
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    # holders[col]: the pivots whose row is nonzero at col, a non-pivot col
     for pairs in rows:
         row = dict(pairs)
         for c in [c for c in row if c in placed]:
@@ -424,10 +428,19 @@ def _sparse_rref(rows: Iterable[Iterable[tuple[int, int]]]
             continue
         lead = min(row)
         row = _primitive(row, row[lead])
-        for c, other in placed.items():
-            if lead in other:
-                placed[c] = _primitive(_cancel(other, row, lead), 1)
+        for c in holders.pop(lead, ()):
+            other = placed[c]
+            placed[c] = new = _primitive(_cancel(other, row, lead), 1)
+            for j in row:   # other changes only where row is nonzero
+                if j not in new:
+                    if j != lead:
+                        holders[j].discard(c)
+                elif j not in other:
+                    holders[j].add(c)
         placed[lead] = row
+        for j in row:
+            if j != lead:
+                holders[j].add(lead)
     pivots = sorted(placed)
     return [placed[c] for c in pivots], pivots
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (InputError, MembershipError, ResourceLimitError,
@@ -210,14 +211,22 @@ def dual_to_alpha(dual: DualCertificate,
     divides it, the excess powers fold into the cofactor, and the term lands
     on the index set L \\ S.  The expansion runs over the subset lattice,
     not over the prod |J| choice functions: the identities are multiplied
-    in one at a time, keeping one running cofactor per used-index set S
-    (at most 2^(l+1) states).  Choosing j from the next J moves S to
-    S | {j} with the cofactor times Q_{J,j}, times P_j as well when j is
-    already in S.  This regroups the same sum, so each set's cofactor is
-    the same polynomial as the choice-function expansion gives.  Then each
+    in one at a time, keeping one running cofactor q_S per used-index set S
+    (at most 2^(l+1) states).  Choosing a new index j of the next J moves S
+    to S | {j} with q_S * Q_{J,j}.  Every index of J that S already holds
+    keeps the term on S, times Q_{J,j} P_j, so those terms are grouped:
+    S gains q_S * m once, with m the sum of Q_{J,j} P_j over j in J & S.
+    Each m is formed once per distinct J & S, and each Q_{J,j} P_j only
+    for an index some such m needs.  A state that holds all of J gains q_S
+    itself and forms nothing, since its m is the left side of J's own
+    identity, which is 1.  Each step is distributivity over exact values,
+    so every state, and so every cofactor, is the same polynomial as the
+    choice-function expansion gives; an invalid dual, whose m is not 1,
+    yields an identity that fails the final exact check.  Then each
     non-maximal set is absorbed into the first maximal superset (which
     keeps the identity exact and matches working with the Max of the
-    family).
+    family).  Every product formed is held to the term cap and
+    ``CERTIFICATE_BITS_CAP``.
     """
     nvars = _check_atoms(factors)
     cap = resolve_term_cap()
@@ -238,16 +247,28 @@ def dual_to_alpha(dual: DualCertificate,
 
     states: dict[IndexSet, Polynomial] = {frozenset(): Polynomial.one(nvars)}
     for J in sorted(members):
-        row = dual.cofactors[frozenset(J)]
-        repeat = {j: capped_mul(row[j], factors[j]) for j in J}
+        whole = frozenset(J)
+        row = dual.cofactors[whole]
+        partial = {S & whole for S in states} - {whole, frozenset()}
+        repeat = {j: capped_mul(row[j], factors[j])
+                  for j in sorted(frozenset().union(*partial))}
+        multiplier = {H: reduce(Polynomial.__add__,
+                                [repeat[j] for j in sorted(H)])
+                      for H in partial}
         step: dict[IndexSet, Polynomial] = {}
+
+        def add(target: IndexSet, term: Polynomial) -> None:
+            step[target] = step[target] + term if target in step else term
+
         for S, q in states.items():
+            H = S & whole
+            if H == whole:
+                add(S, q)
+            elif H:
+                add(S, capped_mul(q, multiplier[H]))
             for j in J:
-                if j in S:
-                    target, term = S, capped_mul(q, repeat[j])
-                else:
-                    target, term = S | {j}, capped_mul(q, row[j])
-                step[target] = step[target] + term if target in step else term
+                if j not in S:
+                    add(S | {j}, capped_mul(q, row[j]))
         states = {S: q for S, q in step.items() if not q.is_zero()}
     L = frozenset(range(ell + 1))
     grouped = {L - S: q for S, q in states.items()}

@@ -385,7 +385,8 @@ def divide_multi(
     cofactor e_i, so the cofactors the dividend ends on, over its final
     scale, are minus the quotients.  Like every reduction it raises
     ResourceLimitError when the dividend or a quotient passes the term cap
-    or a coefficient it cancels passes ``poly.CERTIFICATE_BITS_CAP``.
+    or a coefficient it cancels passes ``poly.CERTIFICATE_BITS_CAP``; so
+    does a coefficient of the remainder or a quotient it would return.
     """
     if not divisors:
         raise InputError("need at least one divisor")
@@ -409,6 +410,9 @@ def divide_multi(
         return (cofs, *_reduce(terms, cofs, scale, basis, packing, cap))
 
     (cofs, remainder, scale), packing = _widening([p, *divisors], order, divide)
+    _check_value_bits(remainder.values(), scale, "a division remainder")
+    for cof in cofs:
+        _check_value_bits(cof.values(), scale, "a division quotient")
     return ([Polynomial._wrap(packing.unpack_terms(cof, -scale), nvars)
              for cof in cofs],
             Polynomial._wrap(packing.unpack_terms(remainder, scale), nvars))

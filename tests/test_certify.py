@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from opkit import certify
-from opkit.errors import InputError, MembershipError
+from opkit.errors import InputError, MembershipError, VerificationError
 from opkit.certify import (Certificate, DualCertificate, UnivariateSpec,
                            alpha_to_dual, alpha_to_dual_system,
                            dual_certificate, dual_to_alpha, factor_product,
@@ -239,6 +239,47 @@ def random_dual(rng, factors, beta):
     return DualCertificate(beta, cofactors)
 
 
+QUARTET_SUPPORT = ((0, 0), (0, 1), (0, 2), (1, 1), (2, 0))
+
+
+def seeded_quartet(seed):
+    """Four quadrics in x, y on one support, coefficients from +-1..3."""
+    rng = random.Random(seed)
+    return [Polynomial({e: rng.choice((-3, -2, -1, 1, 2, 3))
+                        for e in QUARTET_SUPPORT}, 2) for _ in range(4)]
+
+
+def planned_dual(factors):
+    return plan_dual_certificate(plan_decomposition(factors))
+
+
+def holds_a_whole_member(beta):
+    """Whether a state of the subset expansion, the indices chosen from the
+    members so far, holds all of the next member."""
+    states = {frozenset()}
+    for J in sorted(sorted(J) for J in beta):
+        if any(S >= set(J) for S in states):
+            return True
+        states = {S | {j} for S in states for j in J}
+    return False
+
+
+def count_poly_mul(monkeypatch, dual, factors):
+    """The ``kernels.poly_mul`` calls one ``dual_to_alpha`` makes."""
+    import opkit.kernels
+    calls = []
+    poly_mul = opkit.kernels.poly_mul
+
+    def counted(a, b):
+        calls.append(None)
+        return poly_mul(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(opkit.kernels, "poly_mul", counted)
+        dual_to_alpha(dual, factors)
+    return len(calls)
+
+
 class TestSubsetExpansion:
     def test_matches_choice_function_expansion(self):
         rng = random.Random(41)
@@ -257,24 +298,47 @@ class TestSubsetExpansion:
             repeated += sum(len(J) for J in beta) > len(
                 set().union(*beta.sets))
         assert absorbed and repeated
+        # Multivariate duals, whose last member some state holds whole, so
+        # that state's sum over the member is taken as 1, not formed.
+        for factors in (demo_factors(), seeded_quartet(0), seeded_quartet(1)):
+            dual = planned_dual(factors)
+            assert holds_a_whole_member(dual.beta)
+            expected, _ = reference_dual_to_alpha(dual, factors)
+            assert dict(dual_to_alpha(dual, factors).cofactors) == expected
+
+    def test_invalid_dual_is_refused(self):
+        # The pairwise identities hold, but {1,2,3}'s sums to 2, not 1;
+        # a state holding {1,2,3} whole takes its sum as 1.
+        pairwise = known_pairwise_dual()
+        triple = {j: q * 2 for j, q in
+                  known_triple_dual().cofactors[frozenset((1, 2, 3))].items()}
+        beta = SetSystem.of(3, [[0, 1], [0, 2], [0, 3], [1, 2, 3]])
+        dual = DualCertificate(
+            beta, {**pairwise.cofactors, frozenset((1, 2, 3)): triple})
+        assert holds_a_whole_member(beta)
+        with pytest.raises(VerificationError):
+            dual_to_alpha(dual, demo_factors())
+
+    def test_product_counts(self, monkeypatch):
+        # One product per state for the indices of J it holds, none when it
+        # holds all of J: the demo forms 41 (51 with one product per held
+        # index), a quartet 70 (86).
+        assert count_poly_mul(monkeypatch, planned_dual(demo_factors()),
+                              demo_factors()) == 41
+        quartet = seeded_quartet(0)
+        assert count_poly_mul(monkeypatch, planned_dual(quartet),
+                              quartet) == 70
 
     def test_pairwise_lines_stay_cheap(self, monkeypatch):
-        import opkit.kernels
         factors = [P(f"x+2*y+({a})") for a in (-2, -1, 1, 2, 3)]
         beta = SetSystem.of(4, [list(c) for c in
                                 itertools.combinations(range(5), 2)])
         dual = dual_certificate(factors, beta)
-        calls = []
-        poly_mul = opkit.kernels.poly_mul
-
-        def counted(a, b):
-            calls.append(None)
-            return poly_mul(a, b)
-
-        monkeypatch.setattr(opkit.kernels, "poly_mul", counted)
         cert = dual_to_alpha(dual, factors)
         assert cert.alpha.canonical() == [[i] for i in range(5)]
-        assert len(calls) < 1000   # 15,705 over the 1,024 choice functions
+        # 178 with one product per held index, 15,705 over the 1,024
+        # choice functions
+        assert count_poly_mul(monkeypatch, dual, factors) == 123
 
 
 class TestAlphaToDual:

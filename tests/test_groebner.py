@@ -894,9 +894,14 @@ class TestDivideMulti:
     def test_certificate_bits_cap(self):
         # Each step divides by 2^4000: x^k reaches the constant over
         # 2^(4000 k), and the step that cancels the x of x^5 cancels a
-        # 16001-bit coefficient.
+        # 16001-bit coefficient.  x^4 cancels none past the cap, but
+        # would return the remainder 1/2^16000; x^3 returns -1/2^12000.
         divisors = [P("2^4000*x + 1")]
-        with pytest.raises(ResourceLimitError, match="certificate cap 14000"):
-            divide_multi(P("x^5"), divisors)
-        assert (divide_multi(P("x^4"), divisors)
-                == reference_divide_multi(P("x^4"), divisors))
+        for k in (5, 4):
+            with pytest.raises(ResourceLimitError,
+                               match="certificate cap 14000"):
+                divide_multi(P(f"x^{k}"), divisors)
+        quotients, remainder = divide_multi(P("x^3"), divisors)
+        assert remainder == Polynomial.constant(Fraction(-1, 2**12000), 2)
+        assert ((quotients, remainder)
+                == reference_divide_multi(P("x^3"), divisors))
