@@ -506,16 +506,17 @@ def solve_affine(m: Matrix, f: Sequence) -> AffineSolutionSet:
     particular = [_ZERO] * m.cols
     for r, pc in enumerate(pivots):
         particular[pc] = rref[r][m.cols]
-    # The kernel is m's own, eliminated once for every right side.
-    return AffineSolutionSet(tuple(particular), tuple(m.factorization.kernel))
+    # The kernel is m's own, eliminated once and shared by every right side.
+    return AffineSolutionSet(tuple(particular), m.factorization.kernel)
 
 
 class Factorization:
     """The eliminations of one matrix P, each done once, when first needed.
 
     ``echelon`` is the reduced echelon form of P in ``_sparse_rref``'s
-    format; ``kernel`` is ``kernel_basis(P)``, read off it, one vector per
-    free column, as are ``kernel_matrix`` and ``kernel_coordinates``.
+    format; ``kernel`` is ``kernel_basis(P)`` as a tuple, read off it, one
+    vector per free column, as are ``kernel_matrix`` and
+    ``kernel_coordinates``; every ``solve_affine`` on P hands it out as is.
     ``right_divide`` solves X P = C for square P from one elimination of
     [P^T | I] to its reduced form [R | E]: E P^T = R, so the first rank(P)
     rows of E give the witness matrix G and the other rows N span the
@@ -541,7 +542,7 @@ class Factorization:
         return _sparse_rref(self.P._entries)
 
     @cached_property
-    def kernel(self) -> list[Vector]:
+    def kernel(self) -> tuple[Vector, ...]:
         basis = {j: [_ZERO] * self.P.cols for j in self._free}
         for row, p in zip(*self.echelon):
             for j, x in row.items():
@@ -549,7 +550,7 @@ class Factorization:
                     basis[j][p] = Fraction(-x, row[p])
         for j, v in basis.items():
             v[j] = _ONE
-        return [tuple(v) for v in basis.values()]
+        return tuple(tuple(v) for v in basis.values())
 
     @cached_property
     def kernel_matrix(self) -> Matrix:

@@ -556,7 +556,7 @@ def _emit(report: dict, human: bool) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _argument_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opkit",
         description="exact decomposition certificates for commuting "
@@ -569,7 +569,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=[o.value for o in MonomialOrder])
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random-in-range vectors")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once: parse_args keeps nothing between calls.
+_ARGUMENT_PARSER = _argument_parser()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _ARGUMENT_PARSER.parse_args(argv)
 
     handlers = {
         "plan": cmd_plan,

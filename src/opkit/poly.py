@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from fractions import Fraction
 from types import MappingProxyType
@@ -80,6 +81,8 @@ _LITERAL_DIGITS_CAP = COEFFICIENT_BITS_CAP // 3
 # digits, so every certificate coefficient under the cap prints.
 CERTIFICATE_BITS_CAP = 14_000
 TERM_CAP_ENV = "OPKIT_TERM_CAP"
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def resolve_term_cap() -> int:
@@ -104,14 +107,6 @@ class MonomialOrder(enum.Enum):
     LEX = "lex"
     GRLEX = "grlex"
     GREVLEX = "grevlex"
-
-    def sort_key(self, exponent: Exponent):
-        """Key so that larger monomials compare greater."""
-        if self is MonomialOrder.LEX:
-            return exponent
-        if self is MonomialOrder.GRLEX:
-            return (sum(exponent), exponent)
-        return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
     @classmethod
     def from_name(cls, name: str) -> "MonomialOrder":
@@ -207,6 +202,11 @@ class Packing:
         return {unpack(m): Fraction(v, den) for m, v in terms.items() if v}
 
 
+def _check_variable_count(variable_count: int) -> None:
+    if not isinstance(variable_count, int) or variable_count < 1:
+        raise InputError("variable_count must be a positive integer")
+
+
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -221,8 +221,7 @@ class Polynomial:
     __slots__ = ("_terms", "_nvars")
 
     def __init__(self, terms: Mapping[Exponent, RationalLike], variable_count: int):
-        if not isinstance(variable_count, int) or variable_count < 1:
-            raise InputError("variable_count must be a positive integer")
+        _check_variable_count(variable_count)
         canon: dict = {}
         for exp, coeff in terms.items():
             exp = tuple(exp)
@@ -248,24 +247,29 @@ class Polynomial:
 
     @classmethod
     def zero(cls, variable_count: int) -> "Polynomial":
-        return cls({}, variable_count)
+        _check_variable_count(variable_count)
+        return cls._wrap({}, variable_count)
 
     @classmethod
     def one(cls, variable_count: int) -> "Polynomial":
-        return cls.constant(1, variable_count)
+        return cls.constant(_ONE, variable_count)
 
     @classmethod
     def constant(cls, value: RationalLike, variable_count: int) -> "Polynomial":
-        return cls({(0,) * variable_count: _as_fraction(value)}, variable_count)
+        _check_variable_count(variable_count)
+        c = _as_fraction(value)
+        return cls._wrap({(0,) * variable_count: c} if c else {},
+                         variable_count)
 
     @classmethod
     def variable(cls, index: int, variable_count: int) -> "Polynomial":
-        if not 0 <= index < variable_count:
+        _check_variable_count(variable_count)
+        if not (isinstance(index, int) and 0 <= index < variable_count):
             raise InputError(
                 f"variable index {index} out of range for {variable_count} variables")
         exp = [0] * variable_count
         exp[index] = 1
-        return cls({tuple(exp): Fraction(1)}, variable_count)
+        return cls._wrap({tuple(exp): _ONE}, variable_count)
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
@@ -391,6 +395,9 @@ def product(polys: Iterable[Polynomial], variable_count: int) -> Polynomial:
 
 _OPS = set("+-*^()")
 _DIGITS = set("0123456789")
+_OPERANDS = {"name", "number", "("}
+# The key of format_polynomial's first sort.
+_REVERSED = operator.itemgetter(slice(None, None, -1))
 
 
 def _coefficient_bits(coeffs: Iterable[Fraction]) -> int:
@@ -408,13 +415,18 @@ def _check_certificate_bits(coeffs: Iterable[Fraction], what: str) -> None:
             f"certificate cap {CERTIFICATE_BITS_CAP}")
 
 
-def _check_bits(p: Polynomial, what: str, pos: int) -> Polynomial:
-    bits = _coefficient_bits(p.terms.values())
+def _check_bits(terms: dict, what: str, pos: int) -> dict:
+    bits = _coefficient_bits(terms.values())
     if bits > COEFFICIENT_BITS_CAP:
         raise ResourceLimitError(
             f"{what} at position {pos} has a {bits}-bit coefficient, more "
             f"than the cap {COEFFICIENT_BITS_CAP}")
-    return p
+    return terms
+
+
+def _degree(terms: dict) -> int:
+    """Total degree of a term map; -1 for the empty one."""
+    return max(map(sum, terms), default=-1)
 
 
 def _literal(digits: str, where: str) -> int:
@@ -470,6 +482,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    """Recursive descent over the tokens of one expression.  Every value is
+    a Fraction term map in canonical form that its caller owns, so a sum
+    is accumulated in place; only the result becomes a Polynomial."""
+
     def __init__(self, text: str, variables: Sequence[str]):
         if not variables:
             raise InputError("at least one variable name is required")
@@ -477,42 +493,52 @@ class _Parser:
             raise InputError("duplicate variable names")
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.variables = {name: i for i, name in enumerate(variables)}
-        self.nvars = len(variables)
+        self.nvars = nvars = len(variables)
+        self.constant_exp = (0,) * nvars
+        self.units = {name: tuple(int(i == k) for i in range(nvars))
+                      for k, name in enumerate(variables)}
         self.cap = resolve_term_cap()
 
-    def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+    def multiply(self, a: dict, b: dict, pos: int) -> dict:
         """a * b, refused before expansion if it forms more terms than the
         cap or has a total degree above DEGREE_CAP, and after it if a
         coefficient passes COEFFICIENT_BITS_CAP.  Both factors are within
         the caps, so forming the product is bounded work.  A monomial times
         a monomial is formed directly."""
-        formed = a.term_count() * b.term_count()
+        formed = len(a) * len(b)
         if formed > self.cap:
             raise ResourceLimitError(
                 f"product at position {pos} forms {formed} terms, more than "
                 f"the cap {self.cap}; raise {TERM_CAP_ENV} to continue")
-        degree = a.total_degree() + b.total_degree()
+        if formed == 1:
+            (ea, ca), = a.items()
+            (eb, cb), = b.items()
+            degree = sum(ea) + sum(eb)
+        else:
+            degree = _degree(a) + _degree(b)
         if degree > DEGREE_CAP:
             raise ResourceLimitError(
                 f"product at position {pos} has total degree {degree}, more "
                 f"than the cap {DEGREE_CAP}")
-        if formed == 1:
-            (ea, ca), = a._terms.items()
-            (eb, cb), = b._terms.items()
-            value = Polynomial._wrap(
-                {tuple(i + j for i, j in zip(ea, eb)): ca * cb}, self.nvars)
-            return _check_bits(value, "product", pos)
-        return _check_bits(a * b, "product", pos)
+        if formed != 1:
+            return _check_bits(kernels.poly_mul(a, b), "product", pos)
+        exp = tuple(map(operator.add, ea, eb))
+        # Every operand is within the bit cap, so its product by 1 is too;
+        # each variable's coefficient is _ONE itself.
+        if cb is _ONE:
+            return {exp: ca}
+        if ca is _ONE:
+            return {exp: cb}
+        return _check_bits({exp: ca * cb}, "product", pos)
 
-    def monomial_power(self, m: Polynomial, k: int, pos: int) -> Polynomial:
+    def monomial_power(self, m: dict, k: int, pos: int) -> dict:
         """m^k for a one-term m, formed directly.  It is refused before it
         is formed if its total degree passes DEGREE_CAP, or if its
         coefficient must pass COEFFICIENT_BITS_CAP: a nonzero integer of b
         bits has a k-th power of at least (b - 1) * k + 1 bits.  Otherwise
         the power has at most twice the cap's bits, and it is checked
         exactly once formed."""
-        (exp, coeff), = m._terms.items()
+        (exp, coeff), = m.items()
         degree = sum(exp) * k
         if degree > DEGREE_CAP:
             raise ResourceLimitError(
@@ -524,95 +550,96 @@ class _Parser:
             raise ResourceLimitError(
                 f"power at position {pos} has an at least {least}-bit "
                 f"coefficient, more than the cap {COEFFICIENT_BITS_CAP}")
-        value = Polynomial._wrap({tuple(e * k for e in exp): coeff ** k},
-                                 self.nvars)
-        return _check_bits(value, "power", pos)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
+        if coeff is _ONE:
+            return {tuple(e * k for e in exp): _ONE}
+        return _check_bits({tuple(e * k for e in exp): coeff ** k},
+                           "power", pos)
 
     def parse(self) -> Polynomial:
         value = self.parse_expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
-        return value
+        kind, _, pos = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {kind!r}", pos)
+        return Polynomial._wrap(value, self.nvars)
 
-    def parse_expr(self) -> Polynomial:
-        start = self.peek()[2]
+    def parse_expr(self) -> dict:
+        tokens = self.tokens
+        start = tokens[self.pos][2]
         value = self.parse_term()
         while True:
-            kind, _, _ = self.peek()
-            if kind == "+":
-                self.advance()
-                value = value + self.parse_term()
-            elif kind == "-":
-                self.advance()
-                value = value - self.parse_term()
-            else:
+            kind = tokens[self.pos][0]
+            if kind != "+" and kind != "-":
                 return _check_bits(value, "expression", start)
+            self.pos += 1
+            term = self.parse_term()
+            if kind == "-":
+                term = kernels.poly_neg(term)
+            for exp, c in term.items():
+                new = value[exp] + c if exp in value else c
+                if new:
+                    value[exp] = new
+                else:
+                    del value[exp]
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> dict:
+        tokens = self.tokens
         value = self.parse_unary()
         while True:
-            kind, _, pos = self.peek()
+            kind, _, pos = tokens[self.pos]
             if kind == "*":
-                self.advance()
+                self.pos += 1
                 value = self.multiply(value, self.parse_unary(), pos)
-            elif kind in ("name", "number", "("):
+            elif kind in _OPERANDS:
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
                 return value
 
-    def parse_unary(self) -> Polynomial:
-        kind, _, _ = self.peek()
-        if kind == "-":
-            self.advance()
-            return -self.parse_unary()
-        return self.parse_power()
+    def parse_unary(self) -> dict:
+        # A run of '-' negates once per sign: -(-(...)).
+        tokens, start = self.tokens, self.pos
+        while tokens[self.pos][0] == "-":
+            self.pos += 1
+        signs = self.pos - start
+        value = self.parse_power()
+        return kernels.poly_neg(value) if signs % 2 else value
 
-    def parse_power(self) -> Polynomial:
+    def parse_power(self) -> dict:
+        tokens = self.tokens
         value = self.parse_atom()
-        while self.peek()[0] == "^":
-            self.advance()
-            kind, val, pos = self.advance()
-            if kind != "number" or not isinstance(val, Fraction) or val.denominator != 1 or val < 0:
+        while tokens[self.pos][0] == "^":
+            kind, val, pos = tokens[self.pos + 1]
+            self.pos += 2
+            if kind != "number" or val.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", pos)
-            if value.term_count() == 1:
-                value = self.monomial_power(value, int(val), pos)
+            k = val.numerator
+            if len(value) == 1:
+                value = self.monomial_power(value, k, pos)
                 continue
-            # Binary powering here rather than **, so that every product is
-            # checked against the cap before it is formed.
-            base, value = value, Polynomial.one(self.nvars)
-            for bit in bin(int(val))[2:]:
+            # Binary powering here, so that every product is checked
+            # against the cap before it is formed.
+            base, value = value, {self.constant_exp: _ONE}
+            for bit in bin(k)[2:]:
                 value = self.multiply(value, value, pos)
                 if bit == "1":
                     value = self.multiply(value, base, pos)
         return value
 
-    def parse_atom(self) -> Polynomial:
-        kind, val, pos = self.advance()
+    def parse_atom(self) -> dict:
+        kind, val, pos = self.tokens[self.pos]
+        self.pos += 1
         if kind == "number":
-            return Polynomial.constant(val, self.nvars)
+            return {self.constant_exp: val} if val else {}
         if kind == "name":
-            index = self.variables.get(val)
-            if index is None:
+            exp = self.units.get(val)
+            if exp is None:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return Polynomial.variable(index, self.nvars)
+            return {exp: _ONE}
         if kind == "(":
             value = self.parse_expr()
-            self.expect(")")
+            kind, _, pos = self.tokens[self.pos]
+            self.pos += 1
+            if kind != ")":
+                raise ParseError(f"expected ')', found {kind!r}", pos)
             return value
         raise ParseError(f"unexpected {kind!r}", pos)
 
@@ -636,22 +663,29 @@ def format_polynomial(p: Polynomial, variables: Sequence[str]) -> str:
             f"{p.variable_count}-variable polynomial")
     if p.is_zero():
         return "0"
-    pieces = []
     terms = p._terms
-    for exp in sorted(terms, key=DEFAULT_ORDER.sort_key, reverse=True):
+    # Grevlex descending (DEFAULT_ORDER) in two stable sorts on native
+    # keys: the reversed exponent vector ascending, then the total degree
+    # descending.
+    exps = sorted(terms, key=_REVERSED)
+    exps.sort(key=sum, reverse=True)
+    pieces = []
+    for exp in exps:
         # The coefficient is printed from its numerator and denominator,
         # as str(abs(coeff)) would print it.
-        num, den = terms[exp].numerator, terms[exp].denominator
+        coeff = terms[exp]
+        num, den = coeff.numerator, coeff.denominator
         negative = num < 0
         if negative:
             num = -num
-        factors = [name if e == 1 else f"{name}^{e}"
-                   for name, e in zip(variables, exp) if e]
+        body = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(variables, exp) if e])
         if den != 1:
-            factors.insert(0, f"{num}/{den}")
-        elif num != 1 or not factors:
-            factors.insert(0, str(num))
-        body = "*".join(factors)
+            body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
+        elif not body:
+            body = str(num)
+        elif num != 1:
+            body = f"{num}*{body}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

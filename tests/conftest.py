@@ -9,7 +9,9 @@ from math import gcd
 
 import pytest
 
-from opkit.poly import DEFAULT_ORDER, Polynomial
+from opkit import poly
+from opkit.errors import InputError, ParseError, ResourceLimitError
+from opkit.poly import DEFAULT_ORDER, MonomialOrder, Polynomial
 
 # Denominators large enough that a common denominator of a row is a big
 # integer, mixed with small ones.
@@ -222,9 +224,19 @@ def spans_equal(a, b) -> bool:
     return span_basis(a) == span_basis(b)
 
 
+def order_key(order: MonomialOrder):
+    """The key of ``order`` on exponent tuples: larger monomials compare
+    greater.  The reference for the packed keys and the printed order."""
+    if order is MonomialOrder.LEX:
+        return lambda exp: exp
+    if order is MonomialOrder.GRLEX:
+        return lambda exp: (sum(exp), exp)
+    return lambda exp: (sum(exp), tuple(-e for e in reversed(exp)))
+
+
 def leading_term(p: Polynomial, order=DEFAULT_ORDER):
     """(exponent, coefficient) of the leading term of a nonzero p."""
-    exp = max(p.terms, key=order.sort_key)
+    exp = max(p.terms, key=order_key(order))
     return exp, p.terms[exp]
 
 
@@ -237,7 +249,7 @@ def reference_divide_multi(p: Polynomial, divisors, order=DEFAULT_ORDER):
     work, remainder = dict(p.terms), {}
     quotients = [{} for _ in divisors]
     while work:
-        exp = max(work, key=order.sort_key)
+        exp = max(work, key=order_key(order))
         coeff = work[exp]
         for (lexp, lcoeff), d, quotient in zip(leads, divisors, quotients):
             if all(e >= le for e, le in zip(exp, lexp)):
@@ -319,3 +331,205 @@ def fold_reference(splitting, i, j, S_ij, S_prime_ij):
     plain products."""
     pr, q, comp = splitting.projectors, splitting.cofactors, splitting.complements
     return S_ij * pr[j], comp[i] * S_prime_ij * q[j]
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the recursive descent that parse_polynomial ran before it
+# built term maps directly, on Polynomial arithmetic.  It reads the caps off
+# opkit.poly when it runs, so a test that lowers them lowers them for both.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_OPS = set("+-*^()")
+_REFERENCE_DIGITS = set("0123456789")
+
+
+def _reference_check_bits(p: Polynomial, what: str, pos: int) -> Polynomial:
+    bits = poly._coefficient_bits(p.terms.values())
+    if bits > poly.COEFFICIENT_BITS_CAP:
+        raise ResourceLimitError(
+            f"{what} at position {pos} has a {bits}-bit coefficient, more "
+            f"than the cap {poly.COEFFICIENT_BITS_CAP}")
+    return p
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _REFERENCE_DIGITS:
+            start = i
+            while i < n and text[i] in _REFERENCE_DIGITS:
+                i += 1
+            num = poly._literal(text[start:i], f"at position {start}")
+            if (i < n and text[i] == "/" and i + 1 < n
+                    and text[i + 1] in _REFERENCE_DIGITS):
+                i += 1
+                dstart = i
+                while i < n and text[i] in _REFERENCE_DIGITS:
+                    i += 1
+                den = poly._literal(text[dstart:i], f"at position {dstart}")
+                if den == 0:
+                    raise ParseError("zero denominator in rational literal",
+                                     start)
+                tokens.append(("number", Fraction(num, den), start))
+            else:
+                tokens.append(("number", Fraction(num), start))
+        elif ch.isalpha():
+            start = i
+            i += 1
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("name", text[start:i], start))
+        elif ch in _REFERENCE_OPS:
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, variables):
+        if not variables:
+            raise InputError("at least one variable name is required")
+        if len(set(variables)) != len(variables):
+            raise InputError("duplicate variable names")
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.variables = {name: i for i, name in enumerate(variables)}
+        self.nvars = len(variables)
+        self.cap = poly.resolve_term_cap()
+
+    def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+        formed = a.term_count() * b.term_count()
+        if formed > self.cap:
+            raise ResourceLimitError(
+                f"product at position {pos} forms {formed} terms, more than "
+                f"the cap {self.cap}; raise {poly.TERM_CAP_ENV} to continue")
+        degree = a.total_degree() + b.total_degree()
+        if degree > poly.DEGREE_CAP:
+            raise ResourceLimitError(
+                f"product at position {pos} has total degree {degree}, more "
+                f"than the cap {poly.DEGREE_CAP}")
+        if formed == 1:
+            (ea, ca), = a.terms.items()
+            (eb, cb), = b.terms.items()
+            value = Polynomial({tuple(i + j for i, j in zip(ea, eb)): ca * cb},
+                               self.nvars)
+            return _reference_check_bits(value, "product", pos)
+        return _reference_check_bits(a * b, "product", pos)
+
+    def monomial_power(self, m: Polynomial, k: int, pos: int) -> Polynomial:
+        (exp, coeff), = m.terms.items()
+        degree = sum(exp) * k
+        if degree > poly.DEGREE_CAP:
+            raise ResourceLimitError(
+                f"power at position {pos} has total degree {degree}, more "
+                f"than the cap {poly.DEGREE_CAP}")
+        bits = max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
+        least = (bits - 1) * k + 1
+        if least > poly.COEFFICIENT_BITS_CAP:
+            raise ResourceLimitError(
+                f"power at position {pos} has an at least {least}-bit "
+                f"coefficient, more than the cap {poly.COEFFICIENT_BITS_CAP}")
+        value = Polynomial({tuple(e * k for e in exp): coeff ** k}, self.nvars)
+        return _reference_check_bits(value, "power", pos)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        return tok
+
+    def parse(self) -> Polynomial:
+        value = self.parse_expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
+        return value
+
+    def parse_expr(self) -> Polynomial:
+        start = self.peek()[2]
+        value = self.parse_term()
+        while True:
+            kind, _, _ = self.peek()
+            if kind == "+":
+                self.advance()
+                value = value + self.parse_term()
+            elif kind == "-":
+                self.advance()
+                value = value - self.parse_term()
+            else:
+                return _reference_check_bits(value, "expression", start)
+
+    def parse_term(self) -> Polynomial:
+        value = self.parse_unary()
+        while True:
+            kind, _, pos = self.peek()
+            if kind == "*":
+                self.advance()
+                value = self.multiply(value, self.parse_unary(), pos)
+            elif kind in ("name", "number", "("):
+                raise ParseError("implicit multiplication is not allowed", pos)
+            else:
+                return value
+
+    def parse_unary(self) -> Polynomial:
+        if self.peek()[0] == "-":
+            self.advance()
+            return -self.parse_unary()
+        return self.parse_power()
+
+    def parse_power(self) -> Polynomial:
+        value = self.parse_atom()
+        while self.peek()[0] == "^":
+            self.advance()
+            kind, val, pos = self.advance()
+            if (kind != "number" or not isinstance(val, Fraction)
+                    or val.denominator != 1 or val < 0):
+                raise ParseError("exponent must be a non-negative integer", pos)
+            if value.term_count() == 1:
+                value = self.monomial_power(value, int(val), pos)
+                continue
+            base, value = value, Polynomial.one(self.nvars)
+            for bit in bin(int(val))[2:]:
+                value = self.multiply(value, value, pos)
+                if bit == "1":
+                    value = self.multiply(value, base, pos)
+        return value
+
+    def parse_atom(self) -> Polynomial:
+        kind, val, pos = self.advance()
+        if kind == "number":
+            return Polynomial.constant(val, self.nvars)
+        if kind == "name":
+            index = self.variables.get(val)
+            if index is None:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            return Polynomial.variable(index, self.nvars)
+        if kind == "(":
+            value = self.parse_expr()
+            self.expect(")")
+            return value
+        raise ParseError(f"unexpected {kind!r}", pos)
+
+
+def reference_parse(text: str, variables) -> Polynomial:
+    """parse_polynomial as the Polynomial-level recursive descent ran it."""
+    if not isinstance(text, str):
+        raise InputError(
+            f"an expression must be a string, got {type(text).__name__}")
+    return _ReferenceParser(text, variables).parse()

@@ -571,8 +571,7 @@ class TestKernelAndSolve:
         assert kernel and calls == [1]
         for sol, f in zip(solutions, fs):
             assert m.apply(sol.particular) == f
-            assert len(sol.kernel_vectors) == len(kernel)
-            assert all(v is w for v, w in zip(sol.kernel_vectors, kernel))
+            assert sol.kernel_vectors is m.factorization.kernel
 
     def test_determinism(self, rng):
         m = random_matrix(rng, 5, 7)

@@ -1505,6 +1505,37 @@ class TestHuman:
         assert "decomposition_available: True" in out
 
 
+class TestRepeatedCalls:
+    def test_shared_argument_parser_keeps_nothing_between_calls(self, capsys):
+        # main parses every call with one parser built at import, so each
+        # call must give what it gives when made first, whatever came before.
+        job = str(DEMO_JOB)
+        calls = [("plan", "--job", job, "--human"),
+                 ("plan", "--job", job, "--order", "lex"),
+                 ("reduce", "--job", job, "--seed", "3"),
+                 ("reduce", "--job", job, "--seed", "4"),
+                 ("no-such-mode", "--job", job),
+                 ("plan", "--job", job)]
+
+        def call(args):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [call(args) for args in calls]
+        assert [call(args) for args in reversed(calls)][::-1] == first
+        human, lex, seed3, seed4, unknown, plain = first
+        assert human[0] == 0 and human[1].startswith("mode: plan")
+        assert json.loads(lex[1])["order"] == "lex"
+        assert json.loads(seed3[1])["f"] != json.loads(seed4[1])["f"]
+        assert unknown[0] == ("SystemExit", 2)
+        assert "invalid choice: 'no-such-mode'" in unknown[2]
+        assert plain[0] == 0 and json.loads(plain[1])["order"] == "grevlex"
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         result = subprocess.run(

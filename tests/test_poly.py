@@ -1,17 +1,21 @@
 """Polynomial arithmetic, division, parsing and printing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkit.errors import InputError, ParseError, ResourceLimitError
+from opkit import poly
+from opkit.errors import (InputError, OpkitError, ParseError,
+                          ResourceLimitError)
 from opkit.groebner import divide_multi
-from opkit.poly import (DEGREE_CAP, MonomialOrder, Polynomial,
+from opkit.poly import (DEFAULT_ORDER, DEGREE_CAP, MonomialOrder, Polynomial,
                         format_polynomial, parse_polynomial)
 
-from conftest import leading_term, random_polynomial, to_sympy
+from conftest import (leading_term, order_key, random_polynomial,
+                      reference_parse, to_sympy)
 
 V2 = ["x", "y"]
 
@@ -77,6 +81,24 @@ class TestArithmetic:
             p * 1.5
         with pytest.raises(TypeError):
             1.5 * p
+
+    @pytest.mark.parametrize("build", [
+        lambda: Polynomial.zero(0), lambda: Polynomial.one(-1),
+        lambda: Polynomial.constant(3, 0), lambda: Polynomial.constant(3, 1.5),
+        lambda: Polynomial.constant(1.5, 2), lambda: Polynomial.variable(2, 2),
+        lambda: Polynomial.variable(-1, 2), lambda: Polynomial.variable(0, 0),
+        lambda: Polynomial.variable(1.0, 2),
+    ])
+    def test_constructors_refuse_bad_arguments(self, build):
+        with pytest.raises(InputError):
+            build()
+
+    def test_constructors_are_canonical(self):
+        assert Polynomial.zero(2) == Polynomial({}, 2)
+        assert Polynomial.constant(0, 2).terms == {}
+        assert Polynomial.constant("3/6", 2) == Polynomial({(0, 0): "1/2"}, 2)
+        assert Polynomial.one(3) == Polynomial({(0, 0, 0): 1}, 3)
+        assert Polynomial.variable(1, 3) == Polynomial({(0, 1, 0): 1}, 3)
 
     def test_pow(self):
         assert P("x+1") ** 2 == P("x^2+2*x+1")
@@ -215,6 +237,16 @@ class TestParsePrint:
             P("x + $")
         assert err.value.position == 4
 
+    def test_unary_minus_binds_looser_than_power(self):
+        assert P("-x^2") == -(P("x") ** 2)
+        assert P("-2^2") == Polynomial.constant(-4, 2)
+        assert P("(-x)^2") == P("x^2")
+
+    def test_power_chains_left_to_right(self):
+        assert P("x^2^3") == P("x^6")
+        assert P("2^3^2") == Polynomial.constant(64, 2)     # (2^3)^2, not 2^9
+        assert P("(x+1)^2^2") == P("(x+1)^4")
+
     def test_print_examples(self):
         assert format_polynomial(P("0"), V2) == "0"
         assert format_polynomial(P("x - 1"), V2) == "x - 1"
@@ -246,4 +278,116 @@ class TestParsePrint:
         nvars = rng.randint(1, 3)
         p = random_polynomial(rng, nvars, max_terms=7, max_exp=5)
         names = ["x", "y", "z"][:nvars]
-        assert parse_polynomial(format_polynomial(p, names), names) == p
+        text = format_polynomial(p, names)
+        assert parse_polynomial(text, names) == p
+        # Terms print in descending DEFAULT_ORDER.
+        printed = [] if p.is_zero() else [
+            next(iter(parse_polynomial(piece, names).terms))
+            for piece in re.split(r" [+-] ", text)]
+        assert printed == sorted(p.terms, key=order_key(DEFAULT_ORDER),
+                                 reverse=True)
+
+
+# Expressions over x, y, z with the names w and x1 unknown: sums, products
+# and powers nest, with optional spaces; unary minus, parentheses and
+# power chains such as "x^2^3" come from nesting, and one literal has a
+# zero denominator.  Exponents are mostly small; the large ones reach the
+# degree and bit caps, and the term cap through squarings of the sums.
+_ATOMS = st.one_of(
+    st.sampled_from(["x", "y", "z", "w", "x1"]),
+    st.integers(0, 40).map(str),
+    st.tuples(st.integers(0, 30), st.integers(1, 12)).map(
+        lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["2" * 30, "7" * 60, "000", "0/5", "12/36", "1/0",
+                     "(x+y+1)", "(x - 2*z)", "(1/2*y + 3)"]),
+)
+_EXPONENTS = st.one_of(st.integers(0, 5).map(str),
+                       st.sampled_from(["13", "400", "10001", "9" * 31]))
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " - ", " * "]),
+                  inner).map("".join),
+        st.tuples(inner, st.sampled_from(["^", " ^ "]), _EXPONENTS
+                  ).map("".join),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]})*({t[1]})"),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _extend, max_leaves=10)
+_NOISE = list("+-*^()/ 0123456789xyzw_$.\t") + ["²", "٣", "ß"]
+
+
+@st.composite
+def _fuzzed_text(draw):
+    """An expression, kept whole, truncated, or with one character
+    inserted, deleted or replaced."""
+    text = draw(_EXPRESSIONS)
+    edit = draw(st.sampled_from(["keep", "truncate", "insert", "delete",
+                                 "replace"]))
+    if edit == "keep" or not text:
+        return text
+    i = draw(st.integers(0, len(text) - 1))
+    if edit == "truncate":
+        return text[:i]
+    if edit == "delete":
+        return text[:i] + text[i + 1:]
+    char = draw(st.sampled_from(_NOISE))
+    if edit == "insert":
+        return text[:i] + char + text[i:]
+    return text[:i] + char + text[i + 1:]
+
+
+def _outcome(parse, text, names):
+    """The term map in insertion order, or the error's class, message and
+    position."""
+    try:
+        p = parse(text, names)
+    except OpkitError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return p.variable_count, list(p.terms.items())
+
+
+class TestParserAgainstReference:
+    """parse_polynomial against the Polynomial-level recursive descent it
+    replaced (conftest.reference_parse), with the caps as shipped and
+    lowered: each text gives the same term map, or the same error at the
+    same position."""
+
+    @given(_fuzzed_text(),
+           st.sampled_from([None, "1", "2", "6", "40"]),
+           st.sampled_from([DEGREE_CAP, 3, 7, 20]),
+           st.sampled_from([poly.COEFFICIENT_BITS_CAP, 6, 40, 150]))
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    def test_same_result_or_error(self, text, term_cap, degree_cap,
+                                  bits_cap):
+        names = ["x", "y", "z"]
+        with pytest.MonkeyPatch.context() as mp:
+            if term_cap is None:
+                mp.delenv("OPKIT_TERM_CAP", raising=False)
+            else:
+                mp.setenv("OPKIT_TERM_CAP", term_cap)
+            mp.setattr(poly, "DEGREE_CAP", degree_cap)
+            mp.setattr(poly, "COEFFICIENT_BITS_CAP", bits_cap)
+            expected = _outcome(reference_parse, text, names)
+            assert _outcome(parse_polynomial, text, names) == expected
+
+    @pytest.mark.parametrize("text", [
+        "-x^2", "x^2^3", "--x", "---x*-y", "(x+1)^0", "0^0", "(x-x)^3",
+        "(0)^9999999999", "2*x*1*y", "x*1^5", "1/2*x - 1/2*x", "x + $",
+        "x x $", "(x", "x)", "^2", "x^", "x^y", "x^1/2", "x/2", "1/0 + $",
+        "", " ", "w", "x y", "(x+y+1)^3*(x+y+1)^4", "2^4096", "3^2585",
+        "(2/3)^12", "x^10001", "(x*y)^5001", "9" * 1300, "1/" + "9" * 1300,
+    ])
+    @pytest.mark.parametrize("term_cap", [None, "5"])
+    def test_cases(self, text, term_cap, monkeypatch):
+        if term_cap is None:
+            monkeypatch.delenv("OPKIT_TERM_CAP", raising=False)
+        else:
+            monkeypatch.setenv("OPKIT_TERM_CAP", term_cap)
+        names = ["x", "y"]
+        assert (_outcome(parse_polynomial, text, names)
+                == _outcome(reference_parse, text, names))

@@ -260,7 +260,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(opkit.backend, "_sparse_rref", counted)
         assert P.factorization is P.factorization
-        assert P.factorization.kernel == kernel_basis(P)
+        assert list(P.factorization.kernel) == kernel_basis(P)
         stack = formal_symmetry_stack(P)
         assert is_formal_symmetry(stack, P) is not None
         basis = enumerate_formal_symmetries(P)
