@@ -47,7 +47,7 @@ from .errors import (InputError, IntegrabilityError, MembershipError,
 from .planner import DecompositionPlan, SetSystem, plan_decomposition
 from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
                    _check_certificate_bits, _literal, format_polynomial,
-                   parse_polynomial, product)
+                   is_name, parse_polynomial, product)
 from .reducer import (_system_split, find_system_certificate,
                       integrability_violations, recombined_solution_set, split,
                       system_map_B, system_map_F)
@@ -60,6 +60,10 @@ EXIT_RESOURCE = 3
 EXIT_VERIFICATION = 4
 
 MODES = ("plan", "certify", "reduce", "verify", "symmetry", "system")
+
+# A job nests five deep at most (a grid in 'instance'); the cap leaves
+# room and keeps every reader of the job far from the recursion limit.
+JOB_NESTING_CAP = 32
 
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
 
@@ -74,8 +78,9 @@ class JobSpec:
         self.seed = seed
         self.variables = data.get("variables")
         if (not isinstance(self.variables, list) or not self.variables
-                or not all(isinstance(v, str) for v in self.variables)):
-            raise InputError("'variables' must be a nonempty list of names")
+                or not all(map(is_name, self.variables))):
+            raise InputError("'variables' must be a nonempty list of names "
+                             "[a-zA-Z][a-zA-Z0-9_]*")
         self.raw = data
         self.lambdas: Optional[UnivariateSpec] = None
         if "lambdas" in data:
@@ -175,6 +180,11 @@ def _is_positive_int(value) -> bool:
 
 
 def load_job(path: str, order: MonomialOrder, seed: int) -> JobSpec:
+    """The job in the file at ``path``.  Arrays and objects nested more
+    than JOB_NESTING_CAP deep are refused, whether the decoder runs out of
+    stack on them or not, so nothing that reads the job recurses deeply."""
+    too_deep = InputError(f"job file nests arrays and objects more than "
+                          f"{JOB_NESTING_CAP} deep")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # An integer past COEFFICIENT_BITS_CAP is refused before int().
@@ -184,6 +194,16 @@ def load_job(path: str, order: MonomialOrder, seed: int) -> JobSpec:
         raise InputError(f"cannot read job file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"job file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise too_deep from None
+    # The arrays and objects one level deeper each time round.
+    level = [data] if isinstance(data, (list, dict)) else []
+    for _ in range(JOB_NESTING_CAP):
+        level = [v for c in level
+                 for v in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(v, (list, dict))]
+    if level:
+        raise too_deep
     return JobSpec(data, order, seed)
 
 
@@ -417,44 +437,49 @@ def cmd_symmetry(job: JobSpec) -> dict:
     out["decompositions"] = reports
 
     # The generation check compares the maps that the basis and the
-    # reconstructions induce on the kernel: the image of S is S K, and the
-    # image of a reconstruction is its fold times K; on the stack each is
-    # one ``stack_mul`` by the n x d matrix K, and the d x d maps are the
-    # blocks of the stack of coordinates.
-    def induced_on_kernel(stacked: Matrix) -> Matrix:
-        image = stacked.stack_mul(fact.kernel_matrix)
+    # reconstructions induce on the kernel: the image of S is S K, and
+    # ``decompose`` yields the image of each reconstruction; on the stack
+    # each is one ``stack_mul`` by an n x d matrix, and the d x d maps are
+    # the blocks of the stack of coordinates.
+    def induced_on_kernel(image: Matrix) -> Matrix:
         coordinates = fact.kernel_coordinates(image)
         if coordinates is None:
             raise VerificationError(
                 "internal error: a verified symmetry left the kernel")
         return coordinates
 
-    generation = bool(kernel) and not explicit
-    if generation:
-        induced, rebuilt = [induced_on_kernel(stack)], []
-    for gen, back in splitting.decompose(FormalSymmetry(stack, witness)):
-        if generation:
-            rebuilt.append(induced_on_kernel(back.S))
-        if explicit:
-            reports[0]["generalized"].append({
-                "i": gen.i, "j": gen.j,
-                "S_ij": gen.S_ij.to_strings(),
-                "S_prime_ij": gen.S_prime_ij.to_strings(),
-                "verified": True,
-            })
-
-    if generation:
-        induced, rebuilt = (block_span(maps, len(kernel))
-                            for maps in (induced, rebuilt))
-        out["generation"] = {
-            "induced_dimension": len(induced),
-            "reconstructed_dimension": len(rebuilt),
-            "equal": induced == rebuilt,
-        }
-        if not out["generation"]["equal"]:
-            raise VerificationError("generated symmetry spans differ on the kernel")
-    else:
-        out["generation"] = None
+    sym = FormalSymmetry(stack, witness)
+    out["generation"] = None
+    if explicit:
+        # Each slice and fold of the one element is formed, printed and
+        # checked on its own.
+        for i in range(len(factors)):
+            for j in range(len(factors)):
+                gen = splitting.slice(sym, i, j)
+                splitting.fold(gen)
+                reports[0]["generalized"].append({
+                    "i": i, "j": j,
+                    "S_ij": gen.S_ij.to_strings(),
+                    "S_prime_ij": gen.S_prime_ij.to_strings(),
+                    "verified": True,
+                })
+        return out
+    rebuilt = []
+    for _, _, image in splitting.decompose(sym):
+        if image is not None:
+            rebuilt.append(induced_on_kernel(image))
+    if not kernel:
+        return out
+    induced = [induced_on_kernel(stack.stack_mul(fact.kernel_matrix))]
+    induced, rebuilt = (block_span(maps, len(kernel))
+                        for maps in (induced, rebuilt))
+    out["generation"] = {
+        "induced_dimension": len(induced),
+        "reconstructed_dimension": len(rebuilt),
+        "equal": induced == rebuilt,
+    }
+    if not out["generation"]["equal"]:
+        raise VerificationError("generated symmetry spans differ on the kernel")
     return out
 
 

@@ -18,8 +18,11 @@ The expression grammar accepted by :func:`parse_polynomial`:
     atom   := NUMBER | NAME | '(' expr ')'
 
 NUMBER is an integer or a contiguous rational literal ``a/b``; NAME matches
-``[a-zA-Z][a-zA-Z0-9_]*``.  Implicit multiplication is rejected ("x y" is a
-syntax error), and '/' only appears inside rational literals.
+``[a-zA-Z][a-zA-Z0-9_]*``, ASCII only (``is_name``).  Implicit
+multiplication is rejected ("x y" is a syntax error), and '/' only appears
+inside rational literals.  Parentheses nest at most NESTING_CAP (100,
+fixed) deep: a deeper '(' is a ParseError at its position, so the
+recursive descent stays far from Python's recursion limit.
 
 Parsing is bounded by the term cap (default 100000, override with
 OPKIT_TERM_CAP, a positive integer): a product of a t-term and a u-term
@@ -81,6 +84,8 @@ _LITERAL_DIGITS_CAP = COEFFICIENT_BITS_CAP // 3
 # digits, so every certificate coefficient under the cap prints.
 CERTIFICATE_BITS_CAP = 14_000
 TERM_CAP_ENV = "OPKIT_TERM_CAP"
+# Each open parenthesis costs the parser five Python frames.
+NESTING_CAP = 100
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -395,6 +400,8 @@ def product(polys: Iterable[Polynomial], variable_count: int) -> Polynomial:
 
 _OPS = set("+-*^()")
 _DIGITS = set("0123456789")
+_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _NAME_START | _DIGITS | {"_"}
 _OPERANDS = {"name", "number", "("}
 # The key of format_polynomial's first sort.
 _REVERSED = operator.itemgetter(slice(None, None, -1))
@@ -466,10 +473,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 tokens.append(("number", Fraction(num, den), start))
             else:
                 tokens.append(("number", Fraction(num), start))
-        elif ch.isalpha():
+        elif ch in _NAME_START:
             start = i
             i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _NAME_CHARS:
                 i += 1
             tokens.append(("name", text[start:i], start))
         elif ch in _OPS:
@@ -479,6 +486,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", None, n))
     return tokens
+
+
+def is_name(text: str) -> bool:
+    """True when text is a NAME of the expression grammar."""
+    return (isinstance(text, str) and text[:1] in _NAME_START
+            and all(ch in _NAME_CHARS for ch in text))
 
 
 class _Parser:
@@ -493,6 +506,7 @@ class _Parser:
             raise InputError("duplicate variable names")
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.nvars = nvars = len(variables)
         self.constant_exp = (0,) * nvars
         self.units = {name: tuple(int(i == k) for i in range(nvars))
@@ -635,7 +649,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos)
             return {exp: _ONE}
         if kind == "(":
+            if self.depth == NESTING_CAP:
+                raise ParseError(
+                    f"parentheses nest deeper than {NESTING_CAP}", pos)
+            self.depth += 1
             value = self.parse_expr()
+            self.depth -= 1
             kind, _, pos = self.tokens[self.pos]
             self.pos += 1
             if kind != ")":

@@ -28,19 +28,26 @@ multiply-adds of N separate ones.  A left factor is an ordinary product;
 a right one is ``Matrix.stack_mul``, which reads the rows of R once per
 block and never forms the nN x nN diagonal.  A witness is a product with
 the division.  A ``Splitting`` verifies its certificate once.  Its
-``slice`` and ``fold`` are the one slice and the one fold, and each takes
-one element or a stack alike; ``decompose`` forms Pr_i S and Q_i S' once
-per i and shares them across every j.  Every identity built here is
-checked once with exact matrix equality, every block of a stack in one
-comparison, and the public functions check their inputs, factor indices
-included, at the boundary.
+``slice`` and ``fold`` are the one slice and the one fold: each takes one
+element or a stack alike and checks its identity on the matrices it
+returns.  ``decompose`` checks the slice and fold identities of every
+pair (i, j) without forming either: each side of an identity is a
+sandwich L S (I_N (x) R), the same products regrouped, with an n x n left
+factor L of i and right factor R of j that the splitting builds once
+(``_Factors``).  The left products L S of each i are shared by every j,
+so a pair costs four products by I_N (x) R and one by the n x d factor
+that gives the fold's image of the kernel, about half the multiply-adds
+of forming the slice and the fold and checking them.  Every identity
+built here is checked once with exact matrix equality, every block of a
+stack in one comparison, and the public functions check their inputs,
+factor indices included, at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .backend import Matrix, OperatorInstance, instantiate
 from .certify import (Certificate, _require_verified, _singleton_cofactors,
@@ -96,6 +103,54 @@ def is_formal_symmetry(S: Matrix, P: Matrix) -> Optional[Matrix]:
     return witness
 
 
+_SLICE_FAILED = "generalized symmetry identity failed"
+_FOLD_FAILED = "reconstructed symmetry failed"
+
+
+def _check_sandwiches(failure: str, left: Matrix, right: Matrix,
+                      left_prime: Matrix, right_prime: Matrix) -> None:
+    """left (I_N (x) right) == left_prime (I_N (x) right_prime) exactly, or a
+    VerificationError that names the failed identity."""
+    if left.stack_mul(right) != left_prime.stack_mul(right_prime):
+        raise VerificationError(f"internal error: {failure}")
+
+
+class _Factors(NamedTuple):
+    """The n x n factors of one index k, built once per ``Splitting``.
+
+    The slice (i, j) of (S, S') is (Pr_i S Pr_j, Q_i S' Pr_j P^j), and the
+    fold of (T, T') is (T Pr_j, P^i T' Q_j).  Grouping the products of their
+    identities by index gives, for the slice (i, j) of a formal symmetry,
+
+        P_i S_ij  = (P_i Pr_i) S (I_N (x) Pr_j),
+        S'_ij P_j = Q_i S' (I_N (x) Pr_j P^j P_j),
+
+    and for the fold of that slice
+
+        P S  = (P Pr_i) S (I_N (x) Pr_j^2),
+        S' P = (P^i Q_i) S' (I_N (x) Pr_j P^j Q_j P):
+
+    each side is a sandwich L S (I_N (x) R) with a left factor L of i and a
+    right factor R of j."""
+
+    slice_left: Matrix          # P_k Pr_k
+    fold_left: Matrix           # P Pr_k
+    fold_left_prime: Matrix     # P^k Q_k
+    slice_right_prime: Matrix   # Pr_k P^k P_k
+    fold_right: Matrix          # Pr_k^2
+    fold_right_prime: Matrix    # Pr_k P^k Q_k P
+
+
+class _Left(NamedTuple):
+    """The left sides of the identities of one index i on a stack (S, S'),
+    each one product, shared by every j."""
+
+    slice: Matrix          # P_i Pr_i S
+    slice_prime: Matrix    # Q_i S'
+    fold: Matrix           # P Pr_i S
+    fold_prime: Matrix     # P^i Q_i S'
+
+
 @dataclass(frozen=True)
 class Splitting:
     """P, P_i, P^i, Q_i and Pr_i = Q_i P^i of a singleton-family certificate
@@ -121,60 +176,85 @@ class Splitting:
                    projectors=tuple(qi * ci for qi, ci in zip(q, comp)))
 
     @cached_property
-    def _slice_right(self) -> tuple[Matrix, ...]:
-        """Pr_j P^j, the right factor of a sliced witness."""
+    def _slice_prime(self) -> tuple[Matrix, ...]:
+        """Pr_k P^k for every k, the right factor of a sliced witness."""
         return tuple(pr * c for pr, c in zip(self.projectors, self.complements))
+
+    @cached_property
+    def _table(self) -> tuple[_Factors, ...]:
+        """The ``_Factors`` of every index."""
+        out = []
+        for p, c, q, pr, slice_prime in zip(
+                self.factors, self.complements, self.cofactors,
+                self.projectors, self._slice_prime):
+            out.append(_Factors(
+                slice_left=p * pr, fold_left=self.P * pr, fold_left_prime=c * q,
+                slice_right_prime=slice_prime * p, fold_right=pr * pr,
+                fold_right_prime=slice_prime * (q * self.P)))
+        return tuple(out)
+
+    @cached_property
+    def _kernel_right(self) -> Optional[tuple[Matrix, ...]]:
+        """Pr_j^2 K for every j, K the kernel matrix of P; None when P is
+        invertible."""
+        fact = self.P.factorization
+        if not fact.kernel:
+            return None
+        return tuple(f.fold_right * fact.kernel_matrix for f in self._table)
 
     def slice(self, sym: FormalSymmetry, i: int, j: int) -> GeneralizedSymmetry:
         """S_ij = Pr_i S Pr_j, witness Q_i S' Pr_j P^j, for sym checked on
         P; for a stack of N symmetries, the stack of the N slices."""
-        return self._slice(i, j, self.projectors[i] * sym.S,
-                           self.cofactors[i] * sym.S_prime)
-
-    def _slice(self, i: int, j: int, left: Matrix,
-               left_prime: Matrix) -> GeneralizedSymmetry:
-        """The slice (i, j) from left = Pr_i S and left_prime = Q_i S'."""
-        return self._generalized(i, j, left.stack_mul(self.projectors[j]),
-                                 left_prime.stack_mul(self._slice_right[j]))
+        S_ij = (self.projectors[i] * sym.S).stack_mul(self.projectors[j])
+        S_prime_ij = (self.cofactors[i] * sym.S_prime).stack_mul(
+            self._slice_prime[j])
+        out = GeneralizedSymmetry(i, j, S_ij, S_prime_ij)
+        if not out.holds_for(self.factors[i], self.factors[j]):
+            raise VerificationError(f"internal error: {_SLICE_FAILED}")
+        return out
 
     def fold(self, gen: GeneralizedSymmetry) -> FormalSymmetry:
         """S = S_ij Pr_j, witness P^i S'_ij Q_j, for gen checked on P_i,
         P_j; for a stack of N, the stack of the N folds."""
-        return self._formal(
+        out = FormalSymmetry(
             gen.S_ij.stack_mul(self.projectors[gen.j]),
             (self.complements[gen.i] * gen.S_prime_ij).stack_mul(
                 self.cofactors[gen.j]))
+        if not out.holds_for(self.P):
+            raise VerificationError(f"internal error: {_FOLD_FAILED}")
+        return out
 
     def decompose(self, sym: FormalSymmetry
-                  ) -> Iterator[tuple[GeneralizedSymmetry, FormalSymmetry]]:
-        """Yield ``slice(sym, i, j)`` and its ``fold`` for every pair
-        (i, j), in order, for sym checked on P.
+                  ) -> Iterator[tuple[int, int, Optional[Matrix]]]:
+        """Check the identities of ``slice(sym, i, j)`` and of its
+        ``fold`` for every pair (i, j), in order, for sym checked on P, and
+        yield i, j and the image of the kernel of P under the fold,
+        Pr_i S Pr_j^2 K (None when P is invertible).
 
-        Pr_i S and Q_i S' are one product per i, shared by every j.  Each
-        identity is one equality per (i, j), checked before the pair is
-        yielded.  A caller that drops each pair as it goes holds the stacks
-        of one pair at a time.
+        Neither the slice nor the fold is formed: each identity is the
+        equality of two sandwiches (``_Factors``), the matrices that
+        ``slice`` and ``fold`` compare, grouped differently.  The left sides
+        of each i are four products (``_left``) and Pr_i S a fifth, shared
+        by every j, so a pair costs four products by I_N (x) R for n x n
+        right factors R and one by the n x d factor Pr_j^2 K.  Each identity
+        is checked once per pair, on every block of the stack at once,
+        before the pair is yielded.
         """
+        kernel = self._kernel_right
         for i in range(len(self.factors)):
-            left = self.projectors[i] * sym.S
-            left_prime = self.cofactors[i] * sym.S_prime
-            for j in range(len(self.factors)):
-                gen = self._slice(i, j, left, left_prime)
-                yield gen, self.fold(gen)
+            left = self._left(i, sym)
+            image = None if kernel is None else self.projectors[i] * sym.S
+            for j, f in enumerate(self._table):
+                _check_sandwiches(_SLICE_FAILED, left.slice, self.projectors[j],
+                                  left.slice_prime, f.slice_right_prime)
+                _check_sandwiches(_FOLD_FAILED, left.fold, f.fold_right,
+                                  left.fold_prime, f.fold_right_prime)
+                yield i, j, None if image is None else image.stack_mul(kernel[j])
 
-    def _generalized(self, i: int, j: int, S_ij: Matrix,
-                     S_prime_ij: Matrix) -> GeneralizedSymmetry:
-        out = GeneralizedSymmetry(i, j, S_ij, S_prime_ij)
-        if not out.holds_for(self.factors[i], self.factors[j]):
-            raise VerificationError(
-                "internal error: generalized symmetry identity failed")
-        return out
-
-    def _formal(self, S: Matrix, S_prime: Matrix) -> FormalSymmetry:
-        out = FormalSymmetry(S, S_prime)
-        if not out.holds_for(self.P):
-            raise VerificationError("internal error: reconstructed symmetry failed")
-        return out
+    def _left(self, i: int, sym: FormalSymmetry) -> _Left:
+        f = self._table[i]
+        return _Left(f.slice_left * sym.S, self.cofactors[i] * sym.S_prime,
+                     f.fold_left * sym.S, f.fold_left_prime * sym.S_prime)
 
 
 def _require_indices(factors: Sequence[Polynomial], *indices: int) -> None:

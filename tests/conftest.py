@@ -341,6 +341,7 @@ def fold_reference(splitting, i, j, S_ij, S_prime_ij):
 
 _REFERENCE_OPS = set("+-*^()")
 _REFERENCE_DIGITS = set("0123456789")
+_REFERENCE_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _reference_check_bits(p: Polynomial, what: str, pos: int) -> Polynomial:
@@ -378,10 +379,12 @@ def _reference_tokenize(text: str) -> list[tuple[str, object, int]]:
                 tokens.append(("number", Fraction(num, den), start))
             else:
                 tokens.append(("number", Fraction(num), start))
-        elif ch.isalpha():
+        elif ch in _REFERENCE_LETTERS:
             start = i
             i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and (text[i] in _REFERENCE_LETTERS
+                             or text[i] in _REFERENCE_DIGITS
+                             or text[i] == "_"):
                 i += 1
             tokens.append(("name", text[start:i], start))
         elif ch in _REFERENCE_OPS:
@@ -401,6 +404,7 @@ class _ReferenceParser:
             raise InputError("duplicate variable names")
         self.tokens = _reference_tokenize(text)
         self.pos = 0
+        self.open = 0
         self.variables = {name: i for i, name in enumerate(variables)}
         self.nvars = len(variables)
         self.cap = poly.resolve_term_cap()
@@ -521,7 +525,12 @@ class _ReferenceParser:
                 raise ParseError(f"unknown variable {val!r}", pos)
             return Polynomial.variable(index, self.nvars)
         if kind == "(":
+            if self.open >= poly.NESTING_CAP:
+                raise ParseError(
+                    f"parentheses nest deeper than {poly.NESTING_CAP}", pos)
+            self.open += 1
             value = self.parse_expr()
+            self.open -= 1
             self.expect(")")
             return value
         raise ParseError(f"unexpected {kind!r}", pos)

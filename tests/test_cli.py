@@ -300,12 +300,19 @@ class TestVerifyOnce:
                                                 monkeypatch):
         import opkit
         import opkit.certify
+        import opkit.symmetry
         from opkit.backend import instantiate
         from opkit.symmetry import (FormalSymmetry, GeneralizedSymmetry,
                                     enumerate_formal_symmetries)
         from conftest import induced_kernel_map
         calls = {"verify": 0, "formal": 0, "generalized": 0, "solve": 0,
                  "span": 0}
+        sandwiches = []
+        check = opkit.symmetry._check_sandwiches
+        monkeypatch.setattr(
+            opkit.symmetry, "_check_sandwiches",
+            lambda failure, *sides: sandwiches.append(failure)
+            or check(failure, *sides))
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -336,9 +343,13 @@ class TestVerifyOnce:
         pairs = len(report["factors"]) ** 2
         assert calls["verify"] == 2 * certify_checks + 1
         # The m basis elements pass as one stack, so each identity of a
-        # pair (i, j) is one check that covers all m blocks.
+        # pair (i, j) is one check that covers all m blocks: the slice
+        # identity, then the fold identity, each a comparison of two
+        # sandwiches; no slice or fold is formed, so none is checked whole.
         assert m == 27
-        assert calls["formal"] == calls["generalized"] == pairs
+        assert sandwiches == [opkit.symmetry._SLICE_FAILED,
+                              opkit.symmetry._FOLD_FAILED] * pairs
+        assert calls["formal"] == calls["generalized"] == 0
         assert calls["solve"] == 0
         assert calls["span"] == 2  # one canonical basis per side
         # an induced map reads coordinates off the kernel too
@@ -361,6 +372,48 @@ class TestExitCodes:
     def test_missing_job_file_is_2(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--job", "/no/such/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("mode, depth, key", [
+        ("plan", 100_000, "unused"),      # past the decoder's stack
+        ("symmetry", 5_000, "instance"),
+        ("symmetry", 500, "instance"),    # decoded, then refused
+        ("plan", 32, "unused"),           # 33 levels with the job object
+    ])
+    def test_deeply_nested_json_is_2(self, capsys, tmp_path, mode, depth,
+                                     key):
+        deep = "[" * depth + "]" * depth
+        value = (f'{{"kind": "matrices", "generators": [{deep}]}}'
+                 if key == "instance" else deep)
+        path = tmp_path / "job.json"
+        path.write_text('{"variables": ["x"], "factors": ["x", "x+1"], '
+                        f'"{key}": {value}}}')
+        code, out, err = run_cli(capsys, mode, "--job", str(path))
+        assert code == 2 and out == ""
+        assert "job file nests arrays and objects more than 32 deep" in err
+
+    def test_nesting_at_the_job_cap_is_read(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text('{"variables": ["x"], "factors": ["x", "x+1"], '
+                        '"unused": ' + "[" * 31 + "]" * 31 + "}")
+        code, out, _ = run_cli(capsys, "plan", "--job", str(path))
+        assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_deeply_nested_parentheses_are_2(self, capsys, tmp_path):
+        path = write_job(tmp_path, {
+            "variables": ["x"],
+            "factors": ["(" * 400 + "x" + ")" * 400, "x+1"],
+        })
+        code, out, err = run_cli(capsys, "plan", "--job", path)
+        assert code == 2 and out == ""
+        assert "parentheses nest deeper than 100 (at position 100)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["ß", "x²", "", "1x", "x y", "_"])
+    def test_variables_must_be_names(self, capsys, tmp_path, name):
+        path = write_job(tmp_path, {"variables": [name], "factors": ["1"]})
+        code, out, err = run_cli(capsys, "plan", "--job", path)
+        assert code == 2 and out == ""
+        assert "'variables' must be a nonempty list of names" in err
 
     def test_resource_cap_is_3(self, capsys, tmp_path):
         path = write_job(tmp_path, {
@@ -1254,13 +1307,12 @@ class TestSymmetryMode:
         assert report["decompositions"][0]["reconstructions_hold"]
 
     @staticmethod
-    def count_products(capsys, tmp_path, monkeypatch, max_degree):
-        """Run the enumerated job for factors x, x+1 on the one-variable
-        truncated derivative of the given dimension, counting the calls of
-        kernels.mat_mul and kernels.stack_mul, their multiply-adds (for each
-        entry (k, x) of a row of the left operand, the length of the row of
-        the right operand that it scales) and the row counts of the right
-        operands; returns the counts and the basis size."""
+    def count_products(capsys, tmp_path, monkeypatch, job):
+        """Run the symmetry job, counting the calls of kernels.mat_mul and
+        kernels.stack_mul, their multiply-adds (for each entry (k, x) of a
+        row of the left operand, the length of the row of the right operand
+        that it scales) and the row counts of the right operands; returns
+        the counts and the basis size."""
         import opkit.kernels
         counts = {"mat_mul": 0, "stack_mul": 0, "madds": 0,
                   "right_rows": []}
@@ -1279,14 +1331,19 @@ class TestSymmetryMode:
 
         for name in ("mat_mul", "stack_mul"):
             monkeypatch.setattr(opkit.kernels, name, counted(name))
-        job = {"variables": ["x"], "factors": ["x", "x+1"],
-               "instance": {"kind": "truncated_derivative",
-                            "max_degree": max_degree}}
         code, out, _ = run_cli(capsys, "symmetry", "--job",
-                               write_job(tmp_path, job, f"job{max_degree}.json"))
+                               write_job(tmp_path, job, "counted.json"))
         monkeypatch.undo()
         assert code == 0
         return counts, json.loads(out)["symmetry_space_dimension"]
+
+    @staticmethod
+    def truncated_derivative_job(max_degree):
+        """The enumerated job for factors x, x+1 on the one-variable
+        truncated derivative of dimension max_degree."""
+        return {"variables": ["x"], "factors": ["x", "x+1"],
+                "instance": {"kind": "truncated_derivative",
+                             "max_degree": max_degree}}
 
     def test_products_at_the_cap_are_sparse(self, capsys, tmp_path,
                                             monkeypatch):
@@ -1295,22 +1352,40 @@ class TestSymmetryMode:
         # fixed number of products whatever the basis size (one product per
         # element took about 6,900).  The products by I_N (x) R are
         # stack_mul calls, which read R's own rows, so the multiply-adds are
-        # those of the sparse blocks, about 51,000 in all; dense 12x12
-        # products would do about 9.6 million.
-        counts, size = self.count_products(capsys, tmp_path, monkeypatch, 12)
+        # those of the sparse blocks: 40,907 (37 mat_mul and 24 stack_mul
+        # calls), against 44,307 when each slice and fold was formed and
+        # checked; dense 12x12 products would do about 9.6 million.
+        counts, size = self.count_products(
+            capsys, tmp_path, monkeypatch, self.truncated_derivative_job(12))
         assert size == 133
         assert counts["mat_mul"] + counts["stack_mul"] <= 80
-        assert counts["madds"] <= 100_000
+        assert counts["madds"] <= 41_000
+
+    def test_dense_job_checks_each_pair_as_sandwiches(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # A dense job of the symmetry benchmark's shape (n = 4, a kernel of
+        # dimension 2, 12 basis elements, two factors): each pair's slice
+        # and fold identities are four products by I_N (x) R on left
+        # products shared across j, 9,128 multiply-adds in all, where
+        # forming, folding and checking each slice took 19,216.
+        job = {"variables": ["x"], "factors": ["x + 4", "x + 7"],
+               "instance": {"kind": "matrices", "generators": [[
+                   ["-2", "-4", "-6", "-2"], ["1", "12", "21", "11"],
+                   ["-4", "-16", "-24", "-12"], ["5", "8", "9", "3"]]]}}
+        counts, size = self.count_products(capsys, tmp_path, monkeypatch,
+                                           job)
+        assert size == 12
+        assert counts["madds"] <= 10_000
 
     def test_product_counts_do_not_grow_with_the_basis(self, capsys,
                                                        tmp_path, monkeypatch):
         # At dimension 6 and at 12 (31 and 133 basis elements) the job makes
         # the same calls of each product kernel, and no right operand has
         # more than n rows: I_N (x) R is never formed.
-        small, small_size = self.count_products(capsys, tmp_path,
-                                                monkeypatch, 6)
-        large, large_size = self.count_products(capsys, tmp_path,
-                                                monkeypatch, 12)
+        small, small_size = self.count_products(
+            capsys, tmp_path, monkeypatch, self.truncated_derivative_job(6))
+        large, large_size = self.count_products(
+            capsys, tmp_path, monkeypatch, self.truncated_derivative_job(12))
         assert (small_size, large_size) == (31, 133)
         assert max(small["right_rows"]) <= 6
         assert max(large["right_rows"]) <= 12
@@ -1322,9 +1397,12 @@ class TestSymmetryMode:
     @pytest.mark.parametrize("target", ["witness", "slice", "fold"])
     def test_each_block_identity_is_checked(self, capsys, tmp_path,
                                             monkeypatch, target, position):
-        # One entry of one element's witness, slice S_00 or fold of S_00 is
-        # changed inside the stack; the identity of that block alone then
-        # fails where it is built, and the job exits 4.
+        # One entry of one element's witness is changed inside the stack,
+        # or one entry of the left side of the slice identity of (0, 0)
+        # (P_0 Pr_0 S, before its right factor Pr_0) or of the fold
+        # identity of that slice (P Pr_0 S, before Pr_0^2).  The identity
+        # of that block alone then fails where it is checked, and the job
+        # exits 4.
         from opkit.backend import Factorization, Matrix
         from opkit.symmetry import Splitting
         count, n = 27, 6
@@ -1334,45 +1412,37 @@ class TestSymmetryMode:
             return m + Matrix([[int((a, b) == (r, c)) for b in range(m.cols)]
                                for a in range(m.rows)])
 
-        def nonzero_column(m):
-            return next(c for c, col in enumerate(zip(*m.row_list()))
-                        if any(col))
+        def nonzero_row(m):
+            return next(r for r, row in enumerate(m.row_list()) if any(row))
 
         if target == "witness":
             right_divide = Factorization.right_divide
 
             def perturbed(self, C):
                 # Row c of P is nonzero, so S' (I (x) P) changes in block k.
-                c = next(r for r, row in enumerate(self.P.row_list())
-                         if any(row))
+                c = nonzero_row(self.P)
                 return bump(right_divide(self, C), 0, k * n + c)
 
             monkeypatch.setattr(Factorization, "right_divide", perturbed)
             message = "symmetry witness failed its check"
-        elif target == "slice":
-            generalized = Splitting._generalized
-
-            def perturbed(self, i, j, S_ij, S_prime_ij):
-                if (i, j) == (0, 0):
-                    # Column r of P_0 is nonzero, so P_0 S_00 changes in
-                    # block k.
-                    S_ij = bump(S_ij, nonzero_column(self.factors[0]), k * n)
-                return generalized(self, i, j, S_ij, S_prime_ij)
-
-            monkeypatch.setattr(Splitting, "_generalized", perturbed)
-            message = "generalized symmetry identity failed"
         else:
-            formal = Splitting._formal
-            folds = []
+            left = Splitting._left
 
-            def perturbed(self, S, S_prime):
-                if not folds:
-                    S = bump(S, nonzero_column(self.P), k * n)
-                folds.append(1)
-                return formal(self, S, S_prime)
+            def perturbed(self, i, sym):
+                sides = left(self, i, sym)
+                if i != 0:
+                    return sides
+                # Row c of the right factor is nonzero, so the left side
+                # of the identity changes in block k.
+                right = (self.projectors[0] if target == "slice"
+                         else self._table[0].fold_right)
+                changed = bump(getattr(sides, target), 0,
+                               k * n + nonzero_row(right))
+                return sides._replace(**{target: changed})
 
-            monkeypatch.setattr(Splitting, "_formal", perturbed)
-            message = "reconstructed symmetry failed"
+            monkeypatch.setattr(Splitting, "_left", perturbed)
+            message = {"slice": "generalized symmetry identity failed",
+                       "fold": "reconstructed symmetry failed"}[target]
         code, out, err = run_cli(capsys, "symmetry", "--job",
                                  write_job(tmp_path, SYMMETRY_ENUMERATED_JOB))
         assert code == 4 and out == ""

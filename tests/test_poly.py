@@ -237,6 +237,31 @@ class TestParsePrint:
             P("x + $")
         assert err.value.position == 4
 
+    def test_nesting_cap_refuses_the_opening_parenthesis(self):
+        cap = poly.NESTING_CAP
+        assert P("(" * cap + "x" + ")" * cap) == P("x")
+        for text in ("(" * (cap + 1) + "x" + ")" * (cap + 1),
+                     "x + " + "-(" * 400 + "y" + ")" * 400):
+            with pytest.raises(ParseError) as err:
+                P(text)
+            opening = [i for i, ch in enumerate(text) if ch == "("][cap]
+            assert err.value.position == opening
+            assert f"nest deeper than {cap}" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["ß", "x²", "é1", "٣", "xß"])
+    def test_names_are_ascii(self, name):
+        assert not poly.is_name(name)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_polynomial(name, ["x"])
+
+    @pytest.mark.parametrize("name, ok", [
+        ("x", True), ("Xy_1", True), ("a__", True), ("", False),
+        ("1x", False), ("_x", False), ("x y", False), ("x-1", False),
+        (5, False),
+    ])
+    def test_is_name(self, name, ok):
+        assert poly.is_name(name) is ok
+
     def test_unary_minus_binds_looser_than_power(self):
         assert P("-x^2") == -(P("x") ** 2)
         assert P("-2^2") == Polynomial.constant(-4, 2)
@@ -381,6 +406,10 @@ class TestParserAgainstReference:
         "x x $", "(x", "x)", "^2", "x^", "x^y", "x^1/2", "x/2", "1/0 + $",
         "", " ", "w", "x y", "(x+y+1)^3*(x+y+1)^4", "2^4096", "3^2585",
         "(2/3)^12", "x^10001", "(x*y)^5001", "9" * 1300, "1/" + "9" * 1300,
+        "ß", "x²", "xß", "x_1ß", "٣", "(" * 100 + "x" + ")" * 100,
+        "(" * 101 + "x" + ")" * 101, "(" * 400 + "x" + ")" * 400,
+        "-(" * 101 + "x" + ")" * 101, "(" * 101 + "$", "(" * 100 + "x",
+        "(x)*" * 200 + "x", "((x)+(" * 60 + "x" + "))" * 60,
     ])
     @pytest.mark.parametrize("term_cap", [None, "5"])
     def test_cases(self, text, term_cap, monkeypatch):

@@ -417,6 +417,22 @@ class TestGeneralized:
 
 
 class TestReconstruction:
+    def test_slice_and_fold_check_what_they_form(self):
+        # slice and fold check the identity on the matrices they return:
+        # S = [[0, 0], [1, 0]] moves the kernel of P = diag(0, 2), so with
+        # S' = 0 its slice (1, 1), [[0, 0], [2, 0]], fails
+        # P_1 S_11 = S'_11 P_1, and the fold of the same matrix as a
+        # generalized symmetry fails P S = S' P.
+        cert, factors, inst, p_full = diag_setup((0, 1))
+        splitting = Splitting.of(cert, factors, inst)
+        moved, zero = Matrix([[0, 0], [1, 0]]), Matrix.zeros(2, 2)
+        with pytest.raises(VerificationError,
+                           match="generalized symmetry identity failed"):
+            splitting.slice(FormalSymmetry(moved, zero), 1, 1)
+        with pytest.raises(VerificationError,
+                           match="reconstructed symmetry failed"):
+            splitting.fold(GeneralizedSymmetry(1, 1, moved, zero))
+
     def test_zero_reconstructs_to_zero(self):
         cert, factors, inst, p_full = diag_setup()
         gen = GeneralizedSymmetry(0, 1, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
@@ -462,10 +478,12 @@ def random_splitting(rng, factor_count, dim):
 
 class TestStackedDecomposition:
     def test_blocks_match_single_element_slices_and_folds(self, rng):
-        # Every block of the stacked decomposition, and Splitting.slice and
-        # Splitting.fold on that element alone, are the plain products
-        # Pr_i S Pr_j, Q_i S' Pr_j P^j, S_ij Pr_j and P^i S'_ij Q_j on the
-        # element, in value and stored form, on the enumerated basis, a
+        # Splitting.slice and Splitting.fold on one element are the plain
+        # products Pr_i S Pr_j, Q_i S' Pr_j P^j, S_ij Pr_j and P^i S'_ij Q_j
+        # on the element, in value and stored form; the stacked witness is
+        # the stack of the single ones; and decompose, which forms neither,
+        # yields for every pair the stack whose blocks are the folds' images
+        # of the kernel, S_ij Pr_j K.  All on the enumerated basis, a
         # rational combination of it and a scaled element (so the blocks
         # have different denominators).
         shapes = set()
@@ -488,23 +506,26 @@ class TestStackedDecomposition:
             for got, one in zip(witness.hsplit(len(elements)), singles):
                 assert same_matrix(got, one.S_prime)
             pieces = list(splitting.decompose(FormalSymmetry(stack, witness)))
-            assert [(g.i, g.j) for g, _ in pieces] == [
+            assert [(i, j) for i, j, _ in pieces] == [
                 (i, j) for i in range(factor_count)
                 for j in range(factor_count)]
-            for gen, back in pieces:
-                columns = [m.hsplit(len(elements)) for m in
-                           (gen.S_ij, gen.S_prime_ij, back.S, back.S_prime)]
-                for k, one in enumerate(singles):
-                    want = slice_reference(splitting, one.S, one.S_prime,
-                                           gen.i, gen.j)
-                    want += fold_reference(splitting, gen.i, gen.j, *want)
-                    sliced = splitting.slice(one, gen.i, gen.j)
+            for i, j, image in pieces:
+                images = (image.hsplit(len(elements)) if fact.kernel
+                          else [image] * len(elements))
+                for one, got_image in zip(singles, images):
+                    want = slice_reference(splitting, one.S, one.S_prime, i, j)
+                    want += fold_reference(splitting, i, j, *want)
+                    sliced = splitting.slice(one, i, j)
                     folded = splitting.fold(sliced)
                     got = (sliced.S_ij, sliced.S_prime_ij, folded.S,
                            folded.S_prime)
-                    for blocks, g, w in zip(columns, got, want):
-                        assert same_matrix(blocks[k], w)
+                    for g, w in zip(got, want):
                         assert same_matrix(g, w)
+                    if fact.kernel:
+                        assert same_matrix(got_image,
+                                           want[2] * fact.kernel_matrix)
+                    else:
+                        assert got_image is None
             shapes.add((factor_count, len(fact.kernel) > 0))
         assert {(2, True), (3, True)} <= shapes
 
