@@ -30,7 +30,6 @@ from .certify import (
     alpha_to_dual_system,
     dual_certificate,
     dual_to_alpha,
-    plan_dual_certificate,
     true_decomposition_certificate,
     univariate_certificate,
     univariate_factors,
@@ -55,8 +54,6 @@ from .planner import (
     SetSystem,
     alpha_l,
     alpha_u,
-    beta_min,
-    coincidence_graph,
     lower_set,
     max_elements,
     min_elements,

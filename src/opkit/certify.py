@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (InputError, MembershipError, ResourceLimitError,
                      VerificationError)
-from .groebner import BezoutCertificate, bezout_certificate, contains_one
-from .planner import (DecompositionPlan, IndexSet, SetSystem, _check_atoms,
-                      max_elements)
+from .groebner import bezout_certificate
+from .planner import IndexSet, SetSystem, _check_atoms, max_elements
 from .poly import (DEFAULT_ORDER, MonomialOrder, Polynomial,
                    _check_certificate_bits, product, resolve_term_cap,
                    sum_of_products)
@@ -160,30 +159,15 @@ def univariate_certificate(spec: UnivariateSpec) -> Certificate:
 
 def dual_certificate(factors: Sequence[Polynomial], beta: SetSystem,
                      order: MonomialOrder = DEFAULT_ORDER) -> DualCertificate:
-    """Bezout cofactors for every J in beta, found by certified Buchberger runs.
+    """Bezout cofactors for every J in beta: one tracked Buchberger run
+    (``groebner.bezout_certificate``) per member, on its factors in
+    increasing index order, with no probe first.
 
+    Each member's identity is its Bezout identity, checked when built.
     Raises MembershipError naming the first J whose factor ideal does not
-    contain 1.
+    contain 1.  That member is found by its tracked run, which carries
+    cofactors, so it can meet the term cap where a probe would not.
     """
-    return _dual_from_bezout(
-        factors, beta,
-        lambda indices: contains_one([factors[j] for j in indices], order))
-
-
-def plan_dual_certificate(plan: DecompositionPlan) -> DualCertificate:
-    """The dual certificate over ``plan.beta_min``: one tracked run per
-    member, on its factors in increasing index order, and no probe, since
-    the plan's search found every member a unit."""
-    atoms = plan.atoms
-    return _dual_from_bezout(
-        atoms, plan.beta_min,
-        lambda indices: bezout_certificate([atoms[j] for j in indices],
-                                           plan.order))
-
-
-def _dual_from_bezout(factors: Sequence[Polynomial], beta: SetSystem,
-                      bezout: Callable[[list[int]], Optional[BezoutCertificate]]
-                      ) -> DualCertificate:
     _check_atoms(factors)
     if beta.ground != len(factors) - 1:
         raise InputError(
@@ -193,12 +177,12 @@ def _dual_from_bezout(factors: Sequence[Polynomial], beta: SetSystem,
         indices = sorted(J)
         if not indices:
             raise InputError("the empty set cannot appear in a dual family")
-        bez = bezout(indices)
-        if bez is None:
+        try:
+            bez = bezout_certificate([factors[j] for j in indices], order)
+        except MembershipError:
             raise MembershipError(
-                f"1 is not in the ideal of factors {indices}")
-        cofactors[J] = {j: q for j, q in zip(indices, bez.cofactors)}
-    # Each member's identity is its Bezout identity, checked when built.
+                f"1 is not in the ideal of factors {indices}") from None
+        cofactors[J] = dict(zip(indices, bez.cofactors))
     return DualCertificate(beta, cofactors)
 
 

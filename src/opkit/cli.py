@@ -32,15 +32,14 @@ import random
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .backend import (Matrix, OperatorInstance, affine_sets_equal, as_vector,
                       block_span, instantiate,
                       make_truncated_derivative_instance, solve_affine)
 from .certify import (Certificate, DualCertificate, UnivariateSpec,
-                      dual_to_alpha, plan_dual_certificate,
-                      univariate_certificate, univariate_factors,
-                      verify_certificate)
+                      dual_certificate, dual_to_alpha, univariate_certificate,
+                      univariate_factors, verify_certificate)
 from .errors import (InputError, IntegrabilityError, MembershipError,
                      OpkitError, ParseError, ResourceLimitError,
                      VerificationError)
@@ -65,6 +64,16 @@ MODES = ("plan", "certify", "reduce", "verify", "symmetry", "system")
 # room and keeps every reader of the job far from the recursion limit.
 JOB_NESTING_CAP = 32
 
+# The parser builds an exponent tuple of length n per variable for each
+# factor, and every term carries one, so a job in n variables costs time
+# and memory in n^2.  At the cap, ``opkit plan`` on two factors that name
+# every variable takes about 0.25 s in process on a 2-CPU x86-64 VM (1.1 s
+# at 1000, 4 s at 2000).  A fixed cap, no override.
+VARIABLE_CAP = 500
+
+# How much of a bad string entry an error message quotes.
+_QUOTED_CHARS = 40
+
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
@@ -77,6 +86,10 @@ class JobSpec:
         self.order = order
         self.seed = seed
         self.variables = data.get("variables")
+        if isinstance(self.variables, list) and len(self.variables) > VARIABLE_CAP:
+            raise ResourceLimitError(
+                f"a job names at most {VARIABLE_CAP} variables, "
+                f"got {len(self.variables)}")
         if (not isinstance(self.variables, list) or not self.variables
                 or not all(map(is_name, self.variables))):
             raise InputError("'variables' must be a nonempty list of names "
@@ -105,7 +118,8 @@ class JobSpec:
     def _rational(value, where: str) -> Fraction:
         """An exact rational from an integer or an "a/b" string of ASCII digits,
         held to COEFFICIENT_BITS_CAP before conversion as ``load_job`` holds
-        JSON integers; floats and bools are not exact rationals."""
+        JSON integers; floats and bools are not exact rationals.  A bad
+        entry is named by its type, and a string by a bounded prefix."""
         if isinstance(value, str) and (match := _RATIONAL_TEXT.fullmatch(value)):
             sign, num, den = match.groups("1")
             num, den = (_literal(d, f"in {where!r}") for d in (num, den))
@@ -113,7 +127,12 @@ class JobSpec:
                 return Fraction(-num if sign == "-" else num, den)
         elif isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
-        raise InputError(f"bad rational {value!r} in {where!r}: "
+        entry = type(value).__name__
+        if isinstance(value, str):
+            entry += f" {value[:_QUOTED_CHARS]!r}"
+            if len(value) > _QUOTED_CHARS:
+                entry += "..."
+        raise InputError(f"bad rational ({entry}) in {where!r}: "
                          f"expected an integer or an 'a/b' string")
 
     def _matrix(self, grid, where: str) -> Matrix:
@@ -250,7 +269,7 @@ def _certificates(job: JobSpec) -> tuple[dict, list, Certificate]:
         raise VerificationError(
             "no decomposition is available for these factors "
             "(no factor subset generates the unit ideal)")
-    dual = plan_dual_certificate(plan)
+    dual = dual_certificate(plan.atoms, plan.beta_min, job.order)
     duals_json = []
     for J, items in dual.sorted_items():
         duals_json.append({
@@ -334,53 +353,62 @@ def cmd_reduce(job: JobSpec) -> dict:
     return out
 
 
+def _verify_check(job: JobSpec, factors: list[Polynomial], kind: str,
+                  key: str, family: str, mismatch: str,
+                  build: Callable[[SetSystem, Iterable], object]
+                  ) -> Optional[dict]:
+    """The check of the certificate at ``key``, None when the job has none.
+
+    Reads its index family and one cofactor entry per member, and gives
+    ``build`` the family and the (member, entry) pairs, members in
+    canonical (sorted) order.  The residual is held to CERTIFICATE_BITS_CAP
+    before it prints: cofactors within the job caps can leave one too long
+    to print."""
+    raw = job.raw.get(key)
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise InputError(f"{key!r} must be an object with {family!r} "
+                         f"and 'cofactors'")
+    system = job.index_family(raw.get(family), f"{key}.{family}")
+    exprs = raw.get("cofactors")
+    members = sorted(system.sets, key=sorted)
+    if not isinstance(exprs, list) or len(exprs) != len(members):
+        raise InputError(mismatch)
+    ok, residual = verify_certificate(build(system, zip(members, exprs)),
+                                      factors)
+    _check_certificate_bits(residual.terms.values(), f"the {key} residual")
+    return {"kind": kind, "verified": ok, "residual": _fmt(job, residual)}
+
+
 def cmd_verify(job: JobSpec) -> dict:
     factors = job.require_factors()
-    checks = []
-    all_ok = True
-    raw_cert = job.raw.get("certificate")
-    if raw_cert is not None:
-        if not isinstance(raw_cert, dict):
-            raise InputError("'certificate' must be an object with 'alpha' "
-                             "and 'cofactors'")
-        alpha = job.index_family(raw_cert.get("alpha"), "certificate.alpha")
-        exprs = raw_cert.get("cofactors")
-        members = sorted(alpha.sets, key=sorted)
-        if not isinstance(exprs, list) or len(exprs) != len(members):
-            raise InputError("certificate cofactors must match alpha, in "
-                             "canonical (sorted) order")
-        cofactors = {J: parse_polynomial(s, job.variables)
-                     for J, s in zip(members, exprs)}
-        cert = Certificate(alpha, cofactors)
-        ok, residual = verify_certificate(cert, factors)
-        checks.append({"kind": "alpha", "verified": ok,
-                       "residual": _fmt(job, residual)})
-        all_ok &= ok
-    raw_dual = job.raw.get("dual_certificate")
-    if raw_dual is not None:
-        if not isinstance(raw_dual, dict):
-            raise InputError("'dual_certificate' must be an object with "
-                             "'beta' and 'cofactors'")
-        beta = job.index_family(raw_dual.get("beta"), "dual_certificate.beta")
-        exprs = raw_dual.get("cofactors")
-        members = sorted(beta.sets, key=sorted)
-        if not isinstance(exprs, list) or len(exprs) != len(members):
-            raise InputError("dual cofactors must match beta, in canonical order")
+
+    def alpha(system: SetSystem, entries) -> Certificate:
+        return Certificate(system, {J: parse_polynomial(s, job.variables)
+                                    for J, s in entries})
+
+    def dual(system: SetSystem, entries) -> DualCertificate:
         cofactors = {}
-        for J, row in zip(members, exprs):
+        for J, row in entries:
             indices = sorted(J)
             if not isinstance(row, list) or len(row) != len(indices):
                 raise InputError(f"need one cofactor per index of {indices}")
             cofactors[J] = {j: parse_polynomial(s, job.variables)
                             for j, s in zip(indices, row)}
-        dual = DualCertificate(beta, cofactors)
-        ok, residual = verify_certificate(dual, factors)
-        checks.append({"kind": "dual", "verified": ok,
-                       "residual": _fmt(job, residual)})
-        all_ok &= ok
+        return DualCertificate(system, cofactors)
+
+    checks = [check for check in (
+        _verify_check(job, factors, "alpha", "certificate", "alpha",
+                      "certificate cofactors must match alpha, in canonical "
+                      "(sorted) order", alpha),
+        _verify_check(job, factors, "dual", "dual_certificate", "beta",
+                      "dual cofactors must match beta, in canonical order",
+                      dual)) if check is not None]
     if not checks:
         raise InputError("verify mode needs 'certificate' or 'dual_certificate'")
-    out = {"mode": "verify", "ok": bool(all_ok), "checks": checks,
+    all_ok = all(check["verified"] for check in checks)
+    out = {"mode": "verify", "ok": all_ok, "checks": checks,
            "order": job.order.value}
     if not all_ok:
         raise CommandFailed(out, EXIT_VERIFICATION)

@@ -9,10 +9,12 @@ of index sets usable on the other side of the duality.
 One search finds ``beta_min``, by probes that answer yes or no
 (``groebner.is_unit``).  It probes L and each co-atom L \\ {i} first, and
 then walks by size only the sets that contain every i whose co-atom is not
-a unit; every other answer follows from monotonicity.  A plan builds no
-Bezout certificate: ``certify.plan_dual_certificate`` runs the tracked
-search (``groebner.bezout_certificate``) once per member of ``beta_min``,
-for the callers that print one.
+a unit; every other answer follows from monotonicity.  That search is
+``plan_decomposition``, the one entry: callers read ``beta_min`` and the
+graph off its result.  A plan builds no Bezout certificate:
+``certify.dual_certificate`` runs the tracked search
+(``groebner.bezout_certificate``) once per member of ``beta_min``, for the
+callers that print one.
 
 Everything here enumerates subsets of L exactly; ground sets are capped at
 desk scale (l <= 20 for power-set sweeps, l <= 12 for the membership search,
@@ -234,38 +236,6 @@ def _unit_sets(count: int, probe: Probe) -> list[IndexSet]:
     return hits
 
 
-def _coincidence_graph(count: int, hits: Sequence[IndexSet]) -> Graph:
-    """Edge {p, q} where no unit set lies inside {p, q}."""
-    pairs = map(frozenset, combinations(range(count), 2))
-    edges = frozenset(pair for pair in pairs
-                      if not any(h <= pair for h in hits))
-    return Graph(count, edges)
-
-
-def coincidence_graph(atoms: Sequence[Polynomial],
-                      order: MonomialOrder = DEFAULT_ORDER) -> Graph:
-    """Edge {p, q} exactly when 1 is not in the ideal <atoms[p], atoms[q]>.
-
-    Read off the minimal unit sets, so it runs the search of
-    :func:`beta_min`, under the same cap.
-    """
-    _check_atoms(atoms)
-    return _coincidence_graph(
-        len(atoms), _unit_sets(len(atoms), _probes(atoms, order)))
-
-
-def beta_min(factors: Sequence[Polynomial],
-             order: MonomialOrder = DEFAULT_ORDER) -> SetSystem:
-    """Inclusion-minimal nonempty J with 1 in <factors[j] : j in J>.
-
-    Found by probes alone (see :func:`_unit_sets`).  The full family of
-    valid index sets is the upper closure of this antichain.
-    """
-    _check_atoms(factors)
-    hits = _unit_sets(len(factors), _probes(factors, order))
-    return SetSystem(len(factors) - 1, frozenset(hits))
-
-
 def optimal_alpha(beta: SetSystem) -> SetSystem:
     """Largest antichain alpha usable opposite the membership family beta.
 
@@ -279,8 +249,7 @@ def optimal_alpha(beta: SetSystem) -> SetSystem:
 
 @dataclass(frozen=True)
 class DecompositionPlan:
-    """Full planning result for a list of factor atoms, with the monomial
-    order its search ran in."""
+    """Full planning result for a list of factor atoms."""
 
     atoms: tuple[Polynomial, ...]
     graph: Graph
@@ -288,23 +257,29 @@ class DecompositionPlan:
     grouped_factors: tuple[Polynomial, ...]
     beta_min: SetSystem
     alpha_opt: Optional[SetSystem]  # None when no membership hit exists
-    order: MonomialOrder
 
 
 def plan_decomposition(atoms: Sequence[Polynomial],
                        order: MonomialOrder = DEFAULT_ORDER) -> DecompositionPlan:
     """Run the whole planning pipeline on the given atoms.
 
-    One search serves the plan: each index set is probed at most once and
-    the coincidence graph is read off the minimal unit sets.  No tracked
-    run is made here (see ``certify.plan_dual_certificate``).
+    This is the one membership search.  ``beta_min``, the inclusion-minimal
+    nonempty J with 1 in <atoms[j] : j in J>, is found by probes alone (see
+    :func:`_unit_sets`), each index set probed at most once; the full family
+    of valid index sets is its upper closure.  The coincidence graph is read
+    off it: an edge {p, q} exactly when no member lies inside {p, q}, that
+    is when 1 is not in <atoms[p], atoms[q]>.  No tracked run is made here
+    (see ``certify.dual_certificate``).
     """
     nvars = _check_atoms(atoms)
-    hits = _unit_sets(len(atoms), _probes(atoms, order))
-    graph = _coincidence_graph(len(atoms), hits)
+    count = len(atoms)
+    hits = _unit_sets(count, _probes(atoms, order))
+    pairs = map(frozenset, combinations(range(count), 2))
+    graph = Graph(count, frozenset(pair for pair in pairs
+                                   if not any(h <= pair for h in hits)))
     components = tuple(graph.connected_components())
     grouped = tuple(product([atoms[i] for i in comp], nvars) for comp in components)
-    beta = SetSystem(len(atoms) - 1, frozenset(hits))
+    beta = SetSystem(count - 1, frozenset(hits))
     alpha = optimal_alpha(beta) if beta.sets else None
     return DecompositionPlan(tuple(atoms), graph, components, grouped, beta,
-                             alpha, order)
+                             alpha)

@@ -8,10 +8,11 @@ import pytest
 
 from opkit import certify
 from opkit.errors import InputError, MembershipError, VerificationError
+from opkit.groebner import contains_one
 from opkit.certify import (Certificate, DualCertificate, UnivariateSpec,
                            alpha_to_dual, alpha_to_dual_system,
                            dual_certificate, dual_to_alpha, factor_product,
-                           factor_product_complement, plan_dual_certificate,
+                           factor_product_complement,
                            true_decomposition_certificate,
                            univariate_certificate, univariate_factors,
                            verify_certificate)
@@ -19,7 +20,7 @@ from opkit.planner import (SetSystem, alpha_u, max_elements, min_elements,
                            plan_decomposition)
 from opkit.poly import Polynomial, parse_polynomial
 
-from conftest import constant_value
+from conftest import constant_value, run_counts
 
 V = ["x", "y"]
 
@@ -135,15 +136,51 @@ class TestDualCertificate:
         assert got[3] == P("-1/2")
 
     def test_from_plan_matches_a_fresh_search(self):
+        # The tracked run alone gives the cofactors of a probe followed by
+        # the tracked run.
         factors = demo_factors()
         plan = plan_decomposition(factors)
-        fresh = dual_certificate(factors, plan.beta_min)
-        assert plan_dual_certificate(plan).cofactors == fresh.cofactors
+        dual = dual_certificate(factors, plan.beta_min)
+        for J, cofactors in dual.cofactors.items():
+            fresh = contains_one([factors[j] for j in sorted(J)])
+            assert tuple(cofactors.values()) == fresh.cofactors
 
     def test_membership_failure_names_the_set(self):
         factors = demo_factors()
         with pytest.raises(MembershipError, match=r"\[1, 2\]"):
             dual_certificate(factors, SetSystem.of(3, [[1, 2]]))
+
+
+class TestDualRuns:
+    """Buchberger runs per dual certificate: one tracked run per member and
+    no probe, whoever calls it."""
+
+    def test_demo_beta_min(self, buchberger_runs):
+        factors = demo_factors()
+        beta = plan_decomposition(factors).beta_min
+        buchberger_runs.clear()
+        dual = dual_certificate(factors, beta)
+        assert run_counts(buchberger_runs) == (0, 4)
+        # each on its member's factors in increasing index order
+        assert [gens for _, gens in buchberger_runs] == [
+            tuple(factors[j] for j in sorted(J)) for J in beta]
+        assert set(dual.cofactors) == set(beta.sets)
+
+    def test_non_unit_member_is_found_by_its_tracked_run(self,
+                                                         buchberger_runs):
+        # [0, 1] holds 1, [1, 2] does not; the runs go in canonical order.
+        factors = demo_factors()
+        with pytest.raises(MembershipError,
+                           match=r"^1 is not in the ideal of factors \[1, 2\]$"):
+            dual_certificate(factors, SetSystem.of(3, [[0, 1], [1, 2]]))
+        assert run_counts(buchberger_runs) == (0, 2)
+
+    def test_true_decomposition_of_three_lines(self, buchberger_runs):
+        # One tracked run per pair (3 probes and 3 tracked runs when each
+        # member was probed first).
+        factors = [P("x", ["x"]), P("x+1", ["x"]), P("x+2", ["x"])]
+        true_decomposition_certificate(factors)
+        assert run_counts(buchberger_runs) == (0, 3)
 
 
 class TestDualToAlpha:
@@ -250,7 +287,7 @@ def seeded_quartet(seed):
 
 
 def planned_dual(factors):
-    return plan_dual_certificate(plan_decomposition(factors))
+    return dual_certificate(factors, plan_decomposition(factors).beta_min)
 
 
 def holds_a_whole_member(beta):

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkit.cli import main
+from opkit import cli
+from opkit.cli import VARIABLE_CAP, main
 from opkit.poly import (CERTIFICATE_BITS_CAP, DEGREE_CAP, _coefficient_bits,
                         parse_polynomial)
 
@@ -415,6 +416,33 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "'variables' must be a nonempty list of names" in err
 
+    def test_plan_at_the_variable_cap_within_budget(self, capsys, tmp_path):
+        # Two factors that name all 500 variables: about 0.25 s on a 2-CPU
+        # x86-64 VM, where 1,000 variables take 1.1 s and 2,000 take 4 s.
+        # Budget: 2 s.
+        names = [f"x{k}" for k in range(VARIABLE_CAP)]
+        total = "+".join(names)
+        path = write_job(tmp_path, {"variables": names,
+                                    "factors": [total, total + "+1"]})
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "plan", "--job", path)
+        assert code == 0 and json.loads(out)["beta_min"] == [[0, 1]]
+        assert time.perf_counter() - start < 2
+
+    def test_one_variable_past_the_cap_is_3(self, capsys, tmp_path,
+                                             monkeypatch):
+        # Refused before any expression is parsed.
+        def parse(*args):
+            raise AssertionError("parsed past the variable cap")
+
+        monkeypatch.setattr(cli, "parse_polynomial", parse)
+        names = [f"x{k}" for k in range(VARIABLE_CAP + 1)]
+        path = write_job(tmp_path, {"variables": names,
+                                    "factors": ["+".join(names)]})
+        code, out, err = run_cli(capsys, "plan", "--job", path)
+        assert code == 3 and out == ""
+        assert f"at most {VARIABLE_CAP} variables, got {VARIABLE_CAP + 1}" in err
+
     def test_resource_cap_is_3(self, capsys, tmp_path):
         path = write_job(tmp_path, {
             "variables": ["x"],
@@ -595,17 +623,20 @@ class TestExitCodes:
         ("-" + "7" * 5000, 3, "5000 digits"),
         ('"1e4000000"', 2, "bad rational"),
         ('"1.5"', 2, "bad rational"),
-        ('"1/0"', 2, "bad rational"),
+        ('"1/0"', 2, "bad rational (str '1/0')"),
+        ("[" + ",".join(["0"] * 200_000) + "]", 2, "bad rational (list)"),
+        ('"' + "a" * 2**20 + '"', 2, "bad rational (str '" + "a" * 40 + "'...)"),
     ], ids=["long-string", "long-denominator", "long-json-integer",
             "long-negative-json-integer", "exponent", "decimal",
-            "zero-denominator"])
+            "zero-denominator", "long-list", "long-bad-string"])
     def test_job_rational_size_within_budget(self, capsys, tmp_path, entry,
                                              code, message):
         # Refused before conversion in well under 0.1 s on a 2-CPU x86-64
         # VM.  Budget: 2 s.  Without the caps, the 3,000-digit entry makes
         # an f that exits 1 when printed, the 5,000-digit JSON integer
         # exits 1 inside json.load, and "1e4000000" builds a 4-million-digit
-        # integer.
+        # integer.  A bad entry is named by its type, and a string by its
+        # first 40 characters, so the message stays short whatever its size.
         path = tmp_path / "job.json"
         path.write_text(
             '{"variables": ["x"], "factors": ["x", "x+1"], "instance": '
@@ -614,6 +645,7 @@ class TestExitCodes:
         start = time.perf_counter()
         got, _, err = run_cli(capsys, "reduce", "--job", str(path))
         assert (got, message in err) == (code, True)
+        assert len(err.encode()) < 1024
         assert time.perf_counter() - start < 2
 
     def test_huge_degree_is_3_within_budget(self, capsys, tmp_path):
@@ -678,6 +710,20 @@ class TestExitCodes:
         assert code == 3
         assert "certificate cap 14000" in err and "Traceback" not in err
         assert time.perf_counter() - start < 2
+
+    def test_verify_residual_past_the_cap_is_3(self, capsys, tmp_path):
+        # The singleton family with every cofactor 1 leaves a residual with
+        # a 15,911-bit coefficient, too long to print.  It is held to the
+        # certificate cap like any printed value.
+        constants = ["2^4000+1", "3^2500", "5^1700", "7^1400", "2^4001"]
+        path = write_job(tmp_path, {
+            "variables": ["x"], "factors": [f"x+{c}" for c in constants],
+            "certificate": {"alpha": [[i] for i in range(5)],
+                            "cofactors": ["1"] * 5}})
+        code, out, err = run_cli(capsys, "verify", "--job", path)
+        assert code == 3 and out == ""
+        assert "certificate residual has a 15911-bit coefficient" in err
+        assert "Traceback" not in err
 
     def test_demo_stays_far_under_the_certificate_bits_cap(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--job", str(DEMO_JOB))
@@ -1229,6 +1275,23 @@ class TestVerifyMode:
         code, out, _ = run_cli(capsys, "verify", "--job", path)
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+    def test_both_kinds_are_checked_in_order(self, capsys, tmp_path):
+        # One report holds both checks, alpha first; a failed dual check
+        # fails the job.
+        path = write_job(tmp_path, {
+            "variables": ["x"], "factors": ["x", "x+1"],
+            "dual_certificate": {"beta": [[0, 1]], "cofactors": [["1", "1"]]},
+            "certificate": {"alpha": [[0], [1]], "cofactors": ["1", "-1"]},
+        })
+        code, out, _ = run_cli(capsys, "verify", "--job", path)
+        assert code == 4
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [(c["kind"], c["verified"], c["residual"])
+                for c in report["checks"]] == [("alpha", True, "0"),
+                                               ("dual", False, "2*x")]
 
 
 class TestReduceMode:

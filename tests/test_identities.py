@@ -10,7 +10,7 @@ import pytest
 
 import opkit.kernels
 from opkit.certify import (Certificate, DualCertificate, alpha_to_dual,
-                           dual_to_alpha, plan_dual_certificate, verify_certificate)
+                           dual_certificate, dual_to_alpha, verify_certificate)
 from opkit.errors import InputError
 from opkit.groebner import BezoutCertificate, contains_one
 from opkit.planner import plan_decomposition
@@ -86,7 +86,7 @@ def perturbed(rng, q):
 
 def demo_certificates():
     plan = plan_decomposition(demo_factors())
-    dual = plan_dual_certificate(plan)
+    dual = dual_certificate(plan.atoms, plan.beta_min)
     return dual, dual_to_alpha(dual, plan.atoms)
 
 
@@ -258,7 +258,7 @@ def test_planning_counts(kernel_calls, buchberger_runs, seed):
     # The dual certificate makes the one tracked run: its Bezout identity
     # is checked where it is built, and is the dual's one identity.
     kernel_calls.update(poly_mul=0, poly_sum_of_products=0)
-    plan_dual_certificate(plan)
+    dual_certificate(plan.atoms, plan.beta_min)
     assert run_counts(buchberger_runs) == (5, 1)
     assert kernel_calls == {"poly_mul": 0, "poly_sum_of_products": 1}
 

@@ -6,14 +6,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unittest import mock
+
 from opkit import planner
 from opkit.errors import InputError, ResourceLimitError
-from opkit.certify import plan_dual_certificate
+from opkit.certify import dual_certificate
 from opkit.groebner import BezoutCertificate, contains_one
 from opkit.planner import (MEMBERSHIP_GROUND_CAP, SetSystem, alpha_l,
-                           alpha_u, beta_min, coincidence_graph, lower_set,
-                           max_elements, min_elements, optimal_alpha,
-                           plan_decomposition, upper_set)
+                           alpha_u, lower_set, max_elements, min_elements,
+                           optimal_alpha, plan_decomposition, upper_set)
 from opkit.poly import Polynomial, parse_polynomial
 
 V = ["x", "y"]
@@ -89,23 +90,25 @@ class TestDuality:
 
 
 class TestCoincidenceGraph:
+    """The graph that ``plan_decomposition`` reads off its one search."""
+
     def test_demo_atoms(self):
-        graph = coincidence_graph(demo_atoms())
+        graph = plan_decomposition(demo_atoms()).graph
         assert graph.canonical_edges() == [[1, 2], [1, 3], [2, 3]]
         assert graph.connected_components() == [(0,), (1, 2, 3)]
 
     def test_single_atom(self):
-        graph = coincidence_graph([P("x")])
+        graph = plan_decomposition([P("x")]).graph
         assert graph.vertex_count == 1 and not graph.edges
 
     def test_coprime_pair_with_certificate(self):
-        graph = coincidence_graph([P("x", U), P("x+1", U)])
+        graph = plan_decomposition([P("x", U), P("x+1", U)]).graph
         assert not graph.edges
         assert contains_one([P("x", U), P("x+1", U)]) is not None
 
     def test_zero_atom_rejected(self):
         with pytest.raises(InputError):
-            coincidence_graph([P("0")])
+            plan_decomposition([P("0")])
 
 
 class TestRegroup:
@@ -127,26 +130,29 @@ class TestRegroup:
 
     def test_regrouped_graph_is_edgeless(self):
         plan = plan_decomposition(demo_atoms())
-        assert not coincidence_graph(plan.grouped_factors).edges
+        assert not plan_decomposition(plan.grouped_factors).graph.edges
 
 
 class TestBetaMin:
+    """The minimal unit family that ``plan_decomposition`` finds."""
+
     def test_demo_atoms(self):
-        assert beta_min(demo_atoms()).canonical() == [
+        assert plan_decomposition(demo_atoms()).beta_min.canonical() == [
             [0, 1], [0, 2], [0, 3], [1, 2, 3]]
 
     def test_constant_factor_hits_singleton(self):
-        assert beta_min([Polynomial.one(1)]).canonical() == [[0]]
+        plan = plan_decomposition([Polynomial.one(1)])
+        assert plan.beta_min.canonical() == [[0]]
 
     def test_three_linear_factors(self):
-        assert beta_min([P("x", U), P("x+1", U), P("x+2", U)]).canonical() == [
-            [0, 1], [0, 2], [1, 2]]
+        plan = plan_decomposition([P("x", U), P("x+1", U), P("x+2", U)])
+        assert plan.beta_min.canonical() == [[0, 1], [0, 2], [1, 2]]
 
     def test_monotonicity(self):
         # supersets of hits are also hits (recomputed, not pruned)
         from itertools import combinations
         factors = demo_atoms()
-        hits = beta_min(factors)
+        hits = plan_decomposition(factors).beta_min
         for J in hits:
             for size in range(len(J) + 1, 4 + 1):
                 for combo in combinations(range(4), size):
@@ -154,10 +160,10 @@ class TestBetaMin:
                         assert contains_one([factors[i] for i in combo]) is not None
 
     def test_ground_cap(self, buchberger_runs):
-        # Refused before the first probe, by each function that searches.
-        for search in (beta_min, coincidence_graph, plan_decomposition):
-            with pytest.raises(ResourceLimitError):
-                search([P("x", U)] * (MEMBERSHIP_GROUND_CAP + 2))
+        # Refused before the first probe by the one search.
+        with pytest.raises(ResourceLimitError,
+                           match="membership search capped"):
+            plan_decomposition([P("x", U)] * (MEMBERSHIP_GROUND_CAP + 2))
         assert buchberger_runs == []
 
 
@@ -203,16 +209,20 @@ class TestSearchMatchesReference:
     @given(monotone_functions())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_same_beta_min_and_edges(self, function):
+        # plan_decomposition on stand-in atoms, its probes answered by the
+        # set function.
         count, generators = function
         probe, probed = counted_probe(generators)
-        hits = planner._unit_sets(count, probe)
-        graph = planner._coincidence_graph(count, hits)
+        atoms = [P(f"x+{k}", U) for k in range(count)]
+        with mock.patch.object(planner, "_probes", lambda *_: probe):
+            plan = plan_decomposition(atoms)
+        hits = planner._unit_sets(count, probe)  # answered from the memo
         ref_probe, ref_probed = counted_probe(generators)
         ref_hits, ref_edges = reference_search(count, ref_probe)
         assert len(hits) == len(set(hits))
-        assert frozenset(hits) == ref_hits == min_elements(
+        assert plan.beta_min.sets == ref_hits == min_elements(
             SetSystem(count - 1, frozenset(generators))).sets
-        assert graph.edges == ref_edges
+        assert plan.graph.edges == ref_edges
         assert len(probed) <= len(ref_probed) + count + 1
 
     @pytest.mark.parametrize("count", [1, 4, 13])
@@ -277,7 +287,7 @@ class TestPlan:
         # increasing index order.
         atoms = demo_atoms()
         plan = plan_decomposition(atoms)
-        dual = plan_dual_certificate(plan)
+        dual = dual_certificate(atoms, plan.beta_min)
         assert set(dual.cofactors) == set(plan.beta_min.sets)
         for J, cofactors in dual.cofactors.items():
             assert list(cofactors) == sorted(J)

@@ -52,11 +52,12 @@ class TestSplit:
 
     def test_demo_factor_split_shape(self):
         from opkit.certify import dual_certificate, dual_to_alpha
-        from opkit.planner import beta_min
+        from opkit.planner import plan_decomposition
         V = ["x", "y"]
         factors = [P("x+1", V), P("x*y+y+1", V), P("x", V),
                    P("x^2+x*y+x+y-1", V)]
-        cert = dual_to_alpha(dual_certificate(factors, beta_min(factors)), factors)
+        beta = plan_decomposition(factors).beta_min
+        cert = dual_to_alpha(dual_certificate(factors, beta), factors)
         report = build_report(cert, factors, V)
         assert report.alpha.canonical() == [[0], [1, 2], [1, 3], [2, 3]]
         equations = [report.subproblems[frozenset(J)]
